@@ -4,6 +4,7 @@
 // thread pool.
 #pragma once
 
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -12,8 +13,10 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "eval/report.h"
 #include "eval/supervisor.h"
@@ -27,7 +30,51 @@
 
 namespace rrr::bench {
 
-// Minimal flag parser: --name value or --name=value; bools as --name.
+// A misconfigured harness must not run on a fallback: it names the setting
+// (a flag such as "--pairs", or an environment variable) and the value it
+// got, and exits with status 2.
+[[noreturn]] inline void reject_setting(const std::string& setting,
+                                        const std::string& value) {
+  if (value.empty()) {
+    std::cerr << setting << ": missing value\n";
+  } else {
+    std::cerr << setting << ": cannot parse \"" << value << "\"\n";
+  }
+  std::exit(2);
+}
+
+// Parses the whole of `text` as a number; false when it does not parse or
+// anything is left over.
+template <typename T>
+bool parse_full(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, error] = std::from_chars(text.data(), end, out);
+  return !text.empty() && error == std::errc() && ptr == end;
+}
+
+// Parses the whole of `value` as a number, or rejects `setting`.
+template <typename T>
+T parse_number(const std::string& setting, const std::string& value) {
+  T out{};
+  if (!parse_full(value, out)) reject_setting(setting, value);
+  return out;
+}
+
+// Splits a `separator`-separated list, dropping empty items.
+inline std::vector<std::string> split_list(const std::string& text,
+                                           char separator = ',') {
+  std::vector<std::string> out;
+  std::string item;
+  std::istringstream in(text);
+  while (std::getline(in, item, separator)) {
+    if (!item.empty()) out.push_back(item);
+  }
+  return out;
+}
+
+// Minimal flag parser: --name value or --name=value; bools as --name. A
+// value-taking flag given without a value, or with one that does not parse
+// in full, exits 2 (reject_setting). Unknown flag names are not checked.
 class Flags {
  public:
   Flags(int argc, char** argv) {
@@ -36,11 +83,13 @@ class Flags {
 
   long long get_int(const std::string& name, long long fallback) const {
     std::string value;
-    return find(name, value) ? std::atoll(value.c_str()) : fallback;
+    return find(name, value) ? parse_number<long long>("--" + name, value)
+                             : fallback;
   }
   double get_double(const std::string& name, double fallback) const {
     std::string value;
-    return find(name, value) ? std::atof(value.c_str()) : fallback;
+    return find(name, value) ? parse_number<double>("--" + name, value)
+                             : fallback;
   }
   bool get_bool(const std::string& name) const {
     std::string value;
@@ -49,7 +98,9 @@ class Flags {
   std::string get_str(const std::string& name,
                       const std::string& fallback) const {
     std::string value;
-    return find(name, value) ? value : fallback;
+    if (!find(name, value)) return fallback;
+    if (value.empty()) reject_setting("--" + name, value);
+    return value;
   }
 
  private:
@@ -187,20 +238,22 @@ inline void write_stats_json(const std::string& path,
 // "collector_blackout=0.3,blackout_start=96,blackout_windows=24"); the
 // RRR_FAULT_PLAN environment variable supplies the same spec when the flag
 // is absent. Individual `--fault-*` flags then override single fields, and
-// `--feed-health` turns on the engine's quarantine tracker.
+// `--feed-health` turns on the engine's quarantine tracker. A spec that does
+// not parse exits 2.
 inline void apply_fault_flags(const Flags& flags, eval::WorldParams& params) {
+  std::string source = "--fault-plan";
   std::string spec = flags.get_str("fault-plan", "");
   if (spec.empty()) {
     const char* env = std::getenv("RRR_FAULT_PLAN");
-    if (env != nullptr) spec = env;
+    if (env != nullptr) {
+      source = "RRR_FAULT_PLAN";
+      spec = env;
+    }
   }
   if (!spec.empty()) {
     std::optional<fault::FaultPlan> parsed = fault::FaultPlan::parse(spec);
-    if (parsed) {
-      params.fault_plan = *parsed;
-    } else {
-      std::cerr << "fault-plan: cannot parse \"" << spec << "\" — ignored\n";
-    }
+    if (!parsed) reject_setting(source, spec);
+    params.fault_plan = *parsed;
   }
   fault::FaultPlan& plan = params.fault_plan;
   plan.collector_blackout_fraction = flags.get_double(
@@ -248,31 +301,29 @@ inline void apply_checkpoint_flags(const Flags& flags,
 // the spec when the flag is absent), `--io-retry <spec>` configures the
 // transient-error retry policy (store::RetryPolicy::parse, e.g.
 // "attempts=4,base_us=100"), and `--supervise` runs under the
-// self-healing recovery supervisor (eval/supervisor.h).
+// self-healing recovery supervisor (eval/supervisor.h). A spec that does
+// not parse exits 2.
 inline void apply_io_fault_flags(const Flags& flags,
                                  eval::WorldParams& params) {
+  std::string source = "--io-fault-plan";
   std::string spec = flags.get_str("io-fault-plan", "");
   if (spec.empty()) {
     const char* env = std::getenv("RRR_IO_FAULT_PLAN");
-    if (env != nullptr) spec = env;
+    if (env != nullptr) {
+      source = "RRR_IO_FAULT_PLAN";
+      spec = env;
+    }
   }
   if (!spec.empty()) {
     std::optional<fault::IoFaultPlan> parsed = fault::IoFaultPlan::parse(spec);
-    if (parsed) {
-      params.io_fault_plan = *parsed;
-    } else {
-      std::cerr << "io-fault-plan: cannot parse \"" << spec
-                << "\" — ignored\n";
-    }
+    if (!parsed) reject_setting(source, spec);
+    params.io_fault_plan = *parsed;
   }
   std::string retry = flags.get_str("io-retry", "");
   if (!retry.empty()) {
     std::optional<store::RetryPolicy> parsed = store::RetryPolicy::parse(retry);
-    if (parsed) {
-      params.io_retry = *parsed;
-    } else {
-      std::cerr << "io-retry: cannot parse \"" << retry << "\" — ignored\n";
-    }
+    if (!parsed) reject_setting("--io-retry", retry);
+    params.io_retry = *parsed;
   }
   if (flags.get_bool("supervise")) params.supervise = true;
 }
@@ -294,8 +345,6 @@ inline eval::WorldParams retrospective_params(const Flags& flags) {
   params.topology.num_stub = 200;
   params.engine_threads = static_cast<int>(flags.get_int("engine-threads", 1));
   params.engine_shards = static_cast<int>(flags.get_int("engine-shards", 1));
-  // --pipeline 0 recovers the serial absorb schedule (DESIGN.md §10).
-  params.pipeline_absorb = flags.get_int("pipeline", 1) != 0;
   // A live /metrics endpoint is useless without a registry behind it, so
   // --serve-obs (and --serve, which exposes the same fixed routes next to
   // the /v1 family) implies telemetry even when --stats-json is absent.

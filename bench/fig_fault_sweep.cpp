@@ -43,16 +43,6 @@ struct ArmResult {
   bench::RunStats stats;
 };
 
-std::vector<std::string> split_list(const std::string& text) {
-  std::vector<std::string> out;
-  std::string item;
-  std::istringstream in(text);
-  while (std::getline(in, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 // The fault plan of one sweep arm. Blackout fractions/rates scale with the
 // intensity; the blackout is placed mid-run so quarantine and recovery both
 // happen inside the measured period.
@@ -147,11 +137,11 @@ int main(int argc, char** argv) {
                      "cost coverage");
 
   std::vector<std::string> kinds =
-      split_list(flags.get_str("kinds", "blackout,loss,noise"));
+      bench::split_list(flags.get_str("kinds", "blackout,loss,noise"));
   std::vector<double> intensities;
   for (const std::string& item :
-       split_list(flags.get_str("intensities", "0,0.15,0.3,0.5"))) {
-    intensities.push_back(std::atof(item.c_str()));
+       bench::split_list(flags.get_str("intensities", "0,0.15,0.3,0.5"))) {
+    intensities.push_back(bench::parse_number<double>("--intensities", item));
   }
 
   // Blackout placement: mid-run, after calibration has warmed up.

@@ -12,12 +12,12 @@
 //     block the close — see serve/snapshot.h).
 //
 //  2. *Determinism grid* — the world re-runs across
-//     (engine_shards × engine_threads × pipeline_absorb) points with
-//     serving attached and clients querying throughout. The semantic
-//     signal stream (FNV digest + count) and the semantic telemetry
-//     snapshot must be byte-identical across every grid point AND equal
-//     to the load arms' — serving only reads, so attaching it must not
-//     move one byte of output. Any mismatch exits nonzero.
+//     (engine_shards × engine_threads) points with serving attached and
+//     clients querying throughout. The semantic signal stream (FNV
+//     digest + count) and the semantic telemetry snapshot must be
+//     byte-identical across every grid point AND equal to the load arms'
+//     — serving only reads, so attaching it must not move one byte of
+//     output. Any mismatch exits nonzero.
 //
 // Arms run sequentially on purpose: this harness measures time, so arms
 // must not compete for cores.
@@ -25,13 +25,12 @@
 // Writes BENCH_serving_latency.json (schema rrr-serving-v1).
 //
 // Flags: --days N --pairs N --seed N --public-rate N
-//        --clients-list 0,2,8 --grid 1x1x0,2x2x1,4x2x1 --think-us N
+//        --clients-list 0,2,8 --grid 1x1,2x2,4x2 --think-us N
 //        --out BENCH_serving_latency.json
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "bench_common.h"
@@ -41,8 +40,7 @@ namespace {
 
 using namespace rrr;
 
-// FNV-1a over the semantic signal stream; the same mix fig_pipeline_sweep
-// uses, so digests are comparable across harnesses.
+// FNV-1a over the semantic signal stream.
 struct SignalDigest {
   std::uint64_t digest = 1469598103934665603ull;
   std::int64_t count = 0;
@@ -109,7 +107,6 @@ struct ArmResult {
   int clients = 0;
   int shards = 1;
   int threads = 1;
-  bool pipeline = true;
   double run_seconds = 0.0;      // timed segment: corpus_t0 -> end
   std::int64_t windows = 0;      // windows closed in the timed segment
   std::int64_t queries = 0;
@@ -129,19 +126,17 @@ double windows_per_s(const ArmResult& r) {
 }
 
 ArmResult run_arm(eval::WorldParams params, const std::string& label,
-                  int clients, int shards, int threads, bool pipeline,
+                  int clients, int shards, int threads,
                   std::int64_t think_us) {
   params.telemetry = true;  // semantic snapshot is half the determinism check
   params.engine_shards = shards;
   params.engine_threads = threads;
-  params.pipeline_absorb = pipeline;
 
   ArmResult result;
   result.label = label;
   result.clients = clients;
   result.shards = shards;
   result.threads = threads;
-  result.pipeline = pipeline;
 
   eval::World world(params);
   eval::World::Hooks hooks;
@@ -234,16 +229,6 @@ int main(int argc, char** argv) {
                      "snapshot readers never block a window close; serving "
                      "moves zero bytes of the semantic stream");
 
-  auto parse_list = [&](const std::string& spec) {
-    std::vector<std::string> items;
-    std::istringstream in(spec);
-    std::string item;
-    while (std::getline(in, item, ',')) {
-      if (!item.empty()) items.push_back(item);
-    }
-    return items;
-  };
-
   // Default pacing = a 10 ms operator-poll cadence per client. The within-5%
   // throughput check below compares wall-clock window rates, so the fleet
   // must model a realistic query load, not a core-saturation attack — on a
@@ -252,16 +237,33 @@ int main(int argc, char** argv) {
   // question being asked.
   const std::int64_t think_us = flags.get_int("think-us", 10000);
 
+  // Both arm lists are parsed before anything runs, so a bad item exits 2
+  // without a partial sweep. Grid points are SxT (shards x threads).
+  std::vector<int> client_counts;
+  for (const std::string& item :
+       bench::split_list(flags.get_str("clients-list", "0,2,8"))) {
+    client_counts.push_back(bench::parse_number<int>("--clients-list", item));
+  }
+  std::vector<std::pair<int, int>> points;
+  for (const std::string& item :
+       bench::split_list(flags.get_str("grid", "1x1,2x2,4x2"))) {
+    const std::size_t x = item.find('x');
+    int shards = 0, threads = 0;
+    if (x == std::string::npos ||
+        !bench::parse_full(item.substr(0, x), shards) ||
+        !bench::parse_full(item.substr(x + 1), threads)) {
+      bench::reject_setting("--grid", item);
+    }
+    points.emplace_back(shards, threads);
+  }
+
   // Phase 1: load arms at the session's engine configuration.
   std::vector<ArmResult> arms;
-  for (const std::string& item :
-       parse_list(flags.get_str("clients-list", "0,2,8"))) {
-    const int clients = std::atoi(item.c_str());
+  for (int clients : client_counts) {
     const std::string label =
-        clients == 0 ? "baseline" : "clients=" + item;
+        clients == 0 ? "baseline" : "clients=" + std::to_string(clients);
     arms.push_back(run_arm(params, label, clients, params.engine_shards,
-                           params.engine_threads, params.pipeline_absorb,
-                           think_us));
+                           params.engine_threads, think_us));
     const ArmResult& r = arms.back();
     std::cout << "  [" << r.label << "] "
               << eval::TableWriter::fmt(r.run_seconds, 2) << " s, "
@@ -273,20 +275,13 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
 
-  // Phase 2: determinism grid (shards x threads x pipeline) with serving
-  // attached and a small client fleet querying throughout.
+  // Phase 2: determinism grid (shards x threads) with serving attached and
+  // a small client fleet querying throughout.
   std::vector<ArmResult> grid;
-  for (const std::string& item :
-       parse_list(flags.get_str("grid", "1x1x0,2x2x1,4x2x1"))) {
-    int shards = 1, threads = 1, pipeline = 1;
-    if (std::sscanf(item.c_str(), "%dx%dx%d", &shards, &threads,
-                    &pipeline) != 3) {
-      std::cerr << "grid: cannot parse \"" << item << "\" — ignored\n";
-      continue;
-    }
-    const std::string label = "grid " + item;
-    grid.push_back(
-        run_arm(params, label, 2, shards, threads, pipeline != 0, think_us));
+  for (const auto& [shards, threads] : points) {
+    const std::string label =
+        "grid " + std::to_string(shards) + "x" + std::to_string(threads);
+    grid.push_back(run_arm(params, label, 2, shards, threads, think_us));
     std::cout << "  [" << label << "] "
               << eval::TableWriter::fmt(grid.back().run_seconds, 2)
               << " s\n";
@@ -372,7 +367,6 @@ int main(int argc, char** argv) {
       out << "{\"label\":\"" << obs::json_escape(r->label)
           << "\",\"clients\":" << r->clients << ",\"shards\":" << r->shards
           << ",\"threads\":" << r->threads
-          << ",\"pipeline\":" << (r->pipeline ? "true" : "false")
           << ",\"windows\":" << r->windows
           << ",\"windows_per_s\":" << windows_per_s(*r)
           << ",\"queries\":" << r->queries << ",\"qps\":" << r->qps

@@ -137,7 +137,7 @@ BENCHMARK(BM_TraceProcessing);
 struct AdvanceToFixture {
   explicit AdvanceToFixture(int threads, int shards = 1, int pairs = 2000,
                             int num_probes = 700, bool telemetry = false,
-                            bool pipeline = true, bool trace = false) {
+                            bool trace = false) {
     eval::WorldParams params;
     params.days = 1;
     params.warmup_days = 1;
@@ -153,7 +153,6 @@ struct AdvanceToFixture {
     params.engine_threads = threads;
     params.engine_shards = shards;
     params.telemetry = telemetry;
-    params.pipeline_absorb = pipeline;
     params.trace = trace;
     world = std::make_unique<eval::World>(params);
     world->run_until(world->corpus_t0());
@@ -262,50 +261,6 @@ BENCHMARK(BM_ShardedAdvanceTo)
     ->Iterations(96)
     ->Unit(benchmark::kMillisecond);
 
-// Epoch-pipelined absorb vs. the serial schedule (DESIGN.md §10): Args are
-// {threads, pipeline}. Pipelined, the table absorb runs on the pool while
-// the monitors close against the published epoch; serial, it runs inline
-// between the BGP and trace closes. The output is bit-identical either way
-// (the determinism grid asserts it), so the wall-time delta is pure
-// overlap. Four shards keep phase A busy enough for the overlap to show at
-// 4+ threads. Emit BENCH_pipeline_scaling.json with
-//   --benchmark_filter=PipelinedAdvanceTo
-//   --benchmark_out=BENCH_pipeline_scaling.json --benchmark_out_format=json
-void BM_PipelinedAdvanceTo(benchmark::State& state) {
-  AdvanceToFixture fixture(static_cast<int>(state.range(0)), /*shards=*/4,
-                           /*pairs=*/4200, /*probes=*/900,
-                           /*telemetry=*/false,
-                           /*pipeline=*/state.range(1) != 0,
-                           /*trace=*/state.range(2) != 0);
-  std::size_t signals = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    fixture.feed_window();
-    state.ResumeTiming();
-    auto sigs =
-        fixture.world->engine().advance_to(fixture.now +
-                                           fixture.world->window_seconds());
-    benchmark::DoNotOptimize(sigs.data());
-    signals += sigs.size();
-    fixture.now = fixture.now + fixture.world->window_seconds();
-  }
-  state.counters["threads"] = static_cast<double>(state.range(0));
-  state.counters["pipeline"] = static_cast<double>(state.range(1));
-  state.counters["trace"] = static_cast<double>(state.range(2));
-  state.counters["signals"] = static_cast<double>(signals);
-}
-// The {4, 1, 1} arm is the tracing-cost guard on the fully parallel close:
-// compare it against {4, 1, 0} — the delta is the recorder's span pushes
-// on the pool threads and must stay under the ~5% budget (DESIGN.md §13).
-BENCHMARK(BM_PipelinedAdvanceTo)
-    ->Args({1, 0, 0})
-    ->Args({1, 1, 0})
-    ->Args({4, 0, 0})
-    ->Args({4, 1, 0})
-    ->Args({4, 1, 1})
-    ->Iterations(96)
-    ->Unit(benchmark::kMillisecond);
-
 // Telemetry overhead on the full close path, three arms (emit
 // BENCH_trace_overhead.json with --benchmark_filter=TelemetryOverhead):
 //   Arg(0) — registry and recorder both off: every instrumentation site
@@ -321,7 +276,6 @@ void BM_TelemetryOverhead(benchmark::State& state) {
   AdvanceToFixture fixture(/*threads=*/1, /*shards=*/1, /*pairs=*/2000,
                            /*probes=*/700,
                            /*telemetry=*/state.range(0) >= 1,
-                           /*pipeline=*/true,
                            /*trace=*/state.range(0) >= 2);
   std::size_t signals = 0;
   for (auto _ : state) {

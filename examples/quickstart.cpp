@@ -6,7 +6,7 @@
 //
 // The example wires the full pipeline the way the paper's system would run
 // against RouteViews/RIS and RIPE Atlas: a BGP feed and a public traceroute
-// stream flow into the StalenessEngine, which flags corpus traceroutes
+// stream flow into the signals::Engine, which flags corpus traceroutes
 // whose paths have likely changed. Ground truth from the simulator then
 // shows how many flags were right.
 #include <cstdlib>

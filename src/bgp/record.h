@@ -31,8 +31,8 @@ const char* to_string(RecordType type);
 //
 // Attributes are interned (netbase/intern.h): `as_path`, `communities`, and
 // `collector` are 32-bit handles whose assignment interns and whose
-// comparison is one integer compare, so copying a record around the backlog
-// and epoch-table carryover buffers touches no heap.
+// comparison is one integer compare, so copying a record around the engine's
+// backlog touches no heap.
 struct BgpRecord {
   TimePoint time;
   RecordType type = RecordType::kAnnouncement;
@@ -43,11 +43,6 @@ struct BgpRecord {
   Prefix prefix;
   InternedPath as_path;  // empty for withdrawals
   InternedCommunities communities;
-  // Table-canonical form of `as_path` (IXP-strip + prepend-collapse),
-  // stamped by the engine's serial feed boundary so the epoch-table absorb
-  // never interns on a pool thread. kInvalidInternId = not stamped; the
-  // table view then canonicalizes on its own (single-writer) cache.
-  PathId canonical_path = kInvalidInternId;
 
   // A human-readable dump in the style of the paper's Figure 3.
   std::string to_string() const;

@@ -12,9 +12,7 @@ namespace rrr::bgp {
 
 // Interned attributes are resolved to content on write and re-interned on
 // read, so the byte format is identical to the pre-interning one and never
-// leaks intern-id values (which are free to differ across runs). The
-// `canonical_path` stamp is deliberately not stored: a loaded backlog
-// re-canonicalizes through the table view's own memo.
+// leaks intern-id values (which are free to differ across runs).
 inline void put_record(store::Encoder& enc, const BgpRecord& record) {
   store::put(enc, record.time);
   enc.u8(static_cast<std::uint8_t>(record.type));

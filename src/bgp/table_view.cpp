@@ -45,9 +45,7 @@ bool VpTableView::apply(const BgpRecord& record) {
     return table.erase(record.prefix);
   }
   VpRoute route;
-  route.path = InternedPath::from_id(record.canonical_path != kInvalidInternId
-                                         ? record.canonical_path
-                                         : canon_.canonical(record.as_path.id()));
+  route.path = InternedPath::from_id(canon_.canonical(record.as_path.id()));
   route.communities = record.communities;
   route.updated = record.time;
   table.insert(record.prefix, std::move(route));

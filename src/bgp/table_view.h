@@ -37,10 +37,9 @@ AsPath collapse_prepending(const AsPath& path);
 // id mapping. Most updates repeat a path already seen, so canonicalization
 // amortizes to one hash lookup instead of two vector rebuilds per record.
 //
-// Single-writer: the cache has no locking. Each owner (an engine's serial
-// feed boundary, a VpTableView's absorb writer) keeps its own instance.
-// With an empty IXP list this memoizes plain prepend-collapse — the
-// dispatch-path normalization.
+// Single-writer: the cache has no locking. Each owner (a VpTableView, the
+// engine's dispatch step) keeps its own instance. With an empty IXP list
+// this memoizes plain prepend-collapse — the dispatch-path normalization.
 class PathCanonicalizer {
  public:
   PathCanonicalizer() = default;
@@ -66,34 +65,26 @@ struct VpRoute {
 
 // Maintains each vantage point's table from a stream of records.
 //
-// Concurrency: a VpTableView has no internal synchronization. The engines
-// never expose one directly — they wrap two of them in a bgp::EpochTableView
-// and hand readers the *published* buffer, which is immutable for the whole
-// window close, while the absorb writer mutates the *shadow* buffer. A
-// VpTableView is therefore either (a) the published epoch: read-only, safe
-// from any thread, or (b) the shadow: owned by exactly one writer task, read
-// by nobody. Standalone uses (tests, offline tools) may mutate one freely on
-// a single thread.
+// Concurrency: a VpTableView has no internal synchronization. The engine
+// owns one and mutates it only in the serial section of a window close,
+// between the shards' BGP-monitor closes (which read it from pool threads)
+// and the trace-monitor closes; every reader therefore sees either the whole
+// start-of-window table or the whole absorbed one, never a half-applied
+// batch.
 class VpTableView {
  public:
   explicit VpTableView(std::set<Asn> ixp_asns = {}) : canon_(ixp_asns) {}
 
   // Applies one record (RIB entries and updates are treated alike; the
   // latest information wins). Records with unacceptable prefixes are
-  // dropped; returns whether the record was applied.
-  //
-  // When `record.canonical_path` is stamped (the engines do it at the
-  // serial feed boundary) the stored route is a pure id copy — no interner
-  // write, no path rebuild; otherwise the view canonicalizes through its
-  // own single-writer memo.
+  // dropped; returns whether the record was applied. The stored path is
+  // canonicalized through the view's own single-writer memo.
   bool apply(const BgpRecord& record);
 
   // Absorbs the first `count` records of `records` in order; returns how
   // many were applied. This is the once-per-window batch absorption of the
-  // staleness engine: monitors dispatch against the pre-batch table (the
-  // immutable start-of-window epoch shared across engine shards) while
-  // EpochTableView::absorb advances the shadow copy here; the flip at the
-  // window boundary is what makes the batch visible to readers.
+  // staleness engine: the shards' BGP monitors dispatch against the
+  // pre-batch table, and the engine absorbs the batch once they are joined.
   std::size_t apply_all(const std::vector<BgpRecord>& records,
                         std::size_t count);
 

@@ -195,11 +195,10 @@ World::World(const WorldParams& params)
   engine_params.seed = rng_.fork(8).seed();
   engine_params.threads = params_.engine_threads;
   engine_params.shards = params_.engine_shards;
-  engine_params.pipeline_absorb = params_.pipeline_absorb;
   engine_params.metrics = metrics_.get();
   engine_params.tracer = tracer_.get();
   engine_params.feed_health = params_.feed_health;
-  engine_ = std::make_unique<signals::ShardedStalenessEngine>(
+  engine_ = std::make_unique<signals::Engine>(
       engine_params, *processing_, std::move(vps), std::move(vp_as),
       std::move(vp_city), std::move(rs_asns),
       signals::AsRelDb::from_topology(topology_), std::move(members));
@@ -471,10 +470,10 @@ void World::run_all(const Hooks& hooks) {
 std::uint64_t World::fingerprint(const WorldParams& params) {
   // A coarse digest of the parameters that shape the simulated timeline.
   // It catches the common foot-guns (different seed, days, corpus or feed
-  // shape, fault plan) — it is a guard, not a proof of identity. Pure
-  // throughput knobs (threads, pipeline_absorb) and robustness knobs
-  // (io_fault_plan, io_retry, supervise) are deliberately excluded; the
-  // engine's loader verifies the shard count itself.
+  // shape, fault plan) — it is a guard, not a proof of identity. The pure
+  // throughput knob (threads) and robustness knobs (io_fault_plan,
+  // io_retry, supervise) are deliberately excluded; the engine's loader
+  // verifies the shard count itself.
   store::Encoder enc;
   enc.u64(params.seed);
   enc.i64(params.days);

@@ -17,7 +17,7 @@
 #include "obs/watchdog.h"
 #include "routing/control_plane.h"
 #include "routing/events.h"
-#include "signals/sharded_engine.h"
+#include "signals/engine.h"
 #include "store/checkpoint.h"
 #include "store/io_env.h"
 #include "topology/builder.h"
@@ -69,11 +69,6 @@ struct WorldParams {
   // engine"). Like engine_threads, a pure throughput knob: the signal
   // stream is bit-identical for any (shards, threads) combination.
   int engine_shards = 1;
-  // Overlap the BGP-table absorb with the monitor closes via the epoch
-  // table's shadow buffer (DESIGN.md §10 "Epoch pipeline"). Another pure
-  // throughput knob: off recovers the exact serial schedule, and the signal
-  // stream plus semantic telemetry are bit-identical either way.
-  bool pipeline_absorb = true;
   // Enables the telemetry registry + per-window stats series (DESIGN.md
   // "Observability"). The RRR_STATS environment variable force-enables it
   // regardless of this flag; when off, the engine's instrumentation sites
@@ -144,7 +139,7 @@ class World {
   bgp::FeedSimulator& feed() { return *feed_; }
   tr::Platform& platform() { return *platform_; }
   tracemap::ProcessingContext& processing() { return *processing_; }
-  signals::ShardedStalenessEngine& engine() { return *engine_; }
+  signals::Engine& engine() { return *engine_; }
   GroundTruth& ground_truth() { return *ground_truth_; }
   Rng& rng() { return rng_; }
   // Null when WorldParams::fault_plan is inert.
@@ -298,9 +293,9 @@ class World {
     kBoundary = 2,  // between run_until calls
   };
   // Digest of the parameters that shape the simulated timeline (seed,
-  // corpus/feed shape, fault plan, ...). Pure throughput knobs — threads,
-  // pipeline_absorb — are excluded; shard count is verified separately by
-  // the engine's own loader.
+  // corpus/feed shape, fault plan, ...). The pure throughput knob — threads
+  // — is excluded; shard count is verified separately by the engine's own
+  // loader.
   std::uint64_t params_fingerprint() const;
   // Appends one op to the WAL at the current (clock, replay point). No-op
   // unless checkpointing is on, and always a no-op during replay.
@@ -338,7 +333,7 @@ class World {
   std::unique_ptr<bgp::FeedSimulator> feed_;
   std::unique_ptr<tr::Platform> platform_;
   std::unique_ptr<tracemap::ProcessingContext> processing_;
-  std::unique_ptr<signals::ShardedStalenessEngine> engine_;
+  std::unique_ptr<signals::Engine> engine_;
   std::unique_ptr<GroundTruth> ground_truth_;
 
   // Borrowed serving layer; null when no query service is attached.

@@ -1,11 +1,11 @@
 // Epoch-scoped bump allocator for window-lifetime objects.
 //
 // The close path builds large flat scratch structures — the dispatched
-// record batch, per-shard signal buffers — whose lifetime is exactly one
-// window close: the epoch pipeline already bounds it (everything is dead by
-// the flip). An MPS-style arena exploits that: allocation is a pointer bump
-// into chunked slabs, individual frees don't exist, and `reset()` at the
-// flip recycles every slab wholesale for the next window, so the steady
+// record batch, per-shard signal buffers — whose lifetime is at most one
+// window close. An MPS-style arena exploits that: allocation is a pointer
+// bump into chunked slabs, individual frees don't exist, and `reset()`
+// once the batch is dead recycles every slab wholesale for the next
+// window, so the steady
 // state performs zero heap traffic no matter how many records a window
 // carries.
 //

@@ -6,7 +6,7 @@
 
 #include "obs/export.h"
 #include "signals/engine_obs.h"
-#include "signals/sharded_engine.h"
+#include "signals/engine.h"
 
 namespace rrr::serve {
 namespace {
@@ -157,8 +157,7 @@ StalenessService::StalenessService(ServiceParams params)
 }
 
 void StalenessService::on_window(
-    const signals::ShardedStalenessEngine& engine, std::int64_t window,
-    TimePoint window_end,
+    const signals::Engine& engine, std::int64_t window, TimePoint window_end,
     const std::vector<signals::StalenessSignal>& window_signals) {
   on_window(engine.pair_states(), engine.table_epoch(), window, window_end,
             window_signals);

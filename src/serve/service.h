@@ -39,7 +39,7 @@
 #include "signals/signal.h"
 
 namespace rrr::signals {
-class ShardedStalenessEngine;
+class Engine;
 struct PairStateView;
 }  // namespace rrr::signals
 
@@ -63,8 +63,8 @@ class StalenessService {
   // --- materialization (driver thread, serial section) ---
   // Engine-facing hook: snapshots the engine's per-pair state and the
   // window's registered signals, publishes a new ServingSnapshot.
-  void on_window(const signals::ShardedStalenessEngine& engine,
-                 std::int64_t window, TimePoint window_end,
+  void on_window(const signals::Engine& engine, std::int64_t window,
+                 TimePoint window_end,
                  const std::vector<signals::StalenessSignal>& window_signals);
   // Core hook the engine variant forwards to; public so tests and other
   // drivers can materialize from handcrafted state.

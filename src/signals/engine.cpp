@@ -1,9 +1,9 @@
 #include "signals/engine.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "bgp/serial.h"
+#include "runtime/parallel.h"
 #include "runtime/task_group.h"
 
 namespace rrr::signals {
@@ -12,7 +12,36 @@ namespace {
 EngineParams normalized(EngineParams params) {
   params.subpath.base_window_seconds = params.window_seconds;
   params.border.base_window_seconds = params.window_seconds;
+  if (params.shards < 1) params.shards = 1;
   return params;
+}
+
+// Rank of each technique in the canonical merge order — the order the
+// close path runs the monitors in (BGP monitors, then the table absorb,
+// then trace monitors). Within a rank, signals order by
+// (window, potential, pair, border): subpath/border potentials are shared
+// by several subscriber pairs, so the pair key breaks the tie the same way
+// for every partition.
+int close_rank(Technique technique) {
+  switch (technique) {
+    case Technique::kBgpAsPath: return 0;
+    case Technique::kBgpCommunity: return 1;
+    case Technique::kBgpBurst: return 2;
+    case Technique::kTraceSubpath: return 3;
+    case Technique::kTraceBorder: return 4;
+    case Technique::kColocation: return 5;
+  }
+  return 6;
+}
+
+bool canonical_less(const StalenessSignal& a, const StalenessSignal& b) {
+  int ra = close_rank(a.technique);
+  int rb = close_rank(b.technique);
+  if (ra != rb) return ra < rb;
+  if (a.window != b.window) return a.window < b.window;
+  if (a.potential != b.potential) return a.potential < b.potential;
+  if (a.pair != b.pair) return a.pair < b.pair;
+  return a.border_index < b.border_index;
 }
 
 }  // namespace
@@ -60,420 +89,263 @@ std::size_t cut_window_prefix(std::vector<bgp::BgpRecord>& pending,
   return static_cast<std::size_t>(mid - pending.begin());
 }
 
-StalenessEngine::StalenessEngine(
-    const EngineParams& params, tracemap::ProcessingContext& processing,
-    std::vector<bgp::VantagePoint> vps, std::vector<topo::AsIndex> vp_as,
-    std::vector<topo::CityId> vp_city, std::set<Asn> ixp_route_server_asns,
-    AsRelDb rels, std::map<topo::IxpId, std::set<Asn>> ixp_members)
+Engine::Engine(const EngineParams& params,
+               tracemap::ProcessingContext& processing,
+               std::vector<bgp::VantagePoint> vps,
+               std::vector<topo::AsIndex> vp_as,
+               std::vector<topo::CityId> vp_city,
+               std::set<Asn> ixp_route_server_asns, AsRelDb rels,
+               std::map<topo::IxpId, std::set<Asn>> ixp_members)
     : params_(normalized(params)),
       clock_(params.t0, params.window_seconds),
       processing_(processing),
-      rng_(Rng(params.seed).fork(0xE9619E)) {
-  owned_ = std::make_unique<OwnedGlobals>(
-      std::move(vps), std::move(ixp_route_server_asns),
-      params_.calibration_windows, std::move(rels));
-  owned_->context.table = &owned_->table;
-  owned_->context.vps = &owned_->vps;
-  owned_->context.vp_as = std::move(vp_as);
-  owned_->context.vp_city = std::move(vp_city);
-  owned_->subpath = std::make_unique<SubpathMonitor>(params_.subpath);
-  owned_->border = std::make_unique<BorderMonitor>(params_.border);
-  owned_->ixp =
-      std::make_unique<IxpMonitor>(owned_->rels, std::move(ixp_members));
-
-  context_ = &owned_->context;
-  index_ = &owned_->index;
-  calibration_ = &owned_->calibration;
-  reputation_ = &owned_->reputation;
-  subpath_ = owned_->subpath.get();
-  border_ = owned_->border.get();
-  ixp_ = owned_->ixp.get();
-
+      rng_(Rng(params.seed).fork(0xE9619E)),
+      vps_(std::move(vps)),
+      table_(std::move(ixp_route_server_asns)),
+      calibration_(params.calibration_windows),
+      rels_(std::move(rels)),
+      subpath_(params_.subpath),
+      border_(params_.border),
+      ixp_(rels_, std::move(ixp_members)) {
+  context_.table = &table_;
+  context_.vps = &vps_;
+  context_.vp_as = std::move(vp_as);
+  context_.vp_city = std::move(vp_city);
   if (params_.threads > 1) {
-    owned_pool_ = std::make_unique<runtime::ThreadPool>(params_.threads);
+    pool_ = std::make_unique<runtime::ThreadPool>(params_.threads);
   }
-  pool_ = owned_pool_.get();
-
-  if (params_.tracer != nullptr) {
-    if (owned_pool_ != nullptr) owned_pool_->set_tracer(params_.tracer);
-    owned_->table.set_tracer(params_.tracer);
+  if (pool_ != nullptr && params_.tracer != nullptr) {
+    pool_->set_tracer(params_.tracer);
   }
+  subpath_.set_pool(pool_.get());
+  border_.set_pool(pool_.get());
+  ixp_.set_pool(pool_.get());
 
   if (params_.metrics != nullptr) {
     obs_ = EngineObs::create(*params_.metrics);
-    index_->set_obs(obs_.potentials_opened);
-    if (owned_pool_ != nullptr) {
+    index_.set_obs(obs_.potentials_opened);
+    shard_close_us_.reserve(static_cast<std::size_t>(params_.shards));
+    for (int i = 0; i < params_.shards; ++i) {
+      shard_close_us_.push_back(&params_.metrics->histogram(
+          "rrr_shard_close_us", obs::duration_buckets_us(),
+          {{"shard", std::to_string(i)}}, obs::Domain::kRuntime,
+          "Wall microseconds of one shard's phase-A close"));
+    }
+    if (pool_ != nullptr) {
       pool_obs_ = runtime::PoolObs::create(*params_.metrics);
-      owned_pool_->set_obs(&pool_obs_);
+      pool_->set_obs(&pool_obs_);
     }
   }
+  subpath_.set_obs(obs_.monitors[technique_index(Technique::kTraceSubpath)]);
+  border_.set_obs(obs_.monitors[technique_index(Technique::kTraceBorder)]);
+  ixp_.set_obs(obs_.monitors[technique_index(Technique::kColocation)]);
 
   if (params_.feed_health.enabled) {
-    owned_->health = std::make_unique<FeedHealthTracker>(params_.feed_health);
-    if (params_.metrics != nullptr) {
-      owned_->health->set_metrics(*params_.metrics);
-    }
-    health_ = owned_->health.get();
+    health_ = std::make_unique<FeedHealthTracker>(params_.feed_health);
+    if (params_.metrics != nullptr) health_->set_metrics(*params_.metrics);
   }
-
-  aspath_ = std::make_unique<AsPathMonitor>(*context_);
-  community_ = std::make_unique<CommunityMonitor>(*context_, *reputation_);
-  burst_ = std::make_unique<BurstMonitor>(*context_);
-  // Monitors with per-series window-close work shard it over the pool; a
-  // null pool keeps them on the exact serial code path.
-  aspath_->set_pool(pool_);
-  community_->set_pool(pool_);
-  burst_->set_pool(pool_);
-  subpath_->set_pool(pool_);
-  border_->set_pool(pool_);
-  ixp_->set_pool(pool_);
-  // All-null bundles when telemetry is off, so this is unconditional.
-  aspath_->set_obs(obs_.monitors[technique_index(Technique::kBgpAsPath)]);
-  community_->set_obs(
-      obs_.monitors[technique_index(Technique::kBgpCommunity)]);
-  burst_->set_obs(obs_.monitors[technique_index(Technique::kBgpBurst)]);
-  subpath_->set_obs(obs_.monitors[technique_index(Technique::kTraceSubpath)]);
-  border_->set_obs(obs_.monitors[technique_index(Technique::kTraceBorder)]);
-  ixp_->set_obs(obs_.monitors[technique_index(Technique::kColocation)]);
-  // A null tracker leaves every consult site on its single-branch fast
-  // path; the counters are the per-technique suppression tallies.
-  aspath_->set_feed_health(
-      health_,
-      obs_.dropped_unhealthy_feed[technique_index(Technique::kBgpAsPath)]);
-  community_->set_feed_health(
-      health_,
-      obs_.dropped_unhealthy_feed[technique_index(Technique::kBgpCommunity)]);
-  burst_->set_feed_health(
-      health_,
-      obs_.dropped_unhealthy_feed[technique_index(Technique::kBgpBurst)]);
-  subpath_->set_feed_health(
-      health_,
+  subpath_.set_feed_health(
+      health_.get(),
       obs_.dropped_unhealthy_feed[technique_index(Technique::kTraceSubpath)]);
-  border_->set_feed_health(
-      health_,
+  border_.set_feed_health(
+      health_.get(),
       obs_.dropped_unhealthy_feed[technique_index(Technique::kTraceBorder)]);
-  ixp_->set_feed_health(
-      health_,
+  ixp_.set_feed_health(
+      health_.get(),
       obs_.dropped_unhealthy_feed[technique_index(Technique::kColocation)]);
-}
 
-StalenessEngine::StalenessEngine(const EngineParams& params,
-                                 tracemap::ProcessingContext& processing,
-                                 const EngineSharedState& shared)
-    : params_(normalized(params)),
-      clock_(params.t0, params.window_seconds),
-      processing_(processing),
-      rng_(Rng(params.seed).fork(0xE9619E)) {
-  assert(shared.context != nullptr && shared.index != nullptr &&
-         shared.calibration != nullptr && shared.reputation != nullptr &&
-         shared.subpath != nullptr && shared.border != nullptr &&
-         shared.ixp != nullptr);
-  pool_ = shared.pool;
-  context_ = shared.context;
-  index_ = shared.index;
-  calibration_ = shared.calibration;
-  reputation_ = shared.reputation;
-  subpath_ = shared.subpath;
-  border_ = shared.border;
-  ixp_ = shared.ixp;
-  health_ = shared.health;  // may be null: health tracking off
-
-  if (shared.obs != nullptr) obs_ = *shared.obs;
-
-  aspath_ = std::make_unique<AsPathMonitor>(*context_);
-  community_ = std::make_unique<CommunityMonitor>(*context_, *reputation_);
-  burst_ = std::make_unique<BurstMonitor>(*context_);
-  aspath_->set_pool(pool_);
-  community_->set_pool(pool_);
-  burst_->set_pool(pool_);
-  // Shards share the facade's per-technique instruments (atomic updates).
-  aspath_->set_obs(obs_.monitors[technique_index(Technique::kBgpAsPath)]);
-  community_->set_obs(
-      obs_.monitors[technique_index(Technique::kBgpCommunity)]);
-  burst_->set_obs(obs_.monitors[technique_index(Technique::kBgpBurst)]);
-  // The facade's tracker is read-only here (transitions happen before the
-  // shards fan out), so concurrent shard closes can consult it safely.
-  aspath_->set_feed_health(
-      health_,
-      obs_.dropped_unhealthy_feed[technique_index(Technique::kBgpAsPath)]);
-  community_->set_feed_health(
-      health_,
-      obs_.dropped_unhealthy_feed[technique_index(Technique::kBgpCommunity)]);
-  burst_->set_feed_health(
-      health_,
-      obs_.dropped_unhealthy_feed[technique_index(Technique::kBgpBurst)]);
-}
-
-Monitor* StalenessEngine::monitor_for(Technique technique) {
-  switch (technique) {
-    case Technique::kBgpAsPath: return aspath_.get();
-    case Technique::kBgpCommunity: return community_.get();
-    case Technique::kBgpBurst: return burst_.get();
-    case Technique::kColocation: return ixp_;
-    case Technique::kTraceSubpath: return subpath_;
-    case Technique::kTraceBorder: return border_;
+  EngineSharedState shared;
+  shared.context = &context_;
+  shared.pool = pool_.get();
+  shared.index = &index_;
+  shared.calibration = &calibration_;
+  shared.reputation = &reputation_;
+  shared.subpath = &subpath_;
+  shared.border = &border_;
+  shared.ixp = &ixp_;
+  shared.obs = &obs_;
+  shared.health = health_.get();
+  shards_.reserve(static_cast<std::size_t>(params_.shards));
+  for (int i = 0; i < params_.shards; ++i) {
+    shards_.push_back(
+        std::make_unique<EngineShard>(clock_, processing_, shared));
   }
-  return nullptr;
 }
 
-const Monitor* StalenessEngine::monitor_for(Technique technique) const {
-  return const_cast<StalenessEngine*>(this)->monitor_for(technique);
+std::size_t Engine::shard_of(const tr::PairKey& pair) const {
+  std::uint64_t h = hash_combine(static_cast<std::uint64_t>(pair.probe),
+                                 static_cast<std::uint64_t>(pair.dst.value()));
+  return static_cast<std::size_t>(h % shards_.size());
 }
 
-tr::Freshness StalenessEngine::initial_freshness(
-    const tr::PairKey& pair, const CorpusView& view) const {
-  // Fresh only when every border of the traceroute is monitored by at
-  // least one potential signal; otherwise its state is unknowable (§6.2).
-  const auto& relations = index_->relations_of(pair);
-  for (std::size_t b = 0; b < view.processed.borders.size(); ++b) {
-    bool covered = false;
-    for (const auto& relation : relations) {
-      if (relation.border_index == b || relation.border_index == kWholePath) {
-        covered = true;
-        break;
-      }
-    }
-    if (!covered) return tr::Freshness::kUnknown;
-  }
-  return relations.empty() ? tr::Freshness::kUnknown : tr::Freshness::kFresh;
-}
-
-void StalenessEngine::watch(const tr::Probe& probe,
-                            const tr::Traceroute& trace) {
+void Engine::watch(const tr::Probe& probe, const tr::Traceroute& trace) {
   tr::PairKey key{trace.probe, trace.dst_ip};
-  PairState state;
-  state.view.key = key;
-  state.view.probe_as = probe.as;
-  state.view.probe_city = probe.city;
-  state.view.window = clock_.index_of(trace.time);
-  state.view.processed = processing_.ingest(trace);
-  state.watched_window = state.view.window;
-
-  aspath_->watch(state.view, *index_);
-  community_->watch(state.view, *index_);
-  burst_->watch(state.view, *index_);
-  subpath_->watch(state.view, *index_);
-  border_->watch(state.view, *index_);
-  ixp_->watch(state.view, *index_);
-
-  state.freshness = initial_freshness(key, state.view);
-  corpus_[key] = std::move(state);
+  shards_[shard_of(key)]->watch(probe, trace);
 }
 
-void StalenessEngine::on_bgp_record(const bgp::BgpRecord& record) {
-  // Feed-boundary delivery tally (standalone mode only; the facade counts
-  // on its own tracker before records reach the shards).
-  if (owned_ != nullptr && owned_->health != nullptr) {
-    owned_->health->count_bgp(record.vp, record.collector.id(),
-                              clock_.index_of(record.time));
-  }
-  bgp::BgpRecord& stored = pending_records_.emplace_back(record);
-  // Stamp the table-canonical path at the serial feed boundary (standalone
-  // mode; the facade stamps at its own boundary) so the epoch-table absorb
-  // task is interner-read-only on the pool thread.
-  if (owned_ != nullptr) {
-    stored.canonical_path = owned_->feed_canon.canonical(stored.as_path.id());
-  }
+std::size_t Engine::corpus_size() const {
+  std::size_t total = 0;
+  for (const auto& shard : shards_) total += shard->corpus_size();
+  return total;
 }
 
-void StalenessEngine::on_public_trace(const tr::Traceroute& trace) {
-  std::int64_t window = clock_.index_of(trace.time);
-  if (owned_ != nullptr && owned_->health != nullptr) {
-    owned_->health->count_trace(trace.probe, window);
+void Engine::on_bgp_record(const bgp::BgpRecord& record) {
+  // Delivery tally at the (serial) feed boundary — the one place every
+  // record passes exactly once regardless of the shard partition.
+  if (health_ != nullptr) {
+    health_->count_bgp(record.vp, record.collector.id(),
+                       clock_.index_of(record.time));
   }
+  pending_records_.push_back(record);
+}
+
+void Engine::on_public_trace(const tr::Traceroute& trace) {
+  // Public traces feed only the global trace monitors — no shard fan-out
+  // (and none would be deterministic: their series mix evidence across
+  // pairs, so each trace must update exactly one instance).
   tracemap::ProcessedTrace processed = processing_.ingest(trace);
-  subpath_->on_public_trace(processed, window);
-  border_->on_public_trace(processed, window);
-  ixp_->on_public_trace(processed, window);
+  std::int64_t window = clock_.index_of(trace.time);
+  if (health_ != nullptr) health_->count_trace(trace.probe, window);
+  subpath_.on_public_trace(processed, window);
+  border_.on_public_trace(processed, window);
+  ixp_.on_public_trace(processed, window);
 }
 
-void StalenessEngine::register_signals(
-    std::vector<StalenessSignal>& out, std::vector<StalenessSignal>&& batch) {
-  // Canonical merge order: each monitor's shard buffers already concatenate
-  // in a deterministic work-list order, and the batch is additionally
-  // ordered by (window, PotentialId). This ordering — not scheduling luck —
-  // is the determinism contract: the signal stream is identical whatever
-  // params_.threads is (DESIGN.md, "Runtime & determinism").
-  std::stable_sort(batch.begin(), batch.end(),
-                   [](const StalenessSignal& a, const StalenessSignal& b) {
-                     return a.window != b.window ? a.window < b.window
-                                                 : a.potential < b.potential;
-                   });
-  out.reserve(out.size() + batch.size());
-  for (StalenessSignal& signal : batch) {
-    auto it = corpus_.find(signal.pair);
-    if (it == corpus_.end()) {
-      obs::inc(obs_.signals_dropped_refreshed);
-      continue;  // pair refreshed mid-window
-    }
-    auto fired = last_fired_.find(signal.potential);
-    if (fired != last_fired_.end() &&
-        signal.window - fired->second < params_.signal_cooldown_windows) {
-      obs::inc(obs_.signals_suppressed_cooldown);
-      continue;  // persistent change already reported recently
-    }
-    last_fired_[signal.potential] = signal.window;
-    obs::inc(obs_.signals_emitted[technique_index(signal.technique)]);
-    PairState& state = it->second;
-    if (state.freshness != tr::Freshness::kStale) {
-      state.freshness = tr::Freshness::kStale;
-    }
-    ActiveSignal active;
-    active.potential = signal.potential;
-    active.technique = signal.technique;
-    active.meta = signal.meta;
-    active.pair = signal.pair;
-    active.community = signal.community;
-    state.active[signal.potential] = std::move(active);
-    out.push_back(std::move(signal));
-  }
-}
-
-void StalenessEngine::mark_stale(const StalenessSignal& signal) {
-  auto it = corpus_.find(signal.pair);
-  if (it == corpus_.end()) return;
-  PairState& state = it->second;
-  state.freshness = tr::Freshness::kStale;
-  ActiveSignal active;
-  active.potential = signal.potential;
-  active.technique = signal.technique;
-  active.meta = signal.meta;
-  active.pair = signal.pair;
-  active.community = signal.community;
-  state.active[signal.potential] = std::move(active);
-}
-
-void StalenessEngine::dispatch_window_records(
-    const DispatchedBatch& records, std::int64_t window) {
-  for (const DispatchedRecord& dispatched : records) {
-    aspath_->on_record(dispatched, window);
-    community_->on_record(dispatched, window);
-    burst_->on_record(dispatched, window);
-  }
-}
-
-void StalenessEngine::collect_bgp_close(std::vector<StalenessSignal>& into,
-                                        std::int64_t window,
-                                        TimePoint window_end) {
-  auto append = [&into](std::vector<StalenessSignal>&& batch) {
-    into.insert(into.end(), std::make_move_iterator(batch.begin()),
-                std::make_move_iterator(batch.end()));
-  };
-  append(aspath_->close_window(window, window_end));
-  append(community_->close_window(window, window_end));
-  append(burst_->close_window(window, window_end));
-}
-
-void StalenessEngine::close_one_window(std::int64_t window,
-                                       std::vector<StalenessSignal>& out) {
-  assert(owned_ != nullptr && "shard-mode engines are closed by the facade");
+void Engine::close_one_window(std::int64_t window,
+                              std::vector<StalenessSignal>& out) {
   obs::ScopedSpan close_span(obs_.window_close_us);
   TimePoint end = clock_.window_end(window);
-  // Feed-health transitions happen before any monitor consults the tracker,
-  // so every gate in this close sees the state as of this window's deliveries.
-  if (owned_->health != nullptr) owned_->health->close_window(window);
-  // Dispatch this window's BGP records to the monitors against the
-  // published start-of-window epoch, then absorb them into the shadow.
+  // Health transitions run engine-serial before any parallel phase: shards
+  // and trace monitors then consult a frozen tracker, which keeps the
+  // close TSAN-clean and the gating independent of the partition.
+  if (health_ != nullptr) health_->close_window(window);
   std::size_t cut = cut_window_prefix(pending_records_, clock_, window);
-  {
+  // Normalize the window's records once against the start-of-window table;
+  // every shard dispatches the same read-only views. The batch is
+  // arena-backed: dead once phase A is joined, reclaimed by the reset below.
+  DispatchedBatch dispatched = [&] {
     obs::ScopedSpan dispatch_span(obs_.dispatch_us);
     obs::TraceSpan trace_span(params_.tracer, "dispatch", "close", window,
                               "records", static_cast<std::int64_t>(cut));
-    DispatchedBatch dispatched =
-        dispatch_against_table(pending_records_, cut, owned_->table.read(),
-                               collapse_canon_, close_arena_);
-    dispatch_window_records(dispatched, window);
-  }
+    return dispatch_against_table(pending_records_, cut, table_,
+                                  collapse_canon_, close_arena_);
+  }();
 
-  // The absorb writer fills the epoch table's shadow buffer; monitors keep
-  // reading the published epoch throughout. Pipelined, it overlaps every
-  // monitor close below; serial, it runs inline at the exact point the
-  // pre-epoch schedule absorbed (between the BGP and trace closes). Either
-  // way the flip is what makes the new state visible, and it only happens
-  // once the writer and all readers are joined — so the signal stream is
-  // identical across both schedules.
-  runtime::TaskGroup absorb_group(pool_);
-  auto absorb_batch = [this, cut, window] {
+  // Phase A — shards in parallel: dispatch the window's records to the
+  // shard's BGP monitors and close them into raw per-shard buffers. The
+  // table is read-only here, and each shard touches only its own entries.
+  std::vector<std::vector<StalenessSignal>> raw(shards_.size());
+  runtime::parallel_for(
+      pool_.get(), shards_.size(),
+      [&](std::size_t i) {
+        obs::ScopedSpan shard_span(
+            shard_close_us_.empty() ? nullptr : shard_close_us_[i]);
+        obs::TraceSpan trace_span(params_.tracer, "shard_close", "close",
+                                  window, "shard",
+                                  static_cast<std::int64_t>(i));
+        shards_[i]->dispatch_window_records(dispatched, window);
+        shards_[i]->collect_bgp_close(raw[i], window, end);
+      },
+      /*grain=*/1);
+
+  // Absorb — serial: every phase-A reader is joined, so the window's
+  // records go straight into the one table, visible to phase B, the
+  // revocation sweep and the next window's dispatch. Nothing references
+  // the dispatch batch or the absorbed records past this point.
+  {
     obs::ScopedSpan absorb_span(obs_.absorb_us);
     obs::TraceSpan trace_span(params_.tracer, "absorb", "close", window,
                               "records", static_cast<std::int64_t>(cut));
-    owned_->table.absorb(pending_records_, cut);
-  };
-  if (params_.pipeline_absorb) absorb_group.spawn(absorb_batch);
-
-  register_signals(out, aspath_->close_window(window, end));
-  register_signals(out, community_->close_window(window, end));
-  register_signals(out, burst_->close_window(window, end));
-
-  if (!params_.pipeline_absorb) {
-    absorb_batch();
-    owned_->table.flip();
-    obs::inc(obs_.epoch_flips);
-  }
-
-  register_signals(out, subpath_->close_window(window, end));
-  register_signals(out, border_->close_window(window, end));
-  register_signals(out, ixp_->close_window(window, end));
-
-  if (params_.pipeline_absorb) {
-    {
-      obs::ScopedSpan wait_span(obs_.absorb_wait_us);
-      obs::TraceSpan trace_span(params_.tracer, "absorb_wait", "close",
-                                window);
-      absorb_group.wait();
-    }
-    owned_->table.flip();
-    obs::inc(obs_.epoch_flips);
+    table_.apply_all(pending_records_, cut);
   }
   obs::inc(obs_.bgp_records_absorbed, static_cast<std::int64_t>(cut));
+  dispatched.clear();
+  close_arena_.reset();
   pending_records_.erase(pending_records_.begin(),
                          pending_records_.begin() +
                              static_cast<std::ptrdiff_t>(cut));
-  // Everything arena-allocated this close (the dispatch batch) is dead;
-  // recycle the slabs wholesale for the next window.
-  close_arena_.reset();
+
+  // Phase B — the three global trace monitors close concurrently (each
+  // fans its own per-series work out on the same pool).
+  std::vector<StalenessSignal> subpath_raw;
+  std::vector<StalenessSignal> border_raw;
+  std::vector<StalenessSignal> ixp_raw;
+  {
+    runtime::TaskGroup group(pool_.get());
+    group.spawn([&] {
+      obs::TraceSpan span(params_.tracer, "close_subpath", "close", window);
+      subpath_raw = subpath_.close_window(window, end);
+    });
+    group.spawn([&] {
+      obs::TraceSpan span(params_.tracer, "close_border", "close", window);
+      border_raw = border_.close_window(window, end);
+    });
+    group.spawn([&] {
+      obs::TraceSpan span(params_.tracer, "close_ixp", "close", window);
+      ixp_raw = ixp_.close_window(window, end);
+    });
+    group.wait();
+  }
+
+  // Merge in canonical order, then register serially: registration owns
+  // the global cooldown map and the shards' freshness state.
+  std::vector<StalenessSignal> batch;
+  {
+    obs::ScopedSpan merge_span(obs_.merge_us);
+    obs::TraceSpan trace_span(params_.tracer, "merge", "close", window);
+    std::size_t total =
+        subpath_raw.size() + border_raw.size() + ixp_raw.size();
+    for (const auto& buffer : raw) total += buffer.size();
+    batch.reserve(total);
+    auto append = [&batch](std::vector<StalenessSignal>&& buffer) {
+      batch.insert(batch.end(), std::make_move_iterator(buffer.begin()),
+                   std::make_move_iterator(buffer.end()));
+    };
+    for (auto& buffer : raw) append(std::move(buffer));
+    append(std::move(subpath_raw));
+    append(std::move(border_raw));
+    append(std::move(ixp_raw));
+    std::sort(batch.begin(), batch.end(), canonical_less);
+  }
+
+  {
+    obs::ScopedSpan register_span(obs_.register_us);
+    obs::TraceSpan trace_span(params_.tracer, "register", "close", window,
+                              "signals",
+                              static_cast<std::int64_t>(batch.size()));
+    out.reserve(out.size() + batch.size());
+    for (StalenessSignal& signal : batch) {
+      EngineShard& shard = *shards_[shard_of(signal.pair)];
+      if (!shard.has_pair(signal.pair)) {
+        obs::inc(obs_.signals_dropped_refreshed);
+        continue;  // refreshed mid-window
+      }
+      auto fired = last_fired_.find(signal.potential);
+      if (fired != last_fired_.end() &&
+          signal.window - fired->second < params_.signal_cooldown_windows) {
+        obs::inc(obs_.signals_suppressed_cooldown);
+        continue;  // persistent change already reported recently
+      }
+      last_fired_[signal.potential] = signal.window;
+      obs::inc(obs_.signals_emitted[technique_index(signal.technique)]);
+      shard.mark_stale(signal);
+      out.push_back(std::move(signal));
+    }
+  }
 
   if (params_.revocation_check_interval > 0 &&
       window % params_.revocation_check_interval ==
           params_.revocation_check_interval - 1) {
-    run_revocation(window);
+    obs::TraceSpan trace_span(params_.tracer, "revocation", "close", window);
+    // Each shard sweeps its own corpus; monitors and table are read-only.
+    runtime::parallel_for(
+        pool_.get(), shards_.size(),
+        [&](std::size_t i) { shards_[i]->run_revocation(); },
+        /*grain=*/1);
   }
 }
 
-void StalenessEngine::run_revocation(std::int64_t window) {
-  (void)window;
-  for (auto& [key, state] : corpus_) {
-    if (state.freshness != tr::Freshness::kStale || state.active.empty()) {
-      continue;
-    }
-    // §4.3.2: revocation applies when every AS-path, community, subpath,
-    // and border signal has returned to its issue-time state. Burst and
-    // colocation signals carry no revertible state; they neither revoke
-    // nor block (a pair flagged *only* by them stays flagged).
-    bool all_reverted = true;
-    int revocable = 0;
-    for (const auto& [potential, active] : state.active) {
-      if (active.technique == Technique::kBgpBurst ||
-          active.technique == Technique::kColocation) {
-        continue;
-      }
-      ++revocable;
-      const Monitor* monitor = monitor_for(active.technique);
-      if (monitor == nullptr || !monitor->reverted(potential)) {
-        all_reverted = false;
-        break;
-      }
-    }
-    if (revocable == 0) all_reverted = false;
-    if (all_reverted) {
-      state.active.clear();
-      state.freshness = initial_freshness(key, state.view);
-      obs::inc(obs_.revocations);
-    }
-  }
-}
-
-std::vector<StalenessSignal> StalenessEngine::advance_to(TimePoint t) {
+std::vector<StalenessSignal> Engine::advance_to(TimePoint t) {
   std::vector<StalenessSignal> out;
   std::int64_t last = clock_.index_of(t) - 1;  // windows fully ended by t
   if (clock_.window_end(last + 1) == t) last += 1;
@@ -484,183 +356,99 @@ std::vector<StalenessSignal> StalenessEngine::advance_to(TimePoint t) {
   return out;
 }
 
-void StalenessEngine::collect_refresh_candidates(
-    std::map<tr::PairKey, RefreshScheduler::PairState>& into) const {
-  for (const auto& [key, state] : corpus_) {
-    if (state.active.empty()) continue;
-    RefreshScheduler::PairState ps;
-    for (const auto& [potential, active] : state.active) {
-      ps.firing.push_back(active);
-    }
-    for (const auto& relation : index_->relations_of(key)) {
-      if (!state.active.contains(relation.id)) {
-        ps.silent.push_back(relation.id);
-      }
-    }
-    into.emplace(key, std::move(ps));
-  }
-}
-
-std::vector<tr::PairKey> StalenessEngine::plan_refreshes(int budget) {
+std::vector<tr::PairKey> Engine::plan_refreshes(int budget) {
+  // std::map keeps the merged candidates in pair order, so the scheduler
+  // sees the same input whatever the partition.
   std::map<tr::PairKey, RefreshScheduler::PairState> pairs;
-  collect_refresh_candidates(pairs);
-  return RefreshScheduler::plan(pairs, *calibration_, budget, rng_);
+  for (const auto& shard : shards_) shard->collect_refresh_candidates(pairs);
+  return RefreshScheduler::plan(pairs, calibration_, budget, rng_);
 }
 
-bool StalenessEngine::portion_changed(const tracemap::ProcessedTrace& before,
-                                      const tracemap::ProcessedTrace& after,
-                                      std::size_t border_index) const {
-  if (border_index == kWholePath) return before.as_path != after.as_path;
-  if (border_index >= before.borders.size()) return false;
-  const tracemap::BorderView& old_border = before.borders[border_index];
-  bool same_as_pair_seen = false;
-  for (const tracemap::BorderView& candidate : after.borders) {
-    if (candidate.near_as == old_border.near_as &&
-        candidate.far_as == old_border.far_as) {
-      if (candidate.border_router == old_border.border_router) {
-        return false;  // the portion survives in the new measurement
-      }
-      same_as_pair_seen = true;
-    }
-  }
-  // The same AS pair crossed through a different router: a border change.
-  if (same_as_pair_seen) return true;
-  // The border is absent entirely. With a changed AS path that is a real
-  // change; with the same AS path it is almost always an unresponsive-hop
-  // artifact, and wildcards cannot indicate a change (Appendix A).
-  return before.as_path != after.as_path;
-}
-
-RefreshOutcome StalenessEngine::apply_refresh(const tr::Probe& probe,
-                                              const tr::Traceroute& fresh) {
+RefreshOutcome Engine::apply_refresh(const tr::Probe& probe,
+                                     const tr::Traceroute& fresh) {
   tr::PairKey key{fresh.probe, fresh.dst_ip};
-  RefreshOutcome outcome;
-  outcome.pair = key;
-
-  tracemap::ProcessedTrace new_processed = processing_.ingest(fresh);
-  auto it = corpus_.find(key);
-  if (it != corpus_.end()) {
-    PairState& state = it->second;
-    outcome.was_flagged_stale = state.freshness == tr::Freshness::kStale;
-    outcome.change =
-        tracemap::classify_change(state.view.processed, new_processed);
-
-    // Grade every related potential (§4.3.1) — unless the pair's probe is
-    // quarantined, in which case the "fresh" measurement itself is suspect
-    // and grading against it would poison the TPR/TNR tallies. The refresh
-    // still replaces the corpus entry; only the grades are frozen.
-    std::int64_t window = clock_.index_of(fresh.time);
-    if (health_ != nullptr && health_->trace_quarantined(key.probe)) {
-      obs::inc(obs_.calibration_frozen);
-    } else {
-      for (const auto& relation : index_->relations_of(key)) {
-        bool fired = state.active.contains(relation.id);
-        bool changed = portion_changed(state.view.processed, new_processed,
-                                       relation.border_index);
-        Outcome graded =
-            fired
-                ? (changed ? Outcome::kTruePositive : Outcome::kFalsePositive)
-                : (changed ? Outcome::kFalseNegative
-                           : Outcome::kTrueNegative);
-        calibration_->record(key.probe, relation.id, window, graded);
-      }
-    }
-    // Community reputation: grade the fired community signals.
-    for (const auto& [potential, active] : state.active) {
-      if (active.technique != Technique::kBgpCommunity) continue;
-      bool changed = true;
-      for (const auto& relation : index_->relations_of(key)) {
-        if (relation.id == potential) {
-          changed = portion_changed(state.view.processed, new_processed,
-                                    relation.border_index);
-          break;
-        }
-      }
-      if (active.community.raw() != 0) {
-        reputation_->record_outcome(active.community, key, changed);
-      }
-    }
-
-    // Unregister the old measurement everywhere.
-    aspath_->unwatch(key);
-    community_->unwatch(key);
-    burst_->unwatch(key);
-    subpath_->unwatch(key);
-    border_->unwatch(key);
-    ixp_->unwatch(key);
-    index_->unrelate_pair(key);
-    corpus_.erase(it);
-  }
-
-  // Register the fresh measurement. `probe` and `fresh` stay valid through
-  // watch() (it only reads them), so no defensive copies.
-  watch(probe, fresh);
-  obs::inc(obs_.refreshes);
-  if (outcome.change != tracemap::ChangeKind::kNone) {
-    obs::inc(obs_.refreshes_changed);
-  }
-  return outcome;
+  return shards_[shard_of(key)]->apply_refresh(probe, fresh);
 }
 
-void StalenessEngine::save_shard_state(store::Encoder& enc) const {
+tr::Freshness Engine::freshness(const tr::PairKey& pair) const {
+  return shards_[shard_of(pair)]->freshness(pair);
+}
+
+std::vector<tr::PairKey> Engine::stale_pairs() const {
+  std::vector<tr::PairKey> out;
+  for (const auto& shard : shards_) {
+    std::vector<tr::PairKey> part = shard->stale_pairs();
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+std::vector<PairStateView> Engine::pair_states() const {
+  std::vector<PairStateView> out;
+  out.reserve(corpus_size());
+  for (const auto& shard : shards_) shard->collect_pair_states(out);
+  // Each shard appends in pair order; the merged view re-sorts so the
+  // result is partition-invariant.
+  std::sort(out.begin(), out.end(),
+            [](const PairStateView& a, const PairStateView& b) {
+              return a.pair < b.pair;
+            });
+  return out;
+}
+
+const tracemap::ProcessedTrace* Engine::processed_of(
+    const tr::PairKey& pair) const {
+  return shards_[shard_of(pair)]->processed_of(pair);
+}
+
+void Engine::save_state(store::Encoder& enc) const {
   enc.str(rng_.save_state());
+  table_.save_state(enc);
   enc.u64(pending_records_.size());
   for (const bgp::BgpRecord& record : pending_records_) {
     bgp::put_record(enc, record);
   }
-  enc.u64(corpus_.size());
-  for (const auto& [key, state] : corpus_) {
-    put_pair(enc, key);
-    enc.u32(state.view.probe_as);
-    enc.u16(state.view.probe_city);
-    enc.i64(state.view.window);
-    tracemap::put_processed(enc, state.view.processed);
-    enc.u8(static_cast<std::uint8_t>(state.freshness));
-    enc.i64(state.watched_window);
-    enc.u64(state.active.size());
-    for (const auto& [potential, active] : state.active) {
-      enc.u64(potential);
-      put_active(enc, active);
-    }
-  }
+  index_.save_state(enc);
+  calibration_.save_state(enc);
+  reputation_.save_state(enc);
+  subpath_.save_state(enc);
+  border_.save_state(enc);
+  ixp_.save_state(enc);
+  enc.boolean(health_ != nullptr);
+  if (health_ != nullptr) health_->save_state(enc);
   enc.u64(last_fired_.size());
   for (const auto& [potential, window] : last_fired_) {
     enc.u64(potential);
     enc.i64(window);
   }
   enc.i64(next_window_);
-  aspath_->save_state(enc);
-  community_->save_state(enc);
-  burst_->save_state(enc);
+  enc.u32(static_cast<std::uint32_t>(shards_.size()));
+  for (const auto& shard : shards_) shard->save_state(enc);
 }
 
-void StalenessEngine::load_shard_state(store::Decoder& dec) {
+void Engine::load_state(store::Decoder& dec) {
   rng_.load_state(std::string(dec.str()));
+  table_.load_state(dec);
   pending_records_.clear();
   std::uint64_t record_count = dec.u64();
   pending_records_.reserve(record_count);
   for (std::uint64_t i = 0; i < record_count; ++i) {
     pending_records_.push_back(bgp::get_record(dec));
   }
-  corpus_.clear();
-  std::uint64_t pair_count = dec.u64();
-  for (std::uint64_t i = 0; i < pair_count; ++i) {
-    tr::PairKey key = get_pair(dec);
-    PairState state;
-    state.view.key = key;
-    state.view.probe_as = dec.u32();
-    state.view.probe_city = dec.u16();
-    state.view.window = dec.i64();
-    state.view.processed = tracemap::get_processed(dec);
-    state.freshness = static_cast<tr::Freshness>(dec.u8());
-    state.watched_window = dec.i64();
-    std::uint64_t active_count = dec.u64();
-    for (std::uint64_t j = 0; j < active_count; ++j) {
-      PotentialId potential = dec.u64();
-      state.active[potential] = get_active(dec);
-    }
-    corpus_[key] = std::move(state);
+  index_.load_state(dec);
+  calibration_.load_state(dec);
+  reputation_.load_state(dec);
+  subpath_.load_state(dec);
+  border_.load_state(dec);
+  ixp_.load_state(dec, &index_);
+  bool has_health = dec.boolean();
+  if (has_health != (health_ != nullptr)) {
+    throw store::StoreError(
+        store::StoreError::Kind::kCorrupt,
+        "snapshot feed-health state does not match engine configuration");
   }
+  if (health_ != nullptr) health_->load_state(dec);
   last_fired_.clear();
   std::uint64_t fired_count = dec.u64();
   for (std::uint64_t i = 0; i < fired_count; ++i) {
@@ -668,69 +456,29 @@ void StalenessEngine::load_shard_state(store::Decoder& dec) {
     last_fired_[potential] = dec.i64();
   }
   next_window_ = dec.i64();
-  aspath_->load_state(dec);
-  community_->load_state(dec);
-  burst_->load_state(dec);
-}
-
-void StalenessEngine::save_global_state(store::Encoder& enc) const {
-  assert(owned_ != nullptr && "global state belongs to standalone engines");
-  owned_->table.save_state(enc);
-  owned_->index.save_state(enc);
-  owned_->calibration.save_state(enc);
-  owned_->reputation.save_state(enc);
-  owned_->subpath->save_state(enc);
-  owned_->border->save_state(enc);
-  owned_->ixp->save_state(enc);
-  enc.boolean(owned_->health != nullptr);
-  if (owned_->health != nullptr) owned_->health->save_state(enc);
-}
-
-void StalenessEngine::load_global_state(store::Decoder& dec) {
-  assert(owned_ != nullptr && "global state belongs to standalone engines");
-  owned_->table.load_state(dec);
-  owned_->index.load_state(dec);
-  owned_->calibration.load_state(dec);
-  owned_->reputation.load_state(dec);
-  owned_->subpath->load_state(dec);
-  owned_->border->load_state(dec);
-  owned_->ixp->load_state(dec, &owned_->index);
-  bool has_health = dec.boolean();
-  if (has_health != (owned_->health != nullptr)) {
+  std::uint32_t shard_count = dec.u32();
+  if (shard_count != shards_.size()) {
     throw store::StoreError(
         store::StoreError::Kind::kCorrupt,
-        "snapshot feed-health state does not match engine configuration");
+        "snapshot shard count does not match engine configuration");
   }
-  if (owned_->health != nullptr) owned_->health->load_state(dec);
+  for (auto& shard : shards_) shard->load_state(dec);
 }
 
-tr::Freshness StalenessEngine::freshness(const tr::PairKey& pair) const {
-  auto it = corpus_.find(pair);
-  return it == corpus_.end() ? tr::Freshness::kUnknown
-                             : it->second.freshness;
-}
-
-std::vector<tr::PairKey> StalenessEngine::stale_pairs() const {
-  std::vector<tr::PairKey> out;
-  for (const auto& [key, state] : corpus_) {
-    if (state.freshness == tr::Freshness::kStale) out.push_back(key);
+CommunityMonitor::Stats Engine::community_stats() const {
+  CommunityMonitor::Stats total;
+  for (const auto& shard : shards_) {
+    const CommunityMonitor::Stats& s = shard->community_monitor().stats();
+    total.records += s.records;
+    total.diffs += s.diffs;
+    total.no_prev_overlap += s.no_prev_overlap;
+    total.no_new_overlap += s.no_new_overlap;
+    total.path_rule += s.path_rule;
+    total.known_elsewhere += s.known_elsewhere;
+    total.pruned += s.pruned;
+    total.fired += s.fired;
   }
-  return out;
-}
-
-void StalenessEngine::collect_pair_states(
-    std::vector<PairStateView>& into) const {
-  for (const auto& [key, state] : corpus_) {
-    into.push_back(PairStateView{
-        key, state.freshness, state.watched_window,
-        static_cast<std::uint32_t>(state.active.size())});
-  }
-}
-
-const tracemap::ProcessedTrace* StalenessEngine::processed_of(
-    const tr::PairKey& pair) const {
-  auto it = corpus_.find(pair);
-  return it == corpus_.end() ? nullptr : &it->second.view.processed;
+  return total;
 }
 
 }  // namespace rrr::signals

@@ -1,4 +1,4 @@
-// StalenessEngine: the public API of the paper's system.
+// Engine: the public API of the paper's system.
 //
 // Wires the six monitors to their data feeds, maintains the corpus's
 // freshness state, applies the calibration/scheduling policy of §4.3.1 and
@@ -7,15 +7,29 @@
 // Contract: feed all BGP records and public traceroutes belonging to a
 // window before calling advance_to() past that window's end.
 //
-// The engine runs in one of two modes:
-//  * standalone — it owns every piece of cross-pair state (BGP table view,
-//    potential index, calibration, reputation, the trace-driven monitors)
-//    and drives the full feed/close/refresh cycle itself;
-//  * shard — a ShardedStalenessEngine facade owns the cross-pair state and
-//    hands this engine read/write borrows of it (EngineSharedState). The
-//    shard keeps only per-pair state (its slice of the corpus plus the BGP
-//    monitors, whose entries are per-pair) and exposes the facade hooks
-//    below instead of closing windows on its own.
+// The corpus is partitioned over N EngineShards (signals/engine_shard.h).
+// Each pair is routed to shard hash(pair) % N by a platform-stable hash, so
+// a shard owns a disjoint slice of the corpus plus the BGP monitors whose
+// entries are per-pair (AS-path, community, burst). One BGP/public-trace
+// stream fans out to all shards; per-window shard batches merge at the
+// boundary in a canonical order, making the signal stream bit-identical for
+// any (shards, threads) combination (DESIGN.md "Sharded engine").
+//
+// Exactly one BGP table exists regardless of shard count. During a window
+// close the shards' BGP monitors read it from pool threads (phase A); once
+// they are joined, the engine absorbs the window's records into it in the
+// serial section, and only then do the trace monitors close (phase B).
+// Readers therefore never lock and never observe a half-applied batch.
+//
+// Cross-pair state that the design shares *between* pairs — the
+// potential-id space, calibration and community-reputation tallies, the
+// global signal cooldown, and the trace-driven monitors (subpath/border
+// series are deduplicated across pairs; IXP membership is learned globally)
+// — stays in the engine with one instance, because per-shard copies would
+// make the output depend on the partition. Shards borrow it read-only
+// during parallel phases; all mutation happens in engine-serial sections
+// (watch, refresh, absorb, registration), which is what keeps the close
+// TSAN-clean without locks.
 #pragma once
 
 #include <map>
@@ -23,27 +37,13 @@
 #include <set>
 #include <vector>
 
-#include "runtime/thread_pool.h"
-
-#include "obs/trace.h"
-
-#include "bgp/epoch_table.h"
 #include "bgp/record.h"
 #include "bgp/table_view.h"
-#include "signals/aspath_monitor.h"
+#include "obs/trace.h"
+#include "runtime/arena.h"
+#include "runtime/thread_pool.h"
 #include "signals/asreldb.h"
-#include "signals/bgp_context.h"
-#include "signals/border_monitor.h"
-#include "signals/burst_monitor.h"
-#include "signals/calibration.h"
-#include "signals/community_monitor.h"
-#include "signals/engine_obs.h"
-#include "signals/feed_health.h"
-#include "signals/ixp_monitor.h"
-#include "signals/monitor.h"
-#include "signals/subpath_monitor.h"
-#include "tracemap/pipeline.h"
-#include "traceroute/traceroute.h"
+#include "signals/engine_shard.h"
 
 namespace rrr::signals {
 
@@ -59,23 +59,14 @@ struct EngineParams {
   SubpathParams subpath;
   BorderMonitorParams border;
   std::uint64_t seed = 31;
-  // Parallelism degree for window closing (per-series work is sharded over
-  // a thread pool). 1 = fully serial; results are identical either way —
-  // shard buffers merge in a canonical order, see DESIGN.md "Runtime &
-  // determinism".
+  // Parallelism degree for window closing (shard closes and per-series
+  // monitor work share one thread pool). 1 = fully serial; results are
+  // identical either way — buffers merge in a canonical order, see
+  // DESIGN.md "Runtime & determinism".
   int threads = 1;
-  // Corpus partitions of a ShardedStalenessEngine (ignored by a standalone
-  // StalenessEngine). Purely a throughput knob: the facade's signal stream
-  // is identical for any (shards, threads) combination.
+  // Corpus partitions. Purely a throughput knob: the signal stream is
+  // identical for any (shards, threads) combination.
   int shards = 1;
-  // Overlap the table-absorb step with the monitor closes: the just-closed
-  // window's records are applied to the epoch table's shadow buffer by a
-  // pool task while the monitors still read the published start-of-window
-  // epoch, and the flip happens after both are joined. Off recovers the
-  // exact serial schedule (absorb inline between the BGP and trace monitor
-  // closes). The signal stream and semantic telemetry are bit-identical
-  // either way — see DESIGN.md §10 "Epoch pipeline".
-  bool pipeline_absorb = true;
   // Telemetry sink; null (the default) disables all instrumentation — every
   // update site degrades to one branch on a null pointer. Must outlive the
   // engine.
@@ -90,52 +81,12 @@ struct EngineParams {
   FeedHealthParams feed_health;
 };
 
-// One pair's verdict state as read out for the serving layer (src/serve).
-// A value copy of the corpus entry's dynamic fields — holders never point
-// back into the engine.
-struct PairStateView {
-  tr::PairKey pair;
-  tr::Freshness freshness = tr::Freshness::kFresh;
-  std::int64_t watched_window = 0;
-  std::uint32_t active_signals = 0;  // fired-and-unrevoked signals
-};
-
-// What a refresh revealed, returned to callers for their own accounting.
-struct RefreshOutcome {
-  tr::PairKey pair;
-  tracemap::ChangeKind change = tracemap::ChangeKind::kNone;
-  bool was_flagged_stale = false;
-};
-
-// Cross-pair state a ShardedStalenessEngine lends to its shards. Everything
-// here has exactly one instance regardless of shard count: one BGP table
-// (shards read the immutable start-of-window snapshot through `context`),
-// one potential-id space, one calibration/reputation store, and one of each
-// trace-driven monitor (their series are deduplicated *across* pairs, so
-// per-shard copies would diverge from the single-engine signal stream).
-struct EngineSharedState {
-  const BgpContext* context = nullptr;
-  runtime::ThreadPool* pool = nullptr;  // null = serial
-  PotentialIndex* index = nullptr;
-  Calibration* calibration = nullptr;
-  CommunityReputation* reputation = nullptr;
-  SubpathMonitor* subpath = nullptr;
-  BorderMonitor* border = nullptr;
-  IxpMonitor* ixp = nullptr;
-  // Facade-owned instrument bundle; null when the facade has no registry.
-  // Shards copy it so all shards update the same shared instruments.
-  const EngineObs* obs = nullptr;
-  // Facade-owned feed-health tracker, read-only during shard closes; null
-  // when health tracking is off.
-  const FeedHealthTracker* health = nullptr;
-};
-
 // Builds the monitor-facing view of the first `count` records (normalized
 // path, duplicate status) against the standing start-of-window `table`. The
 // returned views point into `records`, which must outlive them. `collapse`
 // is the caller's single-writer prepend-collapse memo (most updates repeat
 // a path already normalized this run), and the batch itself is bump-
-// allocated from `arena` — the caller resets it once the close is over.
+// allocated from `arena` — the caller resets it once the batch is dead.
 DispatchedBatch dispatch_against_table(
     const std::vector<bgp::BgpRecord>& records, std::size_t count,
     const bgp::VpTableView& table, bgp::PathCanonicalizer& collapse,
@@ -151,205 +102,116 @@ DispatchedBatch dispatch_against_table(
 std::size_t cut_window_prefix(std::vector<bgp::BgpRecord>& pending,
                               const WindowClock& clock, std::int64_t window);
 
-class StalenessEngine {
+class Engine {
  public:
-  // Standalone mode: the engine owns all state below.
-  StalenessEngine(const EngineParams& params,
-                  tracemap::ProcessingContext& processing,
-                  std::vector<bgp::VantagePoint> vps,
-                  std::vector<topo::AsIndex> vp_as,
-                  std::vector<topo::CityId> vp_city,
-                  std::set<Asn> ixp_route_server_asns, AsRelDb rels,
-                  std::map<topo::IxpId, std::set<Asn>> ixp_members);
-  // Shard mode: cross-pair state is borrowed from `shared` (all pointers
-  // except `pool` must be non-null); the facade drives the window cycle.
-  StalenessEngine(const EngineParams& params,
-                  tracemap::ProcessingContext& processing,
-                  const EngineSharedState& shared);
+  // `params.shards` fixes the partition count (clamped to >= 1) and
+  // `params.threads` the pool size shared by every shard and monitor.
+  Engine(const EngineParams& params, tracemap::ProcessingContext& processing,
+         std::vector<bgp::VantagePoint> vps, std::vector<topo::AsIndex> vp_as,
+         std::vector<topo::CityId> vp_city,
+         std::set<Asn> ixp_route_server_asns, AsRelDb rels,
+         std::map<topo::IxpId, std::set<Asn>> ixp_members);
+
+  // Stable pair -> shard routing (mix64-based, not std::hash: the partition
+  // must not vary across platforms or runs).
+  std::size_t shard_of(const tr::PairKey& pair) const;
 
   // --- corpus management ---
   void watch(const tr::Probe& probe, const tr::Traceroute& trace);
-  std::size_t corpus_size() const { return corpus_.size(); }
+  std::size_t corpus_size() const;
 
   // --- data feeds ---
   void on_bgp_record(const bgp::BgpRecord& record);
   void on_public_trace(const tr::Traceroute& trace);
 
   // Closes every window ending at or before `t`; returns the staleness
-  // prediction signals generated in them. Standalone mode only.
+  // prediction signals generated in them, merged across shards in
+  // canonical (technique-close-rank, window, potential, pair) order.
   std::vector<StalenessSignal> advance_to(TimePoint t);
 
   // --- refresh cycle (§4.3.1) ---
-  // Chooses up to `budget` pairs to remeasure now.
+  // Merges every shard's candidates and plans under one global budget with
+  // one calibration store and one RNG stream, so the chosen set is
+  // independent of the partition.
   std::vector<tr::PairKey> plan_refreshes(int budget);
-  // Grades related potential signals against the new measurement, updates
-  // calibration and community reputation, and re-registers the pair.
   RefreshOutcome apply_refresh(const tr::Probe& probe,
                                const tr::Traceroute& fresh);
 
-  // --- facade hooks (shard mode; see sharded_engine.h) ---
-  // Dispatches one window's records to this shard's BGP monitors (records
-  // are read-only; the shared table still holds the start-of-window state).
-  void dispatch_window_records(const DispatchedBatch& records,
-                               std::int64_t window);
-  // Closes the shard's BGP monitors, appending their raw (unregistered)
-  // signals to `into`; the facade merges and registers across shards.
-  void collect_bgp_close(std::vector<StalenessSignal>& into,
-                         std::int64_t window, TimePoint window_end);
-  bool has_pair(const tr::PairKey& pair) const {
-    return corpus_.contains(pair);
-  }
-  // Applies one registered signal's state change (freshness + active set).
-  // The facade has already performed the corpus-presence and cooldown
-  // checks that standalone registration does.
-  void mark_stale(const StalenessSignal& signal);
-  // Adds this shard's refresh candidates (pairs with firing signals) to the
-  // facade's merged candidate map.
-  void collect_refresh_candidates(
-      std::map<tr::PairKey, RefreshScheduler::PairState>& into) const;
-  // §4.3.2 sweep over this shard's corpus (also used internally).
-  void run_revocation(std::int64_t window);
-
   // --- queries ---
   tr::Freshness freshness(const tr::PairKey& pair) const;
+  // Stale pairs across all shards, sorted by pair key.
   std::vector<tr::PairKey> stale_pairs() const;
-  // Appends this engine's per-pair verdict state (corpus order, i.e. sorted
-  // by pair). Pure read — no RNG draw, no state change — so the serving
-  // layer can call it every window without perturbing the signal stream.
-  void collect_pair_states(std::vector<PairStateView>& into) const;
-  const Calibration& calibration() const { return *calibration_; }
-  const CommunityReputation& community_reputation() const {
-    return *reputation_;
+  // Per-pair verdict state merged across shards, sorted by pair key. Pure
+  // read (no RNG draw, no mutation) — the serving layer materializes its
+  // snapshots from this at every window boundary.
+  std::vector<PairStateView> pair_states() const;
+  // Number of closed windows, i.e. of window batches absorbed into the BGP
+  // table; captured into ServingSnapshot::table_epoch.
+  std::uint64_t table_epoch() const {
+    return static_cast<std::uint64_t>(next_window_);
   }
-  const bgp::VpTableView& table_view() const { return context_->table->read(); }
-  const PotentialIndex& potentials() const { return *index_; }
-  std::int64_t current_window() const { return next_window_; }
-  const WindowClock& clock() const { return clock_; }
+  const Calibration& calibration() const { return calibration_; }
+  const CommunityReputation& community_reputation() const {
+    return reputation_;
+  }
   const tracemap::ProcessedTrace* processed_of(const tr::PairKey& pair) const;
-  const SubpathMonitor& subpath_monitor() const { return *subpath_; }
-  const BorderMonitor& border_monitor() const { return *border_; }
-  const AsPathMonitor& aspath_monitor() const { return *aspath_; }
-  const CommunityMonitor& community_monitor() const { return *community_; }
+  const SubpathMonitor& subpath_monitor() const { return subpath_; }
+  // Suppression counters summed over every shard's community monitor.
+  CommunityMonitor::Stats community_stats() const;
 
   // --- checkpoint support ---
-  // Shard-local dynamic state: rng, pending record backlog, corpus slice
-  // with per-pair freshness/active-signal state, cooldown map, window
-  // cursor, and the per-pair BGP monitors. Configuration (params, topology,
-  // processing context) is not stored — the owner reconstructs the engine
-  // with identical parameters before loading.
-  void save_shard_state(store::Encoder& enc) const;
-  void load_shard_state(store::Decoder& dec);
-  // Standalone engines only: the owned cross-pair state (epoch table,
-  // potential index, calibration, reputation, trace-driven monitors, feed
-  // health). In sharded mode the facade saves its single instances itself.
-  void save_global_state(store::Encoder& enc) const;
-  void load_global_state(store::Decoder& dec);
-  // Full standalone state = globals followed by the shard-local slice.
-  void save_state(store::Encoder& enc) const {
-    save_global_state(enc);
-    save_shard_state(enc);
-  }
-  void load_state(store::Decoder& dec) {
-    load_global_state(dec);
-    load_shard_state(dec);
-  }
+  // Serializes the engine's single cross-pair instances followed by every
+  // shard's local slice. The shard count is stored and verified on load:
+  // a snapshot written at N shards restores only into an engine built with
+  // N shards (the partition fixes which shard holds which pair — but the
+  // merged signal stream is partition-invariant, so the determinism grid
+  // may still compare runs across shard counts by their outputs).
+  void save_state(store::Encoder& enc) const;
+  void load_state(store::Decoder& dec);
 
  private:
-  struct PairState {
-    CorpusView view;
-    tr::Freshness freshness = tr::Freshness::kFresh;
-    std::int64_t watched_window = 0;
-    // Fired-and-unrevoked signals, keyed by potential.
-    std::map<PotentialId, ActiveSignal> active;
-  };
-
-  // Cross-pair state of a standalone engine; absent in shard mode, where
-  // the equivalent single instances live in the ShardedStalenessEngine.
-  struct OwnedGlobals {
-    OwnedGlobals(std::vector<bgp::VantagePoint> vps_in,
-                 std::set<Asn> ixp_route_server_asns,
-                 std::int64_t calibration_windows, AsRelDb rels_in)
-        : vps(std::move(vps_in)),
-          feed_canon(ixp_route_server_asns),
-          table(std::move(ixp_route_server_asns)),
-          calibration(calibration_windows),
-          rels(std::move(rels_in)) {}
-
-    std::vector<bgp::VantagePoint> vps;
-    // Table-canonical (IXP-strip + prepend-collapse) memo used at the
-    // serial feed boundary to stamp BgpRecord::canonical_path, so the
-    // pipelined absorb task never interns. Declared before `table`, which
-    // consumes the IXP set.
-    bgp::PathCanonicalizer feed_canon;
-    // Double-buffered: monitors read the published epoch through `context`;
-    // close_one_window absorbs into the shadow and flips at the boundary.
-    bgp::EpochTableView table;
-    BgpContext context;
-    PotentialIndex index;
-    Calibration calibration;
-    CommunityReputation reputation;
-    AsRelDb rels;
-    std::unique_ptr<SubpathMonitor> subpath;
-    std::unique_ptr<BorderMonitor> border;
-    std::unique_ptr<IxpMonitor> ixp;
-    // Present only when params.feed_health.enabled.
-    std::unique_ptr<FeedHealthTracker> health;
-  };
-
-  void register_signals(std::vector<StalenessSignal>& out,
-                        std::vector<StalenessSignal>&& batch);
   void close_one_window(std::int64_t window,
                         std::vector<StalenessSignal>& out);
-  bool portion_changed(const tracemap::ProcessedTrace& before,
-                       const tracemap::ProcessedTrace& after,
-                       std::size_t border_index) const;
-  tr::Freshness initial_freshness(const tr::PairKey& pair,
-                                  const CorpusView& view) const;
-  Monitor* monitor_for(Technique technique);
-  const Monitor* monitor_for(Technique technique) const;
 
   EngineParams params_;
   WindowClock clock_;
   tracemap::ProcessingContext& processing_;
   Rng rng_;
-  // Instrument bundle: built from params_.metrics (standalone) or copied
-  // from the facade's EngineSharedState; all-null when telemetry is off.
+  // Engine-owned instrument bundles (all-null when params_.metrics is null);
+  // declared before the shards, which copy obs_ at construction.
   EngineObs obs_;
   runtime::PoolObs pool_obs_;
-  // Worker pool for window closing; owned in standalone mode (null when
-  // params_.threads <= 1), borrowed from the facade in shard mode.
-  // Declared before the monitors that borrow it so it outlives them.
-  std::unique_ptr<runtime::ThreadPool> owned_pool_;
-  runtime::ThreadPool* pool_ = nullptr;
+  // Per-shard phase-A close spans, labeled {shard="i"}; empty when
+  // telemetry is off.
+  std::vector<obs::Histogram*> shard_close_us_;
+  // Shared worker pool (null when threads <= 1); declared before everything
+  // that borrows it.
+  std::unique_ptr<runtime::ThreadPool> pool_;
 
-  std::unique_ptr<OwnedGlobals> owned_;
-
-  // Active cross-pair state: points into owned_ (standalone) or into the
-  // facade's EngineSharedState (shard mode).
-  const BgpContext* context_ = nullptr;
-  PotentialIndex* index_ = nullptr;
-  Calibration* calibration_ = nullptr;
-  CommunityReputation* reputation_ = nullptr;
-  SubpathMonitor* subpath_ = nullptr;
-  BorderMonitor* border_ = nullptr;
-  IxpMonitor* ixp_ = nullptr;
-  // Feed-health tracker: owned (and fed/closed) by a standalone engine,
-  // facade-owned and read-only in shard mode; null when tracking is off.
-  const FeedHealthTracker* health_ = nullptr;
-
+  // The single copies of all cross-pair state (see file comment).
+  std::vector<bgp::VantagePoint> vps_;
+  bgp::VpTableView table_;
+  BgpContext context_;
   std::vector<bgp::BgpRecord> pending_records_;
-  // Dispatch-path prepend-collapse memo (empty IXP list) and the epoch
-  // arena backing the per-close dispatch batch; both live on the serial
-  // close path only. The arena resets at the end of every close.
+  // Dispatch-path prepend-collapse memo and the arena backing the
+  // per-close dispatch batch; serial close path only, arena reset per close.
   bgp::PathCanonicalizer collapse_canon_;
   runtime::Arena close_arena_;
+  PotentialIndex index_;
+  Calibration calibration_;
+  CommunityReputation reputation_;
+  AsRelDb rels_;
+  SubpathMonitor subpath_;
+  BorderMonitor border_;
+  IxpMonitor ixp_;
+  // Feed-health tracker (one instance: delivery is counted at the engine's
+  // serial feed boundary; shards only consult it). Null when tracking is
+  // off. Declared before the shards, which borrow it at construction.
+  std::unique_ptr<FeedHealthTracker> health_;
 
-  // BGP monitors hold per-pair entries only, so every shard owns its own.
-  std::unique_ptr<AsPathMonitor> aspath_;
-  std::unique_ptr<CommunityMonitor> community_;
-  std::unique_ptr<BurstMonitor> burst_;
-
-  std::map<tr::PairKey, PairState> corpus_;
+  std::vector<std::unique_ptr<EngineShard>> shards_;
+  // Global signal cooldown: a potential shared by pairs in different shards
+  // must still fire at most once per cooldown window span.
   std::map<PotentialId, std::int64_t> last_fired_;
   std::int64_t next_window_ = 0;  // first window not yet closed
 };

@@ -73,13 +73,6 @@ EngineObs EngineObs::create(obs::MetricsRegistry& registry) {
       "rrr_engine_absorb_us", obs::duration_buckets_us(), {},
       obs::Domain::kRuntime,
       "Wall microseconds absorbing a window's records into the table");
-  out.epoch_flips = &registry.counter(
-      "rrr_epoch_flips_total", {}, obs::Domain::kRuntime,
-      "Epoch-table pointer flips publishing an absorbed window");
-  out.absorb_wait_us = &registry.histogram(
-      "rrr_engine_absorb_wait_us", obs::duration_buckets_us(), {},
-      obs::Domain::kRuntime,
-      "Wall microseconds stalled joining the overlapped absorb writer");
   out.merge_us = &registry.histogram(
       "rrr_engine_merge_us", obs::duration_buckets_us(), {},
       obs::Domain::kRuntime,

@@ -1,10 +1,9 @@
 // Telemetry instrument bundles for the staleness engine (see obs/metrics.h
 // for the cost model and the semantic/runtime domain split).
 //
-// Ownership: the engine that owns a MetricsRegistry (standalone engine or
-// sharded facade) builds one EngineObs of pointers into it and hands
-// *copies* of the relevant sub-bundles to monitors, shards, and the
-// potential index. Instruments are registry-owned, so copies stay valid for
+// Ownership: the engine builds one EngineObs of pointers into its
+// MetricsRegistry and hands *copies* of the relevant sub-bundles to
+// monitors, shards, and the potential index. Instruments are registry-owned, so copies stay valid for
 // the registry's lifetime; a default-constructed bundle is all-null and
 // makes every update a no-op.
 #pragma once
@@ -55,13 +54,6 @@ struct EngineObs {
   obs::Histogram* absorb_us = nullptr;
   obs::Histogram* merge_us = nullptr;
   obs::Histogram* register_us = nullptr;
-  // Epoch pipeline (runtime domain — the pipelined and serial schedules
-  // must keep the *semantic* snapshot byte-identical, so everything that
-  // differs between them lives here). absorb_wait_us is the residual stall
-  // joining the absorb writer after the monitor closes: near zero when the
-  // overlap hides the absorb entirely, ~absorb_us when it doesn't.
-  obs::Counter* epoch_flips = nullptr;
-  obs::Histogram* absorb_wait_us = nullptr;
 
   // Per-monitor bundles, indexed by technique_index().
   std::array<MonitorObs, kTechniqueCount> monitors{};

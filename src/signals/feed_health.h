@@ -30,8 +30,8 @@
 // frozen so TPR/TNR estimates are not poisoned by the outage.
 //
 // Concurrency/determinism: counting happens on the serial feed path and
-// state transitions in `close_window`, which both engines call at the top
-// of their (facade-serial) window close — before any monitor runs. During
+// state transitions in `close_window`, which the engine calls at the top of
+// its (serial) window close — before any monitor runs. During
 // the parallel monitor phases the tracker is strictly read-only, so its
 // answers are identical at every (shards, threads) grid point and the
 // semantic gauges it exports are part of the determinism contract.
@@ -130,7 +130,7 @@ class FeedHealthTracker {
                  std::int64_t window);
   void count_trace(tr::ProbeId probe, std::int64_t window);
 
-  // --- facade-serial close path ---
+  // --- serial close path ---
   // Consumes the counts of every window <= `window` and advances each
   // stream's state machine once. Must be called once per window, in order,
   // before any monitor close consults the tracker.

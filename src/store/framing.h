@@ -17,9 +17,9 @@
 // Readers classify every failure: short data -> kTruncated, wrong magic ->
 // kCorrupt, version != kFormatVersion -> kVersionSkew, checksum mismatch ->
 // kBadChecksum. The version check is an exact match in *both* directions:
-// payload layouts change between versions (v2 introduced the interned-
-// attribute dictionary sections), so a frame from any other version —
-// older or newer — is rejected rather than misparsed.
+// payload layouts change between versions (see the history below), so a
+// frame from any other version — older or newer — is rejected rather than
+// misparsed.
 //
 // Physical IO here optionally flows through an IoContext (io_env.h): the
 // write/fsync/rename/append/read sites consult its fault environment, so a
@@ -31,6 +31,8 @@
 //   1  initial layout
 //   2  table snapshots carry local attribute dictionaries (paths /
 //      community sets as content, routes as u32 dictionary indices)
+//   3  the engine section drops the BGP table's epoch counter and the
+//      shards' RNG state, record backlog, cooldown map and window cursor
 #pragma once
 
 #include <cstdint>
@@ -44,7 +46,7 @@ namespace rrr::store {
 
 class IoContext;
 
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 inline constexpr char kMagic[4] = {'R', 'R', 'R', 'S'};
 
 // FNV-1a 64-bit over `data`, seedable for the two-part kind+payload sweep.

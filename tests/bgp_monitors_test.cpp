@@ -78,9 +78,9 @@ class BgpMonitorFixture : public ::testing::Test {
     return dispatched;
   }
 
-  // The monitors read through BgpContext's epoch table; apply() keeps both
-  // buffers in sync so installs are immediately visible without a flip.
-  bgp::EpochTableView table_;
+  // The monitors read the table through BgpContext; apply() makes an
+  // install visible immediately.
+  bgp::VpTableView table_;
   std::vector<bgp::VantagePoint> vps_;
   BgpContext context_;
   CorpusView view_;

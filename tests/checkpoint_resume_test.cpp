@@ -75,7 +75,7 @@ void write_bytes(const std::string& path, const std::string& bytes) {
 // within test-suite budget, busy enough that the engine emits signals and
 // the refresh cycle grades them.
 WorldParams tiny_params(std::uint64_t seed, int threads = 1, int shards = 1,
-                        bool pipeline = false, bool faulted = false) {
+                        bool faulted = false) {
   WorldParams params;
   params.days = 1;
   params.warmup_days = 0;
@@ -102,7 +102,6 @@ WorldParams tiny_params(std::uint64_t seed, int threads = 1, int shards = 1,
   params.seed = seed;
   params.engine_threads = threads;
   params.engine_shards = shards;
-  params.pipeline_absorb = pipeline;
   // Telemetry on: the semantic-counter snapshot is part of the resume
   // contract (restored wholesale from the snapshot, then advanced live).
   params.telemetry = true;
@@ -313,40 +312,37 @@ TEST(CheckpointResume, ResumeAtEveryWindowLastThird) {
   sweep_every_window(31, 65, total_windows(params));
 }
 
-// --- the (shards x threads x pipeline x fault plan) grid ---
+// --- the (shards x threads x fault plan) grid ---
 // Every grid point writes its own checkpoint and resumes at mid-run; the
 // resumed run must match both its own cold run and the serial single-shard
 // baseline (tying the resume contract to the engine determinism contract).
 void grid_resume(bool faulted) {
   const std::uint64_t seed = faulted ? 47 : 46;
-  WorldParams serial = tiny_params(seed, 1, 1, false, faulted);
+  WorldParams serial = tiny_params(seed, 1, 1, faulted);
   RunTrace baseline = drive(serial, DriveSpec{});
   ASSERT_GT(baseline.signals.size(), 0u)
       << "world too quiet to exercise the engine";
   const std::int64_t k = total_windows(serial) / 2;
   for (int shards : {1, 2}) {
     for (int threads : {1, 4}) {
-      for (bool pipeline : {false, true}) {
-        WorldParams params =
-            tiny_params(seed, threads, shards, pipeline, faulted);
-        TempDir dir("grid");
-        DriveSpec cold_spec;
-        cold_spec.checkpoint_dir = dir.str();
-        cold_spec.checkpoint_every = 4;  // k is a multiple: exact snapshot
-        RunTrace cold = drive(params, cold_spec);
-        DriveSpec warm_spec;
-        warm_spec.resume_from = dir.str();
-        warm_spec.resume_window = k;
-        RunTrace warm = drive(params, warm_spec);
-        std::ostringstream os;
-        os << "shards=" << shards << " threads=" << threads
-           << " pipeline=" << pipeline << " faulted=" << faulted;
-        const std::string point = os.str();
-        EXPECT_EQ(baseline.signals, cold.signals) << point;
-        EXPECT_EQ(warm.resumed_at, k) << point;
-        EXPECT_EQ(window_suffix(baseline.signals, k), warm.signals) << point;
-        expect_same_final_state(baseline, warm, point);
-      }
+      WorldParams params = tiny_params(seed, threads, shards, faulted);
+      TempDir dir("grid");
+      DriveSpec cold_spec;
+      cold_spec.checkpoint_dir = dir.str();
+      cold_spec.checkpoint_every = 4;  // k is a multiple: exact snapshot
+      RunTrace cold = drive(params, cold_spec);
+      DriveSpec warm_spec;
+      warm_spec.resume_from = dir.str();
+      warm_spec.resume_window = k;
+      RunTrace warm = drive(params, warm_spec);
+      std::ostringstream os;
+      os << "shards=" << shards << " threads=" << threads
+         << " faulted=" << faulted;
+      const std::string point = os.str();
+      EXPECT_EQ(baseline.signals, cold.signals) << point;
+      EXPECT_EQ(warm.resumed_at, k) << point;
+      EXPECT_EQ(window_suffix(baseline.signals, k), warm.signals) << point;
+      expect_same_final_state(baseline, warm, point);
     }
   }
 }
@@ -356,26 +352,24 @@ TEST(CheckpointResume, FaultedGridResumeMatchesColdRun) {
   grid_resume(true);
 }
 
-// Threads and pipelining are pure throughput knobs, so a snapshot written
-// under one combination must resume under another (the fingerprint
-// deliberately excludes them) and still reproduce the run byte for byte.
+// The thread count is a pure throughput knob, so a snapshot written at one
+// count must resume at another (the fingerprint deliberately excludes it)
+// and still reproduce the run byte for byte.
 TEST(CheckpointResume, ResumeAcrossThroughputKnobs) {
-  WorldParams writer = tiny_params(52, /*threads=*/1, /*shards=*/2,
-                                   /*pipeline=*/false);
+  WorldParams writer = tiny_params(52, /*threads=*/1, /*shards=*/2);
   TempDir dir("knobs");
   DriveSpec cold_spec;
   cold_spec.checkpoint_dir = dir.str();
   cold_spec.checkpoint_every = 8;
   RunTrace cold = drive(writer, cold_spec);
-  WorldParams reader = tiny_params(52, /*threads=*/4, /*shards=*/2,
-                                   /*pipeline=*/true);
+  WorldParams reader = tiny_params(52, /*threads=*/4, /*shards=*/2);
   DriveSpec warm_spec;
   warm_spec.resume_from = dir.str();
   warm_spec.resume_window = 40;
   RunTrace warm = drive(reader, warm_spec);
   EXPECT_EQ(window_suffix(cold.signals, 40), warm.signals);
-  expect_same_final_state(cold, warm, "threads=1/pipeline=off snapshot "
-                                      "resumed at threads=4/pipeline=on");
+  expect_same_final_state(cold, warm,
+                          "threads=1 snapshot resumed at threads=4");
 }
 
 // --- the WAL tail ---
@@ -628,8 +622,9 @@ TEST(CheckpointResume, MalformedSnapshotRejectionTable) {
   store::append_frame_versioned(future_version, "rrr.snapshot",
                                 "from-the-future",
                                 store::kFormatVersion + 1);
-  // Version checking is exact-match in both directions: a v1 snapshot (no
-  // table attribute dictionaries) must be rejected, not misparsed.
+  // Version checking is exact-match in both directions: a snapshot from the
+  // previous version (whose engine section still carries the table epoch
+  // and the shards' dead fields) must be rejected, not misparsed.
   std::string old_version;
   store::append_frame_versioned(old_version, "rrr.snapshot",
                                 "from-the-past", store::kFormatVersion - 1);
@@ -660,7 +655,7 @@ TEST(CheckpointResume, MalformedSnapshotRejectionTable) {
       {"bad magic", bad_magic, store::StoreError::Kind::kCorrupt},
       {"future container version", future_version,
        store::StoreError::Kind::kVersionSkew},
-      {"pre-dictionary container version", old_version,
+      {"previous container version", old_version,
        store::StoreError::Kind::kVersionSkew},
   };
   for (const Case& c : cases) {

@@ -1,4 +1,4 @@
-// Behavioral tests of StalenessEngine policies: signal cooldown, freshness
+// Behavioral tests of signals::Engine policies: signal cooldown, freshness
 // lifecycle, refresh grading, revocation (§4.3.2), and the refresh planner
 // wiring (§4.3.1).
 #include <gtest/gtest.h>

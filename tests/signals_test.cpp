@@ -1,11 +1,14 @@
 // Unit tests for the signals layer: potential index, calibration tallies,
 // Table 1 bootstrap ordering, the refresh scheduler, community reputation,
-// and the IXP monitor's decision rules.
+// the IXP monitor's decision rules, and the engine's per-close backlog cut.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "signals/asreldb.h"
 #include "signals/calibration.h"
 #include "signals/community_monitor.h"
+#include "signals/engine.h"
 #include "signals/ixp_monitor.h"
 #include "signals/monitor.h"
 
@@ -298,6 +301,80 @@ TEST_F(IxpMonitorTest, ExistingMembersDoNotRetrigger) {
   monitor.on_public_trace(ixp_sighting(Asn(30)), 5);
   EXPECT_TRUE(monitor.close_window(5, TimePoint(5 * 900)).empty());
   EXPECT_EQ(monitor.detected_joins(), 0u);
+}
+
+bgp::BgpRecord timed_record(std::int64_t t, Asn origin) {
+  bgp::BgpRecord record;
+  record.time = TimePoint(t);
+  record.type = bgp::RecordType::kAnnouncement;
+  record.vp = 1;
+  record.prefix = *Prefix::parse("10.0.0.0/16");
+  record.as_path = {Asn(1), origin};
+  return record;
+}
+
+std::vector<Asn> origins(const std::vector<bgp::BgpRecord>& records,
+                         std::size_t count) {
+  std::vector<Asn> out;
+  for (std::size_t i = 0; i < count; ++i) out.push_back(records[i].as_path[1]);
+  return out;
+}
+
+// Regression for the per-close backlog sort: out-of-order input spanning
+// several future windows must yield, window by window, exactly the prefix
+// order the old whole-buffer stable sort produced — in-window records by
+// (time, arrival order) — while later-window records stay buffered in
+// arrival order until their own close.
+TEST(CutWindowPrefix, OutOfOrderMultiWindowInput) {
+  WindowClock clock(TimePoint(0), 100);
+  // Arrival order deliberately scrambled across three windows, with
+  // equal-time records (t=40) to pin the stable tie-break.
+  std::vector<bgp::BgpRecord> pending = {
+      timed_record(250, Asn(900)),  // window 2
+      timed_record(40, Asn(901)),   // window 0, tie A (arrives first)
+      timed_record(130, Asn(902)),  // window 1
+      timed_record(40, Asn(903)),   // window 0, tie B
+      timed_record(10, Asn(904)),   // window 0
+      timed_record(260, Asn(905)),  // window 2
+      timed_record(110, Asn(906)),  // window 1
+  };
+
+  // Reference: what the old implementation dispatched for each close.
+  auto reference = pending;
+  std::stable_sort(reference.begin(), reference.end(),
+                   [](const bgp::BgpRecord& a, const bgp::BgpRecord& b) {
+                     return a.time < b.time;
+                   });
+
+  std::size_t cut0 = cut_window_prefix(pending, clock, 0);
+  ASSERT_EQ(cut0, 3u);
+  EXPECT_EQ(origins(pending, cut0), origins(reference, 3));
+  EXPECT_EQ(origins(pending, cut0),
+            (std::vector<Asn>{Asn(904), Asn(901), Asn(903)}));
+  pending.erase(pending.begin(),
+                pending.begin() + static_cast<std::ptrdiff_t>(cut0));
+
+  std::size_t cut1 = cut_window_prefix(pending, clock, 1);
+  ASSERT_EQ(cut1, 2u);
+  EXPECT_EQ(origins(pending, cut1), (std::vector<Asn>{Asn(906), Asn(902)}));
+  pending.erase(pending.begin(),
+                pending.begin() + static_cast<std::ptrdiff_t>(cut1));
+
+  std::size_t cut2 = cut_window_prefix(pending, clock, 2);
+  ASSERT_EQ(cut2, 2u);
+  EXPECT_EQ(origins(pending, cut2), (std::vector<Asn>{Asn(900), Asn(905)}));
+}
+
+// An empty close (no in-window records) must not disturb the backlog.
+TEST(CutWindowPrefix, EmptyWindowLeavesBacklogUntouched) {
+  WindowClock clock(TimePoint(0), 100);
+  std::vector<bgp::BgpRecord> pending = {
+      timed_record(250, Asn(900)),
+      timed_record(130, Asn(901)),
+  };
+  EXPECT_EQ(cut_window_prefix(pending, clock, 0), 0u);
+  EXPECT_EQ(origins(pending, pending.size()),
+            (std::vector<Asn>{Asn(900), Asn(901)}));
 }
 
 }  // namespace

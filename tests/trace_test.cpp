@@ -142,14 +142,14 @@ TEST(TraceRecorder, GoldenChromeTraceExport) {
 
   recorder.record(make_span("dispatch", "close", 2'000'000, 1'500'000,
                             /*window=*/3, "records", 42));
-  TraceEvent flip;
-  flip.name = "epoch_flip";
-  flip.category = "table";
-  flip.phase = TracePhase::kInstant;
-  flip.start_ns = 4'000'000;
-  flip.arg_name = "epoch";
-  flip.arg = 7;
-  recorder.record(flip);
+  TraceEvent storm;
+  storm.name = "fault_replay_storm";
+  storm.category = "fault";
+  storm.phase = TracePhase::kInstant;
+  storm.start_ns = 4'000'000;
+  storm.arg_name = "records";
+  storm.arg = 7;
+  recorder.record(storm);
   recorder.record(make_span("window", "window", 1'000'000, 5'000'000,
                             /*window=*/3));
   recorder.drain();
@@ -165,7 +165,8 @@ TEST(TraceRecorder, GoldenChromeTraceExport) {
       "\"name\":\"dispatch\",\"cat\":\"close\","
       "\"args\":{\"window\":3,\"records\":42}},"
       "{\"ph\":\"i\",\"pid\":1,\"tid\":1,\"ts\":1004000,\"s\":\"t\","
-      "\"name\":\"epoch_flip\",\"cat\":\"table\",\"args\":{\"epoch\":7}}"
+      "\"name\":\"fault_replay_storm\",\"cat\":\"fault\","
+      "\"args\":{\"records\":7}}"
       "]}";
   EXPECT_EQ(recorder.json(), expected);
   // json() does not drain: a second call sees the same document.
@@ -490,7 +491,7 @@ TEST(TracedWorld, SemanticOutputByteIdenticalWithTracingOn) {
 }
 
 // A traced world actually records the close-path taxonomy: window spans,
-// per-shard closes, the epoch-table absorb, and the flip instant.
+// per-shard closes, the serial table absorb, and the merge.
 TEST(TracedWorld, RecordsWindowAndClosePathSpans) {
   eval::WorldParams params;
   params.days = 2;
@@ -518,7 +519,7 @@ TEST(TracedWorld, RecordsWindowAndClosePathSpans) {
   for (const char* needle :
        {"\"name\":\"window\"", "\"name\":\"dispatch\"",
         "\"name\":\"shard_close\"", "\"name\":\"merge\"",
-        "\"name\":\"absorb_apply\"", "\"name\":\"epoch_flip\"",
+        "\"name\":\"absorb\"",
         "\"name\":\"task\"", "\"cat\":\"close\"",
         "\"name\":\"thread_name\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle;

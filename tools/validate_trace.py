@@ -9,9 +9,8 @@ Checks, in order:
      spans need ts/dur, "i" instants need ts, "M" metadata needs a name)
      and numeric fields are non-negative numbers.
   3. Expected span taxonomy is present: at least one "window" span
-     (cat "window"), and per window-close "dispatch"/"merge" spans plus
-     "shard_close" or the monitor subpath spans (cat "close"), and the
-     epoch-table "absorb_apply" span / "epoch_flip" instant (cat "table").
+     (cat "window"), and per window-close "dispatch"/"absorb"/"merge"
+     spans plus "shard_close" or the monitor subpath spans (cat "close").
   4. Containment: every cat "close" event whose args.window == W falls
      inside the [ts, ts+dur] interval of the "window" span for that same
      window on some thread (the driver drains at the window boundary, so
@@ -25,7 +24,7 @@ import argparse
 import json
 import sys
 
-REQUIRED_CLOSE_NAMES = {"dispatch", "merge"}
+REQUIRED_CLOSE_NAMES = {"dispatch", "absorb", "merge"}
 SHARD_CLOSE_NAMES = {"shard_close", "close_subpath", "close_border",
                      "close_ixp"}
 
@@ -91,12 +90,6 @@ def check_taxonomy(events, require_shards):
     if require_shards and not (SHARD_CLOSE_NAMES & close_names):
         fail(f"no per-shard close span ({sorted(SHARD_CLOSE_NAMES)}); "
              f"saw {sorted(close_names)}")
-    table_names = {e["name"] for e in events if e.get("cat") == "table"}
-    if "absorb_apply" not in table_names:
-        fail(f"missing epoch-table absorb_apply span (saw "
-             f"{sorted(table_names)})")
-    if "epoch_flip" not in table_names:
-        fail(f"missing epoch_flip instant (saw {sorted(table_names)})")
     return window_spans
 
 
