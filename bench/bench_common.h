@@ -4,7 +4,7 @@
 // thread pool.
 #pragma once
 
-#include <charconv>
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -13,8 +13,10 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "eval/supervisor.h"
 #include "eval/world.h"
 #include "serve/service.h"
+#include "netbase/parse.h"
 #include "netbase/rng.h"
 #include "obs/export.h"
 #include "obs/http_export.h"
@@ -31,33 +34,28 @@
 namespace rrr::bench {
 
 // A misconfigured harness must not run on a fallback: it names the setting
-// (a flag such as "--pairs", or an environment variable) and the value it
-// got, and exits with status 2.
-[[noreturn]] inline void reject_setting(const std::string& setting,
-                                        const std::string& value) {
-  if (value.empty()) {
-    std::cerr << setting << ": missing value\n";
-  } else {
-    std::cerr << setting << ": cannot parse \"" << value << "\"\n";
-  }
+// (a flag such as "--pairs", or an environment variable) and what is wrong
+// with it, and exits with status 2.
+[[noreturn]] inline void exit_misconfigured(const std::string& setting,
+                                            const std::string& problem) {
+  std::cerr << setting << ": " << problem << "\n";
   std::exit(2);
 }
 
-// Parses the whole of `text` as a number; false when it does not parse or
-// anything is left over.
-template <typename T>
-bool parse_full(const std::string& text, T& out) {
-  const char* end = text.data() + text.size();
-  const auto [ptr, error] = std::from_chars(text.data(), end, out);
-  return !text.empty() && error == std::errc() && ptr == end;
+// The setting got a value that does not parse (or none at all).
+[[noreturn]] inline void reject_setting(const std::string& setting,
+                                        const std::string& value) {
+  exit_misconfigured(setting, value.empty() ? "missing value"
+                                            : "cannot parse \"" + value + "\"");
 }
 
-// Parses the whole of `value` as a number, or rejects `setting`.
+// Parses the whole of `value` as a number (netbase/parse.h), or rejects
+// `setting`.
 template <typename T>
-T parse_number(const std::string& setting, const std::string& value) {
-  T out{};
-  if (!parse_full(value, out)) reject_setting(setting, value);
-  return out;
+T parse_setting(const std::string& setting, const std::string& value) {
+  std::optional<T> out = rrr::parse_number<T>(value);
+  if (!out) reject_setting(setting, value);
+  return *out;
 }
 
 // Splits a `separator`-separated list, dropping empty items.
@@ -72,23 +70,60 @@ inline std::vector<std::string> split_list(const std::string& text,
   return out;
 }
 
-// Minimal flag parser: --name value or --name=value; bools as --name. A
+// The flag names each shared helper below reads. A harness builds its Flags
+// from the groups of the helpers it calls plus a list of its own names.
+using FlagNames = std::span<const std::string_view>;
+// retrospective_params(), including the telemetry, trace, checkpoint and
+// storage-fault helpers it calls.
+inline constexpr std::string_view kWorldFlags[] = {
+    "days", "pairs", "dests", "public-rate", "probes", "seed",
+    "engine-threads", "engine-shards", "stats-json", "trace-out", "watchdog",
+    "checkpoint-dir", "checkpoint-every", "resume", "resume-window",
+    "io-fault-plan", "io-retry", "supervise"};
+// apply_fault_flags(), which retrospective_params() calls.
+inline constexpr std::string_view kFeedFaultFlags[] = {"fault-plan",
+                                                       "feed-health"};
+// fanout_threads().
+inline constexpr std::string_view kFanOutFlags[] = {"threads"};
+// ScopedObsServer.
+inline constexpr std::string_view kObsServerFlags[] = {
+    "serve-obs", "serve-obs-linger", "serve", "serve-linger"};
+
+// Minimal flag parser: --name value or --name=value; bools as --name. The
+// constructor exits 2 (naming the flag) on a --name outside the declared
+// groups, so a misspelled or retired flag never runs on a default. A
 // value-taking flag given without a value, or with one that does not parse
-// in full, exits 2 (reject_setting). Unknown flag names are not checked.
+// in full, exits 2 when read (reject_setting). Reading a name the harness
+// did not declare returns the fallback: it cannot be on the command line.
 class Flags {
  public:
-  Flags(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) args_.emplace_back(argv[i]);
+  Flags(int argc, char** argv, std::initializer_list<FlagNames> declared) {
+    for (FlagNames group : declared) {
+      declared_.insert(declared_.end(), group.begin(), group.end());
+    }
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      const std::string_view flag = arg.substr(0, arg.find('='));
+      if (flag.rfind("--", 0) == 0 && !declares(flag.substr(2))) {
+        exit_misconfigured(std::string(flag), "unknown flag");
+      }
+      args_.emplace_back(arg);
+    }
+  }
+
+  bool declares(std::string_view name) const {
+    return std::find(declared_.begin(), declared_.end(), name) !=
+           declared_.end();
   }
 
   long long get_int(const std::string& name, long long fallback) const {
     std::string value;
-    return find(name, value) ? parse_number<long long>("--" + name, value)
+    return find(name, value) ? parse_setting<long long>("--" + name, value)
                              : fallback;
   }
   double get_double(const std::string& name, double fallback) const {
     std::string value;
-    return find(name, value) ? parse_number<double>("--" + name, value)
+    return find(name, value) ? parse_setting<double>("--" + name, value)
                              : fallback;
   }
   bool get_bool(const std::string& name) const {
@@ -121,6 +156,7 @@ class Flags {
     return false;
   }
 
+  std::vector<std::string_view> declared_;
   std::vector<std::string> args_;
 };
 
@@ -233,14 +269,16 @@ inline void write_stats_json(const std::string& path,
       << "\n";
 }
 
-// Fault-injection knobs shared by every harness. `--fault-plan <spec>`
-// takes a full plan spec (fault::FaultPlan::parse syntax, e.g.
-// "collector_blackout=0.3,blackout_start=96,blackout_windows=24"); the
+// Feed-fault knobs: `--fault-plan <spec>` takes a full plan spec
+// (fault::FaultPlan::parse syntax, e.g.
+// "collector_blackout=0.3,blackout_start=96,blackout_windows=24"), and the
 // RRR_FAULT_PLAN environment variable supplies the same spec when the flag
-// is absent. Individual `--fault-*` flags then override single fields, and
-// `--feed-health` turns on the engine's quarantine tracker. A spec that does
-// not parse exits 2.
+// is absent; `--feed-health` turns on the engine's quarantine tracker. A
+// spec that does not parse exits 2. A harness that does not declare
+// kFeedFaultFlags (fig_fault_sweep, which plans each arm itself) reads
+// neither the flags nor the variable.
 inline void apply_fault_flags(const Flags& flags, eval::WorldParams& params) {
+  if (!flags.declares("fault-plan")) return;
   std::string source = "--fault-plan";
   std::string spec = flags.get_str("fault-plan", "");
   if (spec.empty()) {
@@ -255,28 +293,6 @@ inline void apply_fault_flags(const Flags& flags, eval::WorldParams& params) {
     if (!parsed) reject_setting(source, spec);
     params.fault_plan = *parsed;
   }
-  fault::FaultPlan& plan = params.fault_plan;
-  plan.collector_blackout_fraction = flags.get_double(
-      "fault-collector-blackout", plan.collector_blackout_fraction);
-  plan.vp_blackout_fraction =
-      flags.get_double("fault-vp-blackout", plan.vp_blackout_fraction);
-  plan.blackout_start_window = flags.get_int("fault-blackout-start",
-                                             plan.blackout_start_window);
-  plan.blackout_windows =
-      flags.get_int("fault-blackout-windows", plan.blackout_windows);
-  if (flags.get_bool("fault-reset-replay")) plan.session_reset_replay = true;
-  plan.drop_rate = flags.get_double("fault-drop", plan.drop_rate);
-  plan.trace_drop_rate =
-      flags.get_double("fault-trace-drop", plan.trace_drop_rate);
-  plan.duplicate_rate = flags.get_double("fault-dup", plan.duplicate_rate);
-  plan.duplicate_burst_max =
-      flags.get_int("fault-dup-burst", plan.duplicate_burst_max);
-  plan.reorder_rate = flags.get_double("fault-reorder", plan.reorder_rate);
-  plan.reorder_max_seconds =
-      flags.get_int("fault-reorder-max", plan.reorder_max_seconds);
-  plan.corrupt_rate = flags.get_double("fault-corrupt", plan.corrupt_rate);
-  plan.seed = static_cast<std::uint64_t>(
-      flags.get_int("fault-seed", static_cast<long long>(plan.seed)));
   if (flags.get_bool("feed-health")) params.feed_health.enabled = true;
 }
 
@@ -389,8 +405,8 @@ class ScopedObsServer {
     obs::HttpHandlers handlers;
     if (service_ != nullptr) {
       // The service is built before the server thread starts and outlives
-      // it (declaration order below), so no lock: handle() reads the
-      // atomically published snapshot.
+      // it (declaration order below), so no lock here: handle() copies the
+      // published snapshot pointer under the service's own lock.
       handlers.api = [this](const std::string& target) {
         return service_->handle(target);
       };

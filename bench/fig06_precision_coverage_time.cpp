@@ -97,7 +97,10 @@ Replicate run_replicate(eval::WorldParams params, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   using namespace rrr;
-  bench::Flags flags(argc, argv);
+  constexpr std::string_view kOwnFlags[] = {"seeds"};
+  const bench::Flags flags(argc, argv,
+                           {bench::kWorldFlags, bench::kFeedFaultFlags,
+                            bench::kFanOutFlags, kOwnFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
 
   eval::print_banner(std::cout, "Figure 6",

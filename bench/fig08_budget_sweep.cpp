@@ -239,7 +239,9 @@ PpsResult run_pps(const eval::WorldParams& params, double pps,
 
 int main(int argc, char** argv) {
   using namespace rrr;
-  bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv,
+                           {bench::kWorldFlags, bench::kFeedFaultFlags,
+                            bench::kFanOutFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
   params.days = static_cast<int>(flags.get_int("days", 15));
   params.corpus_pair_target = static_cast<int>(flags.get_int("pairs", 800));

@@ -12,7 +12,8 @@
 
 int main(int argc, char** argv) {
   using namespace rrr;
-  bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv,
+                           {bench::kWorldFlags, bench::kFeedFaultFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
   // More diamonds than the default world so the LB group is populated.
   params.topology.interdomain_diamond_prob = 0.15;

@@ -31,7 +31,8 @@ struct ReferenceDb {
 
 int main(int argc, char** argv) {
   using namespace rrr;
-  bench::Flags flags(argc, argv);
+  constexpr std::string_view kOwnFlags[] = {"seed"};
+  const bench::Flags flags(argc, argv, {kOwnFlags});
   std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
 
   eval::print_banner(std::cout, "Figure 12",

@@ -10,7 +10,8 @@
 
 int main(int argc, char** argv) {
   using namespace rrr;
-  bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv,
+                           {bench::kWorldFlags, bench::kFeedFaultFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
 
   eval::print_banner(std::cout, "Figure 13",

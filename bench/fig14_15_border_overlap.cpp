@@ -15,7 +15,8 @@
 
 int main(int argc, char** argv) {
   using namespace rrr;
-  bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv,
+                           {bench::kWorldFlags, bench::kFeedFaultFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
   params.days = static_cast<int>(flags.get_int("days", 10));
 

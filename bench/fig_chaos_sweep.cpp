@@ -88,7 +88,11 @@ int count_entries(const std::string& dir) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::Flags flags(argc, argv);
+  constexpr std::string_view kOwnFlags[] = {"kills", "io-seeds", "work-dir",
+                                            "keep-dirs", "out"};
+  const bench::Flags flags(argc, argv,
+                           {bench::kWorldFlags, bench::kFeedFaultFlags,
+                            kOwnFlags});
   eval::WorldParams base = bench::retrospective_params(flags);
   base.days = static_cast<int>(flags.get_int("days", 2));
   base.corpus_pair_target = static_cast<int>(flags.get_int("pairs", 150));

@@ -123,11 +123,15 @@ ArmResult run_arm(eval::WorldParams params, const Arm& arm,
 
 int main(int argc, char** argv) {
   using namespace rrr;
-  bench::Flags flags(argc, argv);
+  constexpr std::string_view kOwnFlags[] = {"kinds", "intensities",
+                                            "fault-blackout-windows"};
+  const bench::Flags flags(argc, argv,
+                           {bench::kWorldFlags, bench::kFanOutFlags,
+                            kOwnFlags});
+  // The sweep sets each arm's plan and gating itself, so it declares no
+  // --fault-plan or --feed-health (bench::kFeedFaultFlags): either flag
+  // exits 2 here rather than being overwritten by every arm.
   eval::WorldParams params = bench::retrospective_params(flags);
-  // The sweep sets each arm's plan itself; shared --fault-* flags would
-  // leak the same plan into every arm.
-  params.fault_plan = fault::FaultPlan{};
   if (params.days > 12) params.days = 12;  // 2 worlds per point: keep it sane
   params.days = static_cast<int>(flags.get_int("days", params.days));
 
@@ -141,7 +145,8 @@ int main(int argc, char** argv) {
   std::vector<double> intensities;
   for (const std::string& item :
        bench::split_list(flags.get_str("intensities", "0,0.15,0.3,0.5"))) {
-    intensities.push_back(bench::parse_number<double>("--intensities", item));
+    intensities.push_back(
+        bench::parse_setting<double>("--intensities", item));
   }
 
   // Blackout placement: mid-run, after calibration has warmed up.

@@ -8,8 +8,8 @@
 //     the whole run. Each arm reports query p50/p99 latency, sustained
 //     queries/s, and the engine's window-close throughput; the headline
 //     check is that serving under load keeps window throughput within 5%
-//     of the no-serving baseline (readers take one acquire-load and never
-//     block the close — see serve/snapshot.h).
+//     of the no-serving baseline (readers hold the publisher's lock only
+//     for one pointer copy — see serve/snapshot.h).
 //
 //  2. *Determinism grid* — the world re-runs across
 //     (engine_shards × engine_threads) points with serving attached and
@@ -219,15 +219,19 @@ ArmResult run_arm(eval::WorldParams params, const std::string& label,
 
 int main(int argc, char** argv) {
   using namespace rrr;
-  bench::Flags flags(argc, argv);
+  constexpr std::string_view kOwnFlags[] = {"clients-list", "grid", "think-us",
+                                            "out"};
+  const bench::Flags flags(argc, argv,
+                           {bench::kWorldFlags, bench::kFeedFaultFlags,
+                            kOwnFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
   params.days = static_cast<int>(flags.get_int("days", 4));
   params.corpus_pair_target = static_cast<int>(flags.get_int("pairs", 600));
 
   eval::print_banner(std::cout, "Serving sweep",
                      "query latency under load vs engine throughput",
-                     "snapshot readers never block a window close; serving "
-                     "moves zero bytes of the semantic stream");
+                     "snapshot readers hold a lock only for a pointer copy; "
+                     "serving moves zero bytes of the semantic stream");
 
   // Default pacing = a 10 ms operator-poll cadence per client. The within-5%
   // throughput check below compares wall-clock window rates, so the fleet
@@ -242,19 +246,18 @@ int main(int argc, char** argv) {
   std::vector<int> client_counts;
   for (const std::string& item :
        bench::split_list(flags.get_str("clients-list", "0,2,8"))) {
-    client_counts.push_back(bench::parse_number<int>("--clients-list", item));
+    client_counts.push_back(
+        bench::parse_setting<int>("--clients-list", item));
   }
   std::vector<std::pair<int, int>> points;
   for (const std::string& item :
        bench::split_list(flags.get_str("grid", "1x1,2x2,4x2"))) {
     const std::size_t x = item.find('x');
-    int shards = 0, threads = 0;
-    if (x == std::string::npos ||
-        !bench::parse_full(item.substr(0, x), shards) ||
-        !bench::parse_full(item.substr(x + 1), threads)) {
-      bench::reject_setting("--grid", item);
-    }
-    points.emplace_back(shards, threads);
+    if (x == std::string::npos) bench::reject_setting("--grid", item);
+    const std::optional<int> shards = parse_number<int>(item.substr(0, x));
+    const std::optional<int> threads = parse_number<int>(item.substr(x + 1));
+    if (!shards || !threads) bench::reject_setting("--grid", item);
+    points.emplace_back(*shards, *threads);
   }
 
   // Phase 1: load arms at the session's engine configuration.

@@ -14,7 +14,6 @@
 #include "netbase/intern.h"
 #include "netbase/radix_trie.h"
 #include "netbase/rng.h"
-#include "runtime/arena.h"
 #include "routing/control_plane.h"
 #include "topology/builder.h"
 #include "tracemap/pipeline.h"
@@ -327,43 +326,6 @@ void BM_InternLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InternLookup);
-
-// The window-close allocation pattern with and without the epoch arena:
-// build a dispatched-batch-sized vector of 64-byte records, tear it down,
-// repeat. Arg(1) = arena backing with reset() per epoch (the engines'
-// steady state: zero heap traffic); Arg(0) = plain heap vector.
-void BM_ArenaVsHeapBacklog(benchmark::State& state) {
-  struct Rec {
-    std::uint64_t words[8];
-  };
-  constexpr std::size_t kBatch = 4096;
-  const bool use_arena = state.range(0) != 0;
-  runtime::Arena arena;
-  for (auto _ : state) {
-    if (use_arena) {
-      std::vector<Rec, runtime::ArenaAllocator<Rec>> batch{
-          runtime::ArenaAllocator<Rec>(arena)};
-      batch.reserve(kBatch);
-      for (std::size_t i = 0; i < kBatch; ++i) {
-        batch.push_back(Rec{{i, i, i, i, i, i, i, i}});
-      }
-      benchmark::DoNotOptimize(batch.data());
-      batch.clear();
-      arena.reset();
-    } else {
-      std::vector<Rec> batch;
-      batch.reserve(kBatch);
-      for (std::size_t i = 0; i < kBatch; ++i) {
-        batch.push_back(Rec{{i, i, i, i, i, i, i, i}});
-      }
-      benchmark::DoNotOptimize(batch.data());
-    }
-  }
-  state.counters["arena"] = static_cast<double>(state.range(0));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kBatch));
-}
-BENCHMARK(BM_ArenaVsHeapBacklog)->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -219,7 +219,13 @@ std::string run_replicate(eval::WorldParams params, std::uint64_t seed,
 
 int main(int argc, char** argv) {
   using namespace rrr;
-  bench::Flags flags(argc, argv);
+  constexpr std::string_view kOwnFlags[] = {"seeds", "per-day",
+                                            "ablate-stationarity",
+                                            "monitor-stats", "cov-debug",
+                                            "debug-fp"};
+  const bench::Flags flags(argc, argv,
+                           {bench::kWorldFlags, bench::kFeedFaultFlags,
+                            bench::kFanOutFlags, kOwnFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
   if (flags.get_bool("ablate-stationarity")) {
     params.subpath.zscore.drop_outliers_from_history = false;

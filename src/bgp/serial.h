@@ -1,8 +1,10 @@
-// Binary checkpoint codec for BGP records. The io library's text format
-// (io/serialize.h) is the archive/interchange representation; this one is
-// the state store's internal framing payload, used for the engine's
-// pending-record backlog. Field order is fixed — see store/serial.h for
-// the determinism rationale.
+// Binary codec for BGP records, the one record encoding in the program: the
+// engine's pending-record backlog travels in snapshots this way, and the
+// feed fault injector corrupts these bytes (fault/injector.h). Field order
+// is fixed — see store/serial.h for the determinism rationale. The decoder
+// throws StoreError(kCorrupt) on a field no writer produces: a negative
+// time, an unknown record type, a prefix length over 32, or a count the
+// remaining payload cannot hold.
 #pragma once
 
 #include "bgp/record.h"
@@ -28,7 +30,16 @@ inline void put_record(store::Encoder& enc, const BgpRecord& record) {
 inline BgpRecord get_record(store::Decoder& dec) {
   BgpRecord record;
   record.time = store::get_time(dec);
-  record.type = static_cast<RecordType>(dec.u8());
+  if (record.time.seconds() < 0) {
+    throw store::StoreError(store::StoreError::Kind::kCorrupt,
+                            "BGP record time is negative");
+  }
+  const std::uint8_t type = dec.u8();
+  if (type > static_cast<std::uint8_t>(RecordType::kWithdrawal)) {
+    throw store::StoreError(store::StoreError::Kind::kCorrupt,
+                            "BGP record type is unknown");
+  }
+  record.type = static_cast<RecordType>(type);
   record.vp = dec.u32();
   record.peer_asn = store::get_asn(dec);
   record.peer_ip = store::get_ipv4(dec);

@@ -145,12 +145,8 @@ World::World(const WorldParams& params)
   // Engine wiring: VP metadata, IXP route-server ASNs, relationships,
   // PeeringDB membership snapshot.
   std::vector<bgp::VantagePoint> vps = feed_->vantage_points();
-  std::vector<topo::AsIndex> vp_as;
-  std::vector<topo::CityId> vp_city;
   std::vector<topo::AsIndex> vp_as_for_schedule;
   for (const bgp::VantagePoint& vp : vps) {
-    vp_as.push_back(vp.as_index);
-    vp_city.push_back(topology_.as_at(vp.as_index).pops.front());
     vp_as_for_schedule.push_back(vp.as_index);
   }
   std::set<Asn> rs_asns;
@@ -199,8 +195,7 @@ World::World(const WorldParams& params)
   engine_params.tracer = tracer_.get();
   engine_params.feed_health = params_.feed_health;
   engine_ = std::make_unique<signals::Engine>(
-      engine_params, *processing_, std::move(vps), std::move(vp_as),
-      std::move(vp_city), std::move(rs_asns),
+      engine_params, *processing_, std::move(vps), std::move(rs_asns),
       signals::AsRelDb::from_topology(topology_), std::move(members));
 
   ground_truth_ = std::make_unique<GroundTruth>(*cp_);
@@ -426,7 +421,7 @@ void World::run_until(TimePoint t, const Hooks& hooks) {
     }
     // Serving materialization: still inside the serial section (no close
     // is in flight), so the engine read is race-free; the publish itself is
-    // the release store HTTP readers synchronize with. Skipped while the
+    // the locked pointer swap HTTP readers synchronize with. Skipped while the
     // engine is suppressed (resume fast-forward) — its state is not live.
     if (serving_ != nullptr && !suppress_engine_) {
       serving_->on_window(*engine_, window, window_end, sigs);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "io/serialize.h"
+#include "bgp/serial.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -139,26 +139,35 @@ void FaultInjector::remember(const bgp::BgpRecord& record) {
 
 std::optional<bgp::BgpRecord> FaultInjector::corrupt(
     const bgp::BgpRecord& record, Rng& rng) {
-  std::string line = io::to_line(record);
+  store::Encoder encoder;
+  bgp::put_record(encoder, record);
+  std::string bytes = encoder.take();
   std::int64_t edits = rng.uniform_int(1, 3);
-  for (std::int64_t i = 0; i < edits && !line.empty(); ++i) {
-    std::size_t pos = rng.index(line.size());
+  for (std::int64_t i = 0; i < edits && !bytes.empty(); ++i) {
+    std::size_t pos = rng.index(bytes.size());
     switch (rng.uniform_int(0, 3)) {
       case 0:  // byte stomp
-        line[pos] = static_cast<char>(rng.uniform_int(0, 255));
+        bytes[pos] = static_cast<char>(rng.uniform_int(0, 255));
         break;
       case 1:  // truncation
-        line.resize(pos);
+        bytes.resize(pos);
         break;
       case 2:  // NUL splice
-        line.insert(line.begin() + static_cast<std::ptrdiff_t>(pos), '\0');
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(pos), '\0');
         break;
       default:  // byte loss
-        line.erase(line.begin() + static_cast<std::ptrdiff_t>(pos));
+        bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(pos));
         break;
     }
   }
-  return io::bgp_record_from_line(line);
+  try {
+    store::Decoder decoder(bytes);
+    bgp::BgpRecord mangled = bgp::get_record(decoder);
+    decoder.expect_done();
+    return mangled;
+  } catch (const store::StoreError&) {
+    return std::nullopt;
+  }
 }
 
 std::vector<bgp::BgpRecord> FaultInjector::on_bgp_record(

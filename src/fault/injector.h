@@ -12,12 +12,12 @@
 // a hash of (plan.seed, collector/vp/probe id) against the configured
 // fraction — so it can also be queried without consuming randomness.
 //
-// Field corruption is routed through the io::serialize text round-trip: the
-// record is rendered with io::to_line, a few bytes are mangled, and the
-// line is re-parsed with io::bgp_record_from_line. Corrupted lines the
-// hardened parser rejects become counted drops; lines that survive carry
-// genuinely corrupted fields into the engine, exactly like a damaged
-// archive replay would.
+// Field corruption goes through the store codec: the record is encoded with
+// bgp::put_record, a few bytes are mangled, and the bytes are decoded again
+// with bgp::get_record, which must consume them exactly. Bytes the decoder
+// rejects (a thrown store::StoreError) become counted drops; bytes that
+// still decode carry genuinely corrupted fields into the engine, exactly
+// like a damaged snapshot or feed replay would.
 #pragma once
 
 #include <cstdint>
@@ -84,7 +84,7 @@ class FaultInjector {
     std::int64_t bgp_blackout_dropped = 0;
     std::int64_t bgp_dropped = 0;
     std::int64_t bgp_corrupt_dropped = 0;
-    std::int64_t bgp_corrupted = 0;   // corrupted line still parsed
+    std::int64_t bgp_corrupted = 0;   // corrupted bytes still decoded
     std::int64_t bgp_duplicated = 0;  // extra copies emitted
     std::int64_t bgp_reordered = 0;
     std::int64_t bgp_replayed = 0;    // session-reset replay records

@@ -1,46 +1,8 @@
 #include "fault/io_plan.h"
 
-#include <charconv>
-#include <cstdlib>
-#include <sstream>
+#include "netbase/parse.h"
 
 namespace rrr::fault {
-namespace {
-
-std::optional<double> parse_double(std::string_view text) {
-  std::string buffer(text);
-  char* end = nullptr;
-  double value = std::strtod(buffer.c_str(), &end);
-  if (end != buffer.c_str() + buffer.size() || buffer.empty()) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-std::optional<std::int64_t> parse_int(std::string_view text) {
-  std::int64_t value = 0;
-  auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(),
-                                 value);
-  if (ec != std::errc{} || p != text.data() + text.size()) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-void emit(std::ostringstream& out, bool& first, std::string_view key,
-          const std::string& value) {
-  if (!first) out << ',';
-  first = false;
-  out << key << '=' << value;
-}
-
-std::string fmt(double v) {
-  std::ostringstream out;
-  out << v;
-  return out.str();
-}
-
-}  // namespace
 
 bool IoFaultPlan::enabled() const {
   return torn_write_rate > 0.0 || bit_flip_rate > 0.0 || enospc_rate > 0.0 ||
@@ -50,81 +12,51 @@ bool IoFaultPlan::enabled() const {
 }
 
 std::string IoFaultPlan::spec() const {
-  std::ostringstream out;
-  bool first = true;
-  if (torn_write_rate > 0.0) emit(out, first, "torn", fmt(torn_write_rate));
-  if (bit_flip_rate > 0.0) emit(out, first, "bitflip", fmt(bit_flip_rate));
-  if (enospc_rate > 0.0) emit(out, first, "enospc", fmt(enospc_rate));
-  if (eio_write_rate > 0.0) emit(out, first, "eio", fmt(eio_write_rate));
-  if (eio_fsync_rate > 0.0) {
-    emit(out, first, "eio_fsync", fmt(eio_fsync_rate));
-  }
-  if (eio_rename_rate > 0.0) {
-    emit(out, first, "eio_rename", fmt(eio_rename_rate));
-  }
-  if (eio_read_rate > 0.0) emit(out, first, "eio_read", fmt(eio_read_rate));
-  if (crash_rename_rate > 0.0) {
-    emit(out, first, "crash_rename", fmt(crash_rename_rate));
-  }
-  if (transient_fraction != 0.75) {
-    emit(out, first, "transient", fmt(transient_fraction));
-  }
+  SpecWriter out;
+  if (torn_write_rate > 0.0) out.add("torn", torn_write_rate);
+  if (bit_flip_rate > 0.0) out.add("bitflip", bit_flip_rate);
+  if (enospc_rate > 0.0) out.add("enospc", enospc_rate);
+  if (eio_write_rate > 0.0) out.add("eio", eio_write_rate);
+  if (eio_fsync_rate > 0.0) out.add("eio_fsync", eio_fsync_rate);
+  if (eio_rename_rate > 0.0) out.add("eio_rename", eio_rename_rate);
+  if (eio_read_rate > 0.0) out.add("eio_read", eio_read_rate);
+  if (crash_rename_rate > 0.0) out.add("crash_rename", crash_rename_rate);
+  if (transient_fraction != 0.75) out.add("transient", transient_fraction);
   if (transient_clears_after != 2) {
-    emit(out, first, "clears_after", std::to_string(transient_clears_after));
+    out.add("clears_after", transient_clears_after);
   }
-  if (seed != 1) emit(out, first, "seed", std::to_string(seed));
+  if (seed != 1) out.add("seed", seed);
   return out.str();
 }
 
 std::optional<IoFaultPlan> IoFaultPlan::parse(std::string_view spec) {
+  const std::optional<std::vector<SpecClause>> clauses = split_spec(spec);
+  if (!clauses) return std::nullopt;
   IoFaultPlan plan;
-  std::size_t start = 0;
-  while (start < spec.size()) {
-    std::size_t comma = spec.find(',', start);
-    std::string_view clause = spec.substr(
-        start, comma == std::string_view::npos ? std::string_view::npos
-                                               : comma - start);
-    start = comma == std::string_view::npos ? spec.size() : comma + 1;
-    if (clause.empty()) continue;
-    std::size_t eq = clause.find('=');
-    if (eq == std::string_view::npos) return std::nullopt;
-    std::string_view key = clause.substr(0, eq);
-    std::string_view value = clause.substr(eq + 1);
-
-    auto set_rate = [&](double* field) {
-      auto v = parse_double(value);
-      if (!v || *v < 0.0 || *v > 1.0) return false;
-      *field = *v;
-      return true;
-    };
-
+  for (const auto& [key, value] : *clauses) {
     bool ok = false;
     if (key == "torn") {
-      ok = set_rate(&plan.torn_write_rate);
+      ok = parse_into(value, plan.torn_write_rate, 0.0, 1.0);
     } else if (key == "bitflip") {
-      ok = set_rate(&plan.bit_flip_rate);
+      ok = parse_into(value, plan.bit_flip_rate, 0.0, 1.0);
     } else if (key == "enospc") {
-      ok = set_rate(&plan.enospc_rate);
+      ok = parse_into(value, plan.enospc_rate, 0.0, 1.0);
     } else if (key == "eio") {
-      ok = set_rate(&plan.eio_write_rate);
+      ok = parse_into(value, plan.eio_write_rate, 0.0, 1.0);
     } else if (key == "eio_fsync") {
-      ok = set_rate(&plan.eio_fsync_rate);
+      ok = parse_into(value, plan.eio_fsync_rate, 0.0, 1.0);
     } else if (key == "eio_rename") {
-      ok = set_rate(&plan.eio_rename_rate);
+      ok = parse_into(value, plan.eio_rename_rate, 0.0, 1.0);
     } else if (key == "eio_read") {
-      ok = set_rate(&plan.eio_read_rate);
+      ok = parse_into(value, plan.eio_read_rate, 0.0, 1.0);
     } else if (key == "crash_rename") {
-      ok = set_rate(&plan.crash_rename_rate);
+      ok = parse_into(value, plan.crash_rename_rate, 0.0, 1.0);
     } else if (key == "transient") {
-      ok = set_rate(&plan.transient_fraction);
+      ok = parse_into(value, plan.transient_fraction, 0.0, 1.0);
     } else if (key == "clears_after") {
-      auto v = parse_int(value);
-      ok = v && *v >= 0;
-      if (ok) plan.transient_clears_after = static_cast<int>(*v);
+      ok = parse_into(value, plan.transient_clears_after, 0);
     } else if (key == "seed") {
-      auto v = parse_int(value);
-      ok = v && *v >= 0;
-      if (ok) plan.seed = static_cast<std::uint64_t>(*v);
+      ok = parse_into(value, plan.seed);
     }
     if (!ok) return std::nullopt;
   }

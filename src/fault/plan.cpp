@@ -1,47 +1,8 @@
 #include "fault/plan.h"
 
-#include <charconv>
-#include <cstdlib>
-#include <sstream>
-#include <vector>
+#include "netbase/parse.h"
 
 namespace rrr::fault {
-namespace {
-
-std::optional<double> parse_double(std::string_view text) {
-  std::string buffer(text);
-  char* end = nullptr;
-  double value = std::strtod(buffer.c_str(), &end);
-  if (end != buffer.c_str() + buffer.size() || buffer.empty()) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-std::optional<std::int64_t> parse_int(std::string_view text) {
-  std::int64_t value = 0;
-  auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(),
-                                 value);
-  if (ec != std::errc{} || p != text.data() + text.size()) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-void emit(std::ostringstream& out, bool& first, std::string_view key,
-          const std::string& value) {
-  if (!first) out << ',';
-  first = false;
-  out << key << '=' << value;
-}
-
-std::string fmt(double v) {
-  std::ostringstream out;
-  out << v;
-  return out.str();
-}
-
-}  // namespace
 
 bool FaultPlan::enabled() const {
   bool blackout = blackout_windows > 0 &&
@@ -54,97 +15,63 @@ bool FaultPlan::enabled() const {
 }
 
 std::string FaultPlan::spec() const {
-  std::ostringstream out;
-  bool first = true;
+  SpecWriter out;
   if (collector_blackout_fraction > 0.0) {
-    emit(out, first, "collector_blackout", fmt(collector_blackout_fraction));
+    out.add("collector_blackout", collector_blackout_fraction);
   }
   if (vp_blackout_fraction > 0.0) {
-    emit(out, first, "vp_blackout", fmt(vp_blackout_fraction));
+    out.add("vp_blackout", vp_blackout_fraction);
   }
   if (blackout_start_window != 0) {
-    emit(out, first, "blackout_start", std::to_string(blackout_start_window));
+    out.add("blackout_start", blackout_start_window);
   }
-  if (blackout_windows != 0) {
-    emit(out, first, "blackout_windows", std::to_string(blackout_windows));
-  }
-  if (session_reset_replay) emit(out, first, "reset_replay", "1");
-  if (drop_rate > 0.0) emit(out, first, "drop", fmt(drop_rate));
-  if (trace_drop_rate > 0.0) {
-    emit(out, first, "trace_drop", fmt(trace_drop_rate));
-  }
-  if (duplicate_rate > 0.0) emit(out, first, "dup", fmt(duplicate_rate));
-  if (duplicate_burst_max != 3) {
-    emit(out, first, "dup_burst", std::to_string(duplicate_burst_max));
-  }
-  if (reorder_rate > 0.0) emit(out, first, "reorder", fmt(reorder_rate));
-  if (reorder_max_seconds != 0) {
-    emit(out, first, "reorder_max", std::to_string(reorder_max_seconds));
-  }
-  if (corrupt_rate > 0.0) emit(out, first, "corrupt", fmt(corrupt_rate));
-  if (seed != 1) emit(out, first, "seed", std::to_string(seed));
+  if (blackout_windows != 0) out.add("blackout_windows", blackout_windows);
+  if (session_reset_replay) out.add("reset_replay", 1);
+  if (drop_rate > 0.0) out.add("drop", drop_rate);
+  if (trace_drop_rate > 0.0) out.add("trace_drop", trace_drop_rate);
+  if (duplicate_rate > 0.0) out.add("dup", duplicate_rate);
+  if (duplicate_burst_max != 3) out.add("dup_burst", duplicate_burst_max);
+  if (reorder_rate > 0.0) out.add("reorder", reorder_rate);
+  if (reorder_max_seconds != 0) out.add("reorder_max", reorder_max_seconds);
+  if (corrupt_rate > 0.0) out.add("corrupt", corrupt_rate);
+  if (seed != 1) out.add("seed", seed);
   return out.str();
 }
 
 std::optional<FaultPlan> FaultPlan::parse(std::string_view spec) {
+  const std::optional<std::vector<SpecClause>> clauses = split_spec(spec);
+  if (!clauses) return std::nullopt;
   FaultPlan plan;
-  std::size_t start = 0;
-  while (start < spec.size()) {
-    std::size_t comma = spec.find(',', start);
-    std::string_view clause = spec.substr(
-        start, comma == std::string_view::npos ? std::string_view::npos
-                                               : comma - start);
-    start = comma == std::string_view::npos ? spec.size() : comma + 1;
-    if (clause.empty()) continue;
-    std::size_t eq = clause.find('=');
-    if (eq == std::string_view::npos) return std::nullopt;
-    std::string_view key = clause.substr(0, eq);
-    std::string_view value = clause.substr(eq + 1);
-
-    auto set_rate = [&](double* field) {
-      auto v = parse_double(value);
-      if (!v || *v < 0.0 || *v > 1.0) return false;
-      *field = *v;
-      return true;
-    };
-    auto set_int = [&](std::int64_t* field, std::int64_t lo) {
-      auto v = parse_int(value);
-      if (!v || *v < lo) return false;
-      *field = *v;
-      return true;
-    };
-
+  for (const auto& [key, value] : *clauses) {
     bool ok = false;
     if (key == "collector_blackout") {
-      ok = set_rate(&plan.collector_blackout_fraction);
+      ok = parse_into(value, plan.collector_blackout_fraction, 0.0, 1.0);
     } else if (key == "vp_blackout") {
-      ok = set_rate(&plan.vp_blackout_fraction);
+      ok = parse_into(value, plan.vp_blackout_fraction, 0.0, 1.0);
     } else if (key == "blackout_start") {
-      ok = set_int(&plan.blackout_start_window, 0);
+      ok = parse_into(value, plan.blackout_start_window, 0);
     } else if (key == "blackout_windows") {
-      ok = set_int(&plan.blackout_windows, 0);
+      ok = parse_into(value, plan.blackout_windows, 0);
     } else if (key == "reset_replay") {
-      auto v = parse_int(value);
-      ok = v && (*v == 0 || *v == 1);
-      if (ok) plan.session_reset_replay = *v == 1;
+      int replay = 0;
+      ok = parse_into(value, replay, 0, 1);
+      plan.session_reset_replay = replay == 1;
     } else if (key == "drop") {
-      ok = set_rate(&plan.drop_rate);
+      ok = parse_into(value, plan.drop_rate, 0.0, 1.0);
     } else if (key == "trace_drop") {
-      ok = set_rate(&plan.trace_drop_rate);
+      ok = parse_into(value, plan.trace_drop_rate, 0.0, 1.0);
     } else if (key == "dup") {
-      ok = set_rate(&plan.duplicate_rate);
+      ok = parse_into(value, plan.duplicate_rate, 0.0, 1.0);
     } else if (key == "dup_burst") {
-      ok = set_int(&plan.duplicate_burst_max, 1);
+      ok = parse_into(value, plan.duplicate_burst_max, 1);
     } else if (key == "reorder") {
-      ok = set_rate(&plan.reorder_rate);
+      ok = parse_into(value, plan.reorder_rate, 0.0, 1.0);
     } else if (key == "reorder_max") {
-      ok = set_int(&plan.reorder_max_seconds, 0);
+      ok = parse_into(value, plan.reorder_max_seconds, 0);
     } else if (key == "corrupt") {
-      ok = set_rate(&plan.corrupt_rate);
+      ok = parse_into(value, plan.corrupt_rate, 0.0, 1.0);
     } else if (key == "seed") {
-      std::int64_t v = 0;
-      ok = set_int(&v, 0);
-      if (ok) plan.seed = static_cast<std::uint64_t>(v);
+      ok = parse_into(value, plan.seed);
     }
     if (!ok) return std::nullopt;
   }

@@ -4,8 +4,8 @@
 // feeds misbehave during a run: which fraction of collectors / vantage
 // points go dark and when, how many records are lost outright, how often a
 // record is replayed as a duplicate burst (session-reset style), how far
-// timestamps jitter out of order, and how often a record's wire line is
-// corrupted byte-wise before re-parsing. The plan is pure data — the
+// timestamps jitter out of order, and how often a record's encoded bytes
+// are corrupted before decoding. The plan is pure data — the
 // `FaultInjector` (injector.h) interprets it deterministically from
 // `plan.seed`, so a (plan, seed) pair replays bit-identically regardless of
 // engine sharding or threading.
@@ -48,10 +48,10 @@ struct FaultPlan {
   double reorder_rate = 0.0;
   std::int64_t reorder_max_seconds = 0;
 
-  // Field corruption: with probability corrupt_rate a record is serialized
-  // with io::to_line, a few bytes are mangled, and the line is re-parsed
-  // through io::bgp_record_from_line. Lines the hardened parser rejects are
-  // counted as drops; lines that still parse carry the corrupted fields.
+  // Field corruption: with probability corrupt_rate a record is encoded with
+  // bgp::put_record, a few bytes are mangled, and the bytes are decoded with
+  // bgp::get_record. Bytes the decoder rejects are counted as drops; bytes
+  // that still decode carry the corrupted fields.
   double corrupt_rate = 0.0;
 
   std::uint64_t seed = 1;

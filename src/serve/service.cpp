@@ -1,9 +1,9 @@
 #include "serve/service.h"
 
 #include <algorithm>
-#include <charconv>
 #include <utility>
 
+#include "netbase/parse.h"
 #include "obs/export.h"
 #include "signals/engine_obs.h"
 #include "signals/engine.h"
@@ -67,16 +67,6 @@ std::string unknown_key(const Query& query,
     if (!ok) return k;
   }
   return "";
-}
-
-// Unsigned decimal with no sign, no blanks, full-token match.
-std::optional<std::uint64_t> parse_u64(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  std::uint64_t value = 0;
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return value;
 }
 
 std::string error_body(int status, const std::string& message) {
@@ -264,13 +254,11 @@ std::optional<obs::HttpResponse> StalenessService::handle(
     const std::string* dst = query.get("dst");
     if (src == nullptr) return bad_request("missing required parameter: src");
     if (dst == nullptr) return bad_request("missing required parameter: dst");
-    std::optional<std::uint64_t> probe = parse_u64(*src);
-    if (!probe || *probe > 0xFFFFFFFFull) {
-      return bad_request("src is not a probe id: " + *src);
-    }
+    std::optional<tr::ProbeId> probe = parse_number<tr::ProbeId>(*src);
+    if (!probe) return bad_request("src is not a probe id: " + *src);
     std::optional<Ipv4> ip = Ipv4::parse(*dst);
     if (!ip) return bad_request("dst is not a dotted-quad address: " + *dst);
-    pair.probe = static_cast<tr::ProbeId>(*probe);
+    pair.probe = *probe;
     pair.dst = *ip;
     return std::nullopt;
   };
@@ -278,7 +266,8 @@ std::optional<obs::HttpResponse> StalenessService::handle(
       -> std::pair<std::size_t, std::optional<obs::HttpResponse>> {
     const std::string* limit = query.get("limit");
     if (limit == nullptr) return {fallback, std::nullopt};
-    std::optional<std::uint64_t> value = parse_u64(*limit);
+    std::optional<std::uint64_t> value =
+        parse_number<std::uint64_t>(*limit);
     if (!value) {
       return {0, bad_request("limit is not a non-negative integer: " + *limit)};
     }
@@ -329,8 +318,9 @@ std::optional<obs::HttpResponse> StalenessService::handle(
     }
     int k = params_.default_queue_k;
     if (const std::string* value = query.get("k")) {
-      std::optional<std::uint64_t> parsed = parse_u64(*value);
-      if (!parsed || *parsed > static_cast<std::uint64_t>(params_.max_page)) {
+      std::optional<std::size_t> parsed =
+          parse_number<std::size_t>(*value, 0, params_.max_page);
+      if (!parsed) {
         return bad_request("k is not a non-negative integer within " +
                            std::to_string(params_.max_page) + ": " + *value);
       }

@@ -4,10 +4,10 @@
 // boundary the driver hands the service the just-closed window's state
 // (per-pair verdicts, the window's signals, the table epoch); the service
 // folds them into its builder state, materializes an immutable
-// ServingSnapshot, and publishes it with one release pointer swap. HTTP
-// readers resolve the /v1 route family against whatever snapshot one
-// acquire-load returns — they never block a window close, and a window
-// close never waits for a reader.
+// ServingSnapshot, and publishes it with one pointer swap. HTTP readers
+// resolve the /v1 route family against the snapshot they copied. The
+// publisher's lock covers only that pointer copy or swap, so a reader and a
+// window close wait on each other for at most one reference-count update.
 //
 //   GET /v1/pairs          corpus-wide verdict listing (+filter/limit)
 //   GET /v1/verdict        one pair's verdict
@@ -74,7 +74,7 @@ class StalenessService {
                  const std::vector<signals::StalenessSignal>& window_signals);
 
   // --- readers (any thread) ---
-  // Current snapshot: one acquire-load.
+  // Current snapshot: one pointer copy under the publisher's lock.
   SnapshotPtr snapshot() const { return publisher_.read(); }
   // Routes one request target ("/v1/verdict?src=3&dst=10.0.0.1"). Returns
   // nullopt for paths outside the /v1 family (the HTTP server falls

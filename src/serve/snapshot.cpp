@@ -12,17 +12,21 @@ const PairVerdict* ServingSnapshot::find(const tr::PairKey& pair) const {
   return &*it;
 }
 
-SnapshotPublisher::SnapshotPublisher() {
-  current_.store(std::make_shared<const ServingSnapshot>(),
-                 std::memory_order_release);
-}
+SnapshotPublisher::SnapshotPublisher()
+    : current_(std::make_shared<const ServingSnapshot>()) {}
 
 void SnapshotPublisher::publish(SnapshotPtr snapshot) {
-  current_.store(std::move(snapshot), std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    current_.swap(snapshot);
+  }
+  // `snapshot` now holds the previous one; dropping it here, outside the
+  // lock, keeps a last-reference teardown off the readers' critical path.
 }
 
 SnapshotPtr SnapshotPublisher::read() const {
-  return current_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(mu_);
+  return current_;
 }
 
 const char* freshness_label(tr::Freshness freshness) {

@@ -9,18 +9,20 @@
 //   * a bounded per-pair signal history (the evidence trail), and
 //   * a refresh-priority queue ranking the stale pairs stalest-first.
 //
-// Publication is a release-pointer swap: the thread closing windows builds
-// a fresh snapshot in the serial section after a window close and publishes
-// it with one release store; HTTP readers take one acquire-load and then work
-// entirely on the immutable object. Readers are asynchronous (they can hold
-// a snapshot across any number of publications), so the pointer is a
-// std::shared_ptr under std::atomic — reclamation happens when the last
-// reader drops its reference, and the window close never waits on a reader.
+// Publication is a pointer swap: the thread closing windows builds a fresh
+// snapshot in the serial section after a window close and swaps it in; HTTP
+// readers copy the current pointer and then work entirely on the immutable
+// object. Readers are asynchronous (they can hold a snapshot across any
+// number of publications), so the pointer is a std::shared_ptr —
+// reclamation happens when the last reader drops its reference. One mutex
+// guards the pointer, and it is held only for the pointer copy or swap,
+// never while a snapshot is built or read, so neither side waits longer
+// than one reference-count update.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "netbase/time.h"
@@ -77,21 +79,27 @@ struct ServingSnapshot {
 
 using SnapshotPtr = std::shared_ptr<const ServingSnapshot>;
 
-// Release-store / acquire-load publication point. Starts out holding an
-// empty snapshot (version 0), so readers always get a valid document.
+// Mutex-guarded publication point. Starts out holding an empty snapshot
+// (version 0), so readers always get a valid document. Not a
+// std::atomic<std::shared_ptr>: GCC 12's libstdc++ load() releases its
+// internal lock with a relaxed store, so ThreadSanitizer reports the
+// pointer read as racing with the next publish.
 class SnapshotPublisher {
  public:
   SnapshotPublisher();
 
-  // Serial-section only (the driver's window boundary): one release store.
+  // Serial-section only (the driver's window boundary): swaps the pointer
+  // under the lock; the previous snapshot is released after unlocking.
   void publish(SnapshotPtr snapshot);
 
-  // Any thread, any time: one acquire load. The returned snapshot stays
-  // valid for as long as the caller holds it, across later publishes.
+  // Any thread, any time: copies the pointer under the lock. The returned
+  // snapshot stays valid for as long as the caller holds it, across later
+  // publishes.
   SnapshotPtr read() const;
 
  private:
-  std::atomic<SnapshotPtr> current_;
+  mutable std::mutex mu_;
+  SnapshotPtr current_;  // guarded by mu_
 };
 
 // Label slugs shared by the JSON bodies and docs/API.md.

@@ -1,5 +1,5 @@
 // Shared state the BGP-based monitors read: the standing per-VP table view
-// and vantage-point metadata for signal attributes.
+// and the vantage points.
 //
 // Reader role: everything reached through this struct is *read-only* during
 // the parallel phases of a window close. `table` points at the engine's
@@ -13,18 +13,12 @@
 
 #include "bgp/record.h"
 #include "bgp/table_view.h"
-#include "topology/types.h"
 
 namespace rrr::signals {
 
 struct BgpContext {
   const bgp::VpTableView* table = nullptr;
   const std::vector<bgp::VantagePoint>* vps = nullptr;
-  // Per-VpId location, for the Table 1 bootstrap attributes.
-  std::vector<topo::AsIndex> vp_as;
-  std::vector<topo::CityId> vp_city;
-
-  std::size_t vp_count() const { return vps ? vps->size() : 0; }
 };
 
 }  // namespace rrr::signals

@@ -46,11 +46,11 @@ bool canonical_less(const StalenessSignal& a, const StalenessSignal& b) {
 
 }  // namespace
 
-DispatchedBatch dispatch_against_table(
-    const std::vector<bgp::BgpRecord>& records, std::size_t count,
-    const bgp::VpTableView& table, bgp::PathCanonicalizer& collapse,
-    runtime::Arena& arena) {
-  DispatchedBatch out{runtime::ArenaAllocator<DispatchedRecord>(arena)};
+void dispatch_against_table(const std::vector<bgp::BgpRecord>& records,
+                            std::size_t count, const bgp::VpTableView& table,
+                            bgp::PathCanonicalizer& collapse,
+                            std::vector<DispatchedRecord>& out) {
+  out.clear();
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const bgp::BgpRecord& record = records[i];
@@ -69,7 +69,6 @@ DispatchedBatch dispatch_against_table(
                            standing->communities == record.communities;
     out.push_back(dispatched);
   }
-  return out;
 }
 
 std::size_t cut_window_prefix(std::vector<bgp::BgpRecord>& pending,
@@ -92,8 +91,6 @@ std::size_t cut_window_prefix(std::vector<bgp::BgpRecord>& pending,
 Engine::Engine(const EngineParams& params,
                tracemap::ProcessingContext& processing,
                std::vector<bgp::VantagePoint> vps,
-               std::vector<topo::AsIndex> vp_as,
-               std::vector<topo::CityId> vp_city,
                std::set<Asn> ixp_route_server_asns, AsRelDb rels,
                std::map<topo::IxpId, std::set<Asn>> ixp_members)
     : params_(normalized(params)),
@@ -109,8 +106,6 @@ Engine::Engine(const EngineParams& params,
       ixp_(rels_, std::move(ixp_members)) {
   context_.table = &table_;
   context_.vps = &vps_;
-  context_.vp_as = std::move(vp_as);
-  context_.vp_city = std::move(vp_city);
   if (params_.threads > 1) {
     pool_ = std::make_unique<runtime::ThreadPool>(params_.threads);
   }
@@ -221,15 +216,15 @@ void Engine::close_one_window(std::int64_t window,
   if (health_ != nullptr) health_->close_window(window);
   std::size_t cut = cut_window_prefix(pending_records_, clock_, window);
   // Normalize the window's records once against the start-of-window table;
-  // every shard dispatches the same read-only views. The batch is
-  // arena-backed: dead once phase A is joined, reclaimed by the reset below.
-  DispatchedBatch dispatched = [&] {
+  // every shard dispatches the same read-only views. The batch is dead
+  // once phase A is joined.
+  {
     obs::ScopedSpan dispatch_span(obs_.dispatch_us);
     obs::TraceSpan trace_span(params_.tracer, "dispatch", "close", window,
                               "records", static_cast<std::int64_t>(cut));
-    return dispatch_against_table(pending_records_, cut, table_,
-                                  collapse_canon_, close_arena_);
-  }();
+    dispatch_against_table(pending_records_, cut, table_, collapse_canon_,
+                           dispatched_);
+  }
 
   // Phase A — shards in parallel: dispatch the window's records to the
   // shard's BGP monitors and close them into raw per-shard buffers. The
@@ -243,7 +238,7 @@ void Engine::close_one_window(std::int64_t window,
         obs::TraceSpan trace_span(params_.tracer, "shard_close", "close",
                                   window, "shard",
                                   static_cast<std::int64_t>(i));
-        shards_[i]->dispatch_window_records(dispatched, window);
+        shards_[i]->dispatch_window_records(dispatched_, window);
         shards_[i]->collect_bgp_close(raw[i], window, end);
       },
       /*grain=*/1);
@@ -259,8 +254,7 @@ void Engine::close_one_window(std::int64_t window,
     table_.apply_all(pending_records_, cut);
   }
   obs::inc(obs_.bgp_records_absorbed, static_cast<std::int64_t>(cut));
-  dispatched.clear();
-  close_arena_.reset();
+  dispatched_.clear();
   pending_records_.erase(pending_records_.begin(),
                          pending_records_.begin() +
                              static_cast<std::ptrdiff_t>(cut));

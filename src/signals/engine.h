@@ -40,7 +40,6 @@
 #include "bgp/record.h"
 #include "bgp/table_view.h"
 #include "obs/trace.h"
-#include "runtime/arena.h"
 #include "runtime/thread_pool.h"
 #include "signals/asreldb.h"
 #include "signals/engine_shard.h"
@@ -81,16 +80,15 @@ struct EngineParams {
   FeedHealthParams feed_health;
 };
 
-// Builds the monitor-facing view of the first `count` records (normalized
-// path, duplicate status) against the standing start-of-window `table`. The
-// returned views point into `records`, which must outlive them. `collapse`
-// is the caller's single-writer prepend-collapse memo (most updates repeat
-// a path already normalized this run), and the batch itself is bump-
-// allocated from `arena` — the caller resets it once the batch is dead.
-DispatchedBatch dispatch_against_table(
-    const std::vector<bgp::BgpRecord>& records, std::size_t count,
-    const bgp::VpTableView& table, bgp::PathCanonicalizer& collapse,
-    runtime::Arena& arena);
+// Replaces `out` with the monitor-facing view of the first `count` records
+// (normalized path, duplicate status) against the standing start-of-window
+// `table`. The views point into `records`, which must outlive them.
+// `collapse` is the caller's single-writer prepend-collapse memo (most
+// updates repeat a path already normalized this run).
+void dispatch_against_table(const std::vector<bgp::BgpRecord>& records,
+                            std::size_t count, const bgp::VpTableView& table,
+                            bgp::PathCanonicalizer& collapse,
+                            std::vector<DispatchedRecord>& out);
 
 // Moves every record belonging to a window <= `window` to the front of
 // `pending` (stably), sorts that prefix by time, and returns its length.
@@ -107,8 +105,7 @@ class Engine {
   // `params.shards` fixes the partition count (clamped to >= 1) and
   // `params.threads` the pool size shared by every shard and monitor.
   Engine(const EngineParams& params, tracemap::ProcessingContext& processing,
-         std::vector<bgp::VantagePoint> vps, std::vector<topo::AsIndex> vp_as,
-         std::vector<topo::CityId> vp_city,
+         std::vector<bgp::VantagePoint> vps,
          std::set<Asn> ixp_route_server_asns, AsRelDb rels,
          std::map<topo::IxpId, std::set<Asn>> ixp_members);
 
@@ -193,10 +190,11 @@ class Engine {
   bgp::VpTableView table_;
   BgpContext context_;
   std::vector<bgp::BgpRecord> pending_records_;
-  // Dispatch-path prepend-collapse memo and the arena backing the
-  // per-close dispatch batch; serial close path only, arena reset per close.
+  // Dispatch-path prepend-collapse memo and the per-close dispatch batch;
+  // serial close path only. The batch is cleared each close and keeps its
+  // capacity, so a steady-state close allocates nothing for it.
   bgp::PathCanonicalizer collapse_canon_;
-  runtime::Arena close_arena_;
+  std::vector<DispatchedRecord> dispatched_;
   PotentialIndex index_;
   Calibration calibration_;
   CommunityReputation reputation_;

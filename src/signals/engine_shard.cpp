@@ -117,8 +117,8 @@ void EngineShard::mark_stale(const StalenessSignal& signal) {
   state.active[signal.potential] = std::move(active);
 }
 
-void EngineShard::dispatch_window_records(const DispatchedBatch& records,
-                                          std::int64_t window) {
+void EngineShard::dispatch_window_records(
+    const std::vector<DispatchedRecord>& records, std::int64_t window) {
   for (const DispatchedRecord& dispatched : records) {
     aspath_->on_record(dispatched, window);
     community_->on_record(dispatched, window);

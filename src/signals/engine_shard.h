@@ -97,7 +97,7 @@ class EngineShard {
   // --- window-close hooks ---
   // Dispatches one window's records to this shard's BGP monitors (records
   // are read-only; the shared table still holds the start-of-window state).
-  void dispatch_window_records(const DispatchedBatch& records,
+  void dispatch_window_records(const std::vector<DispatchedRecord>& records,
                                std::int64_t window);
   // Closes the shard's BGP monitors, appending their raw (unregistered)
   // signals to `into`; the engine merges and registers across shards.

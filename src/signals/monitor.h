@@ -13,7 +13,6 @@
 
 #include "bgp/record.h"
 #include "bgp/table_view.h"
-#include "runtime/arena.h"
 #include "signals/engine_obs.h"
 #include "signals/serial.h"
 #include "signals/signal.h"
@@ -121,12 +120,6 @@ struct DispatchedRecord {
   InternedPath path;  // IXP-ASN-stripped, prepending-collapsed
   bool duplicate = false;  // same path & communities as the standing route
 };
-
-// One window's dispatch batch. Arena-backed: it lives exactly one window
-// close, so the memory comes back wholesale at the owner's Arena::reset()
-// instead of through per-window heap churn.
-using DispatchedBatch =
-    std::vector<DispatchedRecord, runtime::ArenaAllocator<DispatchedRecord>>;
 
 // Index from announced prefixes to the monitored destination IPs they
 // cover. Destinations are bucketed by /16 blocks so a record dispatch only

@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "netbase/parse.h"
+
 namespace rrr::store {
 
 namespace fs = std::filesystem;
@@ -28,11 +30,10 @@ std::vector<std::int64_t> list_snapshots(const std::string& dir) {
   for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
     std::string name = entry.path().filename().string();
     if (name.rfind("snap-", 0) != 0) continue;
-    errno = 0;
-    char* end = nullptr;
-    long long v = std::strtoll(name.c_str() + 5, &end, 10);
-    if (end == name.c_str() + 5 || *end != '\0' || errno != 0) continue;
-    out.push_back(v);
+    if (std::optional<std::int64_t> completed =
+            parse_number<std::int64_t>(std::string_view(name).substr(5), 0)) {
+      out.push_back(*completed);
+    }
   }
   std::sort(out.begin(), out.end());
   return out;

@@ -24,7 +24,11 @@ inline void put(Encoder& enc, Prefix prefix) {
 }
 inline Prefix get_prefix(Decoder& dec) {
   Ipv4 network(dec.u32());
-  return Prefix(network, dec.u8());
+  const std::uint8_t length = dec.u8();
+  if (length > 32) {
+    throw StoreError(StoreError::Kind::kCorrupt, "prefix length over 32");
+  }
+  return Prefix(network, length);
 }
 
 inline void put(Encoder& enc, TimePoint t) { enc.i64(t.seconds()); }
@@ -40,6 +44,12 @@ inline void put(Encoder& enc, const AsPath& path) {
 inline AsPath get_as_path(Decoder& dec) {
   AsPath path;
   std::uint64_t n = dec.u64();
+  // Every hop takes 4 bytes: a count the payload cannot hold is corrupt, and
+  // must be caught before it sizes the allocation.
+  if (n > dec.remaining() / 4) {
+    throw StoreError(StoreError::Kind::kCorrupt,
+                     "AS path count exceeds the payload");
+  }
   path.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) path.push_back(get_asn(dec));
   return path;

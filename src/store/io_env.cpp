@@ -1,47 +1,14 @@
 #include "store/io_env.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <cstdlib>
-#include <sstream>
 #include <thread>
 
+#include "netbase/parse.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace rrr::store {
-
-namespace {
-
-std::optional<double> parse_double(std::string_view text) {
-  std::string buffer(text);
-  char* end = nullptr;
-  double value = std::strtod(buffer.c_str(), &end);
-  if (end != buffer.c_str() + buffer.size() || buffer.empty()) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-std::optional<std::int64_t> parse_int(std::string_view text) {
-  std::int64_t value = 0;
-  auto [p, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || p != text.data() + text.size()) {
-    return std::nullopt;
-  }
-  return value;
-}
-
-void emit(std::ostringstream& out, bool& first, std::string_view key,
-          const std::string& value) {
-  if (!first) out << ',';
-  first = false;
-  out << key << '=' << value;
-}
-
-}  // namespace
 
 const char* to_string(IoOp op) {
   switch (op) {
@@ -55,70 +22,39 @@ const char* to_string(IoOp op) {
 }
 
 std::string RetryPolicy::spec() const {
-  RetryPolicy defaults;
-  std::ostringstream out;
-  bool first = true;
-  if (max_attempts != defaults.max_attempts) {
-    emit(out, first, "attempts", std::to_string(max_attempts));
-  }
+  const RetryPolicy defaults;
+  SpecWriter out;
+  if (max_attempts != defaults.max_attempts) out.add("attempts", max_attempts);
   if (base_delay_us != defaults.base_delay_us) {
-    emit(out, first, "base_us", std::to_string(base_delay_us));
+    out.add("base_us", base_delay_us);
   }
-  if (max_delay_us != defaults.max_delay_us) {
-    emit(out, first, "max_us", std::to_string(max_delay_us));
-  }
-  if (jitter != defaults.jitter) {
-    std::ostringstream j;
-    j << jitter;
-    emit(out, first, "jitter", j.str());
-  }
+  if (max_delay_us != defaults.max_delay_us) out.add("max_us", max_delay_us);
+  if (jitter != defaults.jitter) out.add("jitter", jitter);
   if (op_budget_us != defaults.op_budget_us) {
-    emit(out, first, "budget_us", std::to_string(op_budget_us));
+    out.add("budget_us", op_budget_us);
   }
-  if (seed != defaults.seed) emit(out, first, "seed", std::to_string(seed));
+  if (seed != defaults.seed) out.add("seed", seed);
   return out.str();
 }
 
 std::optional<RetryPolicy> RetryPolicy::parse(std::string_view spec) {
+  const std::optional<std::vector<SpecClause>> clauses = split_spec(spec);
+  if (!clauses) return std::nullopt;
   RetryPolicy policy;
-  std::size_t start = 0;
-  while (start < spec.size()) {
-    std::size_t comma = spec.find(',', start);
-    std::string_view clause = spec.substr(
-        start, comma == std::string_view::npos ? std::string_view::npos
-                                               : comma - start);
-    start = comma == std::string_view::npos ? spec.size() : comma + 1;
-    if (clause.empty()) continue;
-    std::size_t eq = clause.find('=');
-    if (eq == std::string_view::npos) return std::nullopt;
-    std::string_view key = clause.substr(0, eq);
-    std::string_view value = clause.substr(eq + 1);
-
+  for (const auto& [key, value] : *clauses) {
     bool ok = false;
     if (key == "attempts") {
-      auto v = parse_int(value);
-      ok = v && *v >= 1;
-      if (ok) policy.max_attempts = static_cast<int>(*v);
+      ok = parse_into(value, policy.max_attempts, 1);
     } else if (key == "base_us") {
-      auto v = parse_int(value);
-      ok = v && *v >= 0;
-      if (ok) policy.base_delay_us = *v;
+      ok = parse_into(value, policy.base_delay_us, 0);
     } else if (key == "max_us") {
-      auto v = parse_int(value);
-      ok = v && *v >= 0;
-      if (ok) policy.max_delay_us = *v;
+      ok = parse_into(value, policy.max_delay_us, 0);
     } else if (key == "jitter") {
-      auto v = parse_double(value);
-      ok = v && *v >= 0.0 && *v <= 1.0;
-      if (ok) policy.jitter = *v;
+      ok = parse_into(value, policy.jitter, 0.0, 1.0);
     } else if (key == "budget_us") {
-      auto v = parse_int(value);
-      ok = v && *v >= 0;
-      if (ok) policy.op_budget_us = *v;
+      ok = parse_into(value, policy.op_budget_us, 0);
     } else if (key == "seed") {
-      auto v = parse_int(value);
-      ok = v && *v >= 0;
-      if (ok) policy.seed = static_cast<std::uint64_t>(*v);
+      ok = parse_into(value, policy.seed);
     }
     if (!ok) return std::nullopt;
   }

@@ -1,11 +1,13 @@
-// Tests for the BGP layer: table views, preprocessing (§4.1.1), the stream
-// API, and the feed simulator's update semantics.
+// Tests for the BGP layer: table views, preprocessing (§4.1.1), the record
+// codec, the stream API, and the feed simulator's update semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "bgp/feed.h"
+#include "bgp/serial.h"
 #include "bgp/stream.h"
 #include "bgp/table_view.h"
 #include "topology/builder.h"
@@ -168,6 +170,74 @@ TEST(VpTableView, CheckpointRoundTripResumesLikeFreshRun) {
   table.save_state(ea);
   restored.save_state(eb);
   EXPECT_EQ(ea.buffer(), eb.buffer());
+}
+
+// The fields of one encoded record that the rejection rows below override;
+// encode() writes them in put_record's layout around fixed other fields.
+struct RawRecord {
+  std::int64_t time = 100;
+  std::uint8_t type = 1;  // RecordType::kAnnouncement
+  std::uint8_t prefix_length = 16;
+  std::uint64_t path_count = 2;  // two hops follow either way
+};
+
+std::string encode(const RawRecord& raw) {
+  store::Encoder enc;
+  enc.i64(raw.time);
+  enc.u8(raw.type);
+  enc.u32(7);  // vp
+  enc.u32(65007);  // peer ASN
+  enc.u32(Ipv4::parse("192.0.2.1")->value());
+  enc.str("rrc00");
+  enc.u32(Ipv4::parse("10.1.0.0")->value());
+  enc.u8(raw.prefix_length);
+  enc.u64(raw.path_count);
+  enc.u32(65007);
+  enc.u32(3356);
+  enc.u64(0);  // no communities
+  return enc.take();
+}
+
+TEST(RecordCodec, HandBuiltLayoutIsPutRecords) {
+  BgpRecord record = make_record(7, "10.1.0.0/16", {Asn(65007), Asn(3356)},
+                                 {}, RecordType::kAnnouncement, 100);
+  record.peer_asn = Asn(65007);
+  record.peer_ip = *Ipv4::parse("192.0.2.1");
+  record.collector = "rrc00";
+  store::Encoder enc;
+  put_record(enc, record);
+  ASSERT_EQ(enc.buffer(), encode(RawRecord{}));
+
+  store::Decoder dec(enc.buffer());
+  const BgpRecord decoded = get_record(dec);
+  dec.expect_done();
+  EXPECT_EQ(decoded.to_string(), record.to_string());
+}
+
+// Bytes no writer produces are a classified kCorrupt, never a record with an
+// impossible field or an allocation sized by a damaged count. The fault
+// injector's corruption pass and snapshot loads both rely on this.
+TEST(RecordCodec, RejectsFieldsNoWriterProduces) {
+  const struct {
+    const char* label;
+    RawRecord raw;
+  } rows[] = {
+      {"negative time", {.time = -1}},
+      {"type byte 3", {.type = 3}},
+      {"prefix length 33", {.prefix_length = 33}},
+      {"path count past the payload",
+       {.path_count = std::numeric_limits<std::uint64_t>::max()}},
+  };
+  for (const auto& row : rows) {
+    const std::string bytes = encode(row.raw);
+    store::Decoder dec(bytes);
+    try {
+      get_record(dec);
+      ADD_FAILURE() << row.label << ": decoded";
+    } catch (const store::StoreError& error) {
+      EXPECT_EQ(error.kind(), store::StoreError::Kind::kCorrupt) << row.label;
+    }
+  }
 }
 
 TEST(Stream, FiltersByTimeTypeAndPrefix) {

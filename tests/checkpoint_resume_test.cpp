@@ -1,13 +1,13 @@
 // The resume-determinism contract of the durable state store (DESIGN.md
 // §11): a run that checkpoints at window k and resumes must be
 // indistinguishable — signal stream, stale pairs, calibration digest,
-// semantic telemetry, and the io/serialize rendering of the final corpus —
-// from the run that never stopped. The grid here pins that for every
-// window k of a small world, across (shards x threads x pipeline x fault
-// plan), through the WAL tail after a mid-cadence crash, and across
-// resume-of-a-resumed-run. The rejection tables pin the other half of the
-// contract: a corrupted, truncated, or version-skewed snapshot is a
-// classified StoreError, never UB and never a silently wrong world.
+// semantic telemetry, and the codec bytes of the final corpus — from the
+// run that never stopped. The grid here pins that for every window k of a
+// small world, across (shards x threads x fault plan), through the WAL tail
+// after a mid-cadence crash, and across resume-of-a-resumed-run. The
+// rejection tables pin the other half of the contract: a corrupted,
+// truncated, or version-skewed snapshot is a classified StoreError, never UB
+// and never a silently wrong world.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -22,7 +22,7 @@
 
 #include "bgp/table_view.h"
 #include "eval/world.h"
-#include "io/serialize.h"
+#include "final_corpus.h"
 #include "netbase/intern.h"
 #include "signals/feed_health.h"
 #include "store/checkpoint.h"
@@ -139,7 +139,7 @@ struct RunTrace {
   std::vector<tr::PairKey> stale;
   std::uint64_t calibration_digest = 0;
   std::string semantic_stats;
-  std::string corpus_bytes;  // io/serialize rendering of the final corpus
+  std::string corpus_bytes;  // final_corpus_bytes() of the finished world
   bool finished = false;     // false for deliberately "crashed" runs
 };
 
@@ -213,13 +213,7 @@ RunTrace drive(WorldParams params, const DriveSpec& spec) {
   trace.stale = world.engine().stale_pairs();
   trace.calibration_digest = world.engine().calibration().digest();
   trace.semantic_stats = world.semantic_stats_json();
-  std::ostringstream corpus;
-  std::vector<tr::Traceroute> finals;
-  for (const tr::PairKey& pair : world.ground_truth().pairs()) {
-    finals.push_back(world.issue_corpus_traceroute(pair, world.end()));
-  }
-  io::write_traceroutes(corpus, finals);
-  trace.corpus_bytes = corpus.str();
+  trace.corpus_bytes = final_corpus_bytes(world);
   trace.finished = true;
   return trace;
 }
@@ -559,13 +553,7 @@ TEST(CheckpointResume, TransientReportedFaultsAreInvisibleUnderRetry) {
   trace.stale = world.engine().stale_pairs();
   trace.calibration_digest = world.engine().calibration().digest();
   trace.semantic_stats = world.semantic_stats_json();
-  std::ostringstream corpus;
-  std::vector<tr::Traceroute> finals;
-  for (const tr::PairKey& pair : world.ground_truth().pairs()) {
-    finals.push_back(world.issue_corpus_traceroute(pair, world.end()));
-  }
-  io::write_traceroutes(corpus, finals);
-  trace.corpus_bytes = corpus.str();
+  trace.corpus_bytes = final_corpus_bytes(world);
   trace.finished = true;
 
   EXPECT_EQ(reference.signals, trace.signals);

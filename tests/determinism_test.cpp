@@ -2,16 +2,15 @@
 // the signal stream, stale-pair set, and calibration state must be
 // bit-identical at any engine (shards, threads) combination (the
 // determinism contract, DESIGN.md "Runtime & determinism" and "Sharded
-// engine"), and two serial runs must be byte-identical through the
-// io/serialize text formats.
+// engine"), and two serial runs must be byte-identical down to the
+// codec bytes of their final corpus.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <tuple>
 #include <vector>
 
 #include "eval/world.h"
-#include "io/serialize.h"
+#include "final_corpus.h"
 #include "netbase/intern.h"
 #include "store/serial.h"
 
@@ -55,7 +54,7 @@ struct RunTrace {
   std::vector<SignalKey> signals;
   std::vector<tr::PairKey> stale;
   std::uint64_t calibration_digest = 0;
-  std::string corpus_bytes;  // io/serialize rendering of the final corpus
+  std::string corpus_bytes;  // final_corpus_bytes() of the finished world
   std::string semantic_stats;  // JSON of the semantic-domain metrics
   std::int64_t fault_records_affected = 0;
   // Full id→content dump of the run's intern tables (save_state bytes:
@@ -122,15 +121,7 @@ RunTrace run_world(std::uint64_t seed, int engine_threads,
         stats.trace_blackout_dropped;
   }
 
-  // Render the final corpus view through the text serializer so the
-  // byte-identity check covers every field the formats carry.
-  std::ostringstream corpus;
-  std::vector<tr::Traceroute> finals;
-  for (const tr::PairKey& pair : world.ground_truth().pairs()) {
-    finals.push_back(world.issue_corpus_traceroute(pair, world.end()));
-  }
-  io::write_traceroutes(corpus, finals);
-  trace.corpus_bytes = corpus.str();
+  trace.corpus_bytes = final_corpus_bytes(world);
 
   store::Encoder dict;
   interner.get().save_state(dict);

@@ -92,6 +92,13 @@ TEST(FaultPlan, ParseRejectsGarbage) {
   EXPECT_FALSE(fault::FaultPlan::parse("drop=-0.1").has_value());
   EXPECT_FALSE(fault::FaultPlan::parse("drop").has_value());
   EXPECT_FALSE(fault::FaultPlan::parse("drop=abc").has_value());
+  // A rate is a whole, finite number: no NaN or infinity (a NaN rate used
+  // to parse into an inert plan), no blanks, no '+', no trailing junk.
+  for (const char* value : {"nan", "inf", " 0.5", "+0.5", "0.5x"}) {
+    EXPECT_FALSE(
+        fault::FaultPlan::parse(std::string("drop=") + value).has_value())
+        << value;
+  }
 }
 
 TEST(FaultPlan, BlackoutWithoutWindowsIsInert) {

@@ -1,7 +1,6 @@
-// Intern-table and epoch-arena tests: the id-space invariants the ingest
-// hot path relies on (netbase/intern.h), the dictionary checkpoint codec,
-// and the bump allocator's reuse contract (runtime/arena.h). Registered
-// with the tsan label: the resolve-while-intern test exercises the
+// Intern-table tests: the id-space invariants the ingest hot path relies on
+// (netbase/intern.h) and the dictionary checkpoint codec. Registered with
+// the tsan label: the resolve-while-intern test exercises the
 // lock-free chunk-table publication under ThreadSanitizer.
 #include <algorithm>
 #include <cstdint>
@@ -14,7 +13,6 @@
 
 #include "bgp/table_view.h"
 #include "netbase/intern.h"
-#include "runtime/arena.h"
 #include "store/serial.h"
 
 namespace rrr {
@@ -241,57 +239,6 @@ TEST(PathCanonicalizer, EmptyIxpListIsPlainCollapse) {
       Interner::global().path_id(make_path({64500, 64500, 64501, 64500}));
   EXPECT_EQ(Interner::global().path(canon.canonical(raw)),
             make_path({64500, 64501, 64500}));
-}
-
-TEST(Arena, AllocationsAreAlignedAndDisjoint) {
-  runtime::Arena arena(1024);
-  void* a = arena.allocate(13, 1);
-  void* b = arena.allocate(16, 8);
-  void* c = arena.allocate(1, 16);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b) % 8, 0u);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c) % 16, 0u);
-  EXPECT_GE(arena.bytes_allocated(), 30u);
-}
-
-TEST(Arena, ResetRecyclesTheSameSlabs) {
-  runtime::Arena arena(4096);
-  void* first = arena.allocate(64, 8);
-  for (int i = 0; i < 100; ++i) arena.allocate(64, 8);
-  std::size_t reserved = arena.bytes_reserved();
-  arena.reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
-  // Steady state: the next epoch bumps through the same memory, no growth.
-  void* again = arena.allocate(64, 8);
-  EXPECT_EQ(again, first);
-  for (int i = 0; i < 100; ++i) arena.allocate(64, 8);
-  EXPECT_EQ(arena.bytes_reserved(), reserved);
-  EXPECT_GT(arena.high_water_bytes(), 0u);
-}
-
-TEST(Arena, OversizedRequestGetsDedicatedSlab) {
-  runtime::Arena arena(256);
-  void* small = arena.allocate(32, 8);
-  void* big = arena.allocate(10000, 8);  // far beyond the chunk size
-  EXPECT_NE(small, nullptr);
-  EXPECT_NE(big, nullptr);
-  EXPECT_GE(arena.bytes_reserved(), 10000u);
-  // The bump chunk is still usable after the oversized detour.
-  EXPECT_NE(arena.allocate(32, 8), nullptr);
-}
-
-TEST(Arena, BacksStlContainers) {
-  runtime::Arena arena;
-  std::vector<int, runtime::ArenaAllocator<int>> v{
-      runtime::ArenaAllocator<int>(arena)};
-  for (int i = 0; i < 10000; ++i) v.push_back(i);
-  EXPECT_EQ(v.size(), 10000u);
-  EXPECT_EQ(v[9999], 9999);
-  EXPECT_GT(arena.bytes_allocated(), 10000u * sizeof(int) - 1);
-  v.clear();
-  v.shrink_to_fit();
-  arena.reset();
-  EXPECT_EQ(arena.bytes_allocated(), 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "netbase/community.h"
 #include "netbase/geo.h"
 #include "netbase/ipv4.h"
+#include "netbase/parse.h"
 #include "netbase/prefix.h"
 #include "netbase/radix_trie.h"
 #include "netbase/rng.h"
@@ -64,6 +65,50 @@ TEST(Prefix, ParseValidation) {
   EXPECT_FALSE(Prefix::parse("10.0.0.0/33").has_value());
   EXPECT_FALSE(Prefix::parse("10.0.0.0").has_value());
   EXPECT_FALSE(Prefix::parse("banana/8").has_value());
+}
+
+TEST(ParseNumber, AcceptsOnlyWholeFiniteValuesInRange) {
+  EXPECT_EQ(parse_number<double>("0.25"), 0.25);
+  EXPECT_EQ(parse_number<std::int64_t>("-3"), -3);
+  EXPECT_EQ(parse_number<std::uint32_t>("4294967295"), 4294967295u);
+  for (const char* text :
+       {"", "nan", "inf", "-inf", " 0.5", "0.5 ", "+0.5", "0.5x", "1e400"}) {
+    EXPECT_FALSE(parse_number<double>(text).has_value()) << '"' << text << '"';
+  }
+  EXPECT_FALSE(parse_number<std::int64_t>("0x10").has_value());
+  EXPECT_FALSE(parse_number<std::uint64_t>("-1").has_value());
+  EXPECT_FALSE(parse_number<std::uint32_t>("4294967296").has_value());
+  EXPECT_FALSE(parse_number<double>("1.5", 0.0, 1.0).has_value());
+  EXPECT_FALSE(parse_number<int>("0", 1).has_value());
+
+  int field = 7;
+  EXPECT_FALSE(parse_into("x", field));
+  EXPECT_EQ(field, 7);
+  EXPECT_TRUE(parse_into("9", field, 1, 10));
+  EXPECT_EQ(field, 9);
+}
+
+TEST(Spec, SplitAndWriteRoundTrip) {
+  SpecWriter writer;
+  writer.add("rate", 0.05);
+  writer.add("count", std::int64_t{-4});
+  writer.add("seed", std::uint64_t{18446744073709551615u});
+  writer.add("third", 1.0 / 3.0);
+  const std::string spec = writer.str();
+  EXPECT_EQ(spec.substr(0, spec.find(",third")),
+            "rate=0.05,count=-4,seed=18446744073709551615");
+
+  std::optional<std::vector<SpecClause>> clauses = split_spec(spec);
+  ASSERT_TRUE(clauses.has_value());
+  ASSERT_EQ(clauses->size(), 4u);
+  EXPECT_EQ((*clauses)[1].key, "count");
+  EXPECT_EQ((*clauses)[1].value, "-4");
+  // The shortest rendering still parses back to the exact value.
+  EXPECT_EQ(parse_number<double>((*clauses)[3].value), 1.0 / 3.0);
+
+  EXPECT_EQ(split_spec(",,a=1,")->size(), 1u);
+  EXPECT_TRUE(split_spec("")->empty());
+  EXPECT_FALSE(split_spec("a=1,b").has_value());
 }
 
 TEST(AsPath, SuffixMatching) {

@@ -134,6 +134,11 @@ TEST(IoFaultPlan, SpecRoundTripsAndDefaultIsInert) {
   EXPECT_FALSE(fault::IoFaultPlan::parse("bogus=1").has_value());
   EXPECT_FALSE(fault::IoFaultPlan::parse("torn=2.0").has_value());
   EXPECT_FALSE(fault::IoFaultPlan::parse("torn").has_value());
+  for (const char* value : {"nan", "inf", " 0.5", "+0.5", "0.5x"}) {
+    EXPECT_FALSE(
+        fault::IoFaultPlan::parse(std::string("torn=") + value).has_value())
+        << value;
+  }
 }
 
 TEST(IoFaultPlan, InjectorReplaysBitIdenticallyPerSeed) {
@@ -206,6 +211,11 @@ TEST(RetryPolicy, SpecRoundTrips) {
   EXPECT_EQ(parsed->seed, 3u);
   EXPECT_FALSE(store::RetryPolicy::parse("attempts=0").has_value());
   EXPECT_FALSE(store::RetryPolicy::parse("nope=1").has_value());
+  for (const char* value : {"nan", "inf", " 0.5", "+0.5", "0.5x"}) {
+    EXPECT_FALSE(
+        store::RetryPolicy::parse(std::string("jitter=") + value).has_value())
+        << value;
+  }
 }
 
 TEST(IoContext, TransientErrorRetriesAndRecovers) {

@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Bench misconfiguration smoke test.
 
-Runs the fig11 archival-reuse harness and the serving sweep with one bad
-setting at a time: a number with trailing junk, a flag missing its value,
-an unparseable fault-plan or retry spec (as a flag or through the
+Runs the fig11 archival-reuse harness, the serving sweep and the fault
+sweep with one bad setting at a time: a flag name the harness does not
+declare (misspelled, retired, or one the harness sets itself), a number
+with trailing junk or that is not finite, a flag missing its value, an
+unparseable fault-plan or retry spec (as a flag or through the
 RRR_FAULT_PLAN / RRR_IO_FAULT_PLAN environment variables), and serving grid
 points that are not SxT. Every run must exit with status exactly 2 and name
 the offending setting on stderr instead of running on a fallback. The world
@@ -11,7 +13,7 @@ flags are small, so a harness that wrongly accepts a case finishes quickly
 and fails the check.
 
 Usage: check_flag_rejections.py /path/to/fig11_archival_reuse \
-           /path/to/fig_serving_sweep
+           /path/to/fig_serving_sweep /path/to/fig_fault_sweep
 Exits non-zero if any case is accepted or fails differently.
 """
 
@@ -20,7 +22,7 @@ import subprocess
 import sys
 
 SMALL_WORLD = ["--days", "1", "--pairs", "20", "--dests", "4",
-               "--probes", "60", "--public-rate", "20", "--threads", "1"]
+               "--probes", "60", "--public-rate", "20"]
 ENV_SPECS = ("RRR_FAULT_PLAN", "RRR_IO_FAULT_PLAN")
 
 
@@ -31,13 +33,21 @@ def argv(binary, *bad):
     return [binary, *bad, *SMALL_WORLD]
 
 
-def cases(fig11, serving):
+def cases(fig11, serving, fault_sweep):
     """(label, argv, extra environment, setting named on stderr)."""
     return [
+        ("retired flag", argv(fig11, "--pipeline", "0"), {}, "--pipeline"),
+        ("misspelled flag", argv(fig11, "--pairz", "30"), {}, "--pairz"),
+        ("retired fault field flag", argv(fig11, "--fault-drop", "0.5"), {},
+         "--fault-drop"),
         ("fault plan flag", argv(fig11, "--fault-plan", "nonsense"), {},
+         "--fault-plan"),
+        ("fault plan nan rate", argv(fig11, "--fault-plan", "drop=nan"), {},
          "--fault-plan"),
         ("io fault plan flag", argv(fig11, "--io-fault-plan", "nonsense"),
          {}, "--io-fault-plan"),
+        ("io fault plan nan rate",
+         argv(fig11, "--io-fault-plan", "torn=nan"), {}, "--io-fault-plan"),
         ("io retry flag", argv(fig11, "--io-retry", "attempts=x"), {},
          "--io-retry"),
         ("trailing junk", argv(fig11, "--pairs", "30x"), {}, "--pairs"),
@@ -53,16 +63,19 @@ def cases(fig11, serving):
         ("grid with three axes",
          argv(serving, "--grid", "2x2x1", "--clients-list", "0"), {},
          "--grid"),
+        ("nan intensity", argv(fault_sweep, "--intensities", "nan"), {},
+         "--intensities"),
+        ("fault plan on the fault sweep",
+         argv(fault_sweep, "--fault-plan", "drop=0.1"), {}, "--fault-plan"),
     ]
 
 
 def main():
-    if len(sys.argv) != 3:
+    if len(sys.argv) != 4:
         sys.exit(__doc__)
     base_env = {k: v for k, v in os.environ.items() if k not in ENV_SPECS}
     failures = 0
-    for label, command, extra_env, setting in cases(sys.argv[1],
-                                                    sys.argv[2]):
+    for label, command, extra_env, setting in cases(*sys.argv[1:]):
         try:
             proc = subprocess.run(command, env={**base_env, **extra_env},
                                   stdout=subprocess.PIPE,
