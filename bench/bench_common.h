@@ -73,13 +73,17 @@ inline std::vector<std::string> split_list(const std::string& text,
 // The flag names each shared helper below reads. A harness builds its Flags
 // from the groups of the helpers it calls plus a list of its own names.
 using FlagNames = std::span<const std::string_view>;
-// retrospective_params(), including the telemetry, trace, checkpoint and
-// storage-fault helpers it calls.
+// retrospective_params(), including the telemetry, trace and storage-fault
+// helpers it calls.
 inline constexpr std::string_view kWorldFlags[] = {
     "days", "pairs", "dests", "public-rate", "probes", "seed",
     "engine-threads", "engine-shards", "stats-json", "trace-out", "watchdog",
+    "io-fault-plan", "io-retry"};
+// apply_checkpoint_flags(), plus the --supervise switch apply_io_fault_flags()
+// reads; retrospective_params() calls both.
+inline constexpr std::string_view kCheckpointFlags[] = {
     "checkpoint-dir", "checkpoint-every", "resume", "resume-window",
-    "io-fault-plan", "io-retry", "supervise"};
+    "supervise"};
 // apply_fault_flags(), which retrospective_params() calls.
 inline constexpr std::string_view kFeedFaultFlags[] = {"fault-plan",
                                                        "feed-health"};
@@ -301,9 +305,13 @@ inline void apply_fault_flags(const Flags& flags, eval::WorldParams& params) {
 // exogenous-op WAL, `--checkpoint-every N` sets the snapshot cadence in
 // windows, `--resume <dir>` fast-forwards the world from that directory
 // before the run starts, and `--resume-window K` picks the boundary to
-// resume at (default: the furthest state the directory reconstructs).
+// resume at (default: the furthest state the directory reconstructs). A
+// harness that does not declare kCheckpointFlags (fig_chaos_sweep, which
+// checkpoints and resumes each grid point itself) keeps the WorldParams
+// defaults, which equal the flag defaults.
 inline void apply_checkpoint_flags(const Flags& flags,
                                    eval::WorldParams& params) {
+  if (!flags.declares("checkpoint-dir")) return;
   params.checkpoint_dir = flags.get_str("checkpoint-dir", "");
   params.checkpoint_every =
       static_cast<int>(flags.get_int("checkpoint-every", 1));
@@ -316,9 +324,9 @@ inline void apply_checkpoint_flags(const Flags& flags,
 // syntax, e.g. "torn=0.05,enospc=0.02,seed=7"; RRR_IO_FAULT_PLAN supplies
 // the spec when the flag is absent), `--io-retry <spec>` configures the
 // transient-error retry policy (store::RetryPolicy::parse, e.g.
-// "attempts=4,base_us=100"), and `--supervise` runs under the
-// self-healing recovery supervisor (eval/supervisor.h). A spec that does
-// not parse exits 2.
+// "attempts=4,base_us=100"), and `--supervise` (kCheckpointFlags) runs
+// under the self-healing recovery supervisor (eval/supervisor.h). A spec
+// that does not parse exits 2.
 inline void apply_io_fault_flags(const Flags& flags,
                                  eval::WorldParams& params) {
   std::string source = "--io-fault-plan";
@@ -341,7 +349,9 @@ inline void apply_io_fault_flags(const Flags& flags,
     if (!parsed) reject_setting("--io-retry", retry);
     params.io_retry = *parsed;
   }
-  if (flags.get_bool("supervise")) params.supervise = true;
+  if (flags.declares("supervise") && flags.get_bool("supervise")) {
+    params.supervise = true;
+  }
 }
 
 // The standard retrospective-evaluation world (§5.1), scaled down from the

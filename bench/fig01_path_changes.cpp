@@ -12,7 +12,8 @@
 int main(int argc, char** argv) {
   using namespace rrr;
   const bench::Flags flags(argc, argv,
-                           {bench::kWorldFlags, bench::kFeedFaultFlags});
+                           {bench::kWorldFlags, bench::kCheckpointFlags,
+                            bench::kFeedFaultFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
   params.days = static_cast<int>(flags.get_int("days", 30));
   // This experiment only needs ground truth; silence the heavy machinery.

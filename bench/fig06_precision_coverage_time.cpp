@@ -99,8 +99,9 @@ int main(int argc, char** argv) {
   using namespace rrr;
   constexpr std::string_view kOwnFlags[] = {"seeds"};
   const bench::Flags flags(argc, argv,
-                           {bench::kWorldFlags, bench::kFeedFaultFlags,
-                            bench::kFanOutFlags, kOwnFlags});
+                           {bench::kWorldFlags, bench::kCheckpointFlags,
+                            bench::kFeedFaultFlags, bench::kFanOutFlags,
+                            kOwnFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
 
   eval::print_banner(std::cout, "Figure 6",

@@ -13,7 +13,8 @@
 int main(int argc, char** argv) {
   using namespace rrr;
   const bench::Flags flags(argc, argv,
-                           {bench::kWorldFlags, bench::kFeedFaultFlags});
+                           {bench::kWorldFlags, bench::kCheckpointFlags,
+                            bench::kFeedFaultFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
   // More diamonds than the default world so the LB group is populated.
   params.topology.interdomain_diamond_prob = 0.15;

@@ -46,9 +46,9 @@ int main(int argc, char** argv) {
   using namespace rrr;
   constexpr std::string_view kOwnFlags[] = {"seeds"};
   const bench::Flags flags(argc, argv,
-                           {bench::kWorldFlags, bench::kFeedFaultFlags,
-                            bench::kFanOutFlags, bench::kObsServerFlags,
-                            kOwnFlags});
+                           {bench::kWorldFlags, bench::kCheckpointFlags,
+                            bench::kFeedFaultFlags, bench::kFanOutFlags,
+                            bench::kObsServerFlags, kOwnFlags});
   eval::WorldParams base = bench::retrospective_params(flags);
   base.days = static_cast<int>(flags.get_int("days", 14));
   // Archive mode: traceroutes accumulate; nothing is refreshed for free.

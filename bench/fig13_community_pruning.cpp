@@ -11,7 +11,8 @@
 int main(int argc, char** argv) {
   using namespace rrr;
   const bench::Flags flags(argc, argv,
-                           {bench::kWorldFlags, bench::kFeedFaultFlags});
+                           {bench::kWorldFlags, bench::kCheckpointFlags,
+                            bench::kFeedFaultFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
 
   eval::print_banner(std::cout, "Figure 13",

@@ -15,7 +15,8 @@
 int main(int argc, char** argv) {
   using namespace rrr;
   const bench::Flags flags(argc, argv,
-                           {bench::kWorldFlags, bench::kFeedFaultFlags});
+                           {bench::kWorldFlags, bench::kCheckpointFlags,
+                            bench::kFeedFaultFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
   params.days = static_cast<int>(flags.get_int("days", 14));
   params.recalibration_interval_windows = 0;  // archive setting: no free refreshes

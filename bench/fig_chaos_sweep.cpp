@@ -20,7 +20,10 @@
 //
 // Flags: --days N --pairs N --seed N --kills N --io-seeds N
 //        --io-fault-plan SPEC --io-retry SPEC --work-dir D --keep-dirs
-//        --out F
+//        --out F. Each grid point sets its own checkpoint directory and
+//        supervised resume, so the sweep declares no checkpoint flags
+//        (bench::kCheckpointFlags): --checkpoint-dir, --resume, --supervise
+//        and the rest exit 2 instead of being overridden.
 #include <filesystem>
 #include <map>
 #include <optional>
@@ -136,10 +139,7 @@ int main(int argc, char** argv) {
   std::int64_t window_seconds = 0;
   {
     eval::WorldParams params = base;
-    params.checkpoint_dir.clear();
-    params.resume_from.clear();
     params.io_fault_plan = fault::IoFaultPlan{};
-    params.supervise = false;
     eval::World world(params);
     world.run_all(digest_hooks(clean_digest));
     clean_semantic = world.semantic_stats_json();
@@ -179,7 +179,6 @@ int main(int argc, char** argv) {
       eval::WorldParams params = base;
       params.checkpoint_dir = dir;
       params.io_fault_plan.seed = point.io_seed;
-      params.supervise = false;
       const TimePoint kill_time =
           TimePoint(kill_window * window_seconds);
       try {

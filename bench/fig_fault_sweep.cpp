@@ -126,8 +126,8 @@ int main(int argc, char** argv) {
   constexpr std::string_view kOwnFlags[] = {"kinds", "intensities",
                                             "fault-blackout-windows"};
   const bench::Flags flags(argc, argv,
-                           {bench::kWorldFlags, bench::kFanOutFlags,
-                            kOwnFlags});
+                           {bench::kWorldFlags, bench::kCheckpointFlags,
+                            bench::kFanOutFlags, kOwnFlags});
   // The sweep sets each arm's plan and gating itself, so it declares no
   // --fault-plan or --feed-health (bench::kFeedFaultFlags): either flag
   // exits 2 here rather than being overwritten by every arm.

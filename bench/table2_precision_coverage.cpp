@@ -224,8 +224,9 @@ int main(int argc, char** argv) {
                                             "monitor-stats", "cov-debug",
                                             "debug-fp"};
   const bench::Flags flags(argc, argv,
-                           {bench::kWorldFlags, bench::kFeedFaultFlags,
-                            bench::kFanOutFlags, kOwnFlags});
+                           {bench::kWorldFlags, bench::kCheckpointFlags,
+                            bench::kFeedFaultFlags, bench::kFanOutFlags,
+                            kOwnFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
   if (flags.get_bool("ablate-stationarity")) {
     params.subpath.zscore.drop_outliers_from_history = false;

@@ -1,8 +1,10 @@
 #include "detect/detector.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 namespace rrr::detect {
@@ -65,76 +67,55 @@ void ModifiedZScoreDetector::backfill(double value, std::size_t count) {
   while (history_.size() > params_.max_history) history_.pop_front();
 }
 
-BitmapDetector::BitmapDetector(const BitmapParams& params)
-    : params_(params),
-      values_(params.lag_window + params.lead_window),
-      scores_(kScoreHistoryCap) {}
-
-void BitmapDetector::backfill(double value, std::size_t count) {
-  std::size_t cap = params_.lag_window + params_.lead_window;
-  count = std::min(count, cap);
-  for (std::size_t i = 0; i < count; ++i) values_.push_back(value);
-  while (values_.size() > cap) values_.pop_front();
-  // Constant stretches produce zero-distance scores; reflect a few of them
-  // in the score history so the adaptive threshold stays calibrated.
-  std::size_t score_fill = std::min<std::size_t>(count, 8);
-  for (std::size_t i = 0; i < score_fill; ++i) {
-    if (values_.size() >= params_.min_history) {
-      scores_.push_back(bitmap_distance());
-      if (scores_.size() > kScoreHistoryCap) scores_.pop_front();
-    }
-  }
+void BitmapDetector::push_score(double score) {
+  scores_.push_back(score);
+  if (scores_.size() > kScoreHistoryCap) scores_.pop_front();
 }
 
-int BitmapDetector::discretize(double value) const {
-  // z-normalize against the retained window, then apply the standard SAX
-  // breakpoints for a 4-symbol alphabet: -0.6745, 0, 0.6745.
-  double mean = 0.0;
-  for (double v : values_) mean += v;
-  mean /= static_cast<double>(values_.size());
-  double var = 0.0;
-  for (double v : values_) var += (v - mean) * (v - mean);
-  var /= static_cast<double>(values_.size());
-  double sd = std::sqrt(var);
-  double z = sd > 1e-12 ? (value - mean) / sd : 0.0;
-  if (params_.alphabet == 4) {
-    if (z < -0.6745) return 0;
-    if (z < 0.0) return 1;
-    if (z < 0.6745) return 2;
-    return 3;
-  }
-  // General equiprobable breakpoints via the probit approximation.
-  double cdf = 0.5 * (1.0 + std::erf(z / std::sqrt(2.0)));
-  int symbol = static_cast<int>(cdf * static_cast<double>(params_.alphabet));
-  return std::clamp(symbol, 0, static_cast<int>(params_.alphabet) - 1);
+void BitmapDetector::backfill(double value, std::size_t count) {
+  count = std::min(count, kWindow);
+  for (std::size_t i = 0; i < count; ++i) values_.push_back(value);
+  while (values_.size() > kWindow) values_.pop_front();
+  // Constant stretches produce zero-distance scores; reflect a few of them
+  // in the score history so the adaptive threshold stays calibrated. The
+  // window does not change while they are recorded, so one score serves.
+  std::size_t score_fill = std::min<std::size_t>(count, 8);
+  if (score_fill == 0 || values_.size() < kMinHistory) return;
+  double score = bitmap_distance();
+  for (std::size_t i = 0; i < score_fill; ++i) push_score(score);
 }
 
 double BitmapDetector::bitmap_distance() const {
-  const std::size_t alphabet = params_.alphabet;
-  const std::size_t word = params_.word_length;
-  std::size_t cells = 1;
-  for (std::size_t i = 0; i < word; ++i) cells *= alphabet;
+  // z-normalize the retained window against its own mean and standard
+  // deviation, then apply the standard SAX breakpoints for a 4-symbol
+  // alphabet: -0.6745, 0, 0.6745.
+  static_assert(kAlphabet == 4 && kWordLength == 2);
+  const std::size_t n = values_.size();
+  double mean = 0.0;
+  for (double v : values_) mean += v;
+  mean /= static_cast<double>(n);
+  double var = 0.0;
+  for (double v : values_) var += (v - mean) * (v - mean);
+  var /= static_cast<double>(n);
+  double sd = std::sqrt(var);
 
-  // Discretize the full retained window once.
-  std::vector<int> symbols;
-  symbols.reserve(values_.size());
-  for (double v : values_) symbols.push_back(discretize(v));
+  std::array<std::uint8_t, kWindow> symbols{};
+  for (std::size_t i = 0; i < n; ++i) {
+    double z = sd > 1e-12 ? (values_[i] - mean) / sd : 0.0;
+    symbols[i] = z < -0.6745 ? 0 : z < 0.0 ? 1 : z < 0.6745 ? 2 : 3;
+  }
 
-  std::size_t lead = std::min(params_.lead_window, symbols.size());
-  std::size_t lag_begin = 0;
-  std::size_t lag_end = symbols.size() - lead;  // [lag_begin, lag_end)
-  if (lag_end - lag_begin < word || lead < word) return 0.0;
+  std::size_t lead = std::min(kLeadWindow, n);
+  std::size_t lag_end = n - lead;  // lag is [0, lag_end), lead the rest
+  if (lag_end < kWordLength || lead < kWordLength) return 0.0;
 
   auto fill_bitmap = [&](std::size_t begin, std::size_t end) {
-    std::vector<double> bitmap(cells, 0.0);
+    std::array<double, kCells> bitmap{};
     double max_count = 0.0;
-    for (std::size_t i = begin; i + word <= end; ++i) {
-      std::size_t cell = 0;
-      for (std::size_t j = 0; j < word; ++j) {
-        cell = cell * alphabet + static_cast<std::size_t>(symbols[i + j]);
-      }
-      bitmap[cell] += 1.0;
-      max_count = std::max(max_count, bitmap[cell]);
+    for (std::size_t i = begin; i + kWordLength <= end; ++i) {
+      double& cell = bitmap[symbols[i] * kAlphabet + symbols[i + 1]];
+      cell += 1.0;
+      max_count = std::max(max_count, cell);
     }
     if (max_count > 0.0) {
       for (double& c : bitmap) c /= max_count;
@@ -142,10 +123,10 @@ double BitmapDetector::bitmap_distance() const {
     return bitmap;
   };
 
-  std::vector<double> lag_bitmap = fill_bitmap(lag_begin, lag_end);
-  std::vector<double> lead_bitmap = fill_bitmap(lag_end, symbols.size());
+  std::array<double, kCells> lag_bitmap = fill_bitmap(0, lag_end);
+  std::array<double, kCells> lead_bitmap = fill_bitmap(lag_end, n);
   double distance = 0.0;
-  for (std::size_t i = 0; i < cells; ++i) {
+  for (std::size_t i = 0; i < kCells; ++i) {
     double d = lag_bitmap[i] - lead_bitmap[i];
     distance += d * d;
   }
@@ -155,10 +136,9 @@ double BitmapDetector::bitmap_distance() const {
 Judgement BitmapDetector::update(double value) {
   Judgement judgement;
   values_.push_back(value);
-  std::size_t cap = params_.lag_window + params_.lead_window;
-  if (values_.size() > cap) values_.pop_front();
+  if (values_.size() > kWindow) values_.pop_front();
 
-  if (values_.size() >= params_.min_history) {
+  if (values_.size() >= kMinHistory) {
     double score = bitmap_distance();
     judgement.score = score;
     if (scores_.size() >= 8) {
@@ -169,18 +149,14 @@ Judgement BitmapDetector::update(double value) {
       for (double s : scores_) var += (s - mean) * (s - mean);
       var /= static_cast<double>(scores_.size());
       double sd = std::sqrt(var);
-      double threshold = mean + params_.threshold_sigmas * std::max(sd, 1e-6);
+      double threshold = mean + kThresholdSigmas * std::max(sd, 1e-6);
       judgement.outlier = score > threshold && score > 1e-9;
     }
-    if (!judgement.outlier) {
-      scores_.push_back(score);
-      if (scores_.size() > kScoreHistoryCap) scores_.pop_front();
-    }
+    if (!judgement.outlier) push_score(score);
   }
 
-  if (judgement.outlier && params_.drop_outliers_from_history) {
-    values_.pop_back();
-  }
+  // Stationarity maintenance: a flagged value leaves the history.
+  if (judgement.outlier) values_.pop_back();
   return judgement;
 }
 
@@ -189,17 +165,16 @@ void save_ring(store::Encoder& enc, const Ring& values) {
   for (double v : values) enc.f64(v);
 }
 
-void load_ring(store::Decoder& dec, Ring& values) {
-  values.clear();
+void load_ring(store::Decoder& dec, Ring& values, std::size_t cap) {
   std::uint64_t n = dec.u64();
-  for (std::uint64_t i = 0; i < n; ++i) values.push_back(dec.f64());
-}
-
-std::unique_ptr<Detector> make_detector(DetectorKind kind) {
-  if (kind == DetectorKind::kBitmap) {
-    return std::make_unique<BitmapDetector>();
+  if (n > cap) {
+    throw store::StoreError(store::StoreError::Kind::kCorrupt,
+                            "detector history holds " + std::to_string(n) +
+                                " values, more than its cap of " +
+                                std::to_string(cap));
   }
-  return std::make_unique<ModifiedZScoreDetector>();
+  values.clear();
+  for (std::uint64_t i = 0; i < n; ++i) values.push_back(dec.f64());
 }
 
 }  // namespace rrr::detect

@@ -29,7 +29,7 @@ namespace rrr::detect {
 // capacity to the expected cap, so a full history costs exactly its
 // payload. Push/pop semantics and iteration order match the deque it
 // replaced; hitting the expected cap is not an error, growth just resumes
-// doubling (load_state may momentarily hold more than the cap).
+// doubling.
 class Ring {
  public:
   explicit Ring(std::size_t expected_cap)
@@ -144,8 +144,10 @@ class Detector {
 // Shared helpers for the detectors' history-ring state. The byte format
 // (u64 count + f64 values in order) is unchanged from the deque-backed
 // representation these replaced, so existing snapshots load as-is.
+// load_ring throws StoreError kCorrupt, before reading any value, when the
+// stored count exceeds `cap`, the most the detector ever retains.
 void save_ring(store::Encoder& enc, const Ring& values);
-void load_ring(store::Decoder& dec, Ring& values);
+void load_ring(store::Decoder& dec, Ring& values, std::size_t cap);
 
 // Modified z-score: M = 0.6745 (x - median) / MAD, outlier when |M| exceeds
 // the threshold (3.5 by convention). When the MAD degenerates to zero the
@@ -178,7 +180,7 @@ class ModifiedZScoreDetector final : public Detector {
     save_ring(enc, history_);
   }
   void load_state(store::Decoder& dec) override {
-    load_ring(dec, history_);
+    load_ring(dec, history_, params_.max_history);
   }
 
  private:
@@ -190,25 +192,27 @@ class ModifiedZScoreDetector final : public Detector {
 // bitmaps of subword frequencies over a lag (past) and lead (recent)
 // window, and score the current point by the normalized squared distance
 // between the two bitmaps. An observation is an outlier when its score
-// exceeds mean + threshold_sigmas * stddev of previous scores.
-struct BitmapParams {
-  std::size_t alphabet = 4;      // SAX symbols (fixed breakpoints for N(0,1))
-  std::size_t word_length = 2;   // subword size -> alphabet^word bitmap cells
-  std::size_t lag_window = 32;   // model of "normal" behaviour
-  std::size_t lead_window = 8;   // recent behaviour under test
-  double threshold_sigmas = 3.0;
-  std::size_t min_history = 20;
-  bool drop_outliers_from_history = true;
-};
-
+// exceeds mean + kThresholdSigmas * stddev of previous scores. Every BGP
+// series runs the one configuration below, so it is fixed at compile time
+// and sizes the scoring kernel's stack buffers.
 class BitmapDetector final : public Detector {
  public:
-  explicit BitmapDetector(const BitmapParams& params = {});
+  static constexpr std::size_t kWindow = 40;     // lag ("normal") + lead
+  static constexpr std::size_t kLeadWindow = 8;  // recent behaviour under test
+  static constexpr std::size_t kAlphabet = 4;    // SAX symbols for N(0,1)
+  static constexpr std::size_t kWordLength = 2;  // subword size
+  static constexpr std::size_t kCells = kAlphabet * kAlphabet;  // alphabet^word
+  static constexpr double kThresholdSigmas = 3.0;
+  static constexpr std::size_t kMinHistory = 20;
+  // Retained past anomaly scores for the adaptive threshold.
+  static constexpr std::size_t kScoreHistoryCap = 128;
+
+  BitmapDetector() : values_(kWindow), scores_(kScoreHistoryCap) {}
 
   Judgement update(double value) override;
   void backfill(double value, std::size_t count) override;
   std::unique_ptr<Detector> clone_config() const override {
-    return std::make_unique<BitmapDetector>(params_);
+    return std::make_unique<BitmapDetector>();
   }
   void reset() override {
     values_.clear();
@@ -220,24 +224,16 @@ class BitmapDetector final : public Detector {
     save_ring(enc, scores_);
   }
   void load_state(store::Decoder& dec) override {
-    load_ring(dec, values_);
-    load_ring(dec, scores_);
+    load_ring(dec, values_, kWindow);
+    load_ring(dec, scores_, kScoreHistoryCap);
   }
 
-  // Retained past anomaly scores for the adaptive threshold.
-  static constexpr std::size_t kScoreHistoryCap = 128;
-
  private:
-  int discretize(double value) const;
   double bitmap_distance() const;
+  void push_score(double score);
 
-  BitmapParams params_;
   Ring values_;   // lag + lead raw values (outliers dropped)
   Ring scores_;   // past anomaly scores for thresholding
 };
-
-enum class DetectorKind : std::uint8_t { kBitmap, kModifiedZScore };
-
-std::unique_ptr<Detector> make_detector(DetectorKind kind);
 
 }  // namespace rrr::detect

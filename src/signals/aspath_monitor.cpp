@@ -1,6 +1,7 @@
 #include "signals/aspath_monitor.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "runtime/parallel.h"
 #include "signals/feed_health.h"
@@ -69,7 +70,7 @@ void AsPathMonitor::watch(const CorpusView& view, PotentialIndex& index) {
     by_dst_[view.key.dst].push_back(raw);
     dst_index_.add(view.key.dst);
     by_potential_[raw->id] = raw;
-    auto [num, den] = counts(*raw);
+    auto [num, den] = standing_counts(*raw);
     raw->baseline_ratio =
         den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 1.0;
     // Seed the series with a warm history of the standing ratio: the feed
@@ -128,16 +129,13 @@ bool AsPathMonitor::path_counts(const Entry& entry, const AsPath& path,
   return true;
 }
 
-std::pair<int, int> AsPathMonitor::counts(const Entry& entry) const {
+std::pair<int, int> AsPathMonitor::standing_counts(const Entry& entry) const {
   int num = 0;
   int den = 0;
   for (bgp::VpId vp : entry.v0) {
     const bgp::VpRoute* standing = context_.table->route(vp, entry.pair.dst);
     if (standing != nullptr && !standing->path.empty()) {
       path_counts(entry, standing->path, num, den);
-    }
-    for (const auto& [uvp, path] : entry.window_updates) {
-      if (uvp == vp && !path.empty()) path_counts(entry, path, num, den);
     }
   }
   return {num, den};
@@ -157,7 +155,17 @@ AsPathMonitor::EvalResult AsPathMonitor::evaluate(Entry* entry,
                                                   std::int64_t window,
                                                   TimePoint window_end) {
   EvalResult result;
-  auto [num, den] = counts(*entry);
+  if (entry->standing_den < 0) {
+    std::tie(entry->standing_num, entry->standing_den) =
+        standing_counts(*entry);
+  }
+  // Standing routes plus every update buffered this window; on_record
+  // buffers only V0's updates.
+  int num = entry->standing_num;
+  int den = entry->standing_den;
+  for (const auto& [vp, path] : entry->window_updates) {
+    if (!path.empty()) path_counts(*entry, path, num, den);
+  }
   entry->window_updates.clear();
   if (den == 0) return result;  // missing window (§4.1.2)
   double ratio = static_cast<double>(num) / static_cast<double>(den);
@@ -248,6 +256,11 @@ std::vector<StalenessSignal> AsPathMonitor::close_window(
   for (Entry* entry : requeued) enqueue(entry);
   for (Entry* entry : dirty) enqueue(entry);
   for (Entry* entry : hot) enqueue(entry);
+  // The engine absorbs this window's records after the close, and each of
+  // them reached on_record first, so only the dirty entries' standing
+  // routes can change: their cached counts go stale here, after both
+  // phases have read them.
+  for (Entry* entry : dirty) entry->standing_den = -1;
   return signals;
 }
 
@@ -376,7 +389,7 @@ bool AsPathMonitor::reverted(PotentialId id) const {
   const Entry& entry = *it->second;
   // Reverted when the standing routes reproduce the ratio seen at watch
   // time (the window-update buffer is empty between windows).
-  auto [num, den] = counts(entry);
+  auto [num, den] = standing_counts(entry);
   if (den == 0) return false;
   double ratio = static_cast<double>(num) / static_cast<double>(den);
   return std::abs(ratio - entry.baseline_ratio) < 1e-9;

@@ -45,7 +45,8 @@ class AsPathMonitor final : public BgpMonitor {
   // are serialized as ordered id lists rather than rebuilt, because their
   // order (set by unordered_map-driven insertion at watch/dispatch time)
   // feeds the close-path work lists and therefore the canonical signal
-  // merge. dst_index_ and by_potential_ are derived and rebuilt on load.
+  // merge. dst_index_ and by_potential_ are derived and rebuilt on load;
+  // the cached standing counts are recomputed from the table on first use.
   void save_state(store::Encoder& enc) const;
   void load_state(store::Decoder& dec);
 
@@ -68,15 +69,19 @@ class AsPathMonitor final : public BgpMonitor {
     // of a shifted level before the bitmap distance peaks, so a value
     // change keeps the entry "hot" for a few windows.
     int hot_windows = 0;
+    // Cached standing_counts(), reused by evaluate() until V0's routes can
+    // have changed; standing_den < 0 means not computed. Not serialized.
+    int standing_num = 0;
+    int standing_den = -1;
     // Update paths observed in the open window, per VP. Interned handles:
     // buffering an update is an id copy, and the checkpoint codec resolves
     // to content on write (bytes unchanged) / re-interns on read.
     std::vector<std::pair<bgp::VpId, InternedPath>> window_updates;
   };
 
-  // Computes (match, intersect) counts for `entry` from standing routes and
-  // its buffered window updates.
-  std::pair<int, int> counts(const Entry& entry) const;
+  // (match, intersect) counts over the standing routes of `entry`'s V0,
+  // read from the table.
+  std::pair<int, int> standing_counts(const Entry& entry) const;
   static bool path_counts(const Entry& entry, const AsPath& path, int& num,
                           int& den);
   void fill_meta(const Entry& entry, double score, SignalMeta& meta) const;

@@ -3,6 +3,10 @@
 // simulator, so every suppression rule has a deterministic witness.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
+#include "netbase/rng.h"
 #include "signals/aspath_monitor.h"
 #include "signals/burst_monitor.h"
 #include "signals/community_monitor.h"
@@ -115,6 +119,109 @@ TEST_F(BgpMonitorFixture, AsPathMonitorPinsV0AndDetectsSuffixShift) {
     }
   }
   EXPECT_TRUE(flagged);
+}
+
+std::string describe(const StalenessSignal& signal) {
+  return signal.to_string() + " potential=" +
+         std::to_string(signal.potential) + " deviation=" +
+         std::to_string(std::bit_cast<std::uint64_t>(signal.meta.deviation));
+}
+
+std::string saved(const AsPathMonitor& monitor) {
+  store::Encoder enc;
+  monitor.save_state(enc);
+  return enc.take();
+}
+
+// The AS-path monitor reuses each entry's standing-route counts until a
+// window's records dirty the entry. Driven in the engine's order (dispatch
+// to on_record, close, then absorb into the table), a monitor keeping its
+// cache must match one rebuilt from its snapshot before every close, whose
+// counts therefore always come from the table.
+TEST_F(BgpMonitorFixture, AsPathStandingCountsFollowTheTableInEngineOrder) {
+  std::vector<CorpusView> views = {view_};
+  for (const char* dst : {"10.1.5.9", "10.1.200.3"}) {
+    CorpusView view = view_;
+    view.key.dst = *Ipv4::parse(dst);
+    views.push_back(view);
+  }
+  AsPathMonitor cached(context_);
+  AsPathMonitor rebuilt(context_);
+  PotentialIndex cached_index;
+  PotentialIndex rebuilt_index;
+  for (const CorpusView& view : views) {
+    cached.watch(view, cached_index);
+    rebuilt.watch(view, rebuilt_index);
+  }
+  ASSERT_EQ(saved(cached), saved(rebuilt));
+
+  // Announcements and withdrawals for the covering /16, a /17 and /24
+  // more-specifics splitting the watched destinations, and a /25 the
+  // table refuses. Paths keep the suffix, shift it, or enter deeper.
+  const char* prefixes[] = {"10.1.0.0/16", "10.1.0.0/17", "10.1.0.0/24",
+                            "10.1.5.0/24", "10.1.200.0/24", "10.1.0.0/25"};
+  auto path_for = [](bgp::VpId vp, std::int64_t shape) -> AsPath {
+    Asn self(900 + vp);
+    switch (shape) {
+      case 0: return {self, Asn(20), Asn(30), Asn(40)};
+      case 1: return {self, Asn(20), Asn(35), Asn(40)};
+      case 2: return {self, Asn(30), Asn(40)};
+      case 3: return {self, Asn(55), Asn(20), Asn(30), Asn(40)};
+      default: return {self, Asn(77)};
+    }
+  };
+  Rng rng(0xA5F1);
+  std::size_t signal_count = 0;
+  std::size_t quiet_windows = 0;
+  for (std::int64_t w = kWatchWindow + 1; w <= kWatchWindow + 200; ++w) {
+    SCOPED_TRACE("window " + std::to_string(w));
+    // About one window in three is quiet, so hot entries re-score from
+    // their cached counts alone.
+    std::vector<bgp::BgpRecord> records;
+    if (rng.bernoulli(0.65)) {
+      std::int64_t n = rng.uniform_int(1, 4);
+      for (std::int64_t i = 0; i < n; ++i) {
+        auto vp = static_cast<bgp::VpId>(rng.uniform_int(0, 3));
+        bgp::BgpRecord record =
+            update(vp, path_for(vp, rng.uniform_int(0, 4)), {}, w * 900);
+        record.prefix = *Prefix::parse(
+            prefixes[rng.uniform_int(0, std::size(prefixes) - 1)]);
+        if (rng.bernoulli(0.3)) {
+          record.type = bgp::RecordType::kWithdrawal;
+          record.as_path = AsPath{};
+        }
+        records.push_back(std::move(record));
+      }
+    } else {
+      ++quiet_windows;
+    }
+
+    for (const bgp::BgpRecord& record : records) {
+      DispatchedRecord d = dispatch(record);
+      cached.on_record(d, w);
+      rebuilt.on_record(d, w);
+    }
+    {
+      std::string bytes = saved(rebuilt);
+      store::Decoder dec(bytes);
+      rebuilt.load_state(dec);
+      ASSERT_TRUE(dec.done());
+    }
+    std::vector<StalenessSignal> got =
+        cached.close_window(w, TimePoint(w * 900));
+    std::vector<StalenessSignal> want =
+        rebuilt.close_window(w, TimePoint(w * 900));
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(describe(got[i]), describe(want[i]));
+    }
+    ASSERT_EQ(saved(cached), saved(rebuilt));
+    signal_count += got.size();
+    for (const bgp::BgpRecord& record : records) table_.apply(record);
+  }
+  // The schedule must exercise both the signal path and cache-only windows.
+  EXPECT_GT(signal_count, 0u);
+  EXPECT_GT(quiet_windows, 40u);
 }
 
 TEST_F(BgpMonitorFixture, CommunityChangeSamePathSignals) {

@@ -1,8 +1,18 @@
 // Unit tests for the outlier detectors and series helpers (src/detect).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "detect/detector.h"
 #include "detect/series.h"
+#include "netbase/rng.h"
 
 namespace rrr::detect {
 namespace {
@@ -90,6 +100,238 @@ TEST(Bitmap, BackfillKeepsThresholdCalibrated) {
     if (detector.update(0.0).outlier) flagged = true;
   }
   EXPECT_TRUE(flagged);
+}
+
+// The Bitmap detector as first written: discretize() re-derives the
+// window's mean and deviation for every value it symbolizes, the bitmaps
+// are heap vectors and backfill() re-scores its unchanged window for each
+// score it records. Kept as the oracle for the one-pass kernel, which must
+// match it bit for bit.
+class ReferenceBitmap {
+ public:
+  Judgement update(double value) {
+    Judgement judgement;
+    values_.push_back(value);
+    if (values_.size() > kWindow) values_.pop_front();
+    if (values_.size() >= kMinHistory) {
+      double score = bitmap_distance();
+      judgement.score = score;
+      if (scores_.size() >= 8) {
+        double mean = 0.0;
+        for (double s : scores_) mean += s;
+        mean /= static_cast<double>(scores_.size());
+        double var = 0.0;
+        for (double s : scores_) var += (s - mean) * (s - mean);
+        var /= static_cast<double>(scores_.size());
+        double sd = std::sqrt(var);
+        double threshold = mean + 3.0 * std::max(sd, 1e-6);
+        judgement.outlier = score > threshold && score > 1e-9;
+      }
+      if (!judgement.outlier) {
+        scores_.push_back(score);
+        if (scores_.size() > kScoreCap) scores_.pop_front();
+      }
+    }
+    if (judgement.outlier) values_.pop_back();
+    return judgement;
+  }
+
+  void backfill(double value, std::size_t count) {
+    count = std::min(count, kWindow);
+    for (std::size_t i = 0; i < count; ++i) values_.push_back(value);
+    while (values_.size() > kWindow) values_.pop_front();
+    std::size_t score_fill = std::min<std::size_t>(count, 8);
+    for (std::size_t i = 0; i < score_fill; ++i) {
+      if (values_.size() >= kMinHistory) {
+        scores_.push_back(bitmap_distance());
+        if (scores_.size() > kScoreCap) scores_.pop_front();
+      }
+    }
+  }
+
+  // The detectors' snapshot format: each history as u64 count + f64s.
+  std::string save_state() const {
+    store::Encoder enc;
+    for (const std::deque<double>* ring : {&values_, &scores_}) {
+      enc.u64(ring->size());
+      for (double v : *ring) enc.f64(v);
+    }
+    return enc.take();
+  }
+
+ private:
+  static constexpr std::size_t kWindow = 40;
+  static constexpr std::size_t kLeadWindow = 8;
+  static constexpr std::size_t kAlphabet = 4;
+  static constexpr std::size_t kWord = 2;
+  static constexpr std::size_t kMinHistory = 20;
+  static constexpr std::size_t kScoreCap = 128;
+
+  int discretize(double value) const {
+    double mean = 0.0;
+    for (double v : values_) mean += v;
+    mean /= static_cast<double>(values_.size());
+    double var = 0.0;
+    for (double v : values_) var += (v - mean) * (v - mean);
+    var /= static_cast<double>(values_.size());
+    double sd = std::sqrt(var);
+    double z = sd > 1e-12 ? (value - mean) / sd : 0.0;
+    if (z < -0.6745) return 0;
+    if (z < 0.0) return 1;
+    if (z < 0.6745) return 2;
+    return 3;
+  }
+
+  double bitmap_distance() const {
+    std::size_t cells = 1;
+    for (std::size_t i = 0; i < kWord; ++i) cells *= kAlphabet;
+    std::vector<int> symbols;
+    for (double v : values_) symbols.push_back(discretize(v));
+    std::size_t lead = std::min(kLeadWindow, symbols.size());
+    std::size_t lag_end = symbols.size() - lead;
+    if (lag_end < kWord || lead < kWord) return 0.0;
+    auto fill_bitmap = [&](std::size_t begin, std::size_t end) {
+      std::vector<double> bitmap(cells, 0.0);
+      double max_count = 0.0;
+      for (std::size_t i = begin; i + kWord <= end; ++i) {
+        std::size_t cell = 0;
+        for (std::size_t j = 0; j < kWord; ++j) {
+          cell = cell * kAlphabet + static_cast<std::size_t>(symbols[i + j]);
+        }
+        bitmap[cell] += 1.0;
+        max_count = std::max(max_count, bitmap[cell]);
+      }
+      if (max_count > 0.0) {
+        for (double& c : bitmap) c /= max_count;
+      }
+      return bitmap;
+    };
+    std::vector<double> lag_bitmap = fill_bitmap(0, lag_end);
+    std::vector<double> lead_bitmap = fill_bitmap(lag_end, symbols.size());
+    double distance = 0.0;
+    for (std::size_t i = 0; i < cells; ++i) {
+      double d = lag_bitmap[i] - lead_bitmap[i];
+      distance += d * d;
+    }
+    return distance;
+  }
+
+  std::deque<double> values_;
+  std::deque<double> scores_;
+};
+
+std::string saved(const Detector& detector) {
+  store::Encoder enc;
+  detector.save_state(enc);
+  return enc.take();
+}
+
+TEST(Bitmap, OnePassKernelMatchesReferenceBitForBit) {
+  using Source = std::function<double(Rng&, int)>;
+  const std::vector<std::pair<const char*, Source>> shapes = {
+      {"noise", [](Rng& rng, int) { return rng.uniform(); }},
+      {"constant", [](Rng&, int) { return 0.75; }},
+      {"step up, then down", [](Rng& rng, int i) {
+         return (i >= 60 && i < 180 ? 0.9 : 0.2) + 0.01 * rng.uniform();
+       }},
+      {"step down, then up",
+       [](Rng&, int i) { return i >= 45 && i < 200 ? 0.0 : 1.0; }},
+      {"alternating", [](Rng&, int i) { return i % 2 == 0 ? 0.48 : 0.52; }},
+      {"sparse spikes", [](Rng& rng, int) {
+         return rng.bernoulli(0.05) ? 5.0 + rng.uniform() : 0.0;
+       }},
+  };
+  const std::size_t fills[] = {1, 7, 8, 30, 100};
+  Rng rng(20050614);
+  std::size_t outliers = 0;
+  for (std::size_t shape = 0; shape < shapes.size(); ++shape) {
+    const auto& [name, source] = shapes[shape];
+    BitmapDetector fast;
+    ReferenceBitmap reference;
+    for (int step = 0; step < 400; ++step) {
+      SCOPED_TRACE(std::string(name) + ", step " + std::to_string(step));
+      // Every 23rd step, starting cold, backfills a run instead of
+      // updating; the fill lengths cycle from a per-shape phase so each
+      // one meets empty, partial and full histories.
+      if (step % 23 == 0) {
+        std::size_t count =
+            fills[(static_cast<std::size_t>(step / 23) + shape) %
+                  std::size(fills)];
+        double value = source(rng, step);
+        fast.backfill(value, count);
+        reference.backfill(value, count);
+      } else {
+        double value = source(rng, step);
+        Judgement got = fast.update(value);
+        Judgement want = reference.update(value);
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.score),
+                  std::bit_cast<std::uint64_t>(want.score));
+        ASSERT_EQ(got.outlier, want.outlier);
+        if (want.outlier) ++outliers;
+      }
+      ASSERT_EQ(saved(fast), reference.save_state());
+    }
+  }
+  // The series must also drive the flag-and-drop path.
+  EXPECT_GT(outliers, 0u);
+}
+
+// A snapshot whose history count exceeds the detector's cap is rejected
+// before any value is read; a count at the cap loads.
+TEST(DetectorSnapshot, RejectsHistoriesPastTheirCap) {
+  struct Row {
+    const char* name;
+    std::function<std::unique_ptr<Detector>()> make;
+    std::vector<std::uint64_t> counts;  // one per history ring, in order
+    bool accepted;
+  };
+  ZScoreParams short_history;
+  short_history.max_history = 30;
+  auto bitmap = [] { return std::make_unique<BitmapDetector>(); };
+  auto zscore = [] { return std::make_unique<ModifiedZScoreDetector>(); };
+  auto zscore30 = [short_history] {
+    return std::make_unique<ModifiedZScoreDetector>(short_history);
+  };
+  const std::vector<Row> rows = {
+      {"bitmap at caps", bitmap, {40, 128}, true},
+      {"bitmap values past 40", bitmap, {41, 0}, false},
+      {"bitmap scores past 128", bitmap, {40, 129}, false},
+      {"bitmap values huge", bitmap, {~std::uint64_t{0}, 0}, false},
+      {"zscore at 96", zscore, {96}, true},
+      {"zscore past 96", zscore, {97}, false},
+      {"zscore max_history 30, at 30", zscore30, {30}, true},
+      {"zscore max_history 30, past 30", zscore30, {31}, false},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    store::Encoder enc;
+    for (std::uint64_t count : row.counts) {
+      enc.u64(count);
+      // Every writable count is followed by its values, so a rejection
+      // cannot come from the payload running out; for the huge count the
+      // message check below tells the cap error from a short payload.
+      if (count <= 256) {
+        for (std::uint64_t i = 0; i < count; ++i) enc.f64(0.5);
+      }
+    }
+    std::string bytes = enc.take();
+    store::Decoder dec(bytes);
+    std::unique_ptr<Detector> detector = row.make();
+    if (row.accepted) {
+      detector->load_state(dec);
+      EXPECT_TRUE(dec.done());
+      EXPECT_EQ(detector->history_size(), row.counts.front());
+      continue;
+    }
+    try {
+      detector->load_state(dec);
+      ADD_FAILURE() << "oversize history loaded";
+    } catch (const store::StoreError& error) {
+      EXPECT_EQ(error.kind(), store::StoreError::Kind::kCorrupt);
+      EXPECT_NE(std::string(error.what()).find("cap"), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(LazySeries, CarryForwardFillsGaps) {

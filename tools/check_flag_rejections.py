@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Bench misconfiguration smoke test.
 
-Runs the fig11 archival-reuse harness, the serving sweep and the fault
-sweep with one bad setting at a time: a flag name the harness does not
-declare (misspelled, retired, or one the harness sets itself), a number
+Runs the fig11 archival-reuse harness, the serving sweep, the fault sweep
+and the chaos sweep with one bad setting at a time: a flag name the harness
+does not declare (misspelled, retired, or one the harness sets itself, such
+as the chaos sweep's per-grid-point checkpoint and resume flags), a number
 with trailing junk or that is not finite, a flag missing its value, an
 unparseable fault-plan or retry spec (as a flag or through the
 RRR_FAULT_PLAN / RRR_IO_FAULT_PLAN environment variables), and serving grid
@@ -13,7 +14,8 @@ flags are small, so a harness that wrongly accepts a case finishes quickly
 and fails the check.
 
 Usage: check_flag_rejections.py /path/to/fig11_archival_reuse \
-           /path/to/fig_serving_sweep /path/to/fig_fault_sweep
+           /path/to/fig_serving_sweep /path/to/fig_fault_sweep \
+           /path/to/fig_chaos_sweep
 Exits non-zero if any case is accepted or fails differently.
 """
 
@@ -33,7 +35,7 @@ def argv(binary, *bad):
     return [binary, *bad, *SMALL_WORLD]
 
 
-def cases(fig11, serving, fault_sweep):
+def cases(fig11, serving, fault_sweep, chaos_sweep):
     """(label, argv, extra environment, setting named on stderr)."""
     return [
         ("retired flag", argv(fig11, "--pipeline", "0"), {}, "--pipeline"),
@@ -67,11 +69,22 @@ def cases(fig11, serving, fault_sweep):
          "--intensities"),
         ("fault plan on the fault sweep",
          argv(fault_sweep, "--fault-plan", "drop=0.1"), {}, "--fault-plan"),
+        ("checkpoint dir on the chaos sweep",
+         argv(chaos_sweep, "--checkpoint-dir", "x"), {}, "--checkpoint-dir"),
+        ("checkpoint cadence on the chaos sweep",
+         argv(chaos_sweep, "--checkpoint-every", "2"), {},
+         "--checkpoint-every"),
+        ("resume on the chaos sweep", argv(chaos_sweep, "--resume", "x"), {},
+         "--resume"),
+        ("resume window on the chaos sweep",
+         argv(chaos_sweep, "--resume-window", "3"), {}, "--resume-window"),
+        ("supervise on the chaos sweep", argv(chaos_sweep, "--supervise"), {},
+         "--supervise"),
     ]
 
 
 def main():
-    if len(sys.argv) != 4:
+    if len(sys.argv) != 5:
         sys.exit(__doc__)
     base_env = {k: v for k, v in os.environ.items() if k not in ENV_SPECS}
     failures = 0
