@@ -13,7 +13,8 @@
 //   All            2,820,438          p=0.80  cov(all)=0.81  (AS 0.86, border 0.79)
 //
 // Flags: --days N --pairs N --dests N --public-rate N --seed N
-//        --ablate-stationarity (keep outlier windows in detector history)
+//        --ablate-stationarity (keep outlier windows in the subpath and
+//          border z-score histories; BGP Bitmap series always drop them)
 //        --per-day (also print the Figure 6 style daily series)
 //        --seeds N (independent replicates) --threads N (fan-out pool)
 //        --engine-threads N (parallel window closing inside each World)
@@ -228,10 +229,7 @@ int main(int argc, char** argv) {
                             bench::kFeedFaultFlags, bench::kFanOutFlags,
                             kOwnFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
-  if (flags.get_bool("ablate-stationarity")) {
-    params.subpath.zscore.drop_outliers_from_history = false;
-    params.border.zscore.drop_outliers_from_history = false;
-  }
+  params.trace_drop_outliers = !flags.get_bool("ablate-stationarity");
 
   eval::print_banner(
       std::cout, "Table 2", "precision & coverage per technique",

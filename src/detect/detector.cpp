@@ -56,7 +56,6 @@ Judgement ModifiedZScoreDetector::update(double value) {
   }
   if (!(judgement.outlier && params_.drop_outliers_from_history)) {
     history_.push_back(value);
-    if (history_.size() > params_.max_history) history_.pop_front();
   }
   return judgement;
 }
@@ -64,25 +63,18 @@ Judgement ModifiedZScoreDetector::update(double value) {
 void ModifiedZScoreDetector::backfill(double value, std::size_t count) {
   count = std::min(count, params_.max_history);
   for (std::size_t i = 0; i < count; ++i) history_.push_back(value);
-  while (history_.size() > params_.max_history) history_.pop_front();
-}
-
-void BitmapDetector::push_score(double score) {
-  scores_.push_back(score);
-  if (scores_.size() > kScoreHistoryCap) scores_.pop_front();
 }
 
 void BitmapDetector::backfill(double value, std::size_t count) {
   count = std::min(count, kWindow);
   for (std::size_t i = 0; i < count; ++i) values_.push_back(value);
-  while (values_.size() > kWindow) values_.pop_front();
   // Constant stretches produce zero-distance scores; reflect a few of them
   // in the score history so the adaptive threshold stays calibrated. The
   // window does not change while they are recorded, so one score serves.
   std::size_t score_fill = std::min<std::size_t>(count, 8);
   if (score_fill == 0 || values_.size() < kMinHistory) return;
   double score = bitmap_distance();
-  for (std::size_t i = 0; i < score_fill; ++i) push_score(score);
+  for (std::size_t i = 0; i < score_fill; ++i) scores_.push_back(score);
 }
 
 double BitmapDetector::bitmap_distance() const {
@@ -136,7 +128,6 @@ double BitmapDetector::bitmap_distance() const {
 Judgement BitmapDetector::update(double value) {
   Judgement judgement;
   values_.push_back(value);
-  if (values_.size() > kWindow) values_.pop_front();
 
   if (values_.size() >= kMinHistory) {
     double score = bitmap_distance();
@@ -152,7 +143,7 @@ Judgement BitmapDetector::update(double value) {
       double threshold = mean + kThresholdSigmas * std::max(sd, 1e-6);
       judgement.outlier = score > threshold && score > 1e-9;
     }
-    if (!judgement.outlier) push_score(score);
+    if (!judgement.outlier) scores_.push_back(score);
   }
 
   // Stationarity maintenance: a flagged value leaves the history.
@@ -165,13 +156,13 @@ void save_ring(store::Encoder& enc, const Ring& values) {
   for (double v : values) enc.f64(v);
 }
 
-void load_ring(store::Decoder& dec, Ring& values, std::size_t cap) {
+void load_ring(store::Decoder& dec, Ring& values) {
   std::uint64_t n = dec.u64();
-  if (n > cap) {
+  if (n > values.max_size()) {
     throw store::StoreError(store::StoreError::Kind::kCorrupt,
                             "detector history holds " + std::to_string(n) +
                                 " values, more than its cap of " +
-                                std::to_string(cap));
+                                std::to_string(values.max_size()));
   }
   values.clear();
   for (std::uint64_t i = 0; i < n; ++i) values.push_back(dec.f64());

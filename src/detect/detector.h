@@ -3,7 +3,7 @@
 // The paper uses two detectors: the Bitmap algorithm (Wei et al., SSDBM
 // 2005) for BGP-derived series (§4.1.2) and the modified z-score
 // (Iglewicz & Hoaglin) for the noisier traceroute-derived series (§4.2.1).
-// Both are wrapped behind a streaming interface that (a) withholds
+// Both share one streaming shape (below) that (a) withholds
 // judgement until a minimum history exists (20 observations, the
 // recommended floor for robust outlier detection) and (b) removes flagged
 // windows from the history so persistent changes keep registering as
@@ -25,35 +25,34 @@ namespace rrr::detect {
 // engine holds one detector per watched (pair, suffix) entry — tens of
 // thousands at 10x corpus scale — and a std::deque<double> pre-allocates a
 // ~512-byte node plus its pointer map even when empty, which dominated the
-// monitors' resident set. The ring grows geometrically and clamps its
-// capacity to the expected cap, so a full history costs exactly its
-// payload. Push/pop semantics and iteration order match the deque it
-// replaced; hitting the expected cap is not an error, growth just resumes
-// doubling.
+// monitors' resident set. The buffer grows geometrically and its capacity
+// clamps to the cap, so a full history costs exactly its payload; pushing
+// onto a full ring drops its front value. Iteration runs front to back, as
+// in the deque it replaced.
 class Ring {
  public:
-  explicit Ring(std::size_t expected_cap)
-      : hint_(expected_cap == 0 ? 1 : expected_cap) {}
+  explicit Ring(std::size_t cap) : max_(cap == 0 ? 1 : cap) {}
 
   std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
+  std::size_t capacity() const { return cap_; }  // allocated slots
+  std::size_t max_size() const { return max_; }  // the cap
   void clear() {
     head_ = 0;
     size_ = 0;
   }
 
   double operator[](std::size_t i) const { return data_[slot(i)]; }
-  double front() const { return data_[head_]; }
-  double back() const { return data_[slot(size_ - 1)]; }
 
   void push_back(double value) {
+    if (size_ == max_) {
+      // Full: the front slot takes the value and becomes the back.
+      data_[head_] = value;
+      head_ = head_ + 1 == cap_ ? 0 : head_ + 1;
+      return;
+    }
     if (size_ == cap_) grow();
     data_[slot(size_)] = value;
     ++size_;
-  }
-  void pop_front() {
-    head_ = head_ + 1 == cap_ ? 0 : head_ + 1;
-    --size_;
   }
   void pop_back() { --size_; }
 
@@ -96,8 +95,7 @@ class Ring {
     return s >= cap_ ? s - cap_ : s;
   }
   void grow() {
-    std::size_t next = cap_ == 0 ? std::min<std::size_t>(hint_, 8) : cap_ * 2;
-    if (cap_ < hint_ && next > hint_) next = hint_;
+    std::size_t next = std::min(cap_ == 0 ? 8 : cap_ * 2, max_);
     auto fresh = std::make_unique<double[]>(next);
     for (std::size_t i = 0; i < size_; ++i) fresh[i] = data_[slot(i)];
     data_ = std::move(fresh);
@@ -106,7 +104,7 @@ class Ring {
   }
 
   std::unique_ptr<double[]> data_;
-  std::size_t hint_;
+  std::size_t max_;
   std::size_t cap_ = 0;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
@@ -117,37 +115,22 @@ struct Judgement {
   double score = 0.0;  // detector-specific magnitude (z-score / distance)
 };
 
-class Detector {
- public:
-  virtual ~Detector() = default;
-  // Feeds the next observed value (missing windows are simply not fed).
-  virtual Judgement update(double value) = 0;
-  // Fast path for long runs of an identical value: appends `count`
-  // repetitions to the history without computing judgements. Signal series
-  // are constant in the vast majority of windows, so callers batch those
-  // windows and only pay for judgement when the value moves.
-  virtual void backfill(double value, std::size_t count) = 0;
-  // Fresh detector with the same configuration.
-  virtual std::unique_ptr<Detector> clone_config() const = 0;
-  // Drops all state, keeping configuration.
-  virtual void reset() = 0;
-
-  virtual std::size_t history_size() const = 0;
-
-  // Checkpoint support: dynamic state only (configuration is supplied by
-  // the owner at construction, exactly as in a fresh run). A loaded
-  // detector judges subsequent observations bit-identically.
-  virtual void save_state(store::Encoder& enc) const = 0;
-  virtual void load_state(store::Decoder& dec) = 0;
-};
-
 // Shared helpers for the detectors' history-ring state. The byte format
 // (u64 count + f64 values in order) is unchanged from the deque-backed
 // representation these replaced, so existing snapshots load as-is.
 // load_ring throws StoreError kCorrupt, before reading any value, when the
-// stored count exceeds `cap`, the most the detector ever retains.
+// stored count exceeds the ring's cap, the most the detector ever retains.
 void save_ring(store::Encoder& enc, const Ring& values);
-void load_ring(store::Decoder& dec, Ring& values, std::size_t cap);
+void load_ring(store::Decoder& dec, Ring& values);
+
+// Both detectors share one streaming shape. update() feeds the next
+// observed value (missing windows are simply not fed) and judges it.
+// backfill() appends `count` repetitions of a value without judging them:
+// signal series are constant in the vast majority of windows, so callers
+// batch those windows and only pay for judgement when the value moves.
+// save_state()/load_state() carry the dynamic state only; the owner
+// supplies the configuration at construction, exactly as in a fresh run,
+// and a loaded detector judges later observations bit-identically.
 
 // Modified z-score: M = 0.6745 (x - median) / MAD, outlier when |M| exceeds
 // the threshold (3.5 by convention). When the MAD degenerates to zero the
@@ -164,24 +147,17 @@ struct ZScoreParams {
   double min_abs_deviation = 0.0;
 };
 
-class ModifiedZScoreDetector final : public Detector {
+class ModifiedZScoreDetector {
  public:
   explicit ModifiedZScoreDetector(const ZScoreParams& params = {})
       : params_(params), history_(params.max_history) {}
 
-  Judgement update(double value) override;
-  void backfill(double value, std::size_t count) override;
-  std::unique_ptr<Detector> clone_config() const override {
-    return std::make_unique<ModifiedZScoreDetector>(params_);
-  }
-  void reset() override { history_.clear(); }
-  std::size_t history_size() const override { return history_.size(); }
-  void save_state(store::Encoder& enc) const override {
-    save_ring(enc, history_);
-  }
-  void load_state(store::Decoder& dec) override {
-    load_ring(dec, history_, params_.max_history);
-  }
+  Judgement update(double value);
+  void backfill(double value, std::size_t count);
+  // Drops the history, keeping the configuration.
+  void reset() { history_.clear(); }
+  void save_state(store::Encoder& enc) const { save_ring(enc, history_); }
+  void load_state(store::Decoder& dec) { load_ring(dec, history_); }
 
  private:
   ZScoreParams params_;
@@ -195,7 +171,7 @@ class ModifiedZScoreDetector final : public Detector {
 // exceeds mean + kThresholdSigmas * stddev of previous scores. Every BGP
 // series runs the one configuration below, so it is fixed at compile time
 // and sizes the scoring kernel's stack buffers.
-class BitmapDetector final : public Detector {
+class BitmapDetector {
  public:
   static constexpr std::size_t kWindow = 40;     // lag ("normal") + lead
   static constexpr std::size_t kLeadWindow = 8;  // recent behaviour under test
@@ -209,28 +185,19 @@ class BitmapDetector final : public Detector {
 
   BitmapDetector() : values_(kWindow), scores_(kScoreHistoryCap) {}
 
-  Judgement update(double value) override;
-  void backfill(double value, std::size_t count) override;
-  std::unique_ptr<Detector> clone_config() const override {
-    return std::make_unique<BitmapDetector>();
-  }
-  void reset() override {
-    values_.clear();
-    scores_.clear();
-  }
-  std::size_t history_size() const override { return values_.size(); }
-  void save_state(store::Encoder& enc) const override {
+  Judgement update(double value);
+  void backfill(double value, std::size_t count);
+  void save_state(store::Encoder& enc) const {
     save_ring(enc, values_);
     save_ring(enc, scores_);
   }
-  void load_state(store::Decoder& dec) override {
-    load_ring(dec, values_, kWindow);
-    load_ring(dec, scores_, kScoreHistoryCap);
+  void load_state(store::Decoder& dec) {
+    load_ring(dec, values_);
+    load_ring(dec, scores_);
   }
 
  private:
   double bitmap_distance() const;
-  void push_score(double score);
 
   Ring values_;   // lag + lead raw values (outliers dropped)
   Ring scores_;   // past anomaly scores for thresholding

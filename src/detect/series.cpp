@@ -6,18 +6,10 @@ Judgement LazySeries::feed(std::int64_t window, double value) {
   if (has_last_ && window <= last_window_) return {};
   std::int64_t gap = has_last_ ? window - last_window_ - 1 : 0;
   if (gap > 0) {
-    switch (gap_) {
-      case GapPolicy::kCarryLast:
-        detector_->backfill(last_value_, static_cast<std::size_t>(gap));
-        break;
-      case GapPolicy::kZero:
-        detector_->backfill(0.0, static_cast<std::size_t>(gap));
-        break;
-      case GapPolicy::kMissing:
-        break;
-    }
+    detector_.backfill(gap_ == GapPolicy::kCarryLast ? last_value_ : 0.0,
+                       static_cast<std::size_t>(gap));
   }
-  Judgement judgement = detector_->update(value);
+  Judgement judgement = detector_.update(value);
   last_window_ = window;
   last_value_ = value;
   has_last_ = true;
@@ -28,7 +20,7 @@ void AdaptiveRatioSeries::escalate() {
   std::int64_t next = std::min(multiplier_ * 2, max_multiplier_);
   bool exact_double = next == multiplier_ * 2;
   consecutive_ = 0;
-  detector_->reset();
+  detector_.reset();
   if (current_agg_ != std::numeric_limits<std::int64_t>::min()) {
     if (exact_double) {
       current_agg_ /= 2;  // pending counts fold into the doubled window
@@ -81,7 +73,7 @@ std::vector<ClosedRatioWindow> AdaptiveRatioSeries::close_through(
     if (populated) {
       double ratio = static_cast<double>(pending_num_) /
                      static_cast<double>(pending_den_);
-      Judgement judgement = detector_->update(ratio);
+      Judgement judgement = detector_.update(ratio);
       ++consecutive_;
       if (!armed_ && consecutive_ >= kMinConsecutive) armed_ = true;
       if (armed_) {
@@ -121,7 +113,7 @@ std::vector<ClosedRatioWindow> AdaptiveRatioSeries::close_through(
       }
       // At maximum window size and still gappy.
       dormant_ = true;
-      detector_->reset();
+      detector_.reset();
     }
     ++next_agg_;
   }

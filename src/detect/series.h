@@ -1,20 +1,21 @@
 // Windowed signal series on top of the detectors.
 //
-// Two concerns live here. First, signal series are constant in almost every
+// One series kind per detector. BGP series are constant in almost every
 // window (routes rarely change), so `LazySeries` run-length-compresses the
-// constant stretches: a monitor only touches a series in windows where its
-// value could have moved, and gaps are reconstructed according to a gap
-// policy (carry the last value, fill zeroes, or treat as missing).
+// constant stretches of a Bitmap-judged series (§4.1.2): a monitor only
+// touches a series in windows where its value could have moved, and gaps
+// are reconstructed according to a gap policy (carry the last value, or
+// fill zeroes).
 //
-// Second, public-traceroute series have wildly varying densities per
-// subpath. §4.2.1 requires at least 20 consecutive windows with data and
-// picks the smallest window duration (15 minutes to 24 hours) achieving
-// that; `AdaptiveRatioSeries` implements exactly that escalation.
+// Public-traceroute series have wildly varying densities per subpath.
+// §4.2.1 requires at least 20 consecutive windows with data and picks the
+// smallest window duration (15 minutes to 24 hours) achieving that;
+// `AdaptiveRatioSeries` implements exactly that escalation and judges each
+// closed window's match ratio with the modified z-score.
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "detect/detector.h"
@@ -24,13 +25,11 @@ namespace rrr::detect {
 enum class GapPolicy : std::uint8_t {
   kCarryLast,  // value persists through unfed windows (standing BGP routes)
   kZero,       // unfed windows are zeroes (update counts)
-  kMissing,    // unfed windows carry no information (sparse traceroutes)
 };
 
 class LazySeries {
  public:
-  LazySeries(std::unique_ptr<Detector> detector, GapPolicy gap)
-      : detector_(std::move(detector)), gap_(gap) {}
+  explicit LazySeries(GapPolicy gap) : gap_(gap) {}
 
   // Feeds the value for `window`; windows must be fed in increasing order.
   // Returns the detector's judgement of this value (never of gap filler).
@@ -40,7 +39,7 @@ class LazySeries {
   // windows ending at `window` (monitoring data predates the watch: §5
   // starts BGP collection two days before the corpus).
   void seed(std::int64_t window, double value, std::size_t history) {
-    detector_->backfill(value, history);
+    detector_.backfill(value, history);
     last_window_ = window;
     last_value_ = value;
     has_last_ = true;
@@ -49,25 +48,24 @@ class LazySeries {
   bool has_last() const { return has_last_; }
   double last_value() const { return last_value_; }
   std::int64_t last_window() const { return last_window_; }
-  std::size_t history_size() const { return detector_->history_size(); }
 
   // Checkpoint support: dynamic state only. The owner reconstructs the
-  // series with its usual detector/gap configuration, then loads.
+  // series with its usual gap policy, then loads.
   void save_state(store::Encoder& enc) const {
-    detector_->save_state(enc);
+    detector_.save_state(enc);
     enc.i64(last_window_);
     enc.f64(last_value_);
     enc.boolean(has_last_);
   }
   void load_state(store::Decoder& dec) {
-    detector_->load_state(dec);
+    detector_.load_state(dec);
     last_window_ = dec.i64();
     last_value_ = dec.f64();
     has_last_ = dec.boolean();
   }
 
  private:
-  std::unique_ptr<Detector> detector_;
+  BitmapDetector detector_;
   GapPolicy gap_;
   std::int64_t last_window_ = std::numeric_limits<std::int64_t>::min();
   double last_value_ = 0.0;
@@ -85,11 +83,11 @@ struct ClosedRatioWindow {
 
 class AdaptiveRatioSeries {
  public:
-  // `prototype` supplies detector configuration; `max_multiplier` caps the
-  // window escalation (96 base windows of 15 min = 24 h, the paper's cap).
-  AdaptiveRatioSeries(const Detector& prototype,
-                      std::int64_t max_multiplier = 96)
-      : detector_(prototype.clone_config()), max_multiplier_(max_multiplier) {}
+  // `zscore` configures the detector; `max_multiplier` caps the window
+  // escalation (96 base windows of 15 min = 24 h, the paper's cap).
+  explicit AdaptiveRatioSeries(const ZScoreParams& zscore,
+                               std::int64_t max_multiplier = 96)
+      : detector_(zscore), max_multiplier_(max_multiplier) {}
 
   // Accumulates counts observed in `base_window`.
   void add(std::int64_t base_window, std::int64_t match,
@@ -113,7 +111,7 @@ class AdaptiveRatioSeries {
   // Checkpoint support: dynamic state only (max_multiplier_ is
   // configuration, re-supplied at construction).
   void save_state(store::Encoder& enc) const {
-    detector_->save_state(enc);
+    detector_.save_state(enc);
     enc.i64(multiplier_);
     enc.i64(consecutive_);
     enc.i64(misses_at_level_);
@@ -128,7 +126,7 @@ class AdaptiveRatioSeries {
     enc.boolean(has_ratio_);
   }
   void load_state(store::Decoder& dec) {
-    detector_->load_state(dec);
+    detector_.load_state(dec);
     multiplier_ = dec.i64();
     consecutive_ = dec.i64();
     misses_at_level_ = dec.i64();
@@ -146,7 +144,7 @@ class AdaptiveRatioSeries {
  private:
   void escalate();
 
-  std::unique_ptr<Detector> detector_;
+  ModifiedZScoreDetector detector_;
   std::int64_t max_multiplier_;
   std::int64_t multiplier_ = 1;
   std::int64_t consecutive_ = 0;

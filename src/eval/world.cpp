@@ -185,9 +185,7 @@ World::World(const WorldParams& params)
 
   signals::EngineParams engine_params;
   engine_params.t0 = start();
-  engine_params.window_seconds = kBaseWindowSeconds;
-  engine_params.subpath = params_.subpath;
-  engine_params.border = params_.border;
+  engine_params.trace_drop_outliers = params_.trace_drop_outliers;
   engine_params.seed = rng_.fork(8).seed();
   engine_params.threads = params_.engine_threads;
   engine_params.shards = params_.engine_shards;

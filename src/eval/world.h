@@ -37,8 +37,9 @@ struct WorldParams {
   tr::ProberParams prober;
   tr::PlatformParams platform;
   tracemap::PipelineParams pipeline;
-  signals::SubpathParams subpath;
-  signals::BorderMonitorParams border;
+  // Stationarity maintenance for the subpath and border series
+  // (signals::EngineParams::trace_drop_outliers).
+  bool trace_drop_outliers = true;
 
   double peeringdb_completeness = 0.9;
 

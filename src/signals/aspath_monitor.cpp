@@ -50,9 +50,7 @@ void AsPathMonitor::watch(const CorpusView& view, PotentialIndex& index) {
         .tau_index = j,
         .border_index = kWholePath,
         .v0 = std::move(v0s[j]),
-        .series = detect::LazySeries(
-            std::make_unique<detect::BitmapDetector>(),
-            detect::GapPolicy::kCarryLast),
+        .series = detect::LazySeries(detect::GapPolicy::kCarryLast),
         .baseline_ratio = 1.0,
         .dirty = false,
         .window_updates = {},
@@ -341,8 +339,7 @@ void AsPathMonitor::load_state(store::Decoder& dec) {
         .tau_index = tau_index,
         .border_index = border_index,
         .v0 = std::move(v0),
-        .series = detect::LazySeries(std::make_unique<detect::BitmapDetector>(),
-                                     detect::GapPolicy::kCarryLast),
+        .series = detect::LazySeries(detect::GapPolicy::kCarryLast),
         .window_updates = {},
     });
     entry->series.load_state(dec);

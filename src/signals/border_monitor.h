@@ -9,54 +9,28 @@
 // traceroutes use, fed by public traceroutes crossing the same city pair.
 #pragma once
 
+#include <deque>
 #include <map>
-#include <unordered_map>
+#include <optional>
 
-#include "detect/series.h"
-#include "signals/monitor.h"
+#include "signals/trace_series_monitor.h"
 #include "tracemap/alias.h"
-
-namespace rrr::runtime {
-class ThreadPool;
-}
 
 namespace rrr::signals {
 
-struct BorderMonitorParams {
-  std::int64_t max_window_multiplier = 96;
-  std::int64_t base_window_seconds = kBaseWindowSeconds;
-  std::int64_t min_intersect = 2;
-  // Windows at least this thick may signal on a single drop-outlier;
-  // thinner ones need two consecutive drops (binomial noise guard).
-  std::int64_t single_shot_intersect = 5;
-  detect::ZScoreParams zscore{.threshold = 3.5,
-                               .min_history = 20,
-                               .max_history = 96,
-                               .drop_outliers_from_history = true,
-                               .min_abs_deviation = 0.35};
-};
-
-class BorderMonitor final : public TraceMonitor {
+class BorderMonitor final : public TraceSeriesMonitor {
  public:
-  explicit BorderMonitor(const BorderMonitorParams& params = {})
-      : params_(params), prototype_(params.zscore) {}
+  explicit BorderMonitor(bool drop_outliers_from_history = true)
+      : TraceSeriesMonitor(Technique::kTraceBorder,
+                           drop_outliers_from_history) {}
 
-  Technique technique() const override { return Technique::kTraceBorder; }
-  // Evaluates window closes across router series on `pool` (null = serial).
-  void set_pool(runtime::ThreadPool* pool) { pool_ = pool; }
   void watch(const CorpusView& view, PotentialIndex& index) override;
-  void unwatch(const tr::PairKey& pair) override;
   void on_public_trace(const tracemap::ProcessedTrace& trace,
                        std::int64_t window) override;
-  std::vector<StalenessSignal> close_window(std::int64_t window,
-                                            TimePoint window_end) override;
-  bool reverted(PotentialId id) const override;
 
-  std::size_t city_pair_count() const { return entries_.size(); }
-
-  // Checkpoint support; router series keep their in-entry order (it drives
-  // touched_-list construction) and by_pair_/touched_ round-trip as ordered
-  // id lists, as in AsPathMonitor::save_state.
+  // Checkpoint support: city pairs in key order, each followed by its
+  // router series in the order they were opened (each as its id, its
+  // router and its series), then the series index.
   void save_state(store::Encoder& enc) const;
   void load_state(store::Decoder& dec);
 
@@ -69,41 +43,15 @@ class BorderMonitor final : public TraceMonitor {
     topo::CityId c_n = topo::kNoCity;
     auto operator<=>(const CityPairKey&) const = default;
   };
-
-  struct Subscriber {
-    tr::PairKey pair;
-    std::size_t border = 0;
-    bool zombie = false;
-  };
-  struct RouterSeries {
-    PotentialId id = kNoPotential;
+  struct RouterSeries : Series {
+    using Series::Series;
     tracemap::RouterKey router;
-    detect::AdaptiveRatioSeries series;
-    std::vector<Subscriber> subscribers;
-    double baseline_ratio = -1.0;
-    bool touched = false;
-    bool pending_drop = false;
-  };
-
-  struct Entry {
-    CityPairKey key;
-    std::vector<std::unique_ptr<RouterSeries>> routers;
   };
 
   static std::optional<CityPairKey> key_of(const tracemap::BorderView& b);
-  // Closes `rs`'s pending aggregate windows; returns the signals it fired.
-  // Touches only `rs`, so distinct series may be closed concurrently.
-  std::vector<StalenessSignal> close_series(RouterSeries* rs,
-                                            std::int64_t window,
-                                            TimePoint window_end);
 
-  runtime::ThreadPool* pool_ = nullptr;
-  BorderMonitorParams params_;
-  detect::ModifiedZScoreDetector prototype_;
-  std::map<CityPairKey, std::unique_ptr<Entry>> entries_;
-  std::map<tr::PairKey, std::vector<RouterSeries*>> by_pair_;
-  std::unordered_map<PotentialId, RouterSeries*> by_potential_;
-  std::vector<RouterSeries*> touched_;
+  std::deque<RouterSeries> routers_;  // storage; entries_ points into it
+  std::map<CityPairKey, std::vector<RouterSeries*>> entries_;
 };
 
 }  // namespace rrr::signals

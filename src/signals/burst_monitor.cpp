@@ -50,9 +50,7 @@ void BurstMonitor::watch(const CorpusView& view, PotentialIndex& index) {
         .suffix = suffix,
         .border_index = kWholePath,
         .v0 = {},
-        .series = detect::LazySeries(
-            std::make_unique<detect::BitmapDetector>(),
-            detect::GapPolicy::kZero),
+        .series = detect::LazySeries(detect::GapPolicy::kZero),
         .window_dups = {},
         .extras = {},
         .vp_extras = {},
@@ -77,9 +75,7 @@ void BurstMonitor::watch(const CorpusView& view, PotentialIndex& index) {
       ExtraSeries extra{
           .as = asn,
           .vps = {},
-          .series = detect::LazySeries(
-              std::make_unique<detect::BitmapDetector>(),
-              detect::GapPolicy::kZero),
+          .series = detect::LazySeries(detect::GapPolicy::kZero),
           .window_dups = {},
           .outlier_this_window = false,
       };
@@ -344,8 +340,7 @@ void BurstMonitor::load_state(store::Decoder& dec) {
         .suffix = std::move(suffix),
         .border_index = border_index,
         .v0 = std::move(v0),
-        .series = detect::LazySeries(std::make_unique<detect::BitmapDetector>(),
-                                     detect::GapPolicy::kZero),
+        .series = detect::LazySeries(detect::GapPolicy::kZero),
         .window_dups = {},
         .extras = {},
         .vp_extras = {},
@@ -359,9 +354,7 @@ void BurstMonitor::load_state(store::Decoder& dec) {
       ExtraSeries extra{
           .as = store::get_asn(dec),
           .vps = get_vps(),
-          .series = detect::LazySeries(
-              std::make_unique<detect::BitmapDetector>(),
-              detect::GapPolicy::kZero),
+          .series = detect::LazySeries(detect::GapPolicy::kZero),
           .window_dups = {},
           .outlier_this_window = false,
       };

@@ -10,8 +10,6 @@ namespace rrr::signals {
 namespace {
 
 EngineParams normalized(EngineParams params) {
-  params.subpath.base_window_seconds = params.window_seconds;
-  params.border.base_window_seconds = params.window_seconds;
   if (params.shards < 1) params.shards = 1;
   return params;
 }
@@ -94,15 +92,15 @@ Engine::Engine(const EngineParams& params,
                std::set<Asn> ixp_route_server_asns, AsRelDb rels,
                std::map<topo::IxpId, std::set<Asn>> ixp_members)
     : params_(normalized(params)),
-      clock_(params.t0, params.window_seconds),
+      clock_(params.t0, kBaseWindowSeconds),
       processing_(processing),
       rng_(Rng(params.seed).fork(0xE9619E)),
       vps_(std::move(vps)),
       table_(std::move(ixp_route_server_asns)),
       calibration_(params.calibration_windows),
       rels_(std::move(rels)),
-      subpath_(params_.subpath),
-      border_(params_.border),
+      subpath_(params_.trace_drop_outliers),
+      border_(params_.trace_drop_outliers),
       ixp_(rels_, std::move(ixp_members)) {
   context_.table = &table_;
   context_.vps = &vps_;

@@ -13,54 +13,22 @@
 // (Appendix C, Figure 14).
 #pragma once
 
-#include <map>
+#include <deque>
 #include <unordered_map>
 
-#include "detect/series.h"
-#include "signals/monitor.h"
-
-namespace rrr::runtime {
-class ThreadPool;
-}
+#include "signals/trace_series_monitor.h"
 
 namespace rrr::signals {
 
-struct SubpathParams {
-  // Hops of context kept around each border when carving segments.
-  int flank_hops = 1;
-  std::int64_t max_window_multiplier = 96;  // 96 x 15 min = 24 h
-  std::int64_t base_window_seconds = kBaseWindowSeconds;
-  // Aggregate windows with fewer public traceroutes than this are too thin
-  // to report outliers from.
-  std::int64_t min_intersect = 2;
-  // Windows at least this thick may signal on a single drop-outlier;
-  // thinner ones need two consecutive drops (binomial noise guard).
-  std::int64_t single_shot_intersect = 5;
-  detect::ZScoreParams zscore{.threshold = 3.5,
-                               .min_history = 20,
-                               .max_history = 96,
-                               .drop_outliers_from_history = true,
-                               .min_abs_deviation = 0.35};
-};
-
-class SubpathMonitor final : public TraceMonitor {
+class SubpathMonitor final : public TraceSeriesMonitor {
  public:
-  explicit SubpathMonitor(const SubpathParams& params = {})
-      : params_(params),
-        prototype_(params.zscore) {}
+  explicit SubpathMonitor(bool drop_outliers_from_history = true)
+      : TraceSeriesMonitor(Technique::kTraceSubpath,
+                           drop_outliers_from_history) {}
 
-  Technique technique() const override { return Technique::kTraceSubpath; }
-  // Evaluates window closes across segments on `pool` (null = serial).
-  void set_pool(runtime::ThreadPool* pool) { pool_ = pool; }
   void watch(const CorpusView& view, PotentialIndex& index) override;
-  void unwatch(const tr::PairKey& pair) override;
   void on_public_trace(const tracemap::ProcessedTrace& trace,
                        std::int64_t window) override;
-  std::vector<StalenessSignal> close_window(std::int64_t window,
-                                            TimePoint window_end) override;
-  bool reverted(PotentialId id) const override;
-
-  std::size_t segment_count() const { return segments_.size(); }
 
   struct Stats {
     std::size_t segments = 0;
@@ -84,54 +52,34 @@ class SubpathMonitor final : public TraceMonitor {
   // Diagnostic view of the segments monitoring `pair`.
   std::vector<SegmentInfo> segments_for(const tr::PairKey& pair) const;
 
-  // Checkpoint support. Segments serialize sorted by potential id with
-  // subscribers in list order; by_pair_/touched_ round-trip as ordered id
-  // lists. by_first_ip_ is rebuilt in id order, which equals its original
-  // insertion order (ensure_segment registers a segment the moment its id
-  // is created, and ids are handed out monotonically). Map keys are
-  // recomputed from segment contents.
+  // Checkpoint support. Segments serialize in id order, each as its id,
+  // its IPs and its series, followed by the series index and the
+  // observation count. by_first_ip_ is rebuilt in id order, which equals
+  // its original insertion order (ensure_segment registers a segment the
+  // moment its id is created, and ids are handed out monotonically). Map
+  // keys are recomputed from segment contents.
   void save_state(store::Encoder& enc) const;
   void load_state(store::Decoder& dec);
 
  private:
-  // Subscriptions survive a refresh as "zombies" until the segment's
-  // pending aggregate windows flush: a change detected by a slow window is
-  // still a valid signal about the pair even if the corpus was refreshed
-  // meanwhile.
-  struct Subscriber {
-    tr::PairKey pair;
-    std::size_t border = 0;
-    bool zombie = false;
-  };
-  struct Segment {
-    PotentialId id = kNoPotential;
+  // Hops of context kept past the last border when carving segments.
+  static constexpr std::size_t kFlankHops = 1;
+
+  struct Segment : Series {
+    using Series::Series;
     std::vector<Ipv4> ips;  // ι_m .. ι_n
-    detect::AdaptiveRatioSeries series;
-    std::vector<Subscriber> subscribers;
-    double baseline_ratio = -1.0;  // first armed ratio (for revocation)
-    bool touched = false;          // data since last close sweep
-    bool pending_drop = false;     // previous closed window was a drop
   };
 
   // Content hash identifying a segment.
   static std::uint64_t key_of(const std::vector<Ipv4>& ips);
-  Segment* ensure_segment(const std::vector<Ipv4>& ips,
+  Segment& ensure_segment(const std::vector<Ipv4>& ips,
                           PotentialIndex& index);
-  // Closes `segment`'s pending aggregate windows; returns the signals it
-  // fired. Touches only `segment`, so distinct segments may be closed
-  // concurrently (each parallel shard gets its own signal buffer).
-  std::vector<StalenessSignal> close_segment(Segment* segment,
-                                             std::int64_t window,
-                                             TimePoint window_end);
+  // Appends a segment holding `ips` and indexes it by content and first IP.
+  Segment& add_segment(std::vector<Ipv4> ips);
 
-  runtime::ThreadPool* pool_ = nullptr;
-  SubpathParams params_;
-  detect::ModifiedZScoreDetector prototype_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Segment>> segments_;
+  std::deque<Segment> segments_;  // in id order
+  std::unordered_map<std::uint64_t, Segment*> by_key_;
   std::unordered_map<Ipv4, std::vector<Segment*>> by_first_ip_;
-  std::map<tr::PairKey, std::vector<Segment*>> by_pair_;
-  std::unordered_map<PotentialId, Segment*> by_potential_;
-  std::vector<Segment*> touched_;
   std::uint64_t observations_ = 0;
 };
 

@@ -220,7 +220,8 @@ class ReferenceBitmap {
   std::deque<double> scores_;
 };
 
-std::string saved(const Detector& detector) {
+template <typename D>
+std::string saved(const D& detector) {
   store::Encoder enc;
   detector.save_state(enc);
   return enc.take();
@@ -277,21 +278,30 @@ TEST(Bitmap, OnePassKernelMatchesReferenceBitForBit) {
 }
 
 // A snapshot whose history count exceeds the detector's cap is rejected
-// before any value is read; a count at the cap loads.
+// before any value is read; a count at the cap loads and saves back the
+// same bytes.
 TEST(DetectorSnapshot, RejectsHistoriesPastTheirCap) {
+  // Loads the bytes into a fresh detector and returns its saved state.
+  using Load = std::function<std::string(store::Decoder&)>;
+  auto loader = [](auto make) -> Load {
+    return [make](store::Decoder& dec) {
+      auto detector = make();
+      detector.load_state(dec);
+      return saved(detector);
+    };
+  };
   struct Row {
     const char* name;
-    std::function<std::unique_ptr<Detector>()> make;
+    Load load;
     std::vector<std::uint64_t> counts;  // one per history ring, in order
     bool accepted;
   };
   ZScoreParams short_history;
   short_history.max_history = 30;
-  auto bitmap = [] { return std::make_unique<BitmapDetector>(); };
-  auto zscore = [] { return std::make_unique<ModifiedZScoreDetector>(); };
-  auto zscore30 = [short_history] {
-    return std::make_unique<ModifiedZScoreDetector>(short_history);
-  };
+  Load bitmap = loader([] { return BitmapDetector(); });
+  Load zscore = loader([] { return ModifiedZScoreDetector(); });
+  Load zscore30 =
+      loader([short_history] { return ModifiedZScoreDetector(short_history); });
   const std::vector<Row> rows = {
       {"bitmap at caps", bitmap, {40, 128}, true},
       {"bitmap values past 40", bitmap, {41, 0}, false},
@@ -316,15 +326,13 @@ TEST(DetectorSnapshot, RejectsHistoriesPastTheirCap) {
     }
     std::string bytes = enc.take();
     store::Decoder dec(bytes);
-    std::unique_ptr<Detector> detector = row.make();
     if (row.accepted) {
-      detector->load_state(dec);
+      EXPECT_EQ(row.load(dec), bytes);
       EXPECT_TRUE(dec.done());
-      EXPECT_EQ(detector->history_size(), row.counts.front());
       continue;
     }
     try {
-      detector->load_state(dec);
+      row.load(dec);
       ADD_FAILURE() << "oversize history loaded";
     } catch (const store::StoreError& error) {
       EXPECT_EQ(error.kind(), store::StoreError::Kind::kCorrupt);
@@ -334,44 +342,61 @@ TEST(DetectorSnapshot, RejectsHistoriesPastTheirCap) {
   }
 }
 
+// Pushing onto a full ring drops its front value: the contents and the
+// saved bytes follow a deque trimmed to the cap, and the buffer never
+// grows past the cap.
+TEST(Ring, FullRingDropsItsFrontAndStaysAtItsCap) {
+  for (std::size_t cap : {1u, 5u, 8u, 40u, 96u, 128u}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    Ring ring(cap);
+    std::deque<double> model;
+    for (std::size_t i = 0; i < 10 * cap; ++i) {
+      ring.push_back(static_cast<double>(i));
+      model.push_back(static_cast<double>(i));
+      if (model.size() > cap) model.pop_front();
+      ASSERT_LE(ring.capacity(), cap);
+      // An outlier leaves from the back, as in the Bitmap detector.
+      if (i % 7 == 6) {
+        ring.pop_back();
+        model.pop_back();
+      }
+      ASSERT_EQ(std::vector<double>(ring.begin(), ring.end()),
+                std::vector<double>(model.begin(), model.end()));
+    }
+    EXPECT_EQ(ring.capacity(), cap);
+    store::Encoder got;
+    save_ring(got, ring);
+    store::Encoder want;
+    want.u64(model.size());
+    for (double v : model) want.f64(v);
+    EXPECT_EQ(got.take(), want.take());
+  }
+}
+
 TEST(LazySeries, CarryForwardFillsGaps) {
-  LazySeries series(std::make_unique<ModifiedZScoreDetector>(),
-                    GapPolicy::kCarryLast);
+  LazySeries series(GapPolicy::kCarryLast);
   series.feed(0, 1.0);
-  // A judgement 50 windows later sees 49 carried 1.0s in history.
+  // A judgement 50 windows later sees a full window of carried 1.0s.
   Judgement j = series.feed(50, 0.0);
   EXPECT_TRUE(j.outlier);
 }
 
-TEST(LazySeries, MissingPolicySkipsGaps) {
-  LazySeries series(std::make_unique<ModifiedZScoreDetector>(),
-                    GapPolicy::kMissing);
-  series.feed(0, 1.0);
-  Judgement j = series.feed(50, 0.0);
-  // Only 1 observation in history: cannot be an outlier yet.
-  EXPECT_FALSE(j.outlier);
-  EXPECT_EQ(series.history_size(), 2u);
-}
-
 TEST(LazySeries, ZeroPolicyFillsZeroes) {
-  LazySeries series(std::make_unique<ModifiedZScoreDetector>(),
-                    GapPolicy::kZero);
+  LazySeries series(GapPolicy::kZero);
   series.feed(0, 0.0);
   Judgement j = series.feed(40, 7.0);
   EXPECT_TRUE(j.outlier);
 }
 
 TEST(LazySeries, SeedArmsTheDetector) {
-  LazySeries series(std::make_unique<ModifiedZScoreDetector>(),
-                    GapPolicy::kCarryLast);
+  LazySeries series(GapPolicy::kCarryLast);
   series.seed(100, 1.0, 24);
   Judgement j = series.feed(101, 0.0);
   EXPECT_TRUE(j.outlier);
 }
 
 TEST(LazySeries, IgnoresOutOfOrderWindows) {
-  LazySeries series(std::make_unique<ModifiedZScoreDetector>(),
-                    GapPolicy::kCarryLast);
+  LazySeries series(GapPolicy::kCarryLast);
   series.feed(10, 1.0);
   Judgement j = series.feed(10, 0.0);  // duplicate window
   EXPECT_FALSE(j.outlier);
@@ -381,8 +406,7 @@ TEST(LazySeries, IgnoresOutOfOrderWindows) {
 class AdaptiveRatioTest : public ::testing::Test {
  protected:
   AdaptiveRatioSeries make(std::int64_t max_mult = 96) {
-    ModifiedZScoreDetector prototype;
-    return AdaptiveRatioSeries(prototype, max_mult);
+    return AdaptiveRatioSeries(ZScoreParams{}, max_mult);
   }
 };
 
