@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "eval/report.h"
-#include "eval/supervisor.h"
 #include "eval/world.h"
 #include "serve/service.h"
 #include "netbase/parse.h"
@@ -71,48 +70,53 @@ inline std::vector<std::string> split_list(const std::string& text,
 }
 
 // The flag names each shared helper below reads. A harness builds its Flags
-// from the groups of the helpers it calls plus a list of its own names.
+// from the groups of the helpers it calls plus a list of its own names, and
+// declares a group only when it honors every flag in it.
 using FlagNames = std::span<const std::string_view>;
-// retrospective_params(), including the telemetry, trace and storage-fault
-// helpers it calls.
+// retrospective_params().
 inline constexpr std::string_view kWorldFlags[] = {
     "days", "pairs", "dests", "public-rate", "probes", "seed",
-    "engine-threads", "engine-shards", "stats-json", "trace-out", "watchdog",
-    "io-fault-plan", "io-retry"};
-// apply_checkpoint_flags(), plus the --supervise switch apply_io_fault_flags()
-// reads; retrospective_params() calls both.
-inline constexpr std::string_view kCheckpointFlags[] = {
-    "checkpoint-dir", "checkpoint-every", "resume", "resume-window",
-    "supervise"};
+    "engine-threads", "engine-shards"};
+// The run's two output files: write_stats_json() at stats_json_path() and
+// maybe_write_trace(). Declared only by harnesses that write both.
+inline constexpr std::string_view kOutputFlags[] = {"stats-json",
+                                                    "trace-out"};
 // apply_fault_flags(), which retrospective_params() calls.
 inline constexpr std::string_view kFeedFaultFlags[] = {"fault-plan",
                                                        "feed-health"};
+// apply_io_fault_flags(). Declared only by harnesses whose worlds do store
+// IO (checkpoint or resume).
+inline constexpr std::string_view kIoFaultFlags[] = {"io-fault-plan",
+                                                     "io-retry"};
 // fanout_threads().
 inline constexpr std::string_view kFanOutFlags[] = {"threads"};
 // ScopedObsServer.
-inline constexpr std::string_view kObsServerFlags[] = {
-    "serve-obs", "serve-obs-linger", "serve", "serve-linger"};
+inline constexpr std::string_view kObsServerFlags[] = {"serve",
+                                                       "serve-linger"};
 
 // Minimal flag parser: --name value or --name=value; bools as --name. The
-// constructor exits 2 (naming the flag) on a --name outside the declared
-// groups, so a misspelled or retired flag never runs on a default. A
-// value-taking flag given without a value, or with one that does not parse
-// in full, exits 2 when read (reject_setting). Reading a name the harness
-// did not declare returns the fallback: it cannot be on the command line.
+// constructor exits 2, naming every --name outside the declared groups, so
+// a misspelled or retired flag never runs on a default. A value-taking
+// flag given without a value, or with one that does not parse in full,
+// exits 2 when read (reject_setting). Reading a name the harness did not
+// declare returns the fallback: it cannot be on the command line.
 class Flags {
  public:
   Flags(int argc, char** argv, std::initializer_list<FlagNames> declared) {
     for (FlagNames group : declared) {
       declared_.insert(declared_.end(), group.begin(), group.end());
     }
+    std::string unknown;
     for (int i = 1; i < argc; ++i) {
       const std::string_view arg = argv[i];
       const std::string_view flag = arg.substr(0, arg.find('='));
       if (flag.rfind("--", 0) == 0 && !declares(flag.substr(2))) {
-        exit_misconfigured(std::string(flag), "unknown flag");
+        if (!unknown.empty()) unknown += ' ';
+        unknown += flag;
       }
       args_.emplace_back(arg);
     }
+    if (!unknown.empty()) exit_misconfigured(unknown, "unknown flag");
   }
 
   bool declares(std::string_view name) const {
@@ -164,8 +168,8 @@ class Flags {
   std::vector<std::string> args_;
 };
 
-// Telemetry knobs shared by every harness: `--stats-json <path>` turns the
-// engine's telemetry on and writes the collected stats there; the RRR_STATS
+// Telemetry knobs: `--stats-json <path>` (kOutputFlags) turns the engine's
+// telemetry on and writes the collected stats there; the RRR_STATS
 // environment variable force-enables collection without a file.
 inline bool stats_enabled(const Flags& flags) {
   return flags.get_bool("stats-json") || obs::env_enabled();
@@ -174,11 +178,11 @@ inline std::string stats_json_path(const Flags& flags) {
   return flags.get_str("stats-json", "");
 }
 
-// Flight-recorder knobs shared by every harness (DESIGN.md §13):
-// `--trace-out <path>` turns the trace recorder on and writes the Chrome
+// Flight-recorder knobs (DESIGN.md §13): `--trace-out <path>`
+// (kOutputFlags) turns the trace recorder on and writes the Chrome
 // trace-event JSON there after the run; the RRR_TRACE environment variable
 // force-enables recording without a file (the trace is still reachable via
-// --serve-obs). `--watchdog` arms the slow-window watchdog.
+// --serve).
 inline bool trace_enabled(const Flags& flags) {
   return flags.get_bool("trace-out") || obs::trace_env_enabled();
 }
@@ -300,35 +304,19 @@ inline void apply_fault_flags(const Flags& flags, eval::WorldParams& params) {
   if (flags.get_bool("feed-health")) params.feed_health.enabled = true;
 }
 
-// Checkpoint/resume knobs shared by every harness (DESIGN.md §11):
-// `--checkpoint-dir <dir>` turns on periodic snapshots plus the
-// exogenous-op WAL, `--checkpoint-every N` sets the snapshot cadence in
-// windows, `--resume <dir>` fast-forwards the world from that directory
-// before the run starts, and `--resume-window K` picks the boundary to
-// resume at (default: the furthest state the directory reconstructs). A
-// harness that does not declare kCheckpointFlags (fig_chaos_sweep, which
-// checkpoints and resumes each grid point itself) keeps the WorldParams
-// defaults, which equal the flag defaults.
-inline void apply_checkpoint_flags(const Flags& flags,
-                                   eval::WorldParams& params) {
-  if (!flags.declares("checkpoint-dir")) return;
-  params.checkpoint_dir = flags.get_str("checkpoint-dir", "");
-  params.checkpoint_every =
-      static_cast<int>(flags.get_int("checkpoint-every", 1));
-  params.resume_from = flags.get_str("resume", "");
-  params.resume_window = flags.get_int("resume-window", -1);
-}
-
-// Crash-fault tolerance knobs (DESIGN.md §14): `--io-fault-plan <spec>`
-// injects storage faults into every store IO (fault::IoFaultPlan::parse
-// syntax, e.g. "torn=0.05,enospc=0.02,seed=7"; RRR_IO_FAULT_PLAN supplies
-// the spec when the flag is absent), `--io-retry <spec>` configures the
-// transient-error retry policy (store::RetryPolicy::parse, e.g.
-// "attempts=4,base_us=100"), and `--supervise` (kCheckpointFlags) runs
-// under the self-healing recovery supervisor (eval/supervisor.h). A spec
-// that does not parse exits 2.
-inline void apply_io_fault_flags(const Flags& flags,
-                                 eval::WorldParams& params) {
+// Storage-fault knobs (DESIGN.md §14), read only where kIoFaultFlags is
+// declared: `--io-fault-plan <spec>` injects storage faults into every store
+// IO (fault::IoFaultPlan::parse syntax, e.g. "torn=0.05,enospc=0.02,seed=7";
+// RRR_IO_FAULT_PLAN supplies the spec when the flag is absent), and
+// `--io-retry <spec>` configures the transient-error retry policy
+// (store::RetryPolicy::parse, e.g. "attempts=4,base_us=100"). A spec that
+// does not parse exits 2. Returns the first setting that configured store
+// IO, or an empty string when none did, so a harness can reject one that no
+// store IO would read.
+inline std::string apply_io_fault_flags(const Flags& flags,
+                                        eval::WorldParams& params) {
+  if (!flags.declares("io-fault-plan")) return "";
+  std::string applied;
   std::string source = "--io-fault-plan";
   std::string spec = flags.get_str("io-fault-plan", "");
   if (spec.empty()) {
@@ -342,16 +330,16 @@ inline void apply_io_fault_flags(const Flags& flags,
     std::optional<fault::IoFaultPlan> parsed = fault::IoFaultPlan::parse(spec);
     if (!parsed) reject_setting(source, spec);
     params.io_fault_plan = *parsed;
+    applied = source;
   }
   std::string retry = flags.get_str("io-retry", "");
   if (!retry.empty()) {
     std::optional<store::RetryPolicy> parsed = store::RetryPolicy::parse(retry);
     if (!parsed) reject_setting("--io-retry", retry);
     params.io_retry = *parsed;
+    if (applied.empty()) applied = "--io-retry";
   }
-  if (flags.declares("supervise") && flags.get_bool("supervise")) {
-    params.supervise = true;
-  }
+  return applied;
 }
 
 // The standard retrospective-evaluation world (§5.1), scaled down from the
@@ -372,55 +360,45 @@ inline eval::WorldParams retrospective_params(const Flags& flags) {
   params.engine_threads = static_cast<int>(flags.get_int("engine-threads", 1));
   params.engine_shards = static_cast<int>(flags.get_int("engine-shards", 1));
   // A live /metrics endpoint is useless without a registry behind it, so
-  // --serve-obs (and --serve, which exposes the same fixed routes next to
-  // the /v1 family) implies telemetry even when --stats-json is absent.
-  params.telemetry = stats_enabled(flags) ||
-                     flags.get_int("serve-obs", -1) >= 0 ||
-                     flags.get_int("serve", -1) >= 0;
+  // --serve implies telemetry even when --stats-json is absent.
+  params.telemetry =
+      stats_enabled(flags) || flags.get_int("serve", -1) >= 0;
   params.trace = trace_enabled(flags);
-  if (flags.get_bool("watchdog")) params.watchdog.enabled = true;
   apply_fault_flags(flags, params);
-  apply_checkpoint_flags(flags, params);
-  apply_io_fault_flags(flags, params);
   return params;
 }
 
-// Live introspection endpoint for a running bench: `--serve-obs PORT`
-// starts the loopback HTTP server (obs/http_export.h) for the process
-// lifetime; `--serve-obs-linger N` keeps it up N extra seconds after the
-// run so a scraper polling mid-run always gets one last look. The handlers
-// read whichever World is currently attached — harnesses attach the
-// primary replicate for the duration of its run (WorldLease below), and
-// routes answer with empty-but-valid documents while no world is attached
-// (before the first window, between replicates, during the linger).
-//
-// `--serve PORT` additionally enables the staleness query service
-// (serve/service.h): the same server answers the /v1 route family from the
-// snapshot the attached world publishes at each window boundary, and
-// `--serve-linger N` keeps it up after the run the same way. With both
-// port flags given, one server binds the --serve-obs port and answers
-// everything.
+// Live endpoint for a running bench: `--serve PORT` starts the loopback
+// HTTP server (obs/http_export.h) for the process lifetime. It answers the
+// introspection routes (/metrics, /healthz, /stats.json, /trace.json) and
+// the staleness query service's /v1 family (serve/service.h), which reads
+// the snapshot the attached world publishes at each window boundary.
+// `--serve-linger N` keeps it up N extra seconds after the run so a scraper
+// polling mid-run always gets one last look; without --serve it exits 2.
+// The handlers read whichever World is currently attached — harnesses
+// attach the primary replicate for the duration of its run (WorldLease
+// below), and routes answer with empty-but-valid documents while no world
+// is attached (before the first window, between replicates, during the
+// linger).
 class ScopedObsServer {
  public:
   ScopedObsServer(const Flags& flags, std::ostream& log) : log_(&log) {
-    long long obs_port = flags.get_int("serve-obs", -1);
-    long long serve_port = flags.get_int("serve", -1);
-    if (obs_port < 0 && serve_port < 0) return;
-    linger_seconds_ = static_cast<int>(
-        std::max(flags.get_int("serve-obs-linger", 0),
-                 flags.get_int("serve-linger", 0)));
-    if (serve_port >= 0) {
-      service_ = std::make_unique<serve::StalenessService>();
+    const long long port = flags.get_int("serve", -1);
+    if (port < 0) {
+      if (flags.get_bool("serve-linger")) {
+        exit_misconfigured("--serve-linger", "needs --serve");
+      }
+      return;
     }
+    linger_seconds_ = static_cast<int>(flags.get_int("serve-linger", 0));
+    service_ = std::make_unique<serve::StalenessService>();
     obs::HttpHandlers handlers;
-    if (service_ != nullptr) {
-      // The service is built before the server thread starts and outlives
-      // it (declaration order below), so no lock here: handle() copies the
-      // published snapshot pointer under the service's own lock.
-      handlers.api = [this](const std::string& target) {
-        return service_->handle(target);
-      };
-    }
+    // The service is built before the server thread starts and outlives it
+    // (declaration order below), so no lock here: handle() copies the
+    // published snapshot pointer under the service's own lock.
+    handlers.api = [this](const std::string& target) {
+      return service_->handle(target);
+    };
     handlers.metrics_text = [this] {
       std::lock_guard<std::mutex> lock(mu_);
       return world_ != nullptr ? world_->stats_prometheus() : std::string();
@@ -436,22 +414,19 @@ class ScopedObsServer {
                  : std::string(
                        "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}");
     };
-    const long long port = obs_port >= 0 ? obs_port : serve_port;
     try {
       server_ = std::make_unique<obs::HttpServer>(static_cast<int>(port),
                                                   std::move(handlers));
-      log << "serve-obs: listening on 127.0.0.1:" << server_->port()
-          << (service_ != nullptr ? " (/v1 staleness API enabled)" : "")
-          << "\n";
+      log << "serve: listening on 127.0.0.1:" << server_->port() << "\n";
     } catch (const std::exception& error) {
-      log << "serve-obs: " << error.what() << " — endpoint disabled\n";
+      log << "serve: " << error.what() << " — endpoint disabled\n";
       service_.reset();
     }
   }
 
   ~ScopedObsServer() {
     if (server_ != nullptr && linger_seconds_ > 0) {
-      *log_ << "serve-obs: lingering " << linger_seconds_ << " s ("
+      *log_ << "serve: lingering " << linger_seconds_ << " s ("
             << server_->requests_served() << " request(s) served)\n";
       std::this_thread::sleep_for(std::chrono::seconds(linger_seconds_));
     }
@@ -462,7 +437,7 @@ class ScopedObsServer {
 
   bool active() const { return server_ != nullptr; }
   int port() const { return server_ != nullptr ? server_->port() : -1; }
-  // Null unless --serve was given (and the server bound).
+  // Null unless the server bound.
   serve::StalenessService* serving() { return service_.get(); }
 
   void attach(const eval::World* world) {
@@ -485,24 +460,22 @@ class ScopedObsServer {
   std::ostream* log_;
 };
 
-// RAII attach/detach of one World to the obs server: the primary replicate
-// constructs a lease around its World for the scope of its run, so the
-// endpoint never serves a pointer to a destroyed world. When the server
-// carries the staleness query service (--serve), the lease also wires the
-// world's window boundary to it, and unwires on release — queries after
-// the lease keep answering from the last published snapshot, which owns
-// every byte it needs (see serve/snapshot.h).
+// RAII attach/detach of one World to the live endpoint: the primary
+// replicate constructs a lease around its World for the scope of its run,
+// so the endpoint never serves a pointer to a destroyed world. The lease
+// also wires the world's window boundary to the query service, and unwires
+// on release — queries after the lease keep answering from the last
+// published snapshot, which owns every byte it needs (see
+// serve/snapshot.h).
 class WorldLease {
  public:
   WorldLease(ScopedObsServer& server, eval::World* world)
       : server_(&server), world_(world) {
     server_->attach(world_);
-    if (server_->serving() != nullptr) {
-      world_->attach_serving(server_->serving());
-    }
+    world_->attach_serving(server_->serving());
   }
   ~WorldLease() {
-    if (server_->serving() != nullptr) world_->attach_serving(nullptr);
+    world_->attach_serving(nullptr);
     server_->detach(world_);
   }
   WorldLease(const WorldLease&) = delete;

@@ -12,7 +12,7 @@
 int main(int argc, char** argv) {
   using namespace rrr;
   const bench::Flags flags(argc, argv,
-                           {bench::kWorldFlags, bench::kCheckpointFlags,
+                           {bench::kWorldFlags, bench::kOutputFlags,
                             bench::kFeedFaultFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
   params.days = static_cast<int>(flags.get_int("days", 30));
@@ -69,6 +69,9 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   std::cout << "\ntotal ground-truth change events: "
             << world.ground_truth().changes().size() << "\n";
-  bench::maybe_write_trace(flags, world.trace_json(), std::cout);
+  bench::RunStats stats =
+      bench::capture_stats("seed " + std::to_string(params.seed), world);
+  bench::maybe_write_trace(flags, stats.trace, std::cout);
+  bench::write_stats_json(bench::stats_json_path(flags), {stats}, std::cout);
   return 0;
 }

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   using namespace rrr;
   constexpr std::string_view kOwnFlags[] = {"seeds"};
   const bench::Flags flags(argc, argv,
-                           {bench::kWorldFlags, bench::kCheckpointFlags,
+                           {bench::kWorldFlags, bench::kOutputFlags,
                             bench::kFeedFaultFlags, bench::kFanOutFlags,
                             kOwnFlags});
   eval::WorldParams params = bench::retrospective_params(flags);

@@ -12,14 +12,13 @@
 // arm × seed-replicate grid fans out over the pool; results print in task
 // order whatever the parallelism.
 //
-// The staleness query service (--serve PORT) follows the primary signal-arm
+// The live endpoint (--serve PORT) follows the primary signal-arm
 // replicate: while it runs, /v1/verdict &co answer live from its
 // window-boundary snapshots; --serve-linger keeps the endpoint up
 // afterwards, answering from the final snapshot.
 //
 // Flags: --days N --pairs N --budget N --seed N --seeds N --threads N
-//        --serve PORT --serve-linger N --serve-obs PORT
-//        --serve-obs-linger N
+//        --serve PORT --serve-linger N --stats-json F --trace-out F
 #include <optional>
 
 #include "bench_common.h"
@@ -28,7 +27,7 @@ int main(int argc, char** argv) {
   using namespace rrr;
   constexpr std::string_view kOwnFlags[] = {"budget", "seeds"};
   const bench::Flags flags(argc, argv,
-                           {bench::kWorldFlags, bench::kCheckpointFlags,
+                           {bench::kWorldFlags, bench::kOutputFlags,
                             bench::kFeedFaultFlags, bench::kFanOutFlags,
                             bench::kObsServerFlags, kOwnFlags});
   eval::WorldParams base = bench::retrospective_params(flags);
@@ -76,8 +75,8 @@ int main(int argc, char** argv) {
         params.seed = bench::replicate_seed(base.seed, i / 2);
         const bool random_arm = i % 2 == 1;
         eval::World world(params);
-        // The live endpoint (and the /v1 query service under --serve)
-        // follows the primary signal-arm replicate for its whole run.
+        // The live endpoint follows the primary signal-arm replicate for
+        // its whole run.
         std::optional<bench::WorldLease> lease;
         if (i == 0 && obs_server.active()) {
           lease.emplace(obs_server, &world);

@@ -13,7 +13,7 @@
 int main(int argc, char** argv) {
   using namespace rrr;
   const bench::Flags flags(argc, argv,
-                           {bench::kWorldFlags, bench::kCheckpointFlags,
+                           {bench::kWorldFlags, bench::kOutputFlags,
                             bench::kFeedFaultFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
   // More diamonds than the default world so the LB group is populated.
@@ -118,6 +118,9 @@ int main(int argc, char** argv) {
             << " vs non-LB "
             << eval::TableWriter::fmt(nonlb_precision.median())
             << " (paper: 0.68 vs 0.84)\n";
-  bench::maybe_write_trace(flags, world.trace_json(), std::cout);
+  bench::RunStats stats =
+      bench::capture_stats("seed " + std::to_string(params.seed), world);
+  bench::maybe_write_trace(flags, stats.trace, std::cout);
+  bench::write_stats_json(bench::stats_json_path(flags), {stats}, std::cout);
   return 0;
 }

@@ -14,47 +14,92 @@
 // pool; each task renders its own report and the outputs print in seed
 // order whatever the parallelism.
 //
+// This is the long-lived deployment, and the only harness that takes the
+// durable-run flags; each replicate gets its own directory D/<label>.
+//
 // Warm-start arm (DESIGN.md §11): `--checkpoint-dir D` snapshots each
-// replicate into D/<label>; a later `--resume D` run fast-forwards from
-// those snapshots instead of replaying the engine from t=0. The semantic
-// stats of cold and warm runs are byte-identical (the resume-determinism
-// contract); the printed day table covers only post-resume days, since the
-// bench-level archive bookkeeping is not part of the checkpoint.
+// replicate every `--checkpoint-every N` windows; a later `--resume D`
+// run fast-forwards from those snapshots (to `--resume-window K`, by
+// default as far as the directory reaches) instead of replaying the engine
+// from t=0. The semantic stats of cold and warm runs are byte-identical
+// (the resume-determinism contract); the printed day table covers only
+// post-resume days, since the bench-level archive bookkeeping is not part
+// of the checkpoint.
 //
 // Supervised arm (DESIGN.md §14): `--supervise` wraps the run in the
 // self-healing recovery supervisor, so a store failure (typically injected
-// via --io-fault-plan) scrubs the checkpoint directory and resumes instead
-// of killing the process. Hooks here follow the supervisor's re-delivery
-// contract: archive/table/signal state is keyed by day or window, never
-// appended blindly, so a re-delivered boundary overwrites rather than
-// duplicates. The live obs endpoint is not attached in supervised mode —
-// incarnations are born and die inside the run, and the endpoint must
-// never serve a pointer to a dead one.
+// via --io-fault-plan, retried per --io-retry) scrubs the checkpoint
+// directory and resumes instead of killing the process. Hooks here follow
+// the supervisor's re-delivery contract: archive/table/signal state is
+// keyed by day or window, never appended blindly, so a re-delivered
+// boundary overwrites rather than duplicates. Incarnations are born and die
+// inside the run, and the live endpoint must never serve a pointer to a
+// dead one, so --supervise with --serve exits 2.
+//
+// A durable-run flag that nothing would read exits 2 naming it:
+// --supervise or --checkpoint-every without --checkpoint-dir,
+// --resume-window without --resume, and a storage-fault plan or retry
+// policy with neither directory.
 //
 // Flags: --days N --pairs N --seed N --seeds N --threads N
 //        --checkpoint-dir D --checkpoint-every N --resume D
 //        --resume-window K --io-fault-plan SPEC --io-retry SPEC
-//        --supervise --trace-out F --serve-obs PORT
-//        --serve-obs-linger N --serve PORT --serve-linger N --watchdog
+//        --supervise --stats-json F --trace-out F --serve PORT
+//        --serve-linger N
 #include <optional>
 #include <set>
 #include <sstream>
 
 #include "bench_common.h"
+#include "eval/supervisor.h"
 
 int main(int argc, char** argv) {
   using namespace rrr;
-  constexpr std::string_view kOwnFlags[] = {"seeds"};
-  const bench::Flags flags(argc, argv,
-                           {bench::kWorldFlags, bench::kCheckpointFlags,
-                            bench::kFeedFaultFlags, bench::kFanOutFlags,
-                            bench::kObsServerFlags, kOwnFlags});
+  constexpr std::string_view kOwnFlags[] = {
+      "seeds", "checkpoint-dir", "checkpoint-every", "resume",
+      "resume-window", "supervise"};
+  const bench::Flags flags(
+      argc, argv,
+      {bench::kWorldFlags, bench::kOutputFlags, bench::kFeedFaultFlags,
+       bench::kIoFaultFlags, bench::kFanOutFlags, bench::kObsServerFlags,
+       kOwnFlags});
   eval::WorldParams base = bench::retrospective_params(flags);
   base.days = static_cast<int>(flags.get_int("days", 14));
   // Archive mode: traceroutes accumulate; nothing is refreshed for free.
   base.recalibration_interval_windows = 0;
   base.platform.probe_death_per_day = 0.006;
   int seeds = static_cast<int>(flags.get_int("seeds", 1));
+
+  base.checkpoint_dir = flags.get_str("checkpoint-dir", "");
+  base.checkpoint_every =
+      static_cast<int>(flags.get_int("checkpoint-every", 1));
+  base.resume_from = flags.get_str("resume", "");
+  base.resume_window = flags.get_int("resume-window", -1);
+  const bool supervise = flags.get_bool("supervise");
+  const std::string io_setting = bench::apply_io_fault_flags(flags, base);
+  if (base.checkpoint_dir.empty()) {
+    if (supervise) {
+      bench::exit_misconfigured("--supervise",
+                                "needs --checkpoint-dir to recover from");
+    }
+    if (flags.get_bool("checkpoint-every")) {
+      bench::exit_misconfigured("--checkpoint-every",
+                                "needs --checkpoint-dir");
+    }
+    if (base.resume_from.empty() && !io_setting.empty()) {
+      bench::exit_misconfigured(
+          io_setting, "needs --checkpoint-dir or --resume (only store IO "
+                      "reads it)");
+    }
+  }
+  if (base.resume_from.empty() && flags.get_bool("resume-window")) {
+    bench::exit_misconfigured("--resume-window", "needs --resume");
+  }
+  if (supervise && flags.get_int("serve", -1) >= 0) {
+    bench::exit_misconfigured(
+        "--supervise", "cannot be combined with --serve (a recovery "
+                       "replaces the world the endpoint would follow)");
+  }
 
   eval::print_banner(std::cout, "Figure 11",
                      "fresh vs stale archival traceroutes over time",
@@ -177,10 +222,9 @@ int main(int argc, char** argv) {
                                    : 0)});
         };
 
-        if (params.supervise) {
-          // Supervised: run_all under the recovery loop. No obs lease —
-          // incarnations are born and die inside run(), and the endpoint
-          // must never hold a pointer to a dead one.
+        if (supervise) {
+          // Supervised: run_all under the recovery loop. No endpoint lease
+          // (--supervise with --serve exits 2 above).
           supervisor.emplace(params);
           supervisor->run(hooks);
           if (!supervisor->recoveries().empty()) {

@@ -11,7 +11,7 @@
 int main(int argc, char** argv) {
   using namespace rrr;
   const bench::Flags flags(argc, argv,
-                           {bench::kWorldFlags, bench::kCheckpointFlags,
+                           {bench::kWorldFlags, bench::kOutputFlags,
                             bench::kFeedFaultFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
 
@@ -67,6 +67,9 @@ int main(int argc, char** argv) {
                    .community_reputation()
                    .active_false_positive_communities()
             << "\n";
-  bench::maybe_write_trace(flags, world.trace_json(), std::cout);
+  bench::RunStats stats =
+      bench::capture_stats("seed " + std::to_string(params.seed), world);
+  bench::maybe_write_trace(flags, stats.trace, std::cout);
+  bench::write_stats_json(bench::stats_json_path(flags), {stats}, std::cout);
   return 0;
 }

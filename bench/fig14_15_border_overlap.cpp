@@ -16,7 +16,7 @@
 int main(int argc, char** argv) {
   using namespace rrr;
   const bench::Flags flags(argc, argv,
-                           {bench::kWorldFlags, bench::kCheckpointFlags,
+                           {bench::kWorldFlags, bench::kOutputFlags,
                             bench::kFeedFaultFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
   params.days = static_cast<int>(flags.get_int("days", 10));
@@ -104,6 +104,9 @@ int main(int argc, char** argv) {
             << eval::TableWriter::fmt_pct(
                    1.0 - paths_unchanged.fraction_at_most(9.0))
             << " (paper: >80% vs ~40%)\n";
-  bench::maybe_write_trace(flags, world.trace_json(), std::cout);
+  bench::RunStats stats =
+      bench::capture_stats("seed " + std::to_string(params.seed), world);
+  bench::maybe_write_trace(flags, stats.trace, std::cout);
+  bench::write_stats_json(bench::stats_json_path(flags), {stats}, std::cout);
   return 0;
 }

@@ -21,9 +21,10 @@
 // Flags: --days N --pairs N --seed N --kills N --io-seeds N
 //        --io-fault-plan SPEC --io-retry SPEC --work-dir D --keep-dirs
 //        --out F. Each grid point sets its own checkpoint directory and
-//        supervised resume, so the sweep declares no checkpoint flags
-//        (bench::kCheckpointFlags): --checkpoint-dir, --resume, --supervise
-//        and the rest exit 2 instead of being overridden.
+//        supervised resume, so fig11's durable-run flags (--checkpoint-dir,
+//        --resume, --supervise and the rest) exit 2 here instead of being
+//        overridden; the sweep writes --out, not --stats-json or
+//        --trace-out.
 #include <filesystem>
 #include <map>
 #include <optional>
@@ -32,6 +33,7 @@
 #include <unistd.h>
 
 #include "bench_common.h"
+#include "eval/supervisor.h"
 
 namespace fs = std::filesystem;
 using namespace rrr;
@@ -95,8 +97,9 @@ int main(int argc, char** argv) {
                                             "keep-dirs", "out"};
   const bench::Flags flags(argc, argv,
                            {bench::kWorldFlags, bench::kFeedFaultFlags,
-                            kOwnFlags});
+                            bench::kIoFaultFlags, kOwnFlags});
   eval::WorldParams base = bench::retrospective_params(flags);
+  bench::apply_io_fault_flags(flags, base);
   base.days = static_cast<int>(flags.get_int("days", 2));
   base.corpus_pair_target = static_cast<int>(flags.get_int("pairs", 150));
   base.telemetry = true;  // semantic stats are the comparison artifact
@@ -196,7 +199,6 @@ int main(int argc, char** argv) {
       // crash debris up front and self-heals any further failures.
       eval::WorldParams resumed = params;
       resumed.resume_from = dir;
-      resumed.supervise = true;
       // Chaos rates are far above anything a real disk produces; give the
       // supervisor headroom over its default recovery budget.
       eval::SupervisorParams sup_params;

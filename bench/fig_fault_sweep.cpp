@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
   constexpr std::string_view kOwnFlags[] = {"kinds", "intensities",
                                             "fault-blackout-windows"};
   const bench::Flags flags(argc, argv,
-                           {bench::kWorldFlags, bench::kCheckpointFlags,
+                           {bench::kWorldFlags, bench::kOutputFlags,
                             bench::kFanOutFlags, kOwnFlags});
   // The sweep sets each arm's plan and gating itself, so it declares no
   // --fault-plan or --feed-health (bench::kFeedFaultFlags): either flag

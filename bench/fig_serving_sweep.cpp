@@ -222,8 +222,8 @@ int main(int argc, char** argv) {
   constexpr std::string_view kOwnFlags[] = {"clients-list", "grid", "think-us",
                                             "out"};
   const bench::Flags flags(argc, argv,
-                           {bench::kWorldFlags, bench::kCheckpointFlags,
-                            bench::kFeedFaultFlags, kOwnFlags});
+                           {bench::kWorldFlags, bench::kFeedFaultFlags,
+                            kOwnFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
   params.days = static_cast<int>(flags.get_int("days", 4));
   params.corpus_pair_target = static_cast<int>(flags.get_int("pairs", 600));

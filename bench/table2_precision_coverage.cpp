@@ -18,6 +18,7 @@
 //        --per-day (also print the Figure 6 style daily series)
 //        --seeds N (independent replicates) --threads N (fan-out pool)
 //        --engine-threads N (parallel window closing inside each World)
+//        --stats-json F (every replicate) --trace-out F (the first)
 #include <algorithm>
 #include <map>
 #include <sstream>
@@ -29,12 +30,16 @@ namespace {
 
 using namespace rrr;
 
+struct Replicate {
+  std::string report;
+  bench::RunStats stats;
+};
+
 // One full replicate at `seed`, rendered to text (tasks run concurrently,
-// so nothing may write to stdout until the fan-out returns). `trace_out`
-// receives the primary replicate's flight-recorder export (--trace-out).
-std::string run_replicate(eval::WorldParams params, std::uint64_t seed,
-                          const bench::Flags& flags,
-                          std::string* trace_out = nullptr) {
+// so nothing may write to stdout until the fan-out returns), plus its
+// telemetry and flight-recorder export.
+Replicate run_replicate(eval::WorldParams params, std::uint64_t seed,
+                        const bench::Flags& flags) {
   params.seed = seed;
   std::ostringstream out;
   out << "world: " << params.days << " days, target "
@@ -212,8 +217,9 @@ std::string run_replicate(eval::WorldParams params, std::uint64_t seed,
     }
     daily.print(out);
   }
-  if (trace_out != nullptr) *trace_out = world.trace_json();
-  return out.str();
+  return Replicate{out.str(),
+                   bench::capture_stats("seed " + std::to_string(seed),
+                                        world)};
 }
 
 }  // namespace
@@ -225,7 +231,7 @@ int main(int argc, char** argv) {
                                             "monitor-stats", "cov-debug",
                                             "debug-fp"};
   const bench::Flags flags(argc, argv,
-                           {bench::kWorldFlags, bench::kCheckpointFlags,
+                           {bench::kWorldFlags, bench::kOutputFlags,
                             bench::kFeedFaultFlags, bench::kFanOutFlags,
                             kOwnFlags});
   eval::WorldParams params = bench::retrospective_params(flags);
@@ -243,18 +249,20 @@ int main(int argc, char** argv) {
     labels.push_back("seed " +
                      std::to_string(bench::replicate_seed(params.seed, i)));
   }
-  std::string primary_trace;
-  std::vector<std::string> reports = bench::fan_out<std::string>(
+  std::vector<Replicate> replicates = bench::fan_out<Replicate>(
       bench::fanout_threads(flags, seeds), labels,
       [&](std::size_t i) {
         return run_replicate(params, bench::replicate_seed(params.seed, i),
-                             flags, i == 0 ? &primary_trace : nullptr);
+                             flags);
       },
       std::cout);
-  for (std::size_t i = 0; i < reports.size(); ++i) {
+  std::vector<bench::RunStats> stats;
+  for (std::size_t i = 0; i < replicates.size(); ++i) {
     if (i > 0) std::cout << "\n";
-    std::cout << reports[i];
+    std::cout << replicates[i].report;
+    stats.push_back(std::move(replicates[i].stats));
   }
-  bench::maybe_write_trace(flags, primary_trace, std::cout);
+  bench::maybe_write_trace(flags, stats[0].trace, std::cout);
+  bench::write_stats_json(bench::stats_json_path(flags), stats, std::cout);
   return 0;
 }

@@ -33,7 +33,7 @@ Supervisor::Supervisor(WorldParams params, SupervisorParams sup)
   // A supervised restart after a real crash (kill -9) begins by scrubbing
   // the directory it is about to read, so the crash's debris — a torn
   // snapshot, a severed WAL tail — never reaches the resume path.
-  if (!params_.resume_from.empty() && sup_.scrub_on_recovery) {
+  if (!params_.resume_from.empty()) {
     scrub_dir(params_.resume_from, params_);
   }
 }
@@ -92,9 +92,7 @@ void Supervisor::run(const World::Hooks& hooks) {
         next_params_.io_fault_plan.seed =
             Rng(params_.io_fault_plan.seed).split(0x5EEDu + attempt).seed();
       }
-      if (sup_.scrub_on_recovery) {
-        event.report = scrub_dir(params_.checkpoint_dir, next_params_);
-      }
+      event.report = scrub_dir(params_.checkpoint_dir, next_params_);
       events_.push_back(std::move(event));
     }
   }
@@ -142,20 +140,6 @@ void Supervisor::publish() {
       ->gauge("rrr_recovery_last_resume_window", {}, kRt,
               "window the most recent recovery resumed at")
       .set(events_.empty() ? -1 : events_.back().resume_window);
-}
-
-std::unique_ptr<World> run_supervised(const WorldParams& params,
-                                      const World::Hooks& hooks,
-                                      std::vector<RecoveryEvent>* events_out) {
-  if (!params.supervise) {
-    auto world = std::make_unique<World>(params);
-    world->run_all(hooks);
-    return world;
-  }
-  Supervisor supervisor(params);
-  supervisor.run(hooks);
-  if (events_out != nullptr) *events_out = supervisor.recoveries();
-  return supervisor.take_world();
 }
 
 }  // namespace rrr::eval

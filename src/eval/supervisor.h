@@ -42,9 +42,6 @@ struct SupervisorParams {
   // exists for genuinely unrecoverable environments (a read-only disk),
   // not for injected faults, which always eventually clear or quarantine.
   int max_recoveries = 5;
-  // Scrub the checkpoint directory before each resume (and before the
-  // first construction when the run itself starts from resume_from).
-  bool scrub_on_recovery = true;
 };
 
 // One recovery the supervisor performed, for harness logs and tests.
@@ -88,12 +85,5 @@ class Supervisor {
   std::unique_ptr<World> world_;
   std::vector<RecoveryEvent> events_;
 };
-
-// Convenience: supervised when params.supervise is set (with default
-// SupervisorParams), plain World::run_all otherwise. Returns the finished
-// world for stats extraction, plus any recoveries via `events_out`.
-std::unique_ptr<World> run_supervised(
-    const WorldParams& params, const World::Hooks& hooks = {},
-    std::vector<RecoveryEvent>* events_out = nullptr);
 
 }  // namespace rrr::eval

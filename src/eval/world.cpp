@@ -162,18 +162,14 @@ World::World(const WorldParams& params)
     members[i] = std::set<Asn>(pdb.ixp_members[i].begin(),
                                pdb.ixp_members[i].end());
   }
-  if (params_.telemetry || obs::env_enabled()) {
+  if (params_.telemetry) {
     metrics_ = std::make_unique<obs::MetricsRegistry>();
     series_ = std::make_unique<obs::StatsSeries>();
   }
-  if (params_.trace || obs::trace_env_enabled()) {
+  if (params_.trace) {
     tracer_ = std::make_unique<obs::TraceRecorder>(params_.trace_params);
     tracer_->name_this_thread("driver");
     if (metrics_) tracer_->set_metrics(*metrics_);
-  }
-  if (params_.watchdog.enabled) {
-    watchdog_ = std::make_unique<obs::Watchdog>(params_.watchdog);
-    if (metrics_) watchdog_->set_metrics(*metrics_);
   }
 
   if (params_.fault_plan.enabled()) {
@@ -393,29 +389,15 @@ void World::run_until(TimePoint t, const Hooks& hooks) {
       // One "window" span per closed window wraps the whole close; every
       // cat="close" span the engine emits for this window nests inside it
       // (asserted by tools/validate_trace.py).
-      double close_us = -1.0;
       {
         obs::TraceSpan window_span(tracer_.get(), "window", "window",
                                    window);
-        if (watchdog_ == nullptr) {
-          sigs = engine_->advance_to(window_end);
-        } else {
-          const auto close_begin = obs::SpanClock::now();
-          sigs = engine_->advance_to(window_end);
-          close_us = std::chrono::duration<double, std::micro>(
-                         obs::SpanClock::now() - close_begin)
-                         .count();
-        }
+        sigs = engine_->advance_to(window_end);
       }
       // Window boundary = the serial drain point: every thread's ring
-      // moves into the flight recorder, so exports (and the watchdog
-      // report below) see everything through this window.
+      // moves into the flight recorder, so exports see everything through
+      // this window.
       if (tracer_) tracer_->drain();
-      if (watchdog_ != nullptr && close_us >= 0.0) {
-        watchdog_->observe(
-            window, close_us, [this] { return trace_json(); },
-            [this] { return stats_json(); });
-      }
     }
     // Serving materialization: still inside the serial section (no close
     // is in flight), so the engine read is race-free; the publish itself is
@@ -465,8 +447,8 @@ std::uint64_t World::fingerprint(const WorldParams& params) {
   // It catches the common foot-guns (different seed, days, corpus or feed
   // shape, fault plan) — it is a guard, not a proof of identity. The pure
   // throughput knob (threads) and robustness knobs (io_fault_plan,
-  // io_retry, supervise) are deliberately excluded; the engine's loader
-  // verifies the shard count itself.
+  // io_retry) are deliberately excluded; the engine's loader verifies the
+  // shard count itself.
   store::Encoder enc;
   enc.u64(params.seed);
   enc.i64(params.days);

@@ -14,7 +14,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "obs/watchdog.h"
 #include "routing/control_plane.h"
 #include "routing/events.h"
 #include "signals/engine.h"
@@ -71,21 +70,15 @@ struct WorldParams {
   // stream is bit-identical for any (shards, threads) combination.
   int engine_shards = 1;
   // Enables the telemetry registry + per-window stats series (DESIGN.md
-  // "Observability"). The RRR_STATS environment variable force-enables it
-  // regardless of this flag; when off, the engine's instrumentation sites
-  // degrade to null-pointer branches.
+  // "Observability"). When off, the engine's instrumentation sites degrade
+  // to null-pointer branches.
   bool telemetry = false;
   // Enables the flight recorder (DESIGN.md §13): structured trace spans of
   // the window-close machinery, drained at window boundaries and exported
-  // via trace_json(). RRR_TRACE force-enables it the same way RRR_STATS
-  // force-enables telemetry. Runtime-domain only: the semantic snapshot is
+  // via trace_json(). Runtime-domain only: the semantic snapshot is
   // byte-identical with tracing on or off.
   bool trace = false;
   obs::TraceParams trace_params;
-  // Slow-window watchdog (obs/watchdog.h): snapshots the flight recorder
-  // and metrics when a window close exceeds the EWMA-derived deadline.
-  // Off by default (watchdog.enabled).
-  obs::WatchdogParams watchdog;
   // Fault plan applied at the feed boundary (DESIGN.md "Fault model &
   // degradation"). Inert by default; the injector is only constructed when
   // fault_plan.enabled().
@@ -122,11 +115,6 @@ struct WorldParams {
   // Retry policy for transient-classified store IO errors. The default
   // (max_attempts = 1) disables retrying.
   store::RetryPolicy io_retry;
-  // Run under the self-healing supervisor (eval/supervisor.h): a failed
-  // window close scrubs the checkpoint directory, restores the last good
-  // state, and replays. Read by run_supervised / the benches, not by
-  // World itself.
-  bool supervise = false;
 };
 
 class World {
@@ -148,10 +136,6 @@ class World {
   // Store IO context (retries + fault injection). Null unless
   // checkpointing or resume is configured.
   store::IoContext* io_context() { return io_.get(); }
-  // Null when WorldParams::io_fault_plan is inert.
-  const fault::IoFaultInjector* io_fault_injector() const {
-    return io_fault_.get();
-  }
 
   // --- timeline ---
   TimePoint start() const { return TimePoint(0); }
@@ -162,9 +146,6 @@ class World {
     return corpus_t0() + params_.days * kSecondsPerDay;
   }
 
-  const std::vector<tr::ProbeId>& corpus_probes() const {
-    return corpus_probes_;
-  }
   const std::vector<tr::ProbeId>& public_probes() const {
     return public_probes_;
   }
@@ -177,7 +158,6 @@ class World {
   // Idempotent: a world resumed past corpus init returns the existing
   // count without re-issuing anything.
   std::size_t initialize_corpus();
-  bool corpus_initialized() const { return corpus_initialized_; }
 
   // Issues (and tracks) one corpus refresh measurement right now.
   tr::Traceroute issue_corpus_traceroute(const tr::PairKey& pair,
@@ -237,7 +217,7 @@ class World {
   // supervisor passes this to RecoveryManager::scrub.
   static std::uint64_t fingerprint(const WorldParams& params);
 
-  // --- telemetry (null/empty unless WorldParams::telemetry or RRR_STATS) ---
+  // --- telemetry (null/empty unless WorldParams::telemetry) ---
   const obs::MetricsRegistry* metrics() const { return metrics_.get(); }
   // Mutable registry access for the supervisor's rrr_recovery_* counters
   // (null when telemetry is off).
@@ -261,7 +241,7 @@ class World {
     return series_ ? series_->json() : "[]";
   }
 
-  // --- tracing (null/empty unless WorldParams::trace or RRR_TRACE) ---
+  // --- tracing (null/empty unless WorldParams::trace) ---
   obs::TraceRecorder* tracer() { return tracer_.get(); }
   // Chrome trace-event / Perfetto JSON of the flight recorder: everything
   // drained through the last closed window. Always a valid document, even
@@ -270,11 +250,6 @@ class World {
   std::string trace_json() const {
     return tracer_ ? tracer_->json()
                    : "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}";
-  }
-  // Null unless WorldParams::watchdog.enabled.
-  const obs::Watchdog* watchdog() const { return watchdog_.get(); }
-  std::string watchdog_reports_json() const {
-    return watchdog_ ? watchdog_->reports_json() : "[]";
   }
 
  private:
@@ -321,7 +296,6 @@ class World {
   // Flight recorder; declared before the engine, which holds the tracer
   // pointer (same lifetime rule as metrics_).
   std::unique_ptr<obs::TraceRecorder> tracer_;
-  std::unique_ptr<obs::Watchdog> watchdog_;
   // Fault injector at the feed boundary; null when the plan is inert.
   std::unique_ptr<fault::FaultInjector> fault_;
   // Storage fault environment + retry context for every store IO this

@@ -32,7 +32,6 @@ class Ipv4 {
   static std::optional<Ipv4> parse(std::string_view text);
 
   constexpr std::uint32_t value() const { return value_; }
-  constexpr bool is_zero() const { return value_ == 0; }
 
   std::string to_string() const;
 

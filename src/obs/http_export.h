@@ -1,5 +1,5 @@
 // Minimal in-tree HTTP introspection server — the first crack in the
-// batch-only wall. A running bench passes `--serve-obs PORT` and gets a
+// batch-only wall. A running bench passes `--serve PORT` and gets a
 // live, loopback-only endpoint:
 //
 //   GET /metrics     Prometheus text exposition 0.0.4 (scrape target)

@@ -102,7 +102,12 @@ void parallel_for(ThreadPool* pool, std::size_t n, Fn&& fn,
       state->done_cv.wait_for(lock, std::chrono::milliseconds(1));
     }
   }
-  if (state->error) std::rethrow_exception(state->error);
+  // Take the exception out of the shared state while holding its lock: a
+  // helper may still drop the last ForState reference after this, and the
+  // exception must not be freed with it while the caller reads it.
+  std::exception_ptr error = std::move(state->error);
+  lock.unlock();
+  if (error) std::rethrow_exception(error);
 }
 
 // Maps fn over `items`, returning results in input order (result i comes

@@ -11,9 +11,9 @@ void Calibration::record(tr::ProbeId vp, PotentialId signal,
   if (tally.first_window < 0) tally.first_window = window;
   tally.last_window = std::max(tally.last_window, window);
   tally.events.emplace_back(window, outcome);
-  // Slide: keep only the last `sliding_windows_` generation windows.
+  // Slide: keep only the last kSlidingWindows generation windows.
   while (!tally.events.empty() &&
-         tally.events.front().first <= tally.last_window - sliding_windows_) {
+         tally.events.front().first <= tally.last_window - kSlidingWindows) {
     tally.events.pop_front();
   }
 }
@@ -42,7 +42,7 @@ std::optional<double> Calibration::tpr(tr::ProbeId vp,
   const Tally* tally = find(vp, signal);
   if (tally == nullptr) return std::nullopt;
   // Uninitialized until the window has had a chance to fill (§4.3.1).
-  if (tally->last_window - tally->first_window < sliding_windows_ &&
+  if (tally->last_window - tally->first_window < kSlidingWindows &&
       tally->events.size() < 4) {
     return std::nullopt;
   }
@@ -55,7 +55,7 @@ std::optional<double> Calibration::tnr(tr::ProbeId vp,
                                        PotentialId signal) const {
   const Tally* tally = find(vp, signal);
   if (tally == nullptr) return std::nullopt;
-  if (tally->last_window - tally->first_window < sliding_windows_ &&
+  if (tally->last_window - tally->first_window < kSlidingWindows &&
       tally->events.size() < 4) {
     return std::nullopt;
   }

@@ -29,8 +29,8 @@ enum class Outcome : std::uint8_t {
 
 class Calibration {
  public:
-  explicit Calibration(std::int64_t sliding_windows = 30)
-      : sliding_windows_(sliding_windows) {}
+  // The sliding tally horizon l, in generation windows (§4.3.1).
+  static constexpr std::int64_t kSlidingWindows = 30;
 
   void record(tr::ProbeId vp, PotentialId signal, std::int64_t window,
               Outcome outcome);
@@ -40,15 +40,13 @@ class Calibration {
   // TNR = TN / (TN + FP).
   std::optional<double> tnr(tr::ProbeId vp, PotentialId signal) const;
 
-  std::size_t tally_count() const { return tallies_.size(); }
-
   // Fingerprint of the full calibration state (every (VP, signal) tally and
   // its outcome sequence). Two engines with equal digests grade refreshes
   // identically; determinism tests compare serial vs. parallel runs by it.
   std::uint64_t digest() const;
 
   // Checkpoint support: round-trips every tally's outcome deque and window
-  // bounds (sliding_windows_ is configuration, re-supplied by the ctor).
+  // bounds.
   void save_state(store::Encoder& enc) const {
     enc.u64(tallies_.size());
     for (const auto& [key, tally] : tallies_) {
@@ -94,7 +92,6 @@ class Calibration {
   Counts counts_of(const Tally& tally) const;
   const Tally* find(tr::ProbeId vp, PotentialId signal) const;
 
-  std::int64_t sliding_windows_;
   std::map<std::pair<tr::ProbeId, PotentialId>, Tally> tallies_;
 };
 

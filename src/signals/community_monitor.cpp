@@ -6,6 +6,19 @@
 #include "signals/feed_health.h"
 
 namespace rrr::signals {
+namespace {
+
+// Appendix B pruning thresholds. Globally, a community goes after
+// kPruneFpThreshold false positives at a precision below
+// kPrunePrecisionFloor; for one pair, after kPairPruneFpThreshold false
+// positives (kDefinerPruneFpThreshold across its definer's communities)
+// and no true positive.
+constexpr int kPruneFpThreshold = 3;
+constexpr double kPrunePrecisionFloor = 0.34;
+constexpr int kPairPruneFpThreshold = 4;
+constexpr int kDefinerPruneFpThreshold = 6;
+
+}  // namespace
 
 void CommunityReputation::record_outcome(Community community,
                                          const tr::PairKey& pair,
@@ -30,12 +43,12 @@ bool CommunityReputation::pruned_for(Community community,
   auto it = pair_stats_.find({community, pair});
   if (it != pair_stats_.end()) {
     const Stats& s = it->second;
-    if (s.fp >= pair_prune_fp_threshold && s.tp == 0) return true;
+    if (s.fp >= kPairPruneFpThreshold && s.tp == 0) return true;
   }
   auto dit = definer_stats_.find({community.definer(), pair});
   if (dit != definer_stats_.end()) {
     const Stats& s = dit->second;
-    if (s.fp >= definer_prune_fp_threshold && s.tp == 0) return true;
+    if (s.fp >= kDefinerPruneFpThreshold && s.tp == 0) return true;
   }
   return false;
 }
@@ -44,10 +57,10 @@ bool CommunityReputation::pruned(Community community) const {
   auto it = stats_.find(community);
   if (it == stats_.end()) return false;
   const Stats& s = it->second;
-  if (s.fp < prune_fp_threshold) return false;
+  if (s.fp < kPruneFpThreshold) return false;
   double precision =
       static_cast<double>(s.tp) / static_cast<double>(s.tp + s.fp);
-  return precision < prune_precision_floor;
+  return precision < kPrunePrecisionFloor;
 }
 
 std::size_t CommunityReputation::active_false_positive_communities() const {

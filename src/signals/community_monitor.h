@@ -49,13 +49,7 @@ class CommunityReputation {
   };
   const std::map<Community, Stats>& stats() const { return stats_; }
 
-  int prune_fp_threshold = 3;
-  double prune_precision_floor = 0.34;
-  int pair_prune_fp_threshold = 4;
-  int definer_prune_fp_threshold = 6;
-
-  // Checkpoint support: round-trips the three tally maps (thresholds are
-  // configuration).
+  // Checkpoint support: round-trips the three tally maps.
   void save_state(store::Encoder& enc) const {
     auto put_stats = [&enc](const Stats& stats) {
       enc.i64(stats.tp);

@@ -14,6 +14,14 @@ EngineParams normalized(EngineParams params) {
   return params;
 }
 
+// Every kRevocationCheckWindows windows the shards sweep their corpus for
+// revocations (§4.3.2).
+constexpr std::int64_t kRevocationCheckWindows = 8;
+// A potential signal that keeps flagging a persistent change re-fires at
+// most once per cooldown (the pair is already marked stale; repeats only
+// add noise to downstream consumers).
+constexpr std::int64_t kSignalCooldownWindows = 8;
+
 // Rank of each technique in the canonical merge order — the order the
 // close path runs the monitors in (BGP monitors, then the table absorb,
 // then trace monitors). Within a rank, signals order by
@@ -97,7 +105,6 @@ Engine::Engine(const EngineParams& params,
       rng_(Rng(params.seed).fork(0xE9619E)),
       vps_(std::move(vps)),
       table_(std::move(ixp_route_server_asns)),
-      calibration_(params.calibration_windows),
       rels_(std::move(rels)),
       subpath_(params_.trace_drop_outliers),
       border_(params_.trace_drop_outliers),
@@ -314,7 +321,7 @@ void Engine::close_one_window(std::int64_t window,
       }
       auto fired = last_fired_.find(signal.potential);
       if (fired != last_fired_.end() &&
-          signal.window - fired->second < params_.signal_cooldown_windows) {
+          signal.window - fired->second < kSignalCooldownWindows) {
         obs::inc(obs_.signals_suppressed_cooldown);
         continue;  // persistent change already reported recently
       }
@@ -325,9 +332,7 @@ void Engine::close_one_window(std::int64_t window,
     }
   }
 
-  if (params_.revocation_check_interval > 0 &&
-      window % params_.revocation_check_interval ==
-          params_.revocation_check_interval - 1) {
+  if (window % kRevocationCheckWindows == kRevocationCheckWindows - 1) {
     obs::TraceSpan trace_span(params_.tracer, "revocation", "close", window);
     // Each shard sweeps its own corpus; monitors and table are read-only.
     runtime::parallel_for(

@@ -48,12 +48,6 @@ namespace rrr::signals {
 
 struct EngineParams {
   TimePoint t0;  // start of window 0; windows are kBaseWindowSeconds long
-  std::int64_t calibration_windows = 30;
-  std::int64_t revocation_check_interval = 8;  // in windows
-  // A potential signal that keeps flagging a persistent change re-fires at
-  // most once per cooldown (the pair is already marked stale; repeats only
-  // add noise to downstream consumers).
-  std::int64_t signal_cooldown_windows = 8;
   // Stationarity maintenance (§4.1.2) for the subpath and border series:
   // outlier windows leave the z-score history. table2
   // --ablate-stationarity turns it off.

@@ -56,8 +56,6 @@ class PotentialIndex {
   // All potentials related to `pair` (empty vector when none).
   const std::vector<Relation>& relations_of(const tr::PairKey& pair) const;
 
-  std::size_t potential_count() const { return techniques_.size(); }
-
   // Attaches the per-technique potentials-opened counters (semantic domain);
   // null entries (or never calling this) keep create() uninstrumented.
   void set_obs(const std::array<obs::Counter*, kTechniqueCount>& opened) {

@@ -42,13 +42,6 @@ class AliasResolver {
   // The router key for `ip` (never fails: unresolved => singleton).
   RouterKey resolve(Ipv4 ip) const;
 
-  // Whether two addresses are inferred to sit on the same router.
-  bool same_router(Ipv4 a, Ipv4 b) const {
-    return resolve(a) == resolve(b);
-  }
-
-  std::size_t resolved_interface_count() const { return resolved_.size(); }
-
  private:
   std::unordered_map<Ipv4, std::uint64_t> resolved_;  // ip -> alias-set id
 };

@@ -46,8 +46,6 @@ class Geolocator {
   // Which technique produced the answer (kNone when unlocated/unknown ip).
   GeoMethod method(Ipv4 ip) const;
 
-  std::size_t located_count() const { return located_.size(); }
-
  private:
   struct Entry {
     topo::CityId city;

@@ -25,8 +25,6 @@ class HopPatcher {
   // The unique middle hop for (prev, next), when exactly one was observed.
   std::optional<Ipv4> unique_middle(Ipv4 prev, Ipv4 next) const;
 
-  std::size_t triple_count() const { return middles_.size(); }
-
   // Checkpoint support: the learned triple store round-trips verbatim.
   void save_state(store::Encoder& enc) const {
     enc.u64(middles_.size());

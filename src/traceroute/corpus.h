@@ -50,10 +50,6 @@ class Corpus {
   void for_each(Visitor&& visit) const {
     for (const auto& [key, entry] : entries_) visit(entry);
   }
-  template <typename Visitor>
-  void for_each_mut(Visitor&& visit) {
-    for (auto& [key, entry] : entries_) visit(entry);
-  }
 
   std::vector<PairKey> keys() const;
 

@@ -1,5 +1,5 @@
 // Tests for the BGP layer: table views, preprocessing (§4.1.1), the record
-// codec, the stream API, and the feed simulator's update semantics.
+// codec, and the feed simulator's update semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,6 @@
 
 #include "bgp/feed.h"
 #include "bgp/serial.h"
-#include "bgp/stream.h"
 #include "bgp/table_view.h"
 #include "topology/builder.h"
 
@@ -238,159 +237,6 @@ TEST(RecordCodec, RejectsFieldsNoWriterProduces) {
       EXPECT_EQ(error.kind(), store::StoreError::Kind::kCorrupt) << row.label;
     }
   }
-}
-
-TEST(Stream, FiltersByTimeTypeAndPrefix) {
-  BgpStream stream;
-  stream.push(make_record(1, "10.0.0.0/16", {Asn(1)}, {},
-                          RecordType::kAnnouncement, 100));
-  stream.push(make_record(2, "11.0.0.0/16", {Asn(2)}, {},
-                          RecordType::kAnnouncement, 200));
-  stream.push(make_record(3, "10.0.0.0/16", {}, {},
-                          RecordType::kWithdrawal, 300));
-
-  StreamFilter filter;
-  filter.from = TimePoint(150);
-  filter.type = RecordType::kAnnouncement;
-  stream.set_filter(filter);
-  auto record = stream.next();
-  ASSERT_TRUE(record.has_value());
-  EXPECT_EQ(record->vp, 2u);
-  EXPECT_FALSE(stream.next().has_value());
-
-  stream.rewind();
-  StreamFilter by_prefix;
-  by_prefix.prefixes = {*Prefix::parse("10.0.0.0/8")};
-  stream.set_filter(by_prefix);
-  int count = 0;
-  while (stream.next()) ++count;
-  EXPECT_EQ(count, 2);
-}
-
-TEST(Stream, DeliversInTimestampOrder) {
-  BgpStream stream;
-  stream.push(make_record(1, "10.0.0.0/16", {Asn(1)}, {},
-                          RecordType::kAnnouncement, 300));
-  stream.push(make_record(1, "10.0.0.0/16", {Asn(1)}, {},
-                          RecordType::kAnnouncement, 100));
-  stream.push(make_record(1, "10.0.0.0/16", {Asn(1)}, {},
-                          RecordType::kAnnouncement, 200));
-  std::int64_t last = -1;
-  while (auto record = stream.next()) {
-    EXPECT_GE(record->time.seconds(), last);
-    last = record->time.seconds();
-  }
-  EXPECT_EQ(last, 300);
-}
-
-TEST(Stream, LatePushIsDeliveredWithoutDisturbingTheCursor) {
-  BgpStream stream;
-  stream.push(make_record(1, "10.0.0.0/16", {Asn(1)}, {},
-                          RecordType::kAnnouncement, 100));
-  stream.push(make_record(2, "10.0.0.0/16", {Asn(1)}, {},
-                          RecordType::kAnnouncement, 300));
-  auto first = stream.next();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->vp, 1u);
-  // This push lands "before" the cursor position by timestamp. It must not
-  // be skipped (old bug: the full-vector re-sort moved it behind the
-  // cursor) and the already-delivered record must not come again.
-  stream.push(make_record(3, "10.0.0.0/16", {Asn(1)}, {},
-                          RecordType::kAnnouncement, 50));
-  std::vector<VpId> rest;
-  while (auto record = stream.next()) rest.push_back(record->vp);
-  EXPECT_EQ(rest, (std::vector<VpId>{3, 2}));
-}
-
-TEST(Stream, NoDoubleDeliveryAcrossManyLatePushes) {
-  BgpStream stream;
-  for (int i = 0; i < 5; ++i) {
-    stream.push(make_record(static_cast<VpId>(i), "10.0.0.0/16", {Asn(1)},
-                            {}, RecordType::kAnnouncement, i * 100));
-  }
-  std::vector<VpId> seen;
-  int pushes = 5;
-  while (auto record = stream.next()) {
-    seen.push_back(record->vp);
-    if (pushes < 8) {
-      // Interleave pushes with earlier timestamps than anything delivered.
-      stream.push(make_record(static_cast<VpId>(pushes++ + 100),
-                              "10.0.0.0/16", {Asn(1)}, {},
-                              RecordType::kAnnouncement, 1));
-    }
-  }
-  EXPECT_EQ(seen.size(), 8u);
-  std::sort(seen.begin(), seen.end());
-  EXPECT_EQ(std::unique(seen.begin(), seen.end()), seen.end());
-}
-
-TEST(Stream, RewindReplaysEverythingInTimestampOrder) {
-  BgpStream stream;
-  stream.push(make_record(1, "10.0.0.0/16", {Asn(1)}, {},
-                          RecordType::kAnnouncement, 200));
-  (void)stream.next();
-  stream.push(make_record(2, "10.0.0.0/16", {Asn(1)}, {},
-                          RecordType::kAnnouncement, 100));
-  stream.rewind();
-  std::vector<VpId> replay;
-  while (auto record = stream.next()) replay.push_back(record->vp);
-  // After rewind the late push sorts to its timestamp position.
-  EXPECT_EQ(replay, (std::vector<VpId>{2, 1}));
-}
-
-TEST(StreamFilter, UntilBoundaryIsExclusive) {
-  StreamFilter filter;
-  filter.from = TimePoint(100);
-  filter.until = TimePoint(200);
-  EXPECT_TRUE(filter.matches(
-      make_record(1, "10.0.0.0/16", {Asn(1)}, {},
-                  RecordType::kAnnouncement, 100)));  // from is inclusive
-  EXPECT_TRUE(filter.matches(make_record(
-      1, "10.0.0.0/16", {Asn(1)}, {}, RecordType::kAnnouncement, 199)));
-  EXPECT_FALSE(filter.matches(make_record(
-      1, "10.0.0.0/16", {Asn(1)}, {}, RecordType::kAnnouncement, 200)));
-}
-
-TEST(StreamFilter, OverlappingPrefixCoversMatchOnce) {
-  StreamFilter filter;
-  filter.prefixes = {*Prefix::parse("10.0.0.0/8"),
-                     *Prefix::parse("10.1.0.0/16")};
-  BgpStream stream;
-  stream.push(make_record(1, "10.1.2.0/24", {Asn(1)}, {},
-                          RecordType::kAnnouncement, 0));
-  stream.push(make_record(2, "10.9.0.0/16", {Asn(1)}, {},
-                          RecordType::kAnnouncement, 10));
-  stream.push(make_record(3, "11.0.0.0/16", {Asn(1)}, {},
-                          RecordType::kAnnouncement, 20));
-  stream.set_filter(filter);
-  // A record covered by *both* prefixes is still delivered exactly once.
-  int count = 0;
-  while (stream.next()) ++count;
-  EXPECT_EQ(count, 2);
-}
-
-TEST(StreamFilter, EmptyAndPopulatedListsCompose) {
-  BgpRecord record = make_record(7, "10.0.0.0/16", {Asn(65001)}, {},
-                                 RecordType::kAnnouncement, 0);
-  record.collector = "rrc00";
-  record.peer_asn = Asn(65001);
-
-  StreamFilter empty_lists;  // empty collector/peer lists = match all
-  EXPECT_TRUE(empty_lists.matches(record));
-
-  StreamFilter by_collector = empty_lists;
-  by_collector.collectors = {"rrc01", "rrc00"};
-  EXPECT_TRUE(by_collector.matches(record));
-  by_collector.collectors = {"rrc01"};
-  EXPECT_FALSE(by_collector.matches(record));
-
-  // A populated peer list composes with the (empty) collector list: the
-  // empty one stays permissive, the populated one restricts.
-  StreamFilter by_peer;
-  by_peer.peer_asns = {Asn(65001)};
-  EXPECT_TRUE(by_peer.matches(record));
-  by_peer.collectors = {"rrc01"};
-  EXPECT_FALSE(by_peer.matches(record));
 }
 
 class FeedFixture : public ::testing::Test {

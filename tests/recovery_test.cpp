@@ -675,7 +675,6 @@ TEST(Supervisor, CrashWindowByIoSeedGridRecoversByteIdentically) {
 
       eval::WorldParams resumed = params;
       resumed.resume_from = dir.str();
-      resumed.supervise = true;
       eval::SupervisorParams sup_params;
       sup_params.max_recoveries = 50;
       eval::Supervisor supervisor(resumed, sup_params);
@@ -743,17 +742,6 @@ TEST(Supervisor, CleanRunNeedsNoRecoveries) {
   EXPECT_TRUE(supervisor.recoveries().empty());
   EXPECT_EQ(supervised.signals, clean.signals);
   EXPECT_EQ(supervised.semantic, clean.semantic);
-}
-
-TEST(Supervisor, RunSupervisedHonorsTheKnob) {
-  eval::WorldParams params = recovery_world(88);
-  // supervise=false: plain run, no checkpoint_dir required.
-  std::vector<eval::RecoveryEvent> events;
-  std::unique_ptr<eval::World> world =
-      eval::run_supervised(params, {}, &events);
-  ASSERT_NE(world, nullptr);
-  EXPECT_TRUE(events.empty());
-  EXPECT_EQ(world->completed_windows(), windows_of(params));
 }
 
 }  // namespace

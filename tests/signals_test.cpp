@@ -37,7 +37,7 @@ TEST(PotentialIndex, RelatesAndUnrelates) {
 }
 
 TEST(Calibration, TprAndTnrFromTallies) {
-  Calibration calibration(/*sliding_windows=*/30);
+  Calibration calibration;
   tr::ProbeId vp = 4;
   PotentialId signal = 11;
   // 3 TP, 1 FN -> TPR 0.75; 2 TN, 2 FP -> TNR 0.5.
@@ -57,7 +57,7 @@ TEST(Calibration, TprAndTnrFromTallies) {
 }
 
 TEST(Calibration, UninitializedUntilHistoryAccumulates) {
-  Calibration calibration(30);
+  Calibration calibration;
   calibration.record(1, 2, 0, Outcome::kTruePositive);
   EXPECT_FALSE(calibration.tpr(1, 2).has_value());
   EXPECT_FALSE(calibration.tpr(9, 9).has_value());  // never recorded
@@ -115,7 +115,7 @@ TEST(Table1Ordering, AsLevelOutranksBorderLevel) {
 }
 
 TEST(Scheduler, BootstrapSpendsWholeBudgetByPriority) {
-  Calibration calibration(30);  // empty: everything bootstraps
+  Calibration calibration;  // empty: everything bootstraps
   std::map<tr::PairKey, RefreshScheduler::PairState> pairs;
   for (int i = 0; i < 10; ++i) {
     SignalMeta meta;
@@ -134,7 +134,7 @@ TEST(Scheduler, BootstrapSpendsWholeBudgetByPriority) {
 }
 
 TEST(Scheduler, CalibratedVpWithHighTprGoesFirst) {
-  Calibration calibration(30);
+  Calibration calibration;
   tr::PairKey good = pair_of(1, "10.0.0.1");
   tr::PairKey bad = pair_of(2, "10.0.0.1");
   // VP 1's signal has a strong track record; VP 2's does not.
@@ -166,7 +166,7 @@ TEST(Scheduler, CalibratedVpWithHighTprGoesFirst) {
 }
 
 TEST(Scheduler, RespectsBudgetAndAvoidsDuplicates) {
-  Calibration calibration(30);
+  Calibration calibration;
   std::map<tr::PairKey, RefreshScheduler::PairState> pairs;
   tr::PairKey key = pair_of(5, "10.0.0.1");
   RefreshScheduler::PairState state;

@@ -1,11 +1,10 @@
-// Tests for the flight recorder (src/obs/trace.h), the slow-window
-// watchdog (src/obs/watchdog.h), and the HTTP introspection endpoint
-// (src/obs/http_export.h): ring wraparound and drop accounting, the
-// bounded recorder's eviction policy, concurrent writers against a
-// concurrent drainer (runs under `ctest -L tsan`), a golden Chrome
-// trace-event export with a pinned wall anchor, fake-clock watchdog
-// policy, live-endpoint round-trips, and the traced-run byte-identity
-// contract (tracing is kRuntime-only and must not move semantic output).
+// Tests for the flight recorder (src/obs/trace.h) and the HTTP
+// introspection endpoint (src/obs/http_export.h): ring wraparound and drop
+// accounting, the bounded recorder's eviction policy, concurrent writers
+// against a concurrent drainer (runs under `ctest -L tsan`), a golden
+// Chrome trace-event export with a pinned wall anchor, live-endpoint
+// round-trips, and the traced-run byte-identity contract (tracing is
+// kRuntime-only and must not move semantic output).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -26,7 +25,6 @@
 #include "obs/http_export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "obs/watchdog.h"
 
 namespace rrr::obs {
 namespace {
@@ -244,74 +242,6 @@ TEST(Concurrency, WritersDrainAndExportRace) {
             total);
 }
 
-TEST(Watchdog, WarmupTrainsThenDeadlineTrips) {
-  WatchdogParams params;
-  params.enabled = true;
-  params.ewma_alpha = 0.5;
-  params.deadline_factor = 2.0;
-  params.min_deadline_us = 1.0;
-  params.warmup_windows = 2;
-  Watchdog watchdog(params);
-  MetricsRegistry registry;
-  watchdog.set_metrics(registry);
-
-  // Warmup observations never trip, however extreme, and only train.
-  EXPECT_FALSE(watchdog.observe(0, 100.0));
-  EXPECT_EQ(watchdog.deadline_us(), 0.0);
-  EXPECT_FALSE(watchdog.observe(1, 1e9));
-  EXPECT_EQ(watchdog.trips(), 0);
-
-  // EWMA after {100, 1e9} with alpha 0.5: 100 -> ~5e8. Reset expectations
-  // with calm windows to bring the deadline back down.
-  for (int i = 0; i < 40; ++i) watchdog.observe(2 + i, 100.0);
-  EXPECT_NEAR(watchdog.ewma_us(), 100.0, 1.0);
-  EXPECT_NEAR(watchdog.deadline_us(), 200.0, 2.0);
-
-  // Judged against the deadline derived *before* this observation.
-  EXPECT_TRUE(watchdog.observe(50, 1000.0, [] {
-    return std::string("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}");
-  }, [] { return std::string("[]"); }));
-  EXPECT_EQ(watchdog.trips(), 1);
-  EXPECT_EQ(registry
-                .counter("rrr_watchdog_trips_total", {}, Domain::kRuntime)
-                .value(),
-            1);
-  ASSERT_EQ(watchdog.reports().size(), 1u);
-  const Watchdog::Report& report = watchdog.reports()[0];
-  EXPECT_EQ(report.window, 50);
-  EXPECT_DOUBLE_EQ(report.duration_us, 1000.0);
-  EXPECT_GT(report.duration_us, report.deadline_us);
-  EXPECT_LT(report.ewma_us, 110.0);  // the pre-fold baseline, not 1000
-
-  // Reports embed the snapshots as JSON documents, not quoted strings.
-  std::string json = watchdog.reports_json();
-  EXPECT_NE(json.find("\"trace\":{\"displayTimeUnit\""), std::string::npos);
-  EXPECT_NE(json.find("\"stats\":[]"), std::string::npos);
-}
-
-TEST(Watchdog, ReportCapAndDisabledMode) {
-  WatchdogParams params;
-  params.enabled = true;
-  params.ewma_alpha = 0.0;  // frozen baseline: the first window seeds it
-  params.min_deadline_us = 1.0;
-  params.warmup_windows = 1;
-  params.max_reports = 2;
-  Watchdog watchdog(params);
-  watchdog.observe(0, 10.0);
-  int trips = 0;
-  for (int i = 1; i <= 5; ++i) {
-    if (watchdog.observe(i, 100000.0)) ++trips;
-  }
-  EXPECT_EQ(trips, 5);
-  EXPECT_EQ(watchdog.trips(), 5);
-  EXPECT_EQ(watchdog.reports().size(), 2u);  // capped
-
-  Watchdog off;  // enabled = false
-  EXPECT_FALSE(off.observe(0, 1e12));
-  EXPECT_EQ(off.trips(), 0);
-  EXPECT_EQ(off.reports_json(), "[]");
-}
-
 // Minimal HTTP client for the loopback endpoint tests.
 std::string http_get(int port, const std::string& request_text) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -453,8 +383,8 @@ TEST(HttpServer, SlowLorisHitsTheReadDeadlineWith408) {
 }
 
 // The contract the live endpoint + flight recorder must not break: a fully
-// traced, watchdogged run produces byte-identical *semantic* output to a
-// plain run of the same world (tracing is kRuntime-domain only).
+// traced run produces byte-identical *semantic* output to a plain run of
+// the same world (tracing is kRuntime-domain only).
 TEST(TracedWorld, SemanticOutputByteIdenticalWithTracingOn) {
   eval::WorldParams params;
   params.days = 2;
@@ -482,7 +412,6 @@ TEST(TracedWorld, SemanticOutputByteIdenticalWithTracingOn) {
 
   eval::WorldParams traced = params;
   traced.trace = true;
-  traced.watchdog.enabled = true;
 
   std::string plain = run(params);
   std::string with_trace = run(traced);
