@@ -84,10 +84,6 @@ inline constexpr std::string_view kOutputFlags[] = {"stats-json",
 // apply_fault_flags(), which retrospective_params() calls.
 inline constexpr std::string_view kFeedFaultFlags[] = {"fault-plan",
                                                        "feed-health"};
-// apply_io_fault_flags(). Declared only by harnesses whose worlds do store
-// IO (checkpoint or resume).
-inline constexpr std::string_view kIoFaultFlags[] = {"io-fault-plan",
-                                                     "io-retry"};
 // fanout_threads().
 inline constexpr std::string_view kFanOutFlags[] = {"threads"};
 // ScopedObsServer.
@@ -302,44 +298,6 @@ inline void apply_fault_flags(const Flags& flags, eval::WorldParams& params) {
     params.fault_plan = *parsed;
   }
   if (flags.get_bool("feed-health")) params.feed_health.enabled = true;
-}
-
-// Storage-fault knobs (DESIGN.md §14), read only where kIoFaultFlags is
-// declared: `--io-fault-plan <spec>` injects storage faults into every store
-// IO (fault::IoFaultPlan::parse syntax, e.g. "torn=0.05,enospc=0.02,seed=7";
-// RRR_IO_FAULT_PLAN supplies the spec when the flag is absent), and
-// `--io-retry <spec>` configures the transient-error retry policy
-// (store::RetryPolicy::parse, e.g. "attempts=4,base_us=100"). A spec that
-// does not parse exits 2. Returns the first setting that configured store
-// IO, or an empty string when none did, so a harness can reject one that no
-// store IO would read.
-inline std::string apply_io_fault_flags(const Flags& flags,
-                                        eval::WorldParams& params) {
-  if (!flags.declares("io-fault-plan")) return "";
-  std::string applied;
-  std::string source = "--io-fault-plan";
-  std::string spec = flags.get_str("io-fault-plan", "");
-  if (spec.empty()) {
-    const char* env = std::getenv("RRR_IO_FAULT_PLAN");
-    if (env != nullptr) {
-      source = "RRR_IO_FAULT_PLAN";
-      spec = env;
-    }
-  }
-  if (!spec.empty()) {
-    std::optional<fault::IoFaultPlan> parsed = fault::IoFaultPlan::parse(spec);
-    if (!parsed) reject_setting(source, spec);
-    params.io_fault_plan = *parsed;
-    applied = source;
-  }
-  std::string retry = flags.get_str("io-retry", "");
-  if (!retry.empty()) {
-    std::optional<store::RetryPolicy> parsed = store::RetryPolicy::parse(retry);
-    if (!parsed) reject_setting("--io-retry", retry);
-    params.io_retry = *parsed;
-    if (applied.empty()) applied = "--io-retry";
-  }
-  return applied;
 }
 
 // The standard retrospective-evaluation world (§5.1), scaled down from the

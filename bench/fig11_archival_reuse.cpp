@@ -53,16 +53,57 @@
 #include "bench_common.h"
 #include "eval/supervisor.h"
 
+namespace {
+
+using namespace rrr;
+
+// Storage-fault knobs (DESIGN.md §14): `--io-fault-plan <spec>` injects
+// storage faults into every store IO (fault::IoFaultPlan::parse syntax, e.g.
+// "torn=0.05,enospc=0.02,seed=7"; RRR_IO_FAULT_PLAN supplies the spec when
+// the flag is absent), and `--io-retry <spec>` configures the
+// transient-error retry policy (store::RetryPolicy::parse, e.g.
+// "attempts=4,base_us=100"). A spec that does not parse exits 2. Returns the
+// first setting that configured store IO, or an empty string when none did,
+// so main() can reject one that no store IO would read.
+std::string apply_io_fault_flags(const bench::Flags& flags,
+                                 eval::WorldParams& params) {
+  std::string applied;
+  std::string source = "--io-fault-plan";
+  std::string spec = flags.get_str("io-fault-plan", "");
+  if (spec.empty()) {
+    const char* env = std::getenv("RRR_IO_FAULT_PLAN");
+    if (env != nullptr) {
+      source = "RRR_IO_FAULT_PLAN";
+      spec = env;
+    }
+  }
+  if (!spec.empty()) {
+    std::optional<fault::IoFaultPlan> parsed = fault::IoFaultPlan::parse(spec);
+    if (!parsed) bench::reject_setting(source, spec);
+    params.io_fault_plan = *parsed;
+    applied = source;
+  }
+  std::string retry = flags.get_str("io-retry", "");
+  if (!retry.empty()) {
+    std::optional<store::RetryPolicy> parsed = store::RetryPolicy::parse(retry);
+    if (!parsed) bench::reject_setting("--io-retry", retry);
+    params.io_retry = *parsed;
+    if (applied.empty()) applied = "--io-retry";
+  }
+  return applied;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace rrr;
   constexpr std::string_view kOwnFlags[] = {
       "seeds", "checkpoint-dir", "checkpoint-every", "resume",
-      "resume-window", "supervise"};
+      "resume-window", "supervise", "io-fault-plan", "io-retry"};
   const bench::Flags flags(
       argc, argv,
       {bench::kWorldFlags, bench::kOutputFlags, bench::kFeedFaultFlags,
-       bench::kIoFaultFlags, bench::kFanOutFlags, bench::kObsServerFlags,
-       kOwnFlags});
+       bench::kFanOutFlags, bench::kObsServerFlags, kOwnFlags});
   eval::WorldParams base = bench::retrospective_params(flags);
   base.days = static_cast<int>(flags.get_int("days", 14));
   // Archive mode: traceroutes accumulate; nothing is refreshed for free.
@@ -76,7 +117,7 @@ int main(int argc, char** argv) {
   base.resume_from = flags.get_str("resume", "");
   base.resume_window = flags.get_int("resume-window", -1);
   const bool supervise = flags.get_bool("supervise");
-  const std::string io_setting = bench::apply_io_fault_flags(flags, base);
+  const std::string io_setting = apply_io_fault_flags(flags, base);
   if (base.checkpoint_dir.empty()) {
     if (supervise) {
       bench::exit_misconfigured("--supervise",

@@ -8,7 +8,7 @@
 // append-only and ids are assigned in first-sight order, so as long as every
 // *insert* happens on a serial path (the feed boundary, the absorb writer)
 // the id→content dictionary is identical at every point of the
-// (shards × threads × pipeline × fault) determinism grid — asserted by
+// (shards × threads × fault) determinism grid — asserted by
 // tests/determinism_test.cpp.
 //
 // Invariants:

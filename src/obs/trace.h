@@ -29,7 +29,7 @@
 // Determinism: tracing is kRuntime-domain only. It reads clocks and writes
 // its own buffers; it never touches RNG streams, semantic counters, or
 // engine state, so the semantic snapshot stays byte-identical across the
-// (shards × threads × pipeline × fault) grid with tracing on — asserted by
+// (shards × threads × fault) grid with tracing on — asserted by
 // tests/determinism_test.cpp and tests/trace_test.cpp.
 #pragma once
 

@@ -1,9 +1,9 @@
 // Minimal blocking HTTP/1.1 GET client for the loopback serving endpoint.
 //
-// Exists for the in-tree consumers of src/obs's server — the
-// fig_serving_sweep load generator, the serving tests, and the CI probe
-// path — so they all speak the same (tiny) dialect the server emits:
-// one request per connection, Content-Length framing, Connection: close.
+// Exists for the in-tree consumers of src/obs's server — perfbench's
+// open-loop /v1 client and the serving and trace tests — so they all speak
+// the same (tiny) dialect the server emits: one request per connection,
+// Content-Length framing, Connection: close.
 // It is intentionally not a general HTTP client.
 #pragma once
 

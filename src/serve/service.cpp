@@ -1,6 +1,7 @@
 #include "serve/service.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <utility>
 
 #include "netbase/parse.h"
@@ -10,6 +11,15 @@
 
 namespace rrr::serve {
 namespace {
+
+// Per-pair signal-history bound: the evidence ring keeps the newest
+// kHistoryCap events; older ones only bump the dropped count.
+constexpr std::size_t kHistoryCap = 32;
+// /v1/refresh-queue?k default when the query omits k.
+constexpr int kDefaultQueueK = 20;
+// Hard ceiling on one /v1/pairs response (limit is clamped to it); the
+// serving layer is an operator hatch, not a bulk-export path.
+constexpr std::size_t kMaxPage = 10000;
 
 // ---------------------------------------------------------------------------
 // Query-string parsing. Deliberately strict: the /v1 family is a typed API,
@@ -69,9 +79,23 @@ std::string unknown_key(const Query& query,
   return "";
 }
 
+// Error messages echo the offending request bytes. The /v1 grammar is
+// ASCII, so a byte outside it is escaped by value (\u00XX): the body stays
+// valid UTF-8 JSON whatever the request carried.
 std::string error_body(int status, const std::string& message) {
-  return "{\"error\":\"" + obs::json_escape(message) +
-         "\",\"status\":" + std::to_string(status) + "}\n";
+  std::string escaped;
+  for (char c : obs::json_escape(message)) {
+    if (static_cast<unsigned char>(c) < 0x80) {
+      escaped += c;
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x",
+                    static_cast<unsigned char>(c));
+      escaped += buf;
+    }
+  }
+  return "{\"error\":\"" + escaped + "\",\"status\":" +
+         std::to_string(status) + "}\n";
 }
 
 obs::HttpResponse bad_request(const std::string& message) {
@@ -140,12 +164,6 @@ void append_verdict_fields(std::string& out, const PairVerdict& verdict) {
 
 }  // namespace
 
-StalenessService::StalenessService(ServiceParams params)
-    : params_(params) {
-  if (params_.history_cap < 1) params_.history_cap = 1;
-  if (params_.default_queue_k < 0) params_.default_queue_k = 0;
-}
-
 void StalenessService::on_window(
     const signals::Engine& engine, std::int64_t window, TimePoint window_end,
     const std::vector<signals::StalenessSignal>& window_signals) {
@@ -161,7 +179,7 @@ void StalenessService::on_window(
   for (const signals::StalenessSignal& signal : window_signals) {
     PairTrack& track = tracks_[signal.pair];
     ++track.total;
-    if (track.history.size() >= params_.history_cap) {
+    if (track.history.size() >= kHistoryCap) {
       track.history.erase(track.history.begin());
     }
     track.history.push_back(SignalEvent{signal.window, signal.time.seconds(),
@@ -176,7 +194,7 @@ void StalenessService::on_window(
   snap->window = window;
   snap->time_seconds = window_end.seconds();
   snap->table_epoch = table_epoch;
-  snap->history_cap = params_.history_cap;
+  snap->history_cap = kHistoryCap;
   snap->pairs.reserve(states.size());
   for (const signals::PairStateView& state : states) {
     PairTrack& track = tracks_[state.pair];
@@ -272,7 +290,7 @@ std::optional<obs::HttpResponse> StalenessService::handle(
       return {0, bad_request("limit is not a non-negative integer: " + *limit)};
     }
     return {static_cast<std::size_t>(
-                std::min<std::uint64_t>(*value, params_.max_page)),
+                std::min<std::uint64_t>(*value, kMaxPage)),
             std::nullopt};
   };
 
@@ -291,7 +309,7 @@ std::optional<obs::HttpResponse> StalenessService::handle(
     }
     tr::PairKey pair;
     if (auto error = parse_pair(pair)) return *error;
-    auto [limit, error] = parse_limit(params_.history_cap);
+    auto [limit, error] = parse_limit(kHistoryCap);
     if (error) return *error;
     return signals_response(*snap, pair, limit);
   }
@@ -308,7 +326,7 @@ std::optional<obs::HttpResponse> StalenessService::handle(
       else return bad_request("freshness must be fresh|stale|unknown, got: " +
                               *value);
     }
-    auto [limit, error] = parse_limit(params_.max_page);
+    auto [limit, error] = parse_limit(kMaxPage);
     if (error) return *error;
     return pairs_response(*snap, filter, limit);
   }
@@ -316,13 +334,13 @@ std::optional<obs::HttpResponse> StalenessService::handle(
     if (std::string key = unknown_key(query, {"k"}); !key.empty()) {
       return bad_request("unknown query parameter: " + key);
     }
-    int k = params_.default_queue_k;
+    int k = kDefaultQueueK;
     if (const std::string* value = query.get("k")) {
       std::optional<std::size_t> parsed =
-          parse_number<std::size_t>(*value, 0, params_.max_page);
+          parse_number<std::size_t>(*value, 0, kMaxPage);
       if (!parsed) {
         return bad_request("k is not a non-negative integer within " +
-                           std::to_string(params_.max_page) + ": " + *value);
+                           std::to_string(kMaxPage) + ": " + *value);
       }
       k = static_cast<int>(*parsed);
     }

@@ -23,8 +23,9 @@
 // Determinism: the service only *reads* engine state (pair_states(),
 // table epoch) and consumes the already-registered signal stream. It draws
 // no randomness and never feeds anything back, so a run with serving
-// attached emits a byte-identical semantic stream (pinned by
-// tests/serve_test.cpp and the fig_serving_sweep grid).
+// attached emits a byte-identical semantic stream (pinned across the
+// (shards x threads) grid by tests/serve_test.cpp, and by perfbench's
+// live_service digest check).
 #pragma once
 
 #include <atomic>
@@ -45,21 +46,8 @@ struct PairStateView;
 
 namespace rrr::serve {
 
-struct ServiceParams {
-  // Per-pair signal-history bound: the evidence ring keeps the newest
-  // `history_cap` events; older ones only bump the dropped count.
-  std::size_t history_cap = 32;
-  // /v1/refresh-queue?k default when the query omits k.
-  int default_queue_k = 20;
-  // Hard ceiling on one /v1/pairs response (limit is clamped to it); the
-  // serving layer is an operator hatch, not a bulk-export path.
-  std::size_t max_page = 10000;
-};
-
 class StalenessService {
  public:
-  explicit StalenessService(ServiceParams params = {});
-
   // --- materialization (driver thread, serial section) ---
   // Engine-facing hook: snapshots the engine's per-pair state and the
   // window's registered signals, publishes a new ServingSnapshot.
@@ -86,7 +74,6 @@ class StalenessService {
   std::uint64_t windows_published() const {
     return windows_published_.load(std::memory_order_relaxed);
   }
-  const ServiceParams& params() const { return params_; }
 
  private:
   // Builder state, touched by on_window only (driver thread).
@@ -106,7 +93,6 @@ class StalenessService {
                                    std::size_t limit) const;
   obs::HttpResponse queue_response(const ServingSnapshot& snap, int k) const;
 
-  ServiceParams params_;
   SnapshotPublisher publisher_;
   std::map<tr::PairKey, PairTrack> tracks_;
   std::atomic<std::uint64_t> windows_published_{0};

@@ -23,20 +23,18 @@ class ThreadPool;
 
 namespace rrr::signals {
 
-class AsPathMonitor final : public BgpMonitor {
+class AsPathMonitor final : public Monitor {
  public:
   explicit AsPathMonitor(const BgpContext& context) : context_(context) {}
 
-  Technique technique() const override { return Technique::kBgpAsPath; }
   // Evaluates window closes across entries on `pool` (null = serial).
   void set_pool(runtime::ThreadPool* pool) { pool_ = pool; }
-  void watch(const CorpusView& view, PotentialIndex& index) override;
-  void unwatch(const tr::PairKey& pair) override;
-  void on_record(const DispatchedRecord& record,
-                 std::int64_t window) override;
+  void watch(const CorpusView& view, PotentialIndex& index);
+  void unwatch(const tr::PairKey& pair);
+  void on_record(const DispatchedRecord& record, std::int64_t window);
   std::vector<StalenessSignal> close_window(std::int64_t window,
-                                            TimePoint window_end) override;
-  bool reverted(PotentialId id) const override;
+                                            TimePoint window_end);
+  bool reverted(PotentialId id) const;
 
   std::size_t entry_count() const { return entries_.size(); }
 

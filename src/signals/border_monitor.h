@@ -24,9 +24,9 @@ class BorderMonitor final : public TraceSeriesMonitor {
       : TraceSeriesMonitor(Technique::kTraceBorder,
                            drop_outliers_from_history) {}
 
-  void watch(const CorpusView& view, PotentialIndex& index) override;
+  void watch(const CorpusView& view, PotentialIndex& index);
   void on_public_trace(const tracemap::ProcessedTrace& trace,
-                       std::int64_t window) override;
+                       std::int64_t window);
 
   // Checkpoint support: city pairs in key order, each followed by its
   // router series in the order they were opened (each as its id, its

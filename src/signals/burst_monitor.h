@@ -23,19 +23,17 @@ class ThreadPool;
 
 namespace rrr::signals {
 
-class BurstMonitor final : public BgpMonitor {
+class BurstMonitor final : public Monitor {
  public:
   explicit BurstMonitor(const BgpContext& context) : context_(context) {}
 
-  Technique technique() const override { return Technique::kBgpBurst; }
   // Evaluates window closes across entries on `pool` (null = serial).
   void set_pool(runtime::ThreadPool* pool) { pool_ = pool; }
-  void watch(const CorpusView& view, PotentialIndex& index) override;
-  void unwatch(const tr::PairKey& pair) override;
-  void on_record(const DispatchedRecord& record,
-                 std::int64_t window) override;
+  void watch(const CorpusView& view, PotentialIndex& index);
+  void unwatch(const tr::PairKey& pair);
+  void on_record(const DispatchedRecord& record, std::int64_t window);
   std::vector<StalenessSignal> close_window(std::int64_t window,
-                                            TimePoint window_end) override;
+                                            TimePoint window_end);
 
   std::size_t entry_count() const { return entries_.size(); }
 

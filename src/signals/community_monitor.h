@@ -111,21 +111,19 @@ class CommunityReputation {
   std::map<std::pair<Asn, tr::PairKey>, Stats> definer_stats_;
 };
 
-class CommunityMonitor final : public BgpMonitor {
+class CommunityMonitor final : public Monitor {
  public:
   CommunityMonitor(const BgpContext& context, CommunityReputation& reputation)
       : context_(context), reputation_(reputation) {}
 
-  Technique technique() const override { return Technique::kBgpCommunity; }
   // Stamps window-close signals across entries on `pool` (null = serial).
   void set_pool(runtime::ThreadPool* pool) { pool_ = pool; }
-  void watch(const CorpusView& view, PotentialIndex& index) override;
-  void unwatch(const tr::PairKey& pair) override;
-  void on_record(const DispatchedRecord& record,
-                 std::int64_t window) override;
+  void watch(const CorpusView& view, PotentialIndex& index);
+  void unwatch(const tr::PairKey& pair);
+  void on_record(const DispatchedRecord& record, std::int64_t window);
   std::vector<StalenessSignal> close_window(std::int64_t window,
-                                            TimePoint window_end) override;
-  bool reverted(PotentialId id) const override;
+                                            TimePoint window_end);
+  bool reverted(PotentialId id) const;
 
   struct Stats {
     std::int64_t records = 0;          // non-withdrawal records dispatched

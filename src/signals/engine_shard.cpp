@@ -51,16 +51,16 @@ EngineShard::EngineShard(WindowClock clock,
       obs_.dropped_unhealthy_feed[technique_index(Technique::kBgpBurst)]);
 }
 
-const Monitor* EngineShard::monitor_for(Technique technique) const {
+bool EngineShard::reverted(Technique technique, PotentialId potential) const {
   switch (technique) {
-    case Technique::kBgpAsPath: return aspath_.get();
-    case Technique::kBgpCommunity: return community_.get();
-    case Technique::kBgpBurst: return burst_.get();
-    case Technique::kColocation: return ixp_;
-    case Technique::kTraceSubpath: return subpath_;
-    case Technique::kTraceBorder: return border_;
+    case Technique::kBgpAsPath: return aspath_->reverted(potential);
+    case Technique::kBgpCommunity: return community_->reverted(potential);
+    case Technique::kTraceSubpath: return subpath_->reverted(potential);
+    case Technique::kTraceBorder: return border_->reverted(potential);
+    case Technique::kBgpBurst:
+    case Technique::kColocation: return false;
   }
-  return nullptr;
+  return false;
 }
 
 tr::Freshness EngineShard::initial_freshness(
@@ -155,8 +155,7 @@ void EngineShard::run_revocation() {
         continue;
       }
       ++revocable;
-      const Monitor* monitor = monitor_for(active.technique);
-      if (monitor == nullptr || !monitor->reverted(potential)) {
+      if (!reverted(active.technique, potential)) {
         all_reverted = false;
         break;
       }

@@ -142,7 +142,10 @@ class EngineShard {
                        std::size_t border_index) const;
   tr::Freshness initial_freshness(const tr::PairKey& pair,
                                   const CorpusView& view) const;
-  const Monitor* monitor_for(Technique technique) const;
+  // §4.3.2: whether the monitor behind `technique` reports `potential`
+  // back in its issue-time state (false for the techniques that cannot
+  // revert: burst and colocation).
+  bool reverted(Technique technique, PotentialId potential) const;
 
   WindowClock clock_;
   tracemap::ProcessingContext& processing_;

@@ -26,21 +26,20 @@ class ThreadPool;
 
 namespace rrr::signals {
 
-class IxpMonitor final : public TraceMonitor {
+class IxpMonitor final : public Monitor {
  public:
   IxpMonitor(const AsRelDb& rels,
              std::map<topo::IxpId, std::set<Asn>> initial_members)
       : rels_(rels), members_(std::move(initial_members)) {}
 
-  Technique technique() const override { return Technique::kColocation; }
   // Stamps window-close signals on `pool` (null = serial).
   void set_pool(runtime::ThreadPool* pool) { pool_ = pool; }
-  void watch(const CorpusView& view, PotentialIndex& index) override;
-  void unwatch(const tr::PairKey& pair) override;
+  void watch(const CorpusView& view, PotentialIndex& index);
+  void unwatch(const tr::PairKey& pair);
   void on_public_trace(const tracemap::ProcessedTrace& trace,
-                       std::int64_t window) override;
+                       std::int64_t window);
   std::vector<StalenessSignal> close_window(std::int64_t window,
-                                            TimePoint window_end) override;
+                                            TimePoint window_end);
 
   // Calibration feedback: AS_i has been observed preferring IXP routes over
   // private peers, so future private-peer cases also signal.

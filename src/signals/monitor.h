@@ -1,6 +1,6 @@
 // Monitor plumbing shared by the six techniques: the processed view of a
 // corpus traceroute, the registry tying potential signals to the corpus
-// entries they monitor, and the monitor interfaces.
+// entries they monitor, and the state every monitor carries.
 #pragma once
 
 #include <array>
@@ -158,10 +158,27 @@ class DstIndex {
 
 class FeedHealthTracker;
 
+// What every technique's monitor shares: the close-path instrumentation and
+// the feed-health gate. There is no interface to dispatch through — the
+// engine and its shards hold and call each concrete monitor — but every
+// monitor has the same shape:
+//
+//   watch(view, index), unwatch(pair)  start / stop monitoring a corpus pair
+//   on_record(record, window)          BGP monitors: every update record of
+//                                      the current window, *before* the
+//                                      standing table view absorbs it (so
+//                                      the standing route is still the
+//                                      start-of-window route)
+//   on_public_trace(trace, window)     trace monitors: every public trace
+//   close_window(window, window_end)   closes `window`, emitting any signals
+//                                      generated in it
+//   reverted(id)                       §4.3.2, on the techniques that can
+//                                      revoke (AS path, community, subpath,
+//                                      border): whether the monitored element
+//                                      `id` has returned to the state it had
+//                                      when its traceroute was issued
 class Monitor {
  public:
-  virtual ~Monitor() = default;
-
   // Attaches close-path instrumentation; the bundle is copied, and an
   // all-null bundle (the default) makes every update a no-op.
   void set_obs(const MonitorObs& mobs) { mobs_ = mobs; }
@@ -176,38 +193,10 @@ class Monitor {
     dropped_unhealthy_ = dropped;
   }
 
-  virtual Technique technique() const = 0;
-  virtual void watch(const CorpusView& view, PotentialIndex& index) = 0;
-  virtual void unwatch(const tr::PairKey& pair) = 0;
-  // Closes `window`, emitting any signals generated in it.
-  virtual std::vector<StalenessSignal> close_window(std::int64_t window,
-                                                    TimePoint window_end) = 0;
-  // §4.3.2: whether the monitored element identified by `id` has returned
-  // to the state it had when its traceroute was issued.
-  virtual bool reverted(PotentialId id) const {
-    (void)id;
-    return false;
-  }
-
  protected:
   MonitorObs mobs_;
   const FeedHealthTracker* health_ = nullptr;
   obs::Counter* dropped_unhealthy_ = nullptr;
-};
-
-class BgpMonitor : public Monitor {
- public:
-  // Called for every update record of the current window, *before* the
-  // standing table view absorbs it (so the standing route is still the
-  // start-of-window route).
-  virtual void on_record(const DispatchedRecord& record,
-                         std::int64_t window) = 0;
-};
-
-class TraceMonitor : public Monitor {
- public:
-  virtual void on_public_trace(const tracemap::ProcessedTrace& trace,
-                               std::int64_t window) = 0;
 };
 
 }  // namespace rrr::signals

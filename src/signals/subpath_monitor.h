@@ -26,9 +26,9 @@ class SubpathMonitor final : public TraceSeriesMonitor {
       : TraceSeriesMonitor(Technique::kTraceSubpath,
                            drop_outliers_from_history) {}
 
-  void watch(const CorpusView& view, PotentialIndex& index) override;
+  void watch(const CorpusView& view, PotentialIndex& index);
   void on_public_trace(const tracemap::ProcessedTrace& trace,
-                       std::int64_t window) override;
+                       std::int64_t window);
 
   struct Stats {
     std::size_t segments = 0;

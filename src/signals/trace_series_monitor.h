@@ -22,15 +22,14 @@ class ThreadPool;
 
 namespace rrr::signals {
 
-class TraceSeriesMonitor : public TraceMonitor {
+class TraceSeriesMonitor : public Monitor {
  public:
-  Technique technique() const override { return technique_; }
   // Evaluates window closes across series on `pool` (null = serial).
   void set_pool(runtime::ThreadPool* pool) { pool_ = pool; }
-  void unwatch(const tr::PairKey& pair) override;
+  void unwatch(const tr::PairKey& pair);
   std::vector<StalenessSignal> close_window(std::int64_t window,
-                                            TimePoint window_end) override;
-  bool reverted(PotentialId id) const override;
+                                            TimePoint window_end);
+  bool reverted(PotentialId id) const;
 
  protected:
   // Every series runs this one configuration, with windows escalating up

@@ -9,6 +9,7 @@
 #include "bgp/feed.h"
 #include "bgp/serial.h"
 #include "bgp/table_view.h"
+#include "netbase/rng.h"
 #include "topology/builder.h"
 
 namespace rrr::bgp {
@@ -235,6 +236,40 @@ TEST(RecordCodec, RejectsFieldsNoWriterProduces) {
       ADD_FAILURE() << row.label << ": decoded";
     } catch (const store::StoreError& error) {
       EXPECT_EQ(error.kind(), store::StoreError::Kind::kCorrupt) << row.label;
+    }
+  }
+}
+
+// Seeded fuzz: random payloads, and truncated, bit-flipped or overwritten
+// copies of a valid record, decode or throw StoreError — never a crash, a
+// hang or another exception (the ASan job's full suite runs this loop).
+TEST(RecordCodec, RandomPayloadsDecodeOrThrowStoreError) {
+  Interner::ScopedInstance interner;  // decoded names and paths stay local
+  const std::string valid = encode(RawRecord{});
+  Rng rng(20201029);
+  for (int i = 0; i < 20000; ++i) {
+    std::string bytes;
+    if (i % 2 == 0) {
+      for (std::int64_t n = rng.uniform_int(0, 96); n > 0; --n) {
+        bytes += static_cast<char>(rng.uniform_int(0, 255));
+      }
+    } else {
+      bytes = valid;
+      if (rng.bernoulli(0.3)) bytes.resize(rng.index(bytes.size() + 1));
+      for (std::int64_t f = rng.uniform_int(1, 3); f > 0 && !bytes.empty();
+           --f) {
+        char& byte = bytes[rng.index(bytes.size())];
+        byte = rng.bernoulli(0.5)
+                   ? static_cast<char>(byte ^ (1 << rng.uniform_int(0, 7)))
+                   : static_cast<char>(rng.uniform_int(0, 255));
+      }
+    }
+    store::Decoder dec(bytes);
+    try {
+      (void)get_record(dec);
+    } catch (const store::StoreError&) {
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "payload " << i << ": threw " << error.what();
     }
   }
 }

@@ -16,14 +16,18 @@
 //   - Supervisor: a (crash-at-window x io-fault-seed) grid where every
 //     point recovers unaided and reproduces the clean run's signal
 //     stream and semantic stats byte for byte.
+//   - the WAL reader, fed seeded random and damaged logs: it returns or
+//     throws StoreError, nothing else.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <deque>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -31,6 +35,7 @@
 #include "eval/supervisor.h"
 #include "eval/world.h"
 #include "fault/io_plan.h"
+#include "netbase/rng.h"
 #include "store/checkpoint.h"
 #include "store/framing.h"
 #include "store/io_env.h"
@@ -633,29 +638,48 @@ TEST(Supervisor, RequiresACheckpointDirectory) {
   EXPECT_THROW(eval::Supervisor(recovery_world(84)), std::invalid_argument);
 }
 
-// The in-process chaos grid in miniature: crash (destruct mid-run) at
-// window k under silent+reported storage faults, then hand the directory
-// to the supervisor — every point must finish unaided and reproduce the
-// clean run's per-window signal stream and semantic stats byte for byte.
+// The in-process chaos grid: crash (destruct mid-run) at window k under
+// silent and reported storage faults, then hand the directory to the
+// supervisor. Every point must finish unaided, reproduce the clean run's
+// per-window signal stream and semantic stats byte for byte (read from the
+// world take_world() releases), and leave no stray temp file. Two crash
+// points fall after initialize_corpus; the third falls inside a warm-up
+// day, before it, so that world gets one.
 TEST(Supervisor, CrashWindowByIoSeedGridRecoversByteIdentically) {
-  eval::WorldParams base = recovery_world(85);
-  Collected clean = run_clean(base);
-  ASSERT_FALSE(clean.signals.empty());
+  const eval::WorldParams cold = recovery_world(85);
+  eval::WorldParams warm = cold;
+  warm.warmup_days = 1;
+  const Collected clean_cold = run_clean(cold);
+  const Collected clean_warm = run_clean(warm);
+  ASSERT_FALSE(clean_cold.signals.empty());
+  ASSERT_FALSE(clean_warm.signals.empty());
 
   fault::IoFaultPlan plan;
   plan.torn_write_rate = 0.05;
   plan.bit_flip_rate = 0.02;
   plan.enospc_rate = 0.02;
+  plan.eio_write_rate = 0.02;
   plan.crash_rename_rate = 0.03;
   plan.transient_fraction = 0.9;
 
-  const std::int64_t windows = windows_of(base);
-  for (std::int64_t k : {windows / 4, windows / 2}) {
+  // A world, its clean run, and the crash window counted from its start.
+  struct Point {
+    const eval::WorldParams* base;
+    const Collected* clean;
+    std::int64_t k;
+  };
+  const std::int64_t day = windows_of(cold);
+  const Point points[] = {{&cold, &clean_cold, day / 4},
+                          {&cold, &clean_cold, day / 2},
+                          {&warm, &clean_warm, day / 2}};
+  for (const Point& point : points) {
     for (std::uint64_t io_seed : {11u, 12u}) {
-      const std::string label = "k=" + std::to_string(k) +
-                                " io_seed=" + std::to_string(io_seed);
+      const std::string label =
+          "warmup_days=" + std::to_string(point.base->warmup_days) +
+          " k=" + std::to_string(point.k) +
+          " io_seed=" + std::to_string(io_seed);
       TempDir dir("grid");
-      eval::WorldParams params = base;
+      eval::WorldParams params = *point.base;
       params.checkpoint_dir = dir.str();
       params.io_fault_plan = plan;
       params.io_fault_plan.seed = io_seed;
@@ -665,9 +689,13 @@ TEST(Supervisor, CrashWindowByIoSeedGridRecoversByteIdentically) {
       eval::World::Hooks hooks = collect_hooks(chaos);
       try {
         eval::World world(params);
-        world.run_until(world.corpus_t0(), hooks);
-        world.initialize_corpus();
-        world.run_until(world.start() + k * world.window_seconds(), hooks);
+        const TimePoint crash =
+            world.start() + point.k * world.window_seconds();
+        world.run_until(std::min(crash, world.corpus_t0()), hooks);
+        if (crash > world.corpus_t0()) {
+          world.initialize_corpus();
+          world.run_until(crash, hooks);
+        }
         // The world goes out of scope here: a crash at window k.
       } catch (const StoreError&) {
         // A reported fault beat the crash to it — also a crash.
@@ -679,10 +707,12 @@ TEST(Supervisor, CrashWindowByIoSeedGridRecoversByteIdentically) {
       sup_params.max_recoveries = 50;
       eval::Supervisor supervisor(resumed, sup_params);
       supervisor.run(hooks);
-      chaos.semantic = supervisor.world().semantic_stats_json();
+      const std::unique_ptr<eval::World> world = supervisor.take_world();
+      ASSERT_NE(world, nullptr) << label;
+      chaos.semantic = world->semantic_stats_json();
 
-      EXPECT_EQ(chaos.signals, clean.signals) << label;
-      EXPECT_EQ(chaos.semantic, clean.semantic) << label;
+      EXPECT_EQ(chaos.signals, point.clean->signals) << label;
+      EXPECT_EQ(chaos.semantic, point.clean->semantic) << label;
       // Hygiene: no live-looking debris outside corrupt/.
       for (const fs::directory_entry& entry :
            fs::directory_iterator(dir.str())) {
@@ -742,6 +772,87 @@ TEST(Supervisor, CleanRunNeedsNoRecoveries) {
   EXPECT_TRUE(supervisor.recoveries().empty());
   EXPECT_EQ(supervised.signals, clean.signals);
   EXPECT_EQ(supervised.semantic, clean.semantic);
+}
+
+// --- seeded fuzz ---
+
+std::string random_bytes(Rng& rng, std::int64_t size) {
+  std::string out;
+  for (std::int64_t i = 0; i < size; ++i) {
+    out += static_cast<char>(rng.uniform_int(0, 255));
+  }
+  return out;
+}
+
+// Whatever wal.log holds, wal_read returns or throws StoreError: never a
+// crash, a hang or another exception (the ASan job's full suite runs this
+// loop, so an out-of-bounds read fails it). Half the logs are valid frames
+// (correct checksums) around random or damaged op payloads; half are
+// truncated or bit-flipped copies of a log a world really wrote.
+TEST(WalFuzz, ReaderReturnsOrThrowsStoreError) {
+  TempDir real("wal-real");
+  {
+    eval::WorldParams params = recovery_world(88);
+    params.checkpoint_dir = real.str();
+    params.checkpoint_every = 1000;  // only the log is read here
+    eval::World world(params);
+    eval::World::Hooks hooks;
+    hooks.on_signals = [&](std::int64_t window, TimePoint window_end,
+                           std::vector<signals::StalenessSignal>&&) {
+      if (window % 4 != 0) return;
+      for (const tr::PairKey& pair : world.plan_refreshes(2)) {
+        world.refresh_pair(pair, window_end);
+      }
+    };
+    world.run_until(world.corpus_t0(), hooks);
+    world.initialize_corpus();
+    world.run_until(world.start() + 32 * world.window_seconds(), hooks);
+  }
+  const std::string log = read_bytes(real.str() + "/wal.log");
+  ASSERT_GE(store::wal_read(real.str()).size(), 10u);
+
+  TempDir dir("wal-fuzz");
+  Rng rng(20201028);
+  for (int i = 0; i < 4000; ++i) {
+    std::string data;
+    if (i % 2 == 0) {
+      for (std::int64_t f = rng.uniform_int(1, 4); f > 0; --f) {
+        std::string payload;
+        if (rng.bernoulli(0.5)) {
+          payload = random_bytes(rng, rng.uniform_int(0, 48));
+        } else {
+          store::WalOp op;
+          op.clock = rng.uniform_int(-2, 200);
+          op.point = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+          op.type = random_bytes(rng, rng.uniform_int(0, 8));
+          op.payload = random_bytes(rng, rng.uniform_int(0, 24));
+          payload = store::encode_wal_op(op);
+          payload.resize(rng.index(payload.size() + 8));
+        }
+        store::append_frame(data, rng.bernoulli(0.9) ? "wal.op" : "junk",
+                            payload);
+      }
+    } else {
+      data = log;
+      if (rng.bernoulli(0.5)) data.resize(rng.index(data.size() + 1));
+      for (std::int64_t f = rng.uniform_int(0, 3); f > 0 && !data.empty();
+           --f) {
+        data[rng.index(data.size())] ^=
+            static_cast<char>(1 << rng.uniform_int(0, 7));
+      }
+    }
+    {
+      std::ofstream out(dir.str() + "/wal.log",
+                        std::ios::binary | std::ios::trunc);
+      out << data;
+    }
+    try {
+      (void)store::wal_read(dir.str());
+    } catch (const StoreError&) {
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "log " << i << ": threw " << error.what();
+    }
+  }
 }
 
 }  // namespace

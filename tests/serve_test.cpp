@@ -1,13 +1,17 @@
 // The staleness query service (serve/): snapshot publication, route
-// grammar, golden JSON bodies, the HTTP path end-to-end, reader/driver
-// concurrency (the TSAN targets), and the serving-attached determinism
-// contract.
+// grammar (with a seeded fuzz), golden JSON bodies, the HTTP path
+// end-to-end, reader/driver concurrency (the TSAN targets), and the
+// serving-attached determinism contract across the shard grid.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
+#include <iterator>
+#include <string_view>
 #include <thread>
 
 #include "eval/world.h"
+#include "netbase/rng.h"
 #include "obs/http_export.h"
 #include "serve/http_client.h"
 #include "serve/service.h"
@@ -229,13 +233,12 @@ TEST(ServeRoutes, MalformedQueryRejectionTable) {
 }
 
 TEST(ServeRoutes, HistoryRingBoundsEvidence) {
-  ServiceParams params;
-  params.history_cap = 4;
-  StalenessService service(params);
+  StalenessService service;
   const tr::PairKey pair = pair_of(3, "10.1.0.1");
   std::vector<signals::PairStateView> states = {
       {pair, tr::Freshness::kStale, 0, 1}};
-  for (std::int64_t w = 0; w < 10; ++w) {
+  // 40 windows against the 32-event ring: the oldest 8 drop.
+  for (std::int64_t w = 0; w < 40; ++w) {
     std::vector<signals::StalenessSignal> sigs = {signal_of(
         pair, signals::Technique::kBgpAsPath, w, 900 * (w + 1),
         signals::kWholePath, 900)};
@@ -244,15 +247,15 @@ TEST(ServeRoutes, HistoryRingBoundsEvidence) {
   SnapshotPtr snap = service.snapshot();
   const PairVerdict* verdict = snap->find(pair);
   ASSERT_NE(verdict, nullptr);
-  EXPECT_EQ(verdict->signals_total, 10u);
-  ASSERT_EQ(verdict->history.size(), 4u);
-  EXPECT_EQ(verdict->history.front().window, 6);
-  EXPECT_EQ(verdict->history.back().window, 9);
+  EXPECT_EQ(verdict->signals_total, 40u);
+  ASSERT_EQ(verdict->history.size(), 32u);
+  EXPECT_EQ(verdict->history.front().window, 8);
+  EXPECT_EQ(verdict->history.back().window, 39);
   // stale_since pins the first signal of the episode even though the ring
   // dropped it: it was stamped while the evidence was still present.
   EXPECT_EQ(verdict->stale_since_window, 0);
   std::string body = body_of(service, "/v1/signals?src=3&dst=10.1.0.1", 200);
-  EXPECT_NE(body.find("\"dropped\":6"), std::string::npos);
+  EXPECT_NE(body.find("\"dropped\":8"), std::string::npos);
 }
 
 TEST(ServeRoutes, StaleEpisodeClearsOnFreshness) {
@@ -350,6 +353,210 @@ TEST(ServeHttp, EndToEndOverRealSocket) {
   EXPECT_EQ(nothing->status, 404);
 }
 
+// Strict JSON recognizer (RFC 8259) for the fuzz loop below: one value,
+// whitespace around it, strings of valid UTF-8 with legal escapes.
+class JsonChecker {
+ public:
+  explicit JsonChecker(std::string_view text) : text_(text) {}
+
+  bool valid() {
+    space();
+    if (!value(0)) return false;
+    space();
+    return pos_ == text_.size();
+  }
+
+ private:
+  bool value(int depth) {
+    if (depth > 32 || pos_ >= text_.size()) return false;
+    switch (text_[pos_]) {
+      case '{': return container(depth, '}', true);
+      case '[': return container(depth, ']', false);
+      case '"': return string();
+      case 't': return literal("true");
+      case 'f': return literal("false");
+      case 'n': return literal("null");
+      default: return number();
+    }
+  }
+
+  bool container(int depth, char close, bool object) {
+    ++pos_;
+    space();
+    if (take(close)) return true;
+    do {
+      space();
+      if (object) {
+        if (pos_ >= text_.size() || text_[pos_] != '"' || !string()) {
+          return false;
+        }
+        space();
+        if (!take(':')) return false;
+        space();
+      }
+      if (!value(depth + 1)) return false;
+      space();
+    } while (take(','));
+    return take(close);
+  }
+
+  bool string() {
+    ++pos_;
+    while (pos_ < text_.size()) {
+      const auto c = static_cast<unsigned char>(text_[pos_++]);
+      if (c == '"') return true;
+      if (c < 0x20) return false;
+      if (c == '\\') {
+        if (pos_ >= text_.size()) return false;
+        const char escape = text_[pos_++];
+        if (escape == 'u') {
+          for (int i = 0; i < 4; ++i) {
+            if (pos_ >= text_.size() ||
+                !std::isxdigit(static_cast<unsigned char>(text_[pos_++]))) {
+              return false;
+            }
+          }
+        } else if (std::string_view("\"\\/bfnrt").find(escape) ==
+                   std::string_view::npos) {
+          return false;
+        }
+      } else if (c >= 0x80) {
+        // A UTF-8 lead byte and its continuation bytes.
+        const int tail = c >= 0xC2 && c <= 0xDF   ? 1
+                         : c >= 0xE0 && c <= 0xEF ? 2
+                         : c >= 0xF0 && c <= 0xF4 ? 3
+                                                  : -1;
+        if (tail < 0) return false;
+        for (int i = 0; i < tail; ++i) {
+          if (pos_ >= text_.size() ||
+              (static_cast<unsigned char>(text_[pos_++]) & 0xC0) != 0x80) {
+            return false;
+          }
+        }
+      }
+    }
+    return false;
+  }
+
+  bool number() {
+    take('-');
+    if (take('0')) {
+    } else if (!digits()) {
+      return false;
+    }
+    if (take('.') && !digits()) return false;
+    if (take('e') || take('E')) {
+      if (!take('+')) take('-');
+      if (!digits()) return false;
+    }
+    return true;
+  }
+
+  bool digits() {
+    const std::size_t begin = pos_;
+    while (pos_ < text_.size() &&
+           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
+      ++pos_;
+    }
+    return pos_ > begin;
+  }
+
+  bool literal(std::string_view word) {
+    if (text_.substr(pos_, word.size()) != word) return false;
+    pos_ += word.size();
+    return true;
+  }
+
+  bool take(char c) {
+    if (pos_ >= text_.size() || text_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+
+  void space() {
+    while (pos_ < text_.size() &&
+           std::string_view(" \t\r\n").find(text_[pos_]) !=
+               std::string_view::npos) {
+      ++pos_;
+    }
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
+
+// Seeded fuzz of the /v1 query grammar: known and unknown routes and keys,
+// the sample's pairs and strangers, huge, negative and malformed numbers,
+// empty values, repeated '&' and '=', and random bytes spliced in. A /v1
+// target always gets 200, 400 or 404 with a JSON body and never throws;
+// anything else falls through (nullopt) to the server's fixed routes.
+TEST(ServeRoutes, FuzzedTargetsGetAStatusAndAJsonBody) {
+  StalenessService service;
+  publish_sample(service);
+  const char* const paths[] = {
+      "/v1/pairs", "/v1/verdict", "/v1/signals", "/v1/refresh-queue", "/v1",
+      "/v1/",      "/v1/pair",    "/v1/pairs/",  "/v1//verdict",
+      "/v1/verdict/7"};
+  const char* const keys[] = {"src", "dst", "limit", "freshness", "k",
+                              "",    "x",   "SRC",   "limit ",    "dst[]"};
+  const char* const values[] = {
+      "7",        "9",
+      "3",        "0",
+      "-1",       "-0",
+      "+7",       "007",
+      "4294967295", "4294967296",
+      "18446744073709551615", "18446744073709551616",
+      "99999999999999999999999999", "1e3",
+      "nan",      "0x10",
+      "10.0.0.1", "10.0.0.2",
+      "10.1.0.1", "255.255.255.255",
+      "256.0.0.1", "10.0.0",
+      "10.0.0.1.5", "",
+      "stale",    "fresh",
+      "unknown",  "STALE",
+      "%20",      " 7"};
+  Rng rng(20201027);
+  int answered = 0;
+  for (int i = 0; i < 12000; ++i) {
+    std::string target = paths[rng.index(std::size(paths))];
+    if (rng.bernoulli(0.9)) target += '?';
+    for (std::int64_t t = 0, n = rng.uniform_int(0, 5); t < n; ++t) {
+      if (t > 0) target += rng.bernoulli(0.1) ? "&&" : "&";
+      target += keys[rng.index(std::size(keys))];
+      target += std::string(rng.bernoulli(0.8) ? 1 : rng.index(3), '=');
+      target += values[rng.index(std::size(values))];
+    }
+    if (rng.bernoulli(0.2)) {
+      std::string junk;
+      for (std::int64_t n = rng.uniform_int(1, 8); n > 0; --n) {
+        junk += static_cast<char>(rng.uniform_int(0, 255));
+      }
+      target.insert(rng.index(target.size() + 1), junk);
+    }
+
+    const std::string label = ::testing::PrintToString(target);
+    std::optional<obs::HttpResponse> response;
+    try {
+      response = service.handle(target);
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << label << ": threw " << error.what();
+      continue;
+    }
+    const std::string path = target.substr(0, target.find('?'));
+    const bool v1 = path.rfind("/v1/", 0) == 0 || path == "/v1";
+    ASSERT_EQ(response.has_value(), v1) << label;
+    if (!response) continue;
+    ++answered;
+    EXPECT_TRUE(response->status == 200 || response->status == 400 ||
+                response->status == 404)
+        << label << ": status " << response->status;
+    EXPECT_EQ(response->content_type, "application/json") << label;
+    EXPECT_TRUE(JsonChecker(response->body).valid())
+        << label << ": body " << ::testing::PrintToString(response->body);
+  }
+  EXPECT_GE(answered, 10000);
+}
+
 // TSAN target: HTTP readers resolve routes on live sockets while the
 // driver publishes new snapshots as fast as it can. Any missing release/
 // acquire edge between on_window and handle shows up here.
@@ -430,8 +637,9 @@ TEST(ServeConcurrency, QueryDuringWindowCloseIsRaceFree) {
 }
 
 // Determinism contract: attaching the serving layer to a World (with a
-// reader hammering it) leaves the semantic signal stream byte-identical
-// to the unserved run.
+// reader hammering it) moves no byte of the semantic signal stream or of
+// the semantic telemetry, at any (shards x threads) point: every served run
+// matches the unserved 1x1 run.
 TEST(ServeWorld, AttachingServiceDoesNotMoveTheSignalStream) {
   eval::WorldParams params;
   params.days = 2;
@@ -444,9 +652,17 @@ TEST(ServeWorld, AttachingServiceDoesNotMoveTheSignalStream) {
   params.topology.num_transit = 24;
   params.topology.num_stub = 80;
   params.seed = 11;
+  params.telemetry = true;
 
-  auto run = [&](bool serve) {
-    eval::World world(params);
+  struct Output {
+    std::string stream;
+    std::string semantic;
+  };
+  auto run = [&](bool serve, int shards, int threads) {
+    eval::WorldParams point = params;
+    point.engine_shards = shards;
+    point.engine_threads = threads;
+    eval::World world(point);
     StalenessService service;
     std::atomic<bool> stop{false};
     std::thread reader;
@@ -459,15 +675,16 @@ TEST(ServeWorld, AttachingServiceDoesNotMoveTheSignalStream) {
         }
       });
     }
-    std::string stream;
+    Output out;
     eval::World::Hooks hooks;
     hooks.on_signals = [&](std::int64_t window, TimePoint,
                            std::vector<signals::StalenessSignal>&& sigs) {
       for (const signals::StalenessSignal& s : sigs) {
-        stream += std::to_string(window) + ":" + s.to_string() + "\n";
+        out.stream += std::to_string(window) + ":" + s.to_string() + "\n";
       }
     };
     world.run_all(hooks);
+    out.semantic = world.semantic_stats_json();
     if (serve) {
       stop.store(true, std::memory_order_relaxed);
       reader.join();
@@ -481,13 +698,20 @@ TEST(ServeWorld, AttachingServiceDoesNotMoveTheSignalStream) {
       EXPECT_EQ(snap->pairs.size(), world.engine().pair_states().size());
       EXPECT_EQ(snap->refresh_queue.size(), snap->stale);
     }
-    return stream;
+    return out;
   };
 
-  const std::string without = run(false);
-  const std::string with = run(true);
-  EXPECT_FALSE(without.empty());
-  EXPECT_EQ(without, with);
+  const Output without = run(false, 1, 1);
+  EXPECT_FALSE(without.stream.empty());
+  EXPECT_NE(without.semantic, "[]");
+  for (const auto& [shards, threads] :
+       {std::pair{1, 1}, std::pair{2, 2}, std::pair{4, 2}}) {
+    const std::string label =
+        std::to_string(shards) + "x" + std::to_string(threads);
+    const Output with = run(true, shards, threads);
+    EXPECT_EQ(without.stream, with.stream) << label;
+    EXPECT_EQ(without.semantic, with.semantic) << label;
+  }
 }
 
 }  // namespace

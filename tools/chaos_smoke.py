@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """External chaos harness: kill -9 loop + storage-fault sweep (DESIGN.md §14).
 
-The process-level half of the chaos harness (the in-process grid is
-bench/fig_chaos_sweep.cpp). For each (kill attempt, io-fault seed) point:
+The process-level half of the chaos harness (the in-process grid is the
+test Supervisor.CrashWindowByIoSeedGridRecoversByteIdentically in
+tests/recovery_test.cpp). For each (kill attempt, io-fault seed) point:
 
   1. A clean baseline fig11 run records its rrr-stats-v1 envelope.
   2. A checkpointed run under --io-fault-plan is started and killed with

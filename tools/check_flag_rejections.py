@@ -3,13 +3,11 @@
 
 Runs the bench harnesses with one bad setting at a time: a flag name the
 harness does not declare (misspelled, retired, or one the harness would not
-honor, such as the durable-run flags anywhere but fig11, or the output
-files on the sweeps that write their own --out artifact), a number with
+honor, such as the durable-run flags anywhere but fig11), a number with
 trailing junk or that is not finite, a flag missing its value, an
 unparseable fault-plan or retry spec (as a flag or through the
-RRR_FAULT_PLAN / RRR_IO_FAULT_PLAN environment variables), a fig11 flag
-combination nothing would read, and serving grid points that are not SxT.
-Every run must exit with status exactly 2 and name the offending setting on
+RRR_FAULT_PLAN / RRR_IO_FAULT_PLAN environment variables), and a fig11 flag
+combination nothing would read. Every run must exit with status exactly 2 and name the offending setting on
 stderr instead of running on a fallback. The world flags are small, so a
 harness that wrongly accepts a case finishes quickly and fails the check.
 
@@ -30,14 +28,11 @@ HARNESSES = (
     "fig01_path_changes", "fig06_precision_coverage_time", "fig07_live_eval",
     "fig08_budget_sweep", "fig09_10_load_balancing", "fig11_archival_reuse",
     "fig12_geolocation", "fig13_community_pruning", "fig14_15_border_overlap",
-    "fig16_iplane", "fig_chaos_sweep", "fig_fault_sweep", "fig_serving_sweep",
-    "table2_precision_coverage")
-# The harnesses that exit 2 on --checkpoint-dir: every one but fig11
-# (which honors it) and the chaos sweep (checked with the rest of the
-# durable-run flags below).
+    "fig16_iplane", "fig_fault_sweep", "table2_precision_coverage")
+# The harnesses that exit 2 on --checkpoint-dir: every one but fig11, which
+# honors it.
 NO_CHECKPOINT = tuple(name for name in HARNESSES
-                      if name not in ("fig11_archival_reuse",
-                                      "fig_chaos_sweep"))
+                      if name != "fig11_archival_reuse")
 DURABLE_FLAGS = (("--checkpoint-dir", "x"), ("--checkpoint-every", "2"),
                  ("--resume", "x"), ("--resume-window", "3"),
                  ("--supervise",), ("--io-fault-plan", "torn=0.1"),
@@ -55,9 +50,7 @@ def cases(bins):
     """(label, argv, extra environment, setting named on stderr)."""
     fig11 = bins["fig11_archival_reuse"]
     fig07 = bins["fig07_live_eval"]
-    serving = bins["fig_serving_sweep"]
     fault_sweep = bins["fig_fault_sweep"]
-    chaos_sweep = bins["fig_chaos_sweep"]
     out = [
         ("retired flag", argv(fig11, "--pipeline", "0"), {}, "--pipeline"),
         ("misspelled flag", argv(fig11, "--pairz", "30"), {}, "--pairz"),
@@ -103,11 +96,6 @@ def cases(bins):
          {}, "--supervise"),
         ("linger without the live endpoint",
          argv(fig11, "--serve-linger", "1"), {}, "--serve-linger"),
-        ("grid without x",
-         argv(serving, "--grid", "2y2", "--clients-list", "0"), {}, "--grid"),
-        ("grid with three axes",
-         argv(serving, "--grid", "2x2x1", "--clients-list", "0"), {},
-         "--grid"),
         ("nan intensity", argv(fault_sweep, "--intensities", "nan"), {},
          "--intensities"),
         ("fault plan on the fault sweep",
@@ -119,13 +107,6 @@ def cases(bins):
                     "--checkpoint-dir"))
     for flag in DURABLE_FLAGS:
         out.append((f"{flag[0]} on fig07", argv(fig07, *flag), {}, flag[0]))
-        if flag[0] not in ("--io-fault-plan", "--io-retry"):
-            out.append((f"{flag[0]} on the chaos sweep",
-                        argv(chaos_sweep, *flag), {}, flag[0]))
-    for name, binary in (("serving", serving), ("chaos", chaos_sweep)):
-        for flag in ("--stats-json", "--trace-out"):
-            out.append((f"{flag} on the {name} sweep",
-                        argv(binary, flag, "x.json"), {}, flag))
     return out
 
 

@@ -44,7 +44,7 @@ def strip_heading_markup(heading: str) -> str:
     text = re.sub(r"!?\[([^\]]*)\]\[[^\]]*\]", r"\1", text)
     # Backticks and asterisks fall to slugify's punctuation pass anyway;
     # underscores must survive — they are word characters in a slug
-    # (fig_serving_sweep), not emphasis, in every heading we render.
+    # (fig08_budget_sweep), not emphasis, in every heading we render.
     return text
 
 
