@@ -3,16 +3,17 @@
 // measurement request be served from the archive instead of probing?".
 //
 //   $ ./examples/archival_reuse [days]
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <set>
 
+#include "args.h"
 #include "eval/world.h"
 
 int main(int argc, char** argv) {
   using namespace rrr;
-  int days = argc > 1 ? std::atoi(argv[1]) : 8;
+  examples::limit_args(argc, argv, 1, "[days]");
+  int days = examples::int_arg(argc, argv, 1, "days", 8, 1);
 
   eval::WorldParams params;
   params.days = days;

@@ -5,15 +5,16 @@
 // changed.
 //
 //   $ ./examples/corpus_maintenance [days] [budget-per-day]
-#include <cstdlib>
 #include <iostream>
 
+#include "args.h"
 #include "eval/world.h"
 
 int main(int argc, char** argv) {
   using namespace rrr;
-  int days = argc > 1 ? std::atoi(argv[1]) : 10;
-  int budget = argc > 2 ? std::atoi(argv[2]) : 40;
+  examples::limit_args(argc, argv, 2, "[days] [budget-per-day]");
+  int days = examples::int_arg(argc, argv, 1, "days", 10, 1);
+  int budget = examples::int_arg(argc, argv, 2, "budget-per-day", 40, 0);
 
   eval::WorldParams params;
   params.days = days;

@@ -9,10 +9,10 @@
 // stream flow into the signals::Engine, which flags corpus traceroutes
 // whose paths have likely changed. Ground truth from the simulator then
 // shows how many flags were right.
-#include <cstdlib>
 #include <iostream>
 #include <map>
 
+#include "args.h"
 #include "eval/metrics.h"
 #include "eval/report.h"
 #include "eval/world.h"
@@ -20,7 +20,8 @@
 int main(int argc, char** argv) {
   using namespace rrr;
 
-  int days = argc > 1 ? std::atoi(argv[1]) : 7;
+  examples::limit_args(argc, argv, 1, "[days]");
+  int days = examples::int_arg(argc, argv, 1, "days", 7, 1);
 
   eval::WorldParams params;
   params.days = days;

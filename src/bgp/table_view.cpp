@@ -135,15 +135,15 @@ void VpTableView::save_state(store::Encoder& enc) const {
 void VpTableView::load_state(store::Decoder& dec) {
   tables_.clear();
   std::vector<InternedPath> dict_paths;
-  std::uint32_t path_count = dec.u32();
+  std::uint64_t path_count = dec.bounded(dec.u32(), 8);
   dict_paths.reserve(path_count);
-  for (std::uint32_t i = 0; i < path_count; ++i) {
+  for (std::uint64_t i = 0; i < path_count; ++i) {
     dict_paths.emplace_back(store::get_as_path(dec));
   }
   std::vector<InternedCommunities> dict_comms;
-  std::uint32_t comm_count = dec.u32();
+  std::uint64_t comm_count = dec.bounded(dec.u32(), 8);
   dict_comms.reserve(comm_count);
-  for (std::uint32_t i = 0; i < comm_count; ++i) {
+  for (std::uint64_t i = 0; i < comm_count; ++i) {
     dict_comms.emplace_back(store::get_community_set(dec));
   }
   std::uint64_t vp_count = dec.u64();

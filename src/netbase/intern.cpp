@@ -67,9 +67,9 @@ void Interner::load_state(store::Decoder& dec) {
   }
   for (std::uint32_t id = 0; id < paths; ++id) {
     AsPath p;
-    std::uint32_t hops = dec.u32();
+    std::uint64_t hops = dec.bounded(dec.u32(), 4);
     p.reserve(hops);
-    for (std::uint32_t i = 0; i < hops; ++i) p.push_back(Asn(dec.u32()));
+    for (std::uint64_t i = 0; i < hops; ++i) p.push_back(Asn(dec.u32()));
     expect_id(id, path_id(p));
   }
   const std::uint32_t commsets = dec.u32();

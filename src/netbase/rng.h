@@ -105,9 +105,10 @@ class Rng {
 
   // Exact generator state as a portable text blob (mt19937_64's standard
   // stream representation), for the checkpoint store. load_state restores
-  // the draw sequence bit-identically.
+  // the draw sequence bit-identically; a blob that does not parse in full
+  // returns false and leaves the generator unchanged.
   std::string save_state() const;
-  void load_state(const std::string& state);
+  [[nodiscard]] bool load_state(const std::string& state);
 
  private:
   std::mt19937_64 engine_;
@@ -120,9 +121,14 @@ inline std::string Rng::save_state() const {
   return out.str();
 }
 
-inline void Rng::load_state(const std::string& state) {
+inline bool Rng::load_state(const std::string& state) {
   std::istringstream in(state);
-  in >> seed_ >> engine_;
+  std::uint64_t seed = 0;
+  std::mt19937_64 engine;
+  if (!(in >> seed >> engine) || !(in >> std::ws).eof()) return false;
+  seed_ = seed;
+  engine_ = engine;
+  return true;
 }
 
 // Stateless mixing hash used for per-flow load-balancer decisions: the same

@@ -42,76 +42,47 @@ void AsPathMonitor::watch(const CorpusView& view, PotentialIndex& index) {
 
   for (std::size_t j = 0; j < pt.as_path.size(); ++j) {
     if (v0s[j].empty()) continue;
-    auto entry = std::make_unique<Entry>(Entry{
-        .id = index.create(Technique::kBgpAsPath),
-        .pair = view.key,
-        .as = pt.as_path[j],
-        .tau_path = pt.as_path,
-        .tau_index = j,
-        .border_index = kWholePath,
-        .v0 = std::move(v0s[j]),
-        .series = detect::LazySeries(detect::GapPolicy::kCarryLast),
-        .baseline_ratio = 1.0,
-        .dirty = false,
-        .window_updates = {},
-    });
-    // The border whose far side is a_j (its ingress interconnection).
-    for (std::size_t b = 0; b < pt.borders.size(); ++b) {
-      if (pt.borders[b].far_as == pt.as_path[j]) {
-        entry->border_index = b;
-        break;
-      }
-    }
-    Entry* raw = entry.get();
-    index.relate(raw->id, view.key, raw->border_index);
-    by_pair_[view.key].push_back(raw);
-    by_dst_[view.key.dst].push_back(raw);
-    dst_index_.add(view.key.dst);
-    by_potential_[raw->id] = raw;
-    auto [num, den] = standing_counts(*raw);
-    raw->baseline_ratio =
+    Entry& entry = entries_.add(
+        Entry{
+            .pair = view.key,
+            .as = pt.as_path[j],
+            .tau_path = pt.as_path,
+            .tau_index = j,
+            .border_index = ingress_border(pt, pt.as_path[j]),
+            .v0 = std::move(v0s[j]),
+            .series = detect::LazySeries(detect::GapPolicy::kCarryLast),
+            .window_updates = {},
+        },
+        Technique::kBgpAsPath, index);
+    auto [num, den] = standing_counts(entry);
+    entry.baseline_ratio =
         den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 1.0;
     // Seed the series with a warm history of the standing ratio: the feed
     // has been collected since before the corpus was initialized, so the
     // detector starts armed rather than blind to the first change.
-    raw->series.seed(view.window, raw->baseline_ratio, 24);
-    entries_.emplace(raw->id, std::move(entry));
+    entry.series.seed(view.window, entry.baseline_ratio, 24);
   }
 }
 
 void AsPathMonitor::unwatch(const tr::PairKey& pair) {
-  auto it = by_pair_.find(pair);
-  if (it == by_pair_.end()) return;
-  for (Entry* entry : it->second) {
-    auto& dst_list = by_dst_[pair.dst];
-    std::erase(dst_list, entry);
-    dst_index_.remove(pair.dst);
-    by_potential_.erase(entry->id);
-    std::erase(dirty_, entry);
-    std::erase(hot_, entry);
-    entries_.erase(entry->id);
-  }
-  by_pair_.erase(it);
+  std::erase_if(hot_, [&](const Entry* entry) { return entry->pair == pair; });
+  entries_.unwatch(pair);
 }
 
 void AsPathMonitor::on_record(const DispatchedRecord& record,
                               std::int64_t window) {
   (void)window;
-  dst_index_.for_covered(record.record->prefix, [&](Ipv4 dst) {
-    auto it = by_dst_.find(dst);
-    if (it == by_dst_.end()) return;
-    for (Entry* entry : it->second) {
-      if (!std::binary_search(entry->v0.begin(), entry->v0.end(),
-                              record.record->vp)) {
-        continue;
-      }
-      entry->window_updates.emplace_back(record.record->vp, record.path);
-      if (!entry->dirty) {
-        entry->dirty = true;
-        dirty_.push_back(entry);
-      }
-    }
-  });
+  const bgp::VpId vp = record.record->vp;
+  entries_.for_covered(
+      record.record->prefix, [&](Ipv4, const std::vector<Entry*>& list) {
+        for (Entry* entry : list) {
+          if (!std::binary_search(entry->v0.begin(), entry->v0.end(), vp)) {
+            continue;
+          }
+          entry->window_updates.emplace_back(vp, record.path);
+          entries_.touch(*entry);
+        }
+      });
 }
 
 bool AsPathMonitor::path_counts(const Entry& entry, const AsPath& path,
@@ -206,7 +177,7 @@ std::vector<StalenessSignal> AsPathMonitor::close_window(
     std::int64_t window, TimePoint window_end) {
   obs::ScopedSpan span(mobs_.close_us);
   obs::observe(mobs_.close_items,
-               static_cast<double>(dirty_.size() + hot_.size()));
+               static_cast<double>(entries_.touched_count() + hot_.size()));
   std::vector<StalenessSignal> signals;
   auto merge = [&](const std::vector<Entry*>& work,
                    std::vector<EvalResult>& results) {
@@ -224,13 +195,11 @@ std::vector<StalenessSignal> AsPathMonitor::close_window(
   // hot phase must observe), but within a phase entries are distinct and
   // evaluate concurrently; merging per-entry results in work-list order
   // keeps the output independent of the thread count.
-  std::vector<Entry*> dirty;
-  dirty.swap(dirty_);
+  std::vector<Entry*> dirty = entries_.take_touched();
   std::vector<Entry*> hot;
   hot.swap(hot_);
   std::vector<EvalResult> dirty_results =
       runtime::parallel_map(pool_, dirty, [&](Entry* entry) {
-        entry->dirty = false;
         return evaluate(entry, /*from_update=*/true, window, window_end);
       });
   merge(dirty, dirty_results);
@@ -263,77 +232,42 @@ std::vector<StalenessSignal> AsPathMonitor::close_window(
 }
 
 void AsPathMonitor::save_state(store::Encoder& enc) const {
-  std::vector<const Entry*> ordered;
-  ordered.reserve(entries_.size());
-  for (const auto& [id, entry] : entries_) ordered.push_back(entry.get());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const Entry* a, const Entry* b) { return a->id < b->id; });
-  enc.u64(ordered.size());
-  for (const Entry* entry : ordered) {
-    enc.u64(entry->id);
-    put_pair(enc, entry->pair);
-    store::put(enc, entry->as);
-    store::put(enc, entry->tau_path);
-    enc.u64(entry->tau_index);
-    enc.u64(entry->border_index);
-    enc.u64(entry->v0.size());
-    for (bgp::VpId vp : entry->v0) enc.u32(vp);
-    entry->series.save_state(enc);
-    enc.f64(entry->baseline_ratio);
-    enc.boolean(entry->dirty);
-    enc.i64(entry->hot_windows);
-    enc.u64(entry->window_updates.size());
-    for (const auto& [vp, path] : entry->window_updates) {
+  entries_.save_state(enc, [](store::Encoder& enc, const Entry& entry) {
+    store::put(enc, entry.as);
+    store::put(enc, entry.tau_path);
+    enc.u64(entry.tau_index);
+    enc.u64(entry.border_index);
+    enc.u64(entry.v0.size());
+    for (bgp::VpId vp : entry.v0) enc.u32(vp);
+    entry.series.save_state(enc);
+    enc.f64(entry.baseline_ratio);
+    enc.boolean(entry.touched);
+    enc.i64(entry.hot_windows);
+    enc.u64(entry.window_updates.size());
+    for (const auto& [vp, path] : entry.window_updates) {
       enc.u32(vp);
       store::put(enc, path);
     }
-  }
-  auto put_ids = [&enc](const std::vector<Entry*>& list) {
-    enc.u64(list.size());
-    for (const Entry* entry : list) enc.u64(entry->id);
-  };
-  enc.u64(by_pair_.size());
-  for (const auto& [pair, list] : by_pair_) {
-    put_pair(enc, pair);
-    put_ids(list);
-  }
-  std::vector<Ipv4> dsts;
-  dsts.reserve(by_dst_.size());
-  for (const auto& [dst, list] : by_dst_) dsts.push_back(dst);
-  std::sort(dsts.begin(), dsts.end());
-  enc.u64(dsts.size());
-  for (Ipv4 dst : dsts) {
-    store::put(enc, dst);
-    put_ids(by_dst_.at(dst));
-  }
-  put_ids(dirty_);
-  put_ids(hot_);
+  });
+  entries_.put_ids(enc, hot_);
 }
 
 void AsPathMonitor::load_state(store::Decoder& dec) {
-  entries_.clear();
-  by_pair_.clear();
-  by_dst_.clear();
-  dst_index_ = DstIndex();
-  dirty_.clear();
   hot_.clear();
-  by_potential_.clear();
-  std::uint64_t count = dec.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    PotentialId id = dec.u64();
-    tr::PairKey pair = get_pair(dec);
+  entries_.load_state(dec, [](store::Decoder& dec) {
     Asn as = store::get_asn(dec);
     AsPath tau_path = store::get_as_path(dec);
     std::uint64_t tau_index = dec.u64();
+    if (tau_index >= tau_path.size()) {
+      throw store::StoreError(store::StoreError::Kind::kCorrupt,
+                              "AS-path entry hop lies off its path");
+    }
     std::uint64_t border_index = dec.u64();
     // Writer order is sorted, preserving the sorted-unique invariant.
-    std::vector<bgp::VpId> v0;
-    std::uint64_t v0_count = dec.u64();
-    v0.reserve(v0_count);
-    for (std::uint64_t j = 0; j < v0_count; ++j) v0.push_back(dec.u32());
-    auto entry = std::make_unique<Entry>(Entry{
-        .id = id,
-        .pair = pair,
+    std::vector<bgp::VpId> v0(dec.count(4));
+    for (bgp::VpId& vp : v0) vp = dec.u32();
+    Entry entry{
+        .pair = {},  // id and pair are the store's
         .as = as,
         .tau_path = std::move(tau_path),
         .tau_index = tau_index,
@@ -341,55 +275,31 @@ void AsPathMonitor::load_state(store::Decoder& dec) {
         .v0 = std::move(v0),
         .series = detect::LazySeries(detect::GapPolicy::kCarryLast),
         .window_updates = {},
-    });
-    entry->series.load_state(dec);
-    entry->baseline_ratio = dec.f64();
-    entry->dirty = dec.boolean();
-    entry->hot_windows = static_cast<int>(dec.i64());
-    std::uint64_t update_count = dec.u64();
-    entry->window_updates.reserve(update_count);
+    };
+    entry.series.load_state(dec);
+    entry.baseline_ratio = dec.f64();
+    entry.touched = dec.boolean();
+    entry.hot_windows = static_cast<int>(dec.i64());
+    std::uint64_t update_count = dec.count(4 + 8);
+    entry.window_updates.reserve(update_count);
     for (std::uint64_t j = 0; j < update_count; ++j) {
       bgp::VpId vp = dec.u32();
-      entry->window_updates.emplace_back(vp, store::get_as_path(dec));
+      entry.window_updates.emplace_back(vp, store::get_as_path(dec));
     }
-    by_potential_[entry->id] = entry.get();
-    entries_.emplace(entry->id, std::move(entry));
-  }
-  auto get_ids = [this, &dec]() {
-    std::vector<Entry*> list;
-    std::uint64_t n = dec.u64();
-    list.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      list.push_back(by_potential_.at(dec.u64()));
-    }
-    return list;
-  };
-  std::uint64_t pair_count = dec.u64();
-  for (std::uint64_t i = 0; i < pair_count; ++i) {
-    tr::PairKey pair = get_pair(dec);
-    by_pair_[pair] = get_ids();
-  }
-  std::uint64_t dst_count = dec.u64();
-  for (std::uint64_t i = 0; i < dst_count; ++i) {
-    Ipv4 dst = store::get_ipv4(dec);
-    std::vector<Entry*> list = get_ids();
-    for (std::size_t j = 0; j < list.size(); ++j) dst_index_.add(dst);
-    by_dst_[dst] = std::move(list);
-  }
-  dirty_ = get_ids();
-  hot_ = get_ids();
+    return entry;
+  });
+  hot_ = entries_.get_ids(dec);
 }
 
 bool AsPathMonitor::reverted(PotentialId id) const {
-  auto it = by_potential_.find(id);
-  if (it == by_potential_.end()) return false;
-  const Entry& entry = *it->second;
+  const Entry* entry = entries_.find(id);
+  if (entry == nullptr) return false;
   // Reverted when the standing routes reproduce the ratio seen at watch
   // time (the window-update buffer is empty between windows).
-  auto [num, den] = standing_counts(entry);
+  auto [num, den] = standing_counts(*entry);
   if (den == 0) return false;
   double ratio = static_cast<double>(num) / static_cast<double>(den);
-  return std::abs(ratio - entry.baseline_ratio) < 1e-9;
+  return std::abs(ratio - entry->baseline_ratio) < 1e-9;
 }
 
 }  // namespace rrr::signals

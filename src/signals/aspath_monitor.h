@@ -10,12 +10,9 @@
 // persistent changes keep signalling (§4.1.2).
 #pragma once
 
-#include <map>
-#include <unordered_map>
-
 #include "detect/series.h"
 #include "signals/bgp_context.h"
-#include "signals/monitor.h"
+#include "signals/bgp_entry_index.h"
 
 namespace rrr::runtime {
 class ThreadPool;
@@ -38,13 +35,11 @@ class AsPathMonitor final : public Monitor {
 
   std::size_t entry_count() const { return entries_.size(); }
 
-  // Checkpoint support. Entries are serialized sorted by potential id with
-  // every dynamic field; the index vectors (by_pair_/by_dst_/dirty_/hot_)
-  // are serialized as ordered id lists rather than rebuilt, because their
-  // order (set by unordered_map-driven insertion at watch/dispatch time)
-  // feeds the close-path work lists and therefore the canonical signal
-  // merge. dst_index_ and by_potential_ are derived and rebuilt on load;
-  // the cached standing counts are recomputed from the table on first use.
+  // Checkpoint support: the entry store's snapshot (BgpEntryIndex), each
+  // entry with every dynamic field, then the hot list as ids. The work
+  // lists are saved rather than rebuilt because their order feeds the
+  // close and therefore the canonical signal merge; the cached standing
+  // counts are recomputed from the table on first use.
   void save_state(store::Encoder& enc) const;
   void load_state(store::Decoder& dec);
 
@@ -61,7 +56,7 @@ class AsPathMonitor final : public Monitor {
     std::vector<bgp::VpId> v0;
     detect::LazySeries series;
     double baseline_ratio = 1.0;
-    bool dirty = false;
+    bool touched = false;  // updates buffered this window
     // Windows left in which the series must be re-evaluated even without
     // new updates: the Bitmap detector's lead window needs several samples
     // of a shifted level before the bitmap distance peaks, so a value
@@ -97,14 +92,9 @@ class AsPathMonitor final : public Monitor {
 
   runtime::ThreadPool* pool_ = nullptr;
   const BgpContext& context_;
-  std::unordered_map<PotentialId, std::unique_ptr<Entry>> entries_;
-  std::map<tr::PairKey, std::vector<Entry*>> by_pair_;
-  // Destination IP -> entries monitoring it, plus the prefix-cover index.
-  std::unordered_map<Ipv4, std::vector<Entry*>> by_dst_;
-  DstIndex dst_index_;
-  std::vector<Entry*> dirty_;
+  // Its touched list holds the entries updates reached this window.
+  BgpEntryIndex<Entry> entries_;
   std::vector<Entry*> hot_;
-  std::unordered_map<PotentialId, Entry*> by_potential_;
 };
 
 }  // namespace rrr::signals

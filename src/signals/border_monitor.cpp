@@ -75,7 +75,7 @@ void BorderMonitor::load_state(store::Decoder& dec) {
     key.as_n = store::get_asn(dec);
     key.c_n = dec.u16();
     std::vector<RouterSeries*>& routers = entries_[key];
-    std::uint64_t router_count = dec.u64();
+    std::uint64_t router_count = dec.count(8 + 8);
     routers.reserve(router_count);
     for (std::uint64_t j = 0; j < router_count; ++j) {
       PotentialId id = dec.u64();

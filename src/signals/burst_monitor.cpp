@@ -44,28 +44,26 @@ void BurstMonitor::watch(const CorpusView& view, PotentialIndex& index) {
   for (std::size_t j = 0; j < pt.as_path.size(); ++j) {
     AsPath suffix(pt.as_path.begin() + static_cast<std::ptrdiff_t>(j),
                   pt.as_path.end());
-    auto entry = std::make_unique<Entry>(Entry{
-        .id = kNoPotential,
+    Entry entry{
         .pair = view.key,
         .suffix = suffix,
-        .border_index = kWholePath,
+        .border_index = ingress_border(pt, pt.as_path[j]),
         .v0 = {},
         .series = detect::LazySeries(detect::GapPolicy::kZero),
         .window_dups = {},
         .extras = {},
         .vp_extras = {},
-        .dirty = false,
-    });
+    };
     for (auto& [vp, path] : vp_paths) {
-      if (shares_suffix(*path, suffix)) vp_insert(entry->v0, vp);
+      if (shares_suffix(*path, suffix)) vp_insert(entry.v0, vp);
     }
-    if (entry->v0.size() < 2) continue;  // need corroboration across VPs
-    entry->v0.shrink_to_fit();
+    if (entry.v0.size() < 2) continue;  // need corroboration across VPs
+    entry.v0.shrink_to_fit();
 
     // Extra ASes: on >= 2 V0 paths but not on τ.
     std::map<Asn, std::set<bgp::VpId>> outside;
     for (auto& [vp, path] : vp_paths) {
-      if (!vp_contains(entry->v0, vp)) continue;
+      if (!vp_contains(entry.v0, vp)) continue;
       for (Asn asn : *path) {
         if (!contains(pt.as_path, asn)) outside[asn].insert(vp);
       }
@@ -87,49 +85,29 @@ void BurstMonitor::watch(const CorpusView& view, PotentialIndex& index) {
       }
       if (extra.vps.empty()) continue;
       extra.vps.shrink_to_fit();
-      std::size_t extra_index = entry->extras.size();
-      entry->extras.push_back(std::move(extra));
+      std::size_t extra_index = entry.extras.size();
+      entry.extras.push_back(std::move(extra));
       for (bgp::VpId vp : vps_on) {
-        entry->vp_extras[vp].push_back(extra_index);
+        entry.vp_extras[vp].push_back(extra_index);
       }
     }
 
-    for (std::size_t b = 0; b < pt.borders.size(); ++b) {
-      if (pt.borders[b].far_as == pt.as_path[j]) {
-        entry->border_index = b;
-        break;
-      }
-    }
-    entry->id = index.create(Technique::kBgpBurst);
-    Entry* raw = entry.get();
     // Seed with a warm zero baseline (duplicates are absent most windows),
     // ending the window *before* the watch: seeding at view.window itself
     // would make the series refuse its first feed at the close of the watch
     // window, silently swallowing a duplicate burst that arrives right
     // after the watch — exactly what a session-reset storm aligned with a
     // corpus refresh produces.
-    raw->series.seed(view.window - 1, 0.0, 24);
-    for (ExtraSeries& extra : raw->extras) {
+    entry.series.seed(view.window - 1, 0.0, 24);
+    for (ExtraSeries& extra : entry.extras) {
       extra.series.seed(view.window - 1, 0.0, 24);
     }
-    index.relate(raw->id, view.key, raw->border_index);
-    by_pair_[view.key].push_back(raw);
-    by_dst_[view.key.dst].push_back(raw);
-    dst_index_.add(view.key.dst);
-    entries_.emplace(raw->id, std::move(entry));
+    entries_.add(std::move(entry), Technique::kBgpBurst, index);
   }
 }
 
 void BurstMonitor::unwatch(const tr::PairKey& pair) {
-  auto it = by_pair_.find(pair);
-  if (it == by_pair_.end()) return;
-  for (Entry* entry : it->second) {
-    std::erase(by_dst_[pair.dst], entry);
-    dst_index_.remove(pair.dst);
-    std::erase(dirty_, entry);
-    entries_.erase(entry->id);
-  }
-  by_pair_.erase(it);
+  entries_.unwatch(pair);
 }
 
 void BurstMonitor::on_record(const DispatchedRecord& record,
@@ -137,10 +115,8 @@ void BurstMonitor::on_record(const DispatchedRecord& record,
   (void)window;
   if (!record.duplicate) return;
   const bgp::BgpRecord& rec = *record.record;
-  dst_index_.for_covered(rec.prefix, [&](Ipv4 dst) {
-    auto dit = by_dst_.find(dst);
-    if (dit == by_dst_.end()) return;
-    for (Entry* entry : dit->second) {
+  entries_.for_covered(rec.prefix, [&](Ipv4, const std::vector<Entry*>& list) {
+    for (Entry* entry : list) {
       bool touched = false;
       if (vp_contains(entry->v0, rec.vp)) {
         vp_insert(entry->window_dups, rec.vp);
@@ -152,26 +128,21 @@ void BurstMonitor::on_record(const DispatchedRecord& record,
           touched = true;
         }
       }
-      if (touched && !entry->dirty) {
-        entry->dirty = true;
-        dirty_.push_back(entry);
-      }
+      if (touched) entries_.touch(*entry);
     }
   });
 }
 
 std::vector<StalenessSignal> BurstMonitor::close_window(
     std::int64_t window, TimePoint window_end) {
-  // Each dirty entry owns its series and per-window VP sets exclusively, so
+  // Each touched entry owns its series and per-window VP sets exclusively, so
   // evaluation fans out over the pool; per-entry buffers concatenate in
   // work-list order, keeping the output identical to the serial loop.
   obs::ScopedSpan span(mobs_.close_us);
-  std::vector<Entry*> work;
-  work.swap(dirty_);
+  std::vector<Entry*> work = entries_.take_touched();
   obs::observe(mobs_.close_items, static_cast<double>(work.size()));
   auto evaluate = [&](Entry* entry) {
     std::vector<StalenessSignal> out;
-    entry->dirty = false;
     // Extras first: their contemporaneous-outlier status gates the signal.
     for (ExtraSeries& extra : entry->extras) {
       if (extra.window_dups.empty()) {
@@ -256,149 +227,91 @@ std::vector<StalenessSignal> BurstMonitor::close_window(
 }
 
 void BurstMonitor::save_state(store::Encoder& enc) const {
-  auto put_vps = [&enc](const std::vector<bgp::VpId>& vps) {
+  auto put_vps = [](store::Encoder& enc, const std::vector<bgp::VpId>& vps) {
     enc.u64(vps.size());
     for (bgp::VpId vp : vps) enc.u32(vp);
   };
-  std::vector<const Entry*> ordered;
-  ordered.reserve(entries_.size());
-  for (const auto& [id, entry] : entries_) ordered.push_back(entry.get());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const Entry* a, const Entry* b) { return a->id < b->id; });
-  enc.u64(ordered.size());
-  for (const Entry* entry : ordered) {
-    enc.u64(entry->id);
-    put_pair(enc, entry->pair);
-    store::put(enc, entry->suffix);
-    enc.u64(entry->border_index);
-    put_vps(entry->v0);
-    entry->series.save_state(enc);
-    put_vps(entry->window_dups);
-    enc.u64(entry->extras.size());
-    for (const ExtraSeries& extra : entry->extras) {
+  entries_.save_state(enc, [&](store::Encoder& enc, const Entry& entry) {
+    store::put(enc, entry.suffix);
+    enc.u64(entry.border_index);
+    put_vps(enc, entry.v0);
+    entry.series.save_state(enc);
+    put_vps(enc, entry.window_dups);
+    enc.u64(entry.extras.size());
+    for (const ExtraSeries& extra : entry.extras) {
       store::put(enc, extra.as);
-      put_vps(extra.vps);
+      put_vps(enc, extra.vps);
       extra.series.save_state(enc);
-      put_vps(extra.window_dups);
+      put_vps(enc, extra.window_dups);
       enc.boolean(extra.outlier_this_window);
     }
-    enc.u64(entry->vp_extras.size());
-    for (const auto& [vp, indices] : entry->vp_extras) {
+    enc.u64(entry.vp_extras.size());
+    for (const auto& [vp, indices] : entry.vp_extras) {
       enc.u32(vp);
       enc.u64(indices.size());
       for (std::size_t index : indices) enc.u64(index);
     }
-    enc.boolean(entry->dirty);
-  }
-  auto put_ids = [&enc](const std::vector<Entry*>& list) {
-    enc.u64(list.size());
-    for (const Entry* entry : list) enc.u64(entry->id);
-  };
-  enc.u64(by_pair_.size());
-  for (const auto& [pair, list] : by_pair_) {
-    put_pair(enc, pair);
-    put_ids(list);
-  }
-  std::vector<Ipv4> dsts;
-  dsts.reserve(by_dst_.size());
-  for (const auto& [dst, list] : by_dst_) dsts.push_back(dst);
-  std::sort(dsts.begin(), dsts.end());
-  enc.u64(dsts.size());
-  for (Ipv4 dst : dsts) {
-    store::put(enc, dst);
-    put_ids(by_dst_.at(dst));
-  }
-  put_ids(dirty_);
+    enc.boolean(entry.touched);
+  });
 }
 
 void BurstMonitor::load_state(store::Decoder& dec) {
-  entries_.clear();
-  by_pair_.clear();
-  by_dst_.clear();
-  dst_index_ = DstIndex();
-  dirty_.clear();
-  auto get_vps = [&dec]() {
+  auto get_vps = [](store::Decoder& dec) {
     // The writer emits VPs in sorted order; keeping stream order preserves
     // the sorted-unique invariant the binary searches rely on.
-    std::vector<bgp::VpId> vps;
-    std::uint64_t n = dec.u64();
-    vps.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) vps.push_back(dec.u32());
+    std::vector<bgp::VpId> vps(dec.count(4));
+    for (bgp::VpId& vp : vps) vp = dec.u32();
     return vps;
   };
-  std::unordered_map<PotentialId, Entry*> by_id;
-  std::uint64_t count = dec.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    PotentialId id = dec.u64();
-    tr::PairKey pair = get_pair(dec);
+  entries_.load_state(dec, [&](store::Decoder& dec) {
     AsPath suffix = store::get_as_path(dec);
     std::uint64_t border_index = dec.u64();
-    VpList v0 = get_vps();
-    auto entry = std::make_unique<Entry>(Entry{
-        .id = id,
-        .pair = pair,
+    Entry entry{
+        .pair = {},  // id and pair are the store's
         .suffix = std::move(suffix),
         .border_index = border_index,
-        .v0 = std::move(v0),
+        .v0 = get_vps(dec),
         .series = detect::LazySeries(detect::GapPolicy::kZero),
         .window_dups = {},
         .extras = {},
         .vp_extras = {},
-        .dirty = false,
-    });
-    entry->series.load_state(dec);
-    entry->window_dups = get_vps();
-    std::uint64_t extra_count = dec.u64();
-    entry->extras.reserve(extra_count);
+    };
+    entry.series.load_state(dec);
+    entry.window_dups = get_vps(dec);
+    // An extra holds at least its AS, two VP-list counts and its flag.
+    std::uint64_t extra_count = dec.count(4 + 8 + 8 + 1);
+    entry.extras.reserve(extra_count);
     for (std::uint64_t j = 0; j < extra_count; ++j) {
       ExtraSeries extra{
           .as = store::get_asn(dec),
-          .vps = get_vps(),
+          .vps = get_vps(dec),
           .series = detect::LazySeries(detect::GapPolicy::kZero),
           .window_dups = {},
           .outlier_this_window = false,
       };
       extra.series.load_state(dec);
-      extra.window_dups = get_vps();
+      extra.window_dups = get_vps(dec);
       extra.outlier_this_window = dec.boolean();
-      entry->extras.push_back(std::move(extra));
+      entry.extras.push_back(std::move(extra));
     }
     std::uint64_t vp_extra_count = dec.u64();
     for (std::uint64_t j = 0; j < vp_extra_count; ++j) {
       bgp::VpId vp = dec.u32();
-      std::vector<std::size_t>& indices = entry->vp_extras[vp];
-      std::uint64_t index_count = dec.u64();
+      std::vector<std::size_t>& indices = entry.vp_extras[vp];
+      std::uint64_t index_count = dec.count(8);
       indices.reserve(index_count);
       for (std::uint64_t k = 0; k < index_count; ++k) {
-        indices.push_back(dec.u64());
+        std::uint64_t index = dec.u64();
+        if (index >= entry.extras.size()) {
+          throw store::StoreError(store::StoreError::Kind::kCorrupt,
+                                  "burst entry names an unknown extra AS");
+        }
+        indices.push_back(index);
       }
     }
-    entry->dirty = dec.boolean();
-    by_id[entry->id] = entry.get();
-    entries_.emplace(entry->id, std::move(entry));
-  }
-  auto get_ids = [&by_id, &dec]() {
-    std::vector<Entry*> list;
-    std::uint64_t n = dec.u64();
-    list.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      list.push_back(by_id.at(dec.u64()));
-    }
-    return list;
-  };
-  std::uint64_t pair_count = dec.u64();
-  for (std::uint64_t i = 0; i < pair_count; ++i) {
-    tr::PairKey pair = get_pair(dec);
-    by_pair_[pair] = get_ids();
-  }
-  std::uint64_t dst_count = dec.u64();
-  for (std::uint64_t i = 0; i < dst_count; ++i) {
-    Ipv4 dst = store::get_ipv4(dec);
-    std::vector<Entry*> list = get_ids();
-    for (std::size_t j = 0; j < list.size(); ++j) dst_index_.add(dst);
-    by_dst_[dst] = std::move(list);
-  }
-  dirty_ = get_ids();
+    entry.touched = dec.boolean();
+    return entry;
+  });
 }
 
 }  // namespace rrr::signals

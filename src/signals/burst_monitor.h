@@ -11,11 +11,10 @@
 #pragma once
 
 #include <map>
-#include <unordered_map>
 
 #include "detect/series.h"
 #include "signals/bgp_context.h"
-#include "signals/monitor.h"
+#include "signals/bgp_entry_index.h"
 
 namespace rrr::runtime {
 class ThreadPool;
@@ -37,8 +36,8 @@ class BurstMonitor final : public Monitor {
 
   std::size_t entry_count() const { return entries_.size(); }
 
-  // Checkpoint support; same index-vector ordering contract as
-  // AsPathMonitor::save_state.
+  // Checkpoint support: the entry store's snapshot (BgpEntryIndex), each
+  // entry with every dynamic field.
   void save_state(store::Encoder& enc) const;
   void load_state(store::Decoder& dec);
 
@@ -69,16 +68,12 @@ class BurstMonitor final : public Monitor {
     std::vector<ExtraSeries> extras;
     // Extra ASes traversed per V0 VP (indices into `extras`).
     std::map<bgp::VpId, std::vector<std::size_t>> vp_extras;
-    bool dirty = false;
+    bool touched = false;  // duplicates buffered this window
   };
 
   runtime::ThreadPool* pool_ = nullptr;
   const BgpContext& context_;
-  std::unordered_map<PotentialId, std::unique_ptr<Entry>> entries_;
-  std::map<tr::PairKey, std::vector<Entry*>> by_pair_;
-  std::unordered_map<Ipv4, std::vector<Entry*>> by_dst_;
-  DstIndex dst_index_;
-  std::vector<Entry*> dirty_;
+  BgpEntryIndex<Entry> entries_;
 };
 
 }  // namespace rrr::signals

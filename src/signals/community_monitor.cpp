@@ -104,40 +104,19 @@ void CommunityMonitor::watch(const CorpusView& view, PotentialIndex& index) {
   const tracemap::ProcessedTrace& pt = view.processed;
   if (pt.as_path.empty()) return;
   for (std::size_t j = 0; j < pt.as_path.size(); ++j) {
-    auto entry = std::make_unique<Entry>();
-    entry->id = index.create(Technique::kBgpCommunity);
-    entry->pair = view.key;
-    entry->as = pt.as_path[j];
-    entry->tau_path = pt.as_path;
-    entry->tau_index = j;
-    for (std::size_t b = 0; b < pt.borders.size(); ++b) {
-      if (pt.borders[b].far_as == pt.as_path[j]) {
-        entry->border_index = b;
-        break;
-      }
-    }
-    entry->baseline = baseline_communities(*entry);
-    Entry* raw = entry.get();
-    index.relate(raw->id, view.key, raw->border_index);
-    by_pair_[view.key].push_back(raw);
-    by_dst_[view.key.dst].push_back(raw);
-    dst_index_.add(view.key.dst);
-    by_potential_[raw->id] = raw;
-    entries_.emplace(raw->id, std::move(entry));
+    Entry entry;
+    entry.pair = view.key;
+    entry.as = pt.as_path[j];
+    entry.tau_path = pt.as_path;
+    entry.tau_index = j;
+    entry.border_index = ingress_border(pt, entry.as);
+    entry.baseline = baseline_communities(entry);
+    entries_.add(std::move(entry), Technique::kBgpCommunity, index);
   }
 }
 
 void CommunityMonitor::unwatch(const tr::PairKey& pair) {
-  auto it = by_pair_.find(pair);
-  if (it == by_pair_.end()) return;
-  for (Entry* entry : it->second) {
-    std::erase(by_dst_[pair.dst], entry);
-    dst_index_.remove(pair.dst);
-    by_potential_.erase(entry->id);
-    std::erase(pending_, entry);
-    entries_.erase(entry->id);
-  }
-  by_pair_.erase(it);
+  entries_.unwatch(pair);
 }
 
 bool CommunityMonitor::community_known_elsewhere(const Entry& entry,
@@ -159,9 +138,8 @@ void CommunityMonitor::on_record(const DispatchedRecord& record,
   if (rec.type == bgp::RecordType::kWithdrawal) return;
 
   ++stats_.records;
-  dst_index_.for_covered(rec.prefix, [&](Ipv4 dst) {
-    auto dit = by_dst_.find(dst);
-    if (dit == by_dst_.end()) return;
+  entries_.for_covered(rec.prefix, [&](Ipv4 dst,
+                                       const std::vector<Entry*>& list) {
     // Standing (start-of-window) route of this VP.
     const bgp::VpRoute* prev = context_.table->route(rec.vp, dst);
     if (prev == nullptr || prev->path.empty()) return;
@@ -169,8 +147,8 @@ void CommunityMonitor::on_record(const DispatchedRecord& record,
     bool emptiness_flip =
         prev->communities.empty() != rec.communities.empty();
     bool path_changed = record.path != prev->path;
-    for (Entry* entry : dit->second) {
-      if (entry->pending) continue;  // one signal per window suffices
+    for (Entry* entry : list) {
+      if (entry->touched) continue;  // one signal per window suffices
       // The VP must overlap τ's suffix at a_j — on its established route
       // AND on the announced one. A route that moved away from a_j drops
       // a_j's communities trivially; that is an AS-path event about the
@@ -215,24 +193,22 @@ void CommunityMonitor::on_record(const DispatchedRecord& record,
           ++stats_.known_elsewhere;
           continue;
         }
-        entry->pending = true;
         ++stats_.fired;
         entry->pending_community = c;
         ++entry->pending_vp_count;
-        pending_.push_back(entry);
+        entries_.touch(*entry);
         break;
       }
-      if (entry->pending) continue;
+      if (entry->touched) continue;
       for (Community c : diff.removed) {
         if (reputation_.pruned_for(c, entry->pair)) {
           ++stats_.pruned;
           continue;
         }
-        entry->pending = true;
         ++stats_.fired;
         entry->pending_community = c;
         ++entry->pending_vp_count;
-        pending_.push_back(entry);
+        entries_.touch(*entry);
         break;
       }
     }
@@ -242,12 +218,7 @@ void CommunityMonitor::on_record(const DispatchedRecord& record,
 std::vector<StalenessSignal> CommunityMonitor::close_window(
     std::int64_t window, TimePoint window_end) {
   obs::ScopedSpan span(mobs_.close_us);
-  std::vector<Entry*> work;
-  work.reserve(pending_.size());
-  for (Entry* entry : pending_) {
-    if (entry->pending) work.push_back(entry);
-  }
-  pending_.clear();
+  std::vector<Entry*> work = entries_.take_touched();
   obs::observe(mobs_.close_items, static_cast<double>(work.size()));
   // Entries are disjoint, so stamping their signals fans out; parallel_map
   // returns results in work-list order — the serial emission order.
@@ -264,7 +235,6 @@ std::vector<StalenessSignal> CommunityMonitor::close_window(
         static_cast<int>(entry->tau_path.size() - entry->tau_index);
     signal.meta.as_level = false;
     signal.meta.vp_count = entry->pending_vp_count;
-    entry->pending = false;
     entry->pending_vp_count = 0;
     return signal;
   });
@@ -279,43 +249,16 @@ void CommunityMonitor::save_state(store::Encoder& enc) const {
   enc.i64(stats_.known_elsewhere);
   enc.i64(stats_.pruned);
   enc.i64(stats_.fired);
-  std::vector<const Entry*> ordered;
-  ordered.reserve(entries_.size());
-  for (const auto& [id, entry] : entries_) ordered.push_back(entry.get());
-  std::sort(ordered.begin(), ordered.end(),
-            [](const Entry* a, const Entry* b) { return a->id < b->id; });
-  enc.u64(ordered.size());
-  for (const Entry* entry : ordered) {
-    enc.u64(entry->id);
-    put_pair(enc, entry->pair);
-    store::put(enc, entry->as);
-    store::put(enc, entry->tau_path);
-    enc.u64(entry->tau_index);
-    enc.u64(entry->border_index);
-    store::put(enc, entry->baseline);
-    enc.boolean(entry->pending);
-    store::put(enc, entry->pending_community);
-    enc.i64(entry->pending_vp_count);
-  }
-  auto put_ids = [&enc](const std::vector<Entry*>& list) {
-    enc.u64(list.size());
-    for (const Entry* entry : list) enc.u64(entry->id);
-  };
-  enc.u64(by_pair_.size());
-  for (const auto& [pair, list] : by_pair_) {
-    put_pair(enc, pair);
-    put_ids(list);
-  }
-  std::vector<Ipv4> dsts;
-  dsts.reserve(by_dst_.size());
-  for (const auto& [dst, list] : by_dst_) dsts.push_back(dst);
-  std::sort(dsts.begin(), dsts.end());
-  enc.u64(dsts.size());
-  for (Ipv4 dst : dsts) {
-    store::put(enc, dst);
-    put_ids(by_dst_.at(dst));
-  }
-  put_ids(pending_);
+  entries_.save_state(enc, [](store::Encoder& enc, const Entry& entry) {
+    store::put(enc, entry.as);
+    store::put(enc, entry.tau_path);
+    enc.u64(entry.tau_index);
+    enc.u64(entry.border_index);
+    store::put(enc, entry.baseline);
+    enc.boolean(entry.touched);
+    store::put(enc, entry.pending_community);
+    enc.i64(entry.pending_vp_count);
+  });
 }
 
 void CommunityMonitor::load_state(store::Decoder& dec) {
@@ -327,58 +270,23 @@ void CommunityMonitor::load_state(store::Decoder& dec) {
   stats_.known_elsewhere = dec.i64();
   stats_.pruned = dec.i64();
   stats_.fired = dec.i64();
-  entries_.clear();
-  by_pair_.clear();
-  by_dst_.clear();
-  dst_index_ = DstIndex();
-  by_potential_.clear();
-  pending_.clear();
-  std::uint64_t count = dec.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    auto entry = std::make_unique<Entry>();
-    entry->id = dec.u64();
-    entry->pair = get_pair(dec);
-    entry->as = store::get_asn(dec);
-    entry->tau_path = store::get_as_path(dec);
-    entry->tau_index = dec.u64();
-    entry->border_index = dec.u64();
-    entry->baseline = store::get_community_set(dec);
-    entry->pending = dec.boolean();
-    entry->pending_community = store::get_community(dec);
-    entry->pending_vp_count = static_cast<int>(dec.i64());
-    by_potential_[entry->id] = entry.get();
-    Entry* raw = entry.get();
-    entries_.emplace(raw->id, std::move(entry));
-  }
-  auto get_ids = [this, &dec]() {
-    std::vector<Entry*> list;
-    std::uint64_t n = dec.u64();
-    list.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      list.push_back(by_potential_.at(dec.u64()));
-    }
-    return list;
-  };
-  std::uint64_t pair_count = dec.u64();
-  for (std::uint64_t i = 0; i < pair_count; ++i) {
-    tr::PairKey pair = get_pair(dec);
-    by_pair_[pair] = get_ids();
-  }
-  std::uint64_t dst_count = dec.u64();
-  for (std::uint64_t i = 0; i < dst_count; ++i) {
-    Ipv4 dst = store::get_ipv4(dec);
-    std::vector<Entry*> list = get_ids();
-    for (std::size_t j = 0; j < list.size(); ++j) dst_index_.add(dst);
-    by_dst_[dst] = std::move(list);
-  }
-  pending_ = get_ids();
+  entries_.load_state(dec, [](store::Decoder& dec) {
+    Entry entry;
+    entry.as = store::get_asn(dec);
+    entry.tau_path = store::get_as_path(dec);
+    entry.tau_index = dec.u64();
+    entry.border_index = dec.u64();
+    entry.baseline = store::get_community_set(dec);
+    entry.touched = dec.boolean();
+    entry.pending_community = store::get_community(dec);
+    entry.pending_vp_count = static_cast<int>(dec.i64());
+    return entry;
+  });
 }
 
 bool CommunityMonitor::reverted(PotentialId id) const {
-  auto it = by_potential_.find(id);
-  if (it == by_potential_.end()) return false;
-  const Entry& entry = *it->second;
-  return baseline_communities(entry) == entry.baseline;
+  const Entry* entry = entries_.find(id);
+  return entry != nullptr && baseline_communities(*entry) == entry->baseline;
 }
 
 }  // namespace rrr::signals

@@ -14,10 +14,9 @@
 #pragma once
 
 #include <map>
-#include <unordered_map>
 
 #include "signals/bgp_context.h"
-#include "signals/monitor.h"
+#include "signals/bgp_entry_index.h"
 
 namespace rrr::runtime {
 class ThreadPool;
@@ -137,8 +136,8 @@ class CommunityMonitor final : public Monitor {
   };
   const Stats& stats() const { return stats_; }
 
-  // Checkpoint support; same index-vector ordering contract as
-  // AsPathMonitor::save_state.
+  // Checkpoint support: the stats, then the entry store's snapshot
+  // (BgpEntryIndex), whose touched list holds the pending entries.
   void save_state(store::Encoder& enc) const;
   void load_state(store::Decoder& dec);
 
@@ -158,8 +157,8 @@ class CommunityMonitor final : public Monitor {
     // Communities defined by `as` present on overlapping VP paths at watch
     // time (the baseline for revocation).
     CommunitySet baseline;
-    // Pending signal (emitted at window close); stores the judging window.
-    bool pending = false;
+    // Pending signal, emitted at window close.
+    bool touched = false;
     Community pending_community;
     int pending_vp_count = 0;
   };
@@ -176,12 +175,7 @@ class CommunityMonitor final : public Monitor {
   runtime::ThreadPool* pool_ = nullptr;
   const BgpContext& context_;
   CommunityReputation& reputation_;
-  std::unordered_map<PotentialId, std::unique_ptr<Entry>> entries_;
-  std::map<tr::PairKey, std::vector<Entry*>> by_pair_;
-  std::unordered_map<Ipv4, std::vector<Entry*>> by_dst_;
-  DstIndex dst_index_;
-  std::unordered_map<PotentialId, Entry*> by_potential_;
-  std::vector<Entry*> pending_;
+  BgpEntryIndex<Entry> entries_;
 };
 
 }  // namespace rrr::signals

@@ -425,10 +425,14 @@ void Engine::save_state(store::Encoder& enc) const {
 }
 
 void Engine::load_state(store::Decoder& dec) {
-  rng_.load_state(std::string(dec.str()));
+  if (!rng_.load_state(std::string(dec.str()))) {
+    throw store::StoreError(store::StoreError::Kind::kCorrupt,
+                            "engine RNG state does not parse");
+  }
   table_.load_state(dec);
   pending_records_.clear();
-  std::uint64_t record_count = dec.u64();
+  // A record takes at least 50 bytes.
+  std::uint64_t record_count = dec.count(50);
   pending_records_.reserve(record_count);
   for (std::uint64_t i = 0; i < record_count; ++i) {
     pending_records_.push_back(bgp::get_record(dec));

@@ -313,7 +313,12 @@ void EngineShard::load_state(store::Decoder& dec) {
     state.view.probe_city = dec.u16();
     state.view.window = dec.i64();
     state.view.processed = tracemap::get_processed(dec);
-    state.freshness = static_cast<tr::Freshness>(dec.u8());
+    std::uint8_t freshness = dec.u8();
+    if (freshness > static_cast<std::uint8_t>(tr::Freshness::kUnknown)) {
+      throw store::StoreError(store::StoreError::Kind::kCorrupt,
+                              "corpus pair freshness is unknown");
+    }
+    state.freshness = static_cast<tr::Freshness>(freshness);
     state.watched_window = dec.i64();
     std::uint64_t active_count = dec.u64();
     for (std::uint64_t j = 0; j < active_count; ++j) {

@@ -325,6 +325,24 @@ void FeedHealthTracker::save_state(store::Encoder& enc) const {
 }
 
 void FeedHealthTracker::load_state(store::Decoder& dec) {
+  // Every ring is empty (never closed) or ring-sized, and its write
+  // position lies inside the ring close_feed() sizes it to.
+  const auto ring = static_cast<std::size_t>(
+      std::max<std::int64_t>(params_.max_horizon_windows, 1));
+  auto load_ring = [&](std::vector<std::int64_t>& values, std::size_t& pos) {
+    std::uint64_t size = dec.u64();
+    if (size != 0 && size != ring) {
+      throw store::StoreError(store::StoreError::Kind::kCorrupt,
+                              "feed-health ring has the wrong size");
+    }
+    values.assign(size, 0);
+    for (std::int64_t& v : values) v = dec.i64();
+    pos = dec.u64();
+    if (pos >= ring) {
+      throw store::StoreError(store::StoreError::Kind::kCorrupt,
+                              "feed-health ring position is out of range");
+    }
+  };
   auto load_feed = [&](Feed& feed) {
     feed.streams.clear();
     std::uint64_t stream_count = dec.u64();
@@ -332,22 +350,23 @@ void FeedHealthTracker::load_state(store::Decoder& dec) {
       std::uint32_t id = dec.u32();
       Stream& stream = feed.streams[id];
       stream.baseline = dec.f64();
-      stream.state = static_cast<FeedState>(dec.u8());
+      std::uint8_t state = dec.u8();
+      if (state > static_cast<std::uint8_t>(FeedState::kRecovering)) {
+        throw store::StoreError(store::StoreError::Kind::kCorrupt,
+                                "feed-health stream state is unknown");
+      }
+      stream.state = static_cast<FeedState>(state);
       stream.gap_streak = dec.i64();
       stream.ok_streak = dec.i64();
       stream.seen_windows = dec.i64();
-      stream.recent.assign(dec.u64(), 0);
-      for (std::int64_t& v : stream.recent) v = dec.i64();
-      stream.recent_pos = dec.u64();
+      load_ring(stream.recent, stream.recent_pos);
       std::uint64_t pending = dec.u64();
       for (std::uint64_t j = 0; j < pending; ++j) {
         std::int64_t window = dec.i64();
         stream.pending[window] = dec.i64();
       }
     }
-    feed.totals.assign(dec.u64(), 0);
-    for (std::int64_t& v : feed.totals) v = dec.i64();
-    feed.totals_pos = dec.u64();
+    load_ring(feed.totals, feed.totals_pos);
     feed.seen_windows = dec.i64();
   };
   load_feed(bgp_);

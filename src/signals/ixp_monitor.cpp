@@ -192,7 +192,7 @@ void IxpMonitor::load_state(store::Decoder& dec, PotentialIndex* index) {
     WatchedPair watched;
     watched.key = pair;
     watched.path = store::get_as_path(dec);
-    std::uint64_t border_count = dec.u64();
+    std::uint64_t border_count = dec.count(8);
     watched.ingress_border.reserve(border_count);
     for (std::uint64_t j = 0; j < border_count; ++j) {
       watched.ingress_border.push_back(dec.u64());
@@ -208,7 +208,7 @@ void IxpMonitor::load_state(store::Decoder& dec, PotentialIndex* index) {
       pairs.insert(get_pair(dec));
     }
   }
-  std::uint64_t pending_count = dec.u64();
+  std::uint64_t pending_count = dec.count(kSignalBytes);
   pending_.reserve(pending_count);
   for (std::uint64_t i = 0; i < pending_count; ++i) {
     pending_.push_back(get_signal(dec));

@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/record.h"
@@ -83,16 +82,16 @@ class PotentialIndex {
   void load_state(store::Decoder& dec) {
     techniques_.clear();
     by_pair_.clear();
-    std::uint64_t count = dec.u64();
+    std::uint64_t count = dec.count(1);
     techniques_.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
-      techniques_.push_back(static_cast<Technique>(dec.u8()));
+      techniques_.push_back(get_technique(dec));
     }
     std::uint64_t pair_count = dec.u64();
     for (std::uint64_t i = 0; i < pair_count; ++i) {
       tr::PairKey pair = get_pair(dec);
       std::vector<Relation>& relations = by_pair_[pair];
-      std::uint64_t relation_count = dec.u64();
+      std::uint64_t relation_count = dec.count(8 + 8);
       relations.reserve(relation_count);
       for (std::uint64_t j = 0; j < relation_count; ++j) {
         Relation relation;
@@ -117,43 +116,6 @@ struct DispatchedRecord {
   const bgp::BgpRecord* record = nullptr;
   InternedPath path;  // IXP-ASN-stripped, prepending-collapsed
   bool duplicate = false;  // same path & communities as the standing route
-};
-
-// Index from announced prefixes to the monitored destination IPs they
-// cover. Destinations are bucketed by /16 blocks so a record dispatch only
-// inspects destinations that can possibly match (prefixes shorter than /16
-// fall back to a scan, which real routing tables make vanishingly rare).
-class DstIndex {
- public:
-  void add(Ipv4 dst) { ++blocks_[dst.value() >> 16][dst]; }
-  void remove(Ipv4 dst) {
-    auto bit = blocks_.find(dst.value() >> 16);
-    if (bit == blocks_.end()) return;
-    auto it = bit->second.find(dst);
-    if (it == bit->second.end()) return;
-    if (--it->second == 0) bit->second.erase(it);
-    if (bit->second.empty()) blocks_.erase(bit);
-  }
-
-  template <typename Visitor>
-  void for_covered(const Prefix& prefix, Visitor&& visit) const {
-    if (prefix.length() >= 16) {
-      auto it = blocks_.find(prefix.network().value() >> 16);
-      if (it == blocks_.end()) return;
-      for (const auto& [dst, count] : it->second) {
-        if (prefix.contains(dst)) visit(dst);
-      }
-      return;
-    }
-    for (const auto& [block, dsts] : blocks_) {
-      for (const auto& [dst, count] : dsts) {
-        if (prefix.contains(dst)) visit(dst);
-      }
-    }
-  }
-
- private:
-  std::unordered_map<std::uint32_t, std::map<Ipv4, int>> blocks_;
 };
 
 class FeedHealthTracker;

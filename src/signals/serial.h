@@ -21,6 +21,17 @@ inline tr::PairKey get_pair(store::Decoder& dec) {
   return pair;
 }
 
+// A technique byte; one naming no technique is kCorrupt (the value later
+// indexes per-technique arrays).
+inline Technique get_technique(store::Decoder& dec) {
+  std::uint8_t raw = dec.u8();
+  if (raw >= kTechniqueCount) {
+    throw store::StoreError(store::StoreError::Kind::kCorrupt,
+                            "unknown technique " + std::to_string(raw));
+  }
+  return static_cast<Technique>(raw);
+}
+
 inline void put_meta(store::Encoder& enc, const SignalMeta& meta) {
   enc.i64(meta.ip_overlap);
   enc.i64(meta.as_overlap);
@@ -57,9 +68,12 @@ inline void put_signal(store::Encoder& enc, const StalenessSignal& signal) {
   store::put(enc, signal.community);
 }
 
+// put_signal's fixed width in bytes.
+inline constexpr std::size_t kSignalBytes = 110;
+
 inline StalenessSignal get_signal(store::Decoder& dec) {
   StalenessSignal signal;
-  signal.technique = static_cast<Technique>(dec.u8());
+  signal.technique = get_technique(dec);
   signal.potential = dec.u64();
   signal.time = store::get_time(dec);
   signal.window = dec.i64();
@@ -82,7 +96,7 @@ inline void put_active(store::Encoder& enc, const ActiveSignal& active) {
 inline ActiveSignal get_active(store::Decoder& dec) {
   ActiveSignal active;
   active.potential = dec.u64();
-  active.technique = static_cast<Technique>(dec.u8());
+  active.technique = get_technique(dec);
   active.meta = get_meta(dec);
   active.pair = get_pair(dec);
   active.community = store::get_community(dec);

@@ -160,7 +160,11 @@ void SubpathMonitor::load_state(store::Decoder& dec) {
   for (std::uint64_t i = 0; i < count; ++i) {
     PotentialId id = dec.u64();
     std::vector<Ipv4> ips;
-    std::uint64_t ip_count = dec.u64();
+    std::uint64_t ip_count = dec.count(4);
+    if (ip_count < 2) {  // watch() opens segments of two hops or more
+      throw store::StoreError(store::StoreError::Kind::kCorrupt,
+                              "subpath segment has fewer than two hops");
+    }
     ips.reserve(ip_count);
     for (std::uint64_t j = 0; j < ip_count; ++j) {
       ips.push_back(store::get_ipv4(dec));

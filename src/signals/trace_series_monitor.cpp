@@ -179,7 +179,7 @@ void TraceSeriesMonitor::load_series(store::Decoder& dec, PotentialId id,
                                      Series& series) {
   series.id = id;
   series.ratio.load_state(dec);
-  std::uint64_t count = dec.u64();
+  std::uint64_t count = dec.count(8 + 8 + 1);
   series.subscribers.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     Subscriber sub;
@@ -213,7 +213,7 @@ void TraceSeriesMonitor::load_index(store::Decoder& dec) {
             [](const Series* a, const Series* b) { return a->id < b->id; });
   auto get_ids = [this, &dec]() {
     std::vector<Series*> list;
-    std::uint64_t n = dec.u64();
+    std::uint64_t n = dec.count(8);
     list.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       PotentialId id = dec.u64();

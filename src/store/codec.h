@@ -43,13 +43,7 @@ inline void put(Encoder& enc, const AsPath& path) {
 }
 inline AsPath get_as_path(Decoder& dec) {
   AsPath path;
-  std::uint64_t n = dec.u64();
-  // Every hop takes 4 bytes: a count the payload cannot hold is corrupt, and
-  // must be caught before it sizes the allocation.
-  if (n > dec.remaining() / 4) {
-    throw StoreError(StoreError::Kind::kCorrupt,
-                     "AS path count exceeds the payload");
-  }
+  std::uint64_t n = dec.count(4);
   path.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) path.push_back(get_asn(dec));
   return path;

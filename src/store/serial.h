@@ -99,6 +99,21 @@ class Decoder {
     return out;
   }
 
+  // Returns `n`, an element count just read, after checking that the rest
+  // of the payload can hold that many elements of at least `min_bytes`
+  // (>= 1) each: a damaged count is kCorrupt before it sizes an allocation.
+  std::uint64_t bounded(std::uint64_t n, std::size_t min_bytes) const {
+    if (n > remaining() / min_bytes) {
+      throw StoreError(StoreError::Kind::kCorrupt,
+                       "store count exceeds the payload");
+    }
+    return n;
+  }
+  // Reads a u64 element count, bounded().
+  std::uint64_t count(std::size_t min_bytes) {
+    return bounded(u64(), min_bytes);
+  }
+
   bool done() const { return pos_ == data_.size(); }
   std::size_t remaining() const { return data_.size() - pos_; }
 

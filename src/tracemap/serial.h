@@ -62,7 +62,8 @@ inline ProcessedTrace get_processed(store::Decoder& dec) {
   trace.dst_ip = store::get_ipv4(dec);
   trace.time = store::get_time(dec);
   trace.reached = dec.boolean();
-  std::uint64_t hop_count = dec.u64();
+  // A hop takes at least 17 bytes, a border at least 43.
+  std::uint64_t hop_count = dec.count(17);
   trace.hops.reserve(hop_count);
   for (std::uint64_t i = 0; i < hop_count; ++i) {
     ProcessedHop hop;
@@ -76,7 +77,7 @@ inline ProcessedTrace get_processed(store::Decoder& dec) {
   }
   trace.as_path = store::get_as_path(dec);
   trace.has_as_loop = dec.boolean();
-  std::uint64_t border_count = dec.u64();
+  std::uint64_t border_count = dec.count(43);
   trace.borders.reserve(border_count);
   for (std::uint64_t i = 0; i < border_count; ++i) {
     BorderView border;

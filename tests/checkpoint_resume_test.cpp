@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -24,6 +25,7 @@
 #include "eval/world.h"
 #include "final_corpus.h"
 #include "netbase/intern.h"
+#include "netbase/rng.h"
 #include "signals/feed_health.h"
 #include "store/checkpoint.h"
 #include "store/codec.h"
@@ -739,6 +741,93 @@ TEST(CheckpointResume, TableSnapshotDanglingDictionaryIndexIsRejected) {
   } catch (const store::StoreError& e) {
     EXPECT_EQ(e.kind(), store::StoreError::Kind::kCorrupt);
   }
+}
+
+// Seeded fuzz of the engine's snapshot section: byte stomps, truncations
+// and count overwrites of a real section, each loaded into a fresh engine
+// of the writer's configuration, either load or throw StoreError — never
+// another exception, a crash or an allocation sized by a damaged count
+// (Supervisor::run recovers only from StoreError; the ASan job's full
+// suite runs this loop).
+TEST(CheckpointResume, DamagedEngineSectionsLoadOrThrowStoreError) {
+  Interner::ScopedInstance interner;  // decoded paths stay local
+  // Two shards and feed health on, so every part of the section is there.
+  WorldParams params = tiny_params(81, /*threads=*/1, /*shards=*/2,
+                                   /*faulted=*/true);
+  World world(params);
+  world.run_until(world.corpus_t0(), World::Hooks{});
+  world.initialize_corpus();
+  world.run_until(world.start() + 24 * world.window_seconds(),
+                  World::Hooks{});
+  store::Encoder enc;
+  world.engine().save_state(enc);
+  const std::string section = enc.take();
+
+  signals::EngineParams engine_params;
+  engine_params.shards = params.engine_shards;
+  engine_params.threads = params.engine_threads;
+  engine_params.feed_health = params.feed_health;
+  const signals::AsRelDb rels =
+      signals::AsRelDb::from_topology(world.topology());
+  auto fresh_engine = [&] {
+    return std::make_unique<signals::Engine>(
+        engine_params, world.processing(), world.feed().vantage_points(),
+        std::set<Asn>{}, rels, std::map<topo::IxpId, std::set<Asn>>{});
+  };
+  {
+    // The undamaged section round-trips: the fresh engine is configured
+    // like the writer.
+    auto engine = fresh_engine();
+    store::Decoder dec(section);
+    engine->load_state(dec);
+    EXPECT_TRUE(dec.done());
+    store::Encoder again;
+    engine->save_state(again);
+    ASSERT_EQ(again.buffer(), section);
+  }
+
+  Rng rng(20260418);
+  const std::uint64_t kCounts[] = {0,
+                                   1,
+                                   255,
+                                   std::uint64_t{1} << 31,
+                                   std::uint64_t{1} << 32,
+                                   std::uint64_t{1} << 62,
+                                   ~std::uint64_t{0}};
+  std::size_t loaded = 0;
+  for (int i = 0; i < 2400; ++i) {
+    std::string bytes = section;
+    switch (i % 3) {
+      case 0:  // byte stomps
+        for (std::int64_t n = rng.uniform_int(1, 4); n > 0; --n) {
+          char& byte = bytes[rng.index(bytes.size())];
+          byte = rng.bernoulli(0.5)
+                     ? static_cast<char>(byte ^ (1 << rng.uniform_int(0, 7)))
+                     : static_cast<char>(rng.uniform_int(0, 255));
+        }
+        break;
+      case 1:  // truncation
+        bytes.resize(rng.index(bytes.size()));
+        break;
+      default: {  // a count-sized field overwritten
+        store::Encoder count;
+        count.u64(kCounts[rng.index(std::size(kCounts))]);
+        bytes.replace(rng.index(bytes.size() - 8), 8, count.buffer());
+        break;
+      }
+    }
+    auto engine = fresh_engine();
+    store::Decoder dec(bytes);
+    try {
+      engine->load_state(dec);
+      ++loaded;
+    } catch (const store::StoreError&) {
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "damaged copy " << i << ": threw " << error.what();
+    }
+  }
+  // Some damage lands in fields any value fits (times, ratios, counters).
+  EXPECT_GT(loaded, 0u);
 }
 
 TEST(CheckpointResume, CorruptedWalIsRejected) {
