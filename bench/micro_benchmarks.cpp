@@ -1,8 +1,8 @@
 // Micro-benchmarks for the performance-critical building blocks: longest
 // prefix matching, outlier detectors, route computation, forwarding
-// resolution, traceroute processing and intern-table lookups. Whole-window
-// cost, BGP records and signals included, is perfbench's to measure
-// (perfbench/README.md).
+// resolution, public traceroute issue and ingest, traceroute processing and
+// intern-table lookups. Whole-window cost, BGP records and signals
+// included, is perfbench's to measure (perfbench/README.md).
 #include <benchmark/benchmark.h>
 
 #include "detect/detector.h"
@@ -120,6 +120,85 @@ void BM_TraceProcessing(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceProcessing);
+
+// World's public traceroute feed in miniature: 4096 (probe, destination,
+// flow variant) triples drawn like World::issue_public_trace draws them —
+// probes from half the regular probes, 120 host destinations (half in the
+// anchors' ASes, half in random ASes), variants 0-15 — issued one second
+// apart, so every measurement keys a fresh per-trace Rng.
+struct PublicFeed {
+  struct Shot {
+    tr::ProbeId probe;
+    Ipv4 dst;
+    int variant;
+  };
+
+  PublicFeed()
+      : cp(shared_topology(), 9),
+        platform(cp, tr::ProberParams{}, tr::PlatformParams{}) {
+    topo::Topology& topology = shared_topology();
+    Rng rng(10);
+    std::vector<tr::ProbeId> probes;
+    for (std::size_t i = 0; i < platform.regular_probes().size(); i += 2) {
+      probes.push_back(platform.regular_probes()[i]);
+    }
+    std::vector<Ipv4> dests;
+    for (int i = 0; i < 120; ++i) {
+      const auto& anchors = platform.anchors();
+      topo::AsIndex as =
+          i % 2 == 0 ? platform.probe(anchors[(i / 2) % anchors.size()]).as
+                     : static_cast<topo::AsIndex>(
+                           rng.index(topology.as_count()));
+      dests.push_back(topology.allocate_host_ip(as));
+    }
+    for (int i = 0; i < 4096; ++i) {
+      const tr::ProbeId probe = probes[rng.index(probes.size())];
+      const Ipv4 dst = dests[rng.index(dests.size())];
+      shots.push_back(
+          Shot{probe, dst, static_cast<int>(rng.uniform_int(0, 15))});
+    }
+  }
+
+  tr::Traceroute issue(std::size_t i) {
+    const Shot& shot = shots[i & 4095];
+    return platform.issue(shot.probe, shot.dst,
+                          TimePoint(static_cast<std::int64_t>(i)),
+                          shot.variant);
+  }
+
+  routing::ControlPlane cp;
+  tr::Platform platform;
+  std::vector<Shot> shots;
+};
+
+PublicFeed& public_feed() {
+  static PublicFeed feed;
+  return feed;
+}
+
+// One public traceroute: forwarding resolution plus the prober's per-trace
+// Rng and per-hop draws.
+void BM_PublicTraceIssue(benchmark::State& state) {
+  PublicFeed& feed = public_feed();
+  std::size_t i = 0;
+  for (auto _ : state) benchmark::DoNotOptimize(feed.issue(i++));
+}
+BENCHMARK(BM_PublicTraceIssue);
+
+// What the engine does first with each public traceroute: learn its hop
+// triples and process it, on a patcher warmed with the feed's 4096 shots.
+void BM_TraceIngest(benchmark::State& state) {
+  PublicFeed& feed = public_feed();
+  static tracemap::ProcessingContext processing(shared_topology(), {});
+  std::vector<tr::Traceroute> traces;
+  for (std::size_t i = 0; i < 4096; ++i) traces.push_back(feed.issue(i));
+  for (const tr::Traceroute& trace : traces) processing.ingest(trace);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(processing.ingest(traces[i++ & 4095]));
+  }
+}
+BENCHMARK(BM_TraceIngest);
 
 // The two primitives the interning refactor put on the per-record path:
 // content→id lookup of an already-interned AS path (the steady state — new

@@ -64,22 +64,22 @@ void SubpathMonitor::watch(const CorpusView& view, PotentialIndex& index) {
 
 void SubpathMonitor::on_public_trace(const tracemap::ProcessedTrace& trace,
                                      std::int64_t window) {
-  // Position of each responding IP (first occurrence).
-  std::unordered_map<Ipv4, std::size_t> position;
-  position.reserve(trace.hops.size() * 2);
-  for (std::size_t i = 0; i < trace.hops.size(); ++i) {
-    if (trace.hops[i].responded()) {
-      position.try_emplace(*trace.hops[i].ip, i);
+  // Position of a responding IP's first occurrence; a trace has a dozen
+  // hops, so a scan beats building an index per trace.
+  auto first_position = [&trace](Ipv4 ip) {
+    for (std::size_t j = 0; j < trace.hops.size(); ++j) {
+      if (trace.hops[j].responded() && *trace.hops[j].ip == ip) return j;
     }
-  }
+    return trace.hops.size();
+  };
   for (std::size_t i = 0; i < trace.hops.size(); ++i) {
     if (!trace.hops[i].responded()) continue;
     auto sit = by_first_ip_.find(*trace.hops[i].ip);
     if (sit == by_first_ip_.end()) continue;
     for (Segment* segment : sit->second) {
       // Intersect: the public trace goes from ι_m to ι_n.
-      auto pit = position.find(segment->ips.back());
-      if (pit == position.end() || pit->second <= i) continue;
+      const std::size_t end = first_position(segment->ips.back());
+      if (end == trace.hops.size() || end <= i) continue;
       // Match: the exact hop sequence is followed.
       bool match = true;
       if (i + segment->ips.size() <= trace.hops.size()) {

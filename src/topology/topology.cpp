@@ -6,6 +6,18 @@
 
 namespace rrr::topo {
 
+namespace {
+
+std::uint64_t as_pair_key(AsIndex a, AsIndex b) {
+  return std::uint64_t{a} << 32 | b;
+}
+
+std::uint64_t as_city_key(AsIndex as, CityId city) {
+  return std::uint64_t{as} << 16 | city;
+}
+
+}  // namespace
+
 Prefix as_block(AsIndex as) {
   return Prefix(Ipv4((as + 1u) << 16), 16);
 }
@@ -40,9 +52,9 @@ RouterId Topology::add_router(Router router) {
   auto id = static_cast<RouterId>(routers_.size());
   router.id = id;
   if (!router.is_border) {
-    internal_routers_[{router.owner, router.city}].push_back(id);
+    internal_routers_[as_city_key(router.owner, router.city)].push_back(id);
   } else {
-    border_routers_[{router.owner, router.city}].push_back(id);
+    border_routers_[as_city_key(router.owner, router.city)].push_back(id);
   }
   std::vector<Ipv4> interfaces = std::move(router.interfaces);
   router.interfaces.clear();
@@ -62,13 +74,13 @@ IxpId Topology::add_ixp(Ixp ixp) {
 LinkId Topology::add_link(AsIndex a, AsIndex b, RelType rel) {
   assert(a < ases_.size() && b < ases_.size() && a != b);
   auto key = std::minmax(a, b);
-  if (link_index_.contains({key.first, key.second})) {
+  if (link_index_.contains(as_pair_key(key.first, key.second))) {
     throw std::invalid_argument("duplicate AS link");
   }
   auto id = static_cast<LinkId>(links_.size());
   links_.push_back(AsLink{.id = id, .a = a, .b = b, .rel = rel,
                           .interconnects = {}});
-  link_index_.emplace(std::pair{key.first, key.second}, id);
+  link_index_.emplace(as_pair_key(key.first, key.second), id);
   NeighborKind a_sees, b_sees;
   if (rel == RelType::kCustomerProvider) {
     a_sees = NeighborKind::kProvider;  // a is the customer, sees provider b
@@ -108,7 +120,7 @@ std::span<const Neighbor> Topology::neighbors(AsIndex as) const {
 
 LinkId Topology::link_between(AsIndex a, AsIndex b) const {
   auto key = std::minmax(a, b);
-  auto it = link_index_.find({key.first, key.second});
+  auto it = link_index_.find(as_pair_key(key.first, key.second));
   return it == link_index_.end() ? kNoLink : it->second;
 }
 
@@ -137,14 +149,14 @@ AsIndex Topology::announced_owner_of(Ipv4 ip) const {
 
 std::span<const RouterId> Topology::internal_routers(AsIndex as,
                                                      CityId city) const {
-  auto it = internal_routers_.find({as, city});
+  auto it = internal_routers_.find(as_city_key(as, city));
   if (it == internal_routers_.end()) return {};
   return it->second;
 }
 
 std::span<const RouterId> Topology::border_routers(AsIndex as,
                                                    CityId city) const {
-  auto it = border_routers_.find({as, city});
+  auto it = border_routers_.find(as_city_key(as, city));
   if (it == border_routers_.end()) return {};
   return it->second;
 }

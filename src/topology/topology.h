@@ -21,6 +21,7 @@
 #include "netbase/ipv4.h"
 #include "netbase/prefix.h"
 #include "netbase/radix_trie.h"
+#include "netbase/rng.h"
 #include "topology/city.h"
 #include "topology/types.h"
 
@@ -221,11 +222,14 @@ class Topology {
 
   std::unordered_map<std::uint32_t, AsIndex> asn_index_;
   std::vector<std::vector<Neighbor>> neighbors_;
-  std::map<std::pair<AsIndex, AsIndex>, LinkId> link_index_;
+  // Keyed by min(a, b) << 32 | max(a, b); never iterated.
+  std::unordered_map<std::uint64_t, LinkId, Mix64Hash> link_index_;
   std::unordered_map<Ipv4, RouterId> interface_router_;
-  std::map<std::pair<AsIndex, CityId>, std::vector<RouterId>>
+  // Keyed by owner << 16 | city, routers in construction order; never
+  // iterated.
+  std::unordered_map<std::uint64_t, std::vector<RouterId>, Mix64Hash>
       internal_routers_;
-  std::map<std::pair<AsIndex, CityId>, std::vector<RouterId>>
+  std::unordered_map<std::uint64_t, std::vector<RouterId>, Mix64Hash>
       border_routers_;
   RadixTrie<AsIndex> announced_;
   std::map<std::pair<IxpId, AsIndex>, Ipv4> member_ixp_ips_;

@@ -4,11 +4,13 @@
 // are wildcards that can never indicate a change.
 #pragma once
 
-#include <map>
-#include <set>
-#include <utility>
+#include <cstdint>
+#include <optional>
+#include <unordered_map>
+#include <vector>
 
 #include "netbase/ipv4.h"
+#include "netbase/rng.h"
 #include "store/codec.h"
 #include "traceroute/traceroute.h"
 
@@ -25,32 +27,21 @@ class HopPatcher {
   // The unique middle hop for (prev, next), when exactly one was observed.
   std::optional<Ipv4> unique_middle(Ipv4 prev, Ipv4 next) const;
 
-  // Checkpoint support: the learned triple store round-trips verbatim.
-  void save_state(store::Encoder& enc) const {
-    enc.u64(middles_.size());
-    for (const auto& [ends, mids] : middles_) {
-      store::put(enc, ends.first);
-      store::put(enc, ends.second);
-      enc.u64(mids.size());
-      for (Ipv4 mid : mids) store::put(enc, mid);
-    }
-  }
-  void load_state(store::Decoder& dec) {
-    middles_.clear();
-    std::uint64_t n = dec.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Ipv4 prev = store::get_ipv4(dec);
-      Ipv4 next = store::get_ipv4(dec);
-      std::set<Ipv4>& mids = middles_[{prev, next}];
-      std::uint64_t m = dec.u64();
-      for (std::uint64_t j = 0; j < m; ++j) {
-        mids.insert(store::get_ipv4(dec));
-      }
-    }
-  }
+  // Checkpoint support: the learned triple store round-trips verbatim. The
+  // section lists each (prev, next) pair once, in ascending order, with its
+  // middles ascending; load_state rejects anything else as kCorrupt, so a
+  // loaded store re-saves the bytes it read.
+  void save_state(store::Encoder& enc) const;
+  void load_state(store::Decoder& dec);
 
  private:
-  std::map<std::pair<Ipv4, Ipv4>, std::set<Ipv4>> middles_;
+  static std::uint64_t ends_key(Ipv4 prev, Ipv4 next) {
+    return std::uint64_t{prev.value()} << 32 | next.value();
+  }
+
+  // (prev, next) packed by ends_key -> the middles seen between them,
+  // ascending; a known triple costs one probe and no allocation.
+  std::unordered_map<std::uint64_t, std::vector<Ipv4>, Mix64Hash> middles_;
 };
 
 }  // namespace rrr::tracemap

@@ -830,6 +830,84 @@ TEST(CheckpointResume, DamagedEngineSectionsLoadOrThrowStoreError) {
   EXPECT_GT(loaded, 0u);
 }
 
+// Seeded fuzz of the hop patcher's snapshot section: every damaged copy
+// either loads, is consumed exactly and re-saves the bytes it read (the
+// resume byte-identity contract), or throws StoreError. A loader that
+// merged repeated pairs or re-sorted pairs and middles would load such a
+// copy and re-save different bytes.
+TEST(CheckpointResume, DamagedPatcherSectionsLoadOrThrowStoreError) {
+  World world(tiny_params(82));
+  world.run_until(world.corpus_t0(), World::Hooks{});
+  world.initialize_corpus();
+  world.run_until(world.start() + 24 * world.window_seconds(),
+                  World::Hooks{});
+  store::Encoder enc;
+  world.processing().patcher().save_state(enc);
+  const std::string section = enc.take();
+  ASSERT_GT(section.size(), 1000u);
+
+  Rng rng(20261018);
+  const std::uint64_t kCounts[] = {0,
+                                   1,
+                                   2,
+                                   255,
+                                   std::uint64_t{1} << 31,
+                                   std::uint64_t{1} << 32,
+                                   std::uint64_t{1} << 62,
+                                   ~std::uint64_t{0}};
+  std::size_t loaded = 0, rejected = 0;
+  for (int i = 0; i < 2400; ++i) {
+    std::string bytes = section;
+    switch (i % 4) {
+      case 0:  // byte stomps
+        for (std::int64_t n = rng.uniform_int(1, 4); n > 0; --n) {
+          char& byte = bytes[rng.index(bytes.size())];
+          byte = rng.bernoulli(0.5)
+                     ? static_cast<char>(byte ^ (1 << rng.uniform_int(0, 7)))
+                     : static_cast<char>(rng.uniform_int(0, 255));
+        }
+        break;
+      case 1:  // truncation
+        bytes.resize(rng.index(bytes.size()));
+        break;
+      case 2: {  // a count-sized field overwritten
+        store::Encoder count;
+        count.u64(kCounts[rng.index(std::size(kCounts))]);
+        bytes.replace(rng.index(bytes.size() - 8), 8, count.buffer());
+        break;
+      }
+      default: {  // two 4-byte words swapped: addresses out of order
+        const std::size_t a = rng.index(bytes.size() - 4);
+        const std::size_t b = rng.index(bytes.size() - 4);
+        const std::string word = bytes.substr(a, 4);
+        bytes.replace(a, 4, bytes.substr(b, 4));
+        bytes.replace(b, 4, word);
+        break;
+      }
+    }
+    tracemap::HopPatcher patcher;
+    store::Decoder dec(bytes);
+    try {
+      patcher.load_state(dec);
+      dec.expect_done();
+      store::Encoder again;
+      patcher.save_state(again);
+      if (again.buffer() != bytes) {
+        ADD_FAILURE() << "damaged copy " << i
+                      << " loaded but re-saved different bytes";
+      }
+      ++loaded;
+    } catch (const store::StoreError&) {
+      ++rejected;
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "damaged copy " << i << ": threw " << error.what();
+    }
+  }
+  // Some damage lands on a value any address fits; most breaks the order.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, loaded);
+}
+
 TEST(CheckpointResume, CorruptedWalIsRejected) {
   WorldParams params = tiny_params(72);
   TempDir dir("badwal");

@@ -1,7 +1,10 @@
 // Unit tests for the foundational value types (src/netbase).
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <random>
 #include <set>
+#include <sstream>
 #include <unordered_set>
 
 #include "netbase/asn.h"
@@ -280,6 +283,99 @@ TEST(Rng, SplitDoesNotPerturbParent) {
   a.split(4);
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(a.uniform_int(0, 1 << 30), b.uniform_int(0, 1 << 30));
+  }
+}
+
+// The seeds the lazy-engine oracle runs: the edges, std::mt19937_64's
+// default seed and 60 seeded draws.
+std::vector<std::uint64_t> oracle_seeds() {
+  std::vector<std::uint64_t> seeds = {0, 1, 5489, ~std::uint64_t{0}};
+  std::mt19937_64 pick(20261018);
+  for (int i = 0; i < 60; ++i) seeds.push_back(pick());
+  return seeds;
+}
+
+// Rng::save_state's format over the standard engine: "<seed> <engine>".
+std::string std_state(std::uint64_t seed, const std::mt19937_64& engine) {
+  std::ostringstream out;
+  out << seed << ' ' << engine;
+  return out.str();
+}
+
+// Rng seeds lazily and serves its first 156 draws from a partial state, so
+// every draw, distribution, saved state and copy is checked against
+// std::mt19937_64 itself, across the head -> full-engine switch.
+TEST(Rng, DrawsMatchStdMt19937_64) {
+  const std::vector<double> weights = {0.5, 2.0, 0.0, 1.25, 3.0};
+  for (std::uint64_t seed : oracle_seeds()) {
+    SCOPED_TRACE(seed);
+    {
+      Rng rng(seed);
+      std::mt19937_64 ref(seed);
+      for (int i = 0; i < 1000; ++i) ASSERT_EQ(rng.engine()(), ref()) << i;
+    }
+    {
+      // Each round draws a different number of words, so the switch lands
+      // inside a different distribution for different seeds.
+      Rng rng(seed);
+      std::mt19937_64 ref(seed);
+      for (int round = 0; round < 60; ++round) {
+        SCOPED_TRACE(round);
+        ASSERT_EQ(rng.uniform(),
+                  std::uniform_real_distribution<double>(0.0, 1.0)(ref));
+        ASSERT_EQ(rng.bernoulli(0.02), std::bernoulli_distribution(0.02)(ref));
+        ASSERT_EQ(rng.uniform_int(-5, 1000003),
+                  std::uniform_int_distribution<std::int64_t>(-5, 1000003)(
+                      ref));
+        ASSERT_EQ(rng.normal(3.0, 0.5),
+                  std::normal_distribution<double>(3.0, 0.5)(ref));
+        ASSERT_EQ(rng.exponential(0.7),
+                  std::exponential_distribution<double>(0.7)(ref));
+        ASSERT_EQ(rng.weighted_index(weights),
+                  std::discrete_distribution<std::size_t>(weights.begin(),
+                                                          weights.end())(ref));
+        std::vector<int> mine(9 + round % 5);
+        std::iota(mine.begin(), mine.end(), 0);
+        std::vector<int> theirs = mine;
+        rng.shuffle(mine);
+        std::shuffle(theirs.begin(), theirs.end(), ref);
+        ASSERT_EQ(mine, theirs);
+      }
+    }
+    for (int draws : {0, 1, 155, 156, 157, 311, 312, 1000}) {
+      SCOPED_TRACE(draws);
+      Rng rng(seed);
+      std::mt19937_64 ref(seed);
+      for (int i = 0; i < draws; ++i) {
+        rng.engine()();
+        ref();
+      }
+      const std::string state = rng.save_state();
+      ASSERT_EQ(state, std_state(seed, ref));
+      Rng loaded(seed ^ 0x5A5A);
+      ASSERT_TRUE(loaded.load_state(state));
+      EXPECT_EQ(loaded.seed(), seed);
+      EXPECT_EQ(loaded.save_state(), state);
+      for (int i = 0; i < 400; ++i) {
+        const std::uint64_t want = ref();
+        ASSERT_EQ(loaded.engine()(), want) << i;
+        ASSERT_EQ(rng.engine()(), want) << i;
+      }
+    }
+    for (int draws : {0, 77, 155}) {
+      SCOPED_TRACE(draws);
+      Rng rng(seed);
+      for (int i = 0; i < draws; ++i) rng.engine()();
+      Rng copy = rng;
+      Rng assigned(seed + 1);
+      assigned.engine()();
+      assigned = rng;
+      for (int i = 0; i < 400; ++i) {
+        const std::uint64_t want = rng.engine()();
+        ASSERT_EQ(copy.engine()(), want) << i;
+        ASSERT_EQ(assigned.engine()(), want) << i;
+      }
+    }
   }
 }
 

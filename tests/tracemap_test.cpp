@@ -1,7 +1,16 @@
 // Tests for the Appendix-A traceroute processing pipeline (src/tracemap).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+
+#include "netbase/rng.h"
 #include "routing/control_plane.h"
+#include "store/codec.h"
 #include "topology/builder.h"
 #include "tracemap/pipeline.h"
 #include "traceroute/platform.h"
@@ -129,6 +138,171 @@ TEST(HopPatcher, AmbiguousMiddlesStayWild) {
   broken.hops[1].ip.reset();
   tr::Traceroute patched = patcher.patch(broken);
   EXPECT_FALSE(patched.hops[1].responded());
+}
+
+// A std::map / std::set triple store with HopPatcher's encoding: the
+// straightforward layout the hashed store must agree with, observation for
+// observation and byte for byte.
+class ReferencePatcher {
+ public:
+  void observe(const tr::Traceroute& trace) {
+    const auto& hops = trace.hops;
+    for (std::size_t i = 1; i + 1 < hops.size(); ++i) {
+      if (hops[i - 1].responded() && hops[i].responded() &&
+          hops[i + 1].responded()) {
+        middles_[{*hops[i - 1].ip, *hops[i + 1].ip}].insert(*hops[i].ip);
+      }
+    }
+  }
+
+  std::optional<Ipv4> unique_middle(Ipv4 prev, Ipv4 next) const {
+    auto it = middles_.find({prev, next});
+    if (it == middles_.end() || it->second.size() != 1) return std::nullopt;
+    return *it->second.begin();
+  }
+
+  tr::Traceroute patch(const tr::Traceroute& trace) const {
+    tr::Traceroute patched = trace;
+    auto& hops = patched.hops;
+    for (std::size_t i = 1; i + 1 < hops.size(); ++i) {
+      if (!hops[i].responded() && hops[i - 1].responded() &&
+          hops[i + 1].responded()) {
+        if (auto middle = unique_middle(*hops[i - 1].ip, *hops[i + 1].ip)) {
+          hops[i].ip = middle;
+          hops[i].rtt_ms = (hops[i - 1].rtt_ms + hops[i + 1].rtt_ms) / 2.0;
+        }
+      }
+    }
+    return patched;
+  }
+
+  std::string save_state() const {
+    store::Encoder enc;
+    enc.u64(middles_.size());
+    for (const auto& [ends, mids] : middles_) {
+      store::put(enc, ends.first);
+      store::put(enc, ends.second);
+      enc.u64(mids.size());
+      for (Ipv4 mid : mids) store::put(enc, mid);
+    }
+    return enc.take();
+  }
+
+  const std::map<std::pair<Ipv4, Ipv4>, std::set<Ipv4>>& middles() const {
+    return middles_;
+  }
+
+ private:
+  std::map<std::pair<Ipv4, Ipv4>, std::set<Ipv4>> middles_;
+};
+
+std::string saved(const HopPatcher& patcher) {
+  store::Encoder enc;
+  patcher.save_state(enc);
+  return enc.take();
+}
+
+// Seeded traces over a 64-address pool. Each address steps to four of the
+// next five addresses, the first step far likelier, so triples repeat and
+// many (prev, next) pairs gain two to four middles; 10% of the hops are
+// stars.
+class PoolTraces {
+ public:
+  explicit PoolTraces(std::uint64_t seed) : rng_(seed) {
+    for (std::uint32_t at = 0; at < kPool; ++at) {
+      std::vector<std::uint32_t> steps = {1, 2, 3, 4, 5};
+      rng_.shuffle(steps);
+      for (std::size_t j = 0; j < 4; ++j) {
+        successors_[at][j] = (at + steps[j]) % kPool;
+      }
+    }
+  }
+
+  static Ipv4 address(std::uint32_t i) { return Ipv4(0x0A000001u + i); }
+
+  tr::Traceroute next() {
+    tr::Traceroute trace;
+    auto at = static_cast<std::uint32_t>(rng_.index(kPool));
+    const std::int64_t length = rng_.uniform_int(2, 14);
+    for (std::int64_t h = 0; h < length; ++h) {
+      tr::Hop hop;
+      if (!rng_.bernoulli(0.1)) hop.ip = address(at);
+      hop.rtt_ms = 1.0 + static_cast<double>(h) + rng_.uniform();
+      trace.hops.push_back(hop);
+      at = successors_[at][rng_.weighted_index({16.0, 2.0, 1.0, 1.0})];
+    }
+    return trace;
+  }
+
+ private:
+  static constexpr std::size_t kPool = 64;
+  Rng rng_;
+  std::array<std::array<std::uint32_t, 4>, kPool> successors_{};
+};
+
+TEST(HopPatcher, HashedStoreMatchesTreeReference) {
+  HopPatcher patcher;
+  ReferencePatcher reference;
+  PoolTraces traces(77);
+  for (int i = 1; i <= 5000; ++i) {
+    const tr::Traceroute trace = traces.next();
+    patcher.observe(trace);
+    reference.observe(trace);
+    if (i % 500 == 0) {
+      ASSERT_EQ(saved(patcher), reference.save_state()) << i;
+    }
+  }
+  // The pool shape must give both unique and ambiguous pairs.
+  std::size_t most_middles = 0, unique = 0;
+  for (const auto& [ends, mids] : reference.middles()) {
+    most_middles = std::max(most_middles, mids.size());
+    unique += mids.size() == 1;
+  }
+  EXPECT_GE(most_middles, 3u);
+  EXPECT_GT(unique, reference.middles().size() / 4);
+
+  for (const auto& [ends, mids] : reference.middles()) {
+    ASSERT_EQ(patcher.unique_middle(ends.first, ends.second),
+              reference.unique_middle(ends.first, ends.second));
+  }
+  Rng pick(78);
+  for (int i = 0; i < 200; ++i) {
+    // Pairs the pool never produces: one end outside it.
+    const Ipv4 inside = PoolTraces::address(
+        static_cast<std::uint32_t>(pick.index(64)));
+    const Ipv4 outside(0xC0000200u + static_cast<std::uint32_t>(i));
+    const bool outside_first = pick.bernoulli(0.5);
+    const Ipv4 prev = outside_first ? outside : inside;
+    const Ipv4 next = outside_first ? inside : outside;
+    ASSERT_FALSE(patcher.unique_middle(prev, next).has_value());
+    ASSERT_FALSE(reference.unique_middle(prev, next).has_value());
+  }
+
+  std::size_t filled = 0;
+  for (int i = 0; i < 200;) {
+    const tr::Traceroute trace = traces.next();
+    if (std::all_of(trace.hops.begin(), trace.hops.end(),
+                    [](const tr::Hop& hop) { return hop.responded(); })) {
+      continue;
+    }
+    ++i;
+    const tr::Traceroute mine = patcher.patch(trace);
+    const tr::Traceroute theirs = reference.patch(trace);
+    ASSERT_EQ(mine.hops.size(), theirs.hops.size());
+    for (std::size_t h = 0; h < mine.hops.size(); ++h) {
+      ASSERT_EQ(mine.hops[h].ip, theirs.hops[h].ip) << i << "/" << h;
+      ASSERT_EQ(mine.hops[h].rtt_ms, theirs.hops[h].rtt_ms) << i << "/" << h;
+      filled += !trace.hops[h].responded() && mine.hops[h].responded();
+    }
+  }
+  EXPECT_GT(filled, 0u);
+
+  const std::string bytes = saved(patcher);
+  HopPatcher loaded;
+  store::Decoder dec(bytes);
+  loaded.load_state(dec);
+  dec.expect_done();
+  EXPECT_EQ(saved(loaded), bytes);
 }
 
 class ProcessingFixture : public ::testing::Test {
