@@ -28,20 +28,18 @@ struct PipelineParams {
 Ip2As build_ip2as(const topo::Topology& topology,
                   double ixp_interface_coverage, std::uint64_t seed);
 
-// Owns every processing component plus a TraceProcessor bound to them.
+// Owns the IP-to-AS mapper, the hop patcher and a TraceProcessor bound to
+// them. The alias resolver and the geolocator are built for the processor's
+// constructor only: it keeps their answers, not them.
 class ProcessingContext {
  public:
   ProcessingContext(const topo::Topology& topology,
                     const PipelineParams& params)
       : ip2as_(build_ip2as(topology, params.ixp_interface_coverage,
                            params.seed)),
-        aliases_(topology, params.alias),
-        geo_(topology, params.geo),
-        processor_(ip2as_, aliases_, geo_, &patcher_) {}
+        processor_(topology, ip2as_, AliasResolver(topology, params.alias),
+                   Geolocator(topology, params.geo), patcher_) {}
 
-  const Ip2As& ip2as() const { return ip2as_; }
-  const AliasResolver& aliases() const { return aliases_; }
-  const Geolocator& geo() const { return geo_; }
   HopPatcher& patcher() { return patcher_; }
 
   // Learns patch triples from a measurement, then processes it.
@@ -56,8 +54,6 @@ class ProcessingContext {
 
  private:
   Ip2As ip2as_;
-  AliasResolver aliases_;
-  Geolocator geo_;
   HopPatcher patcher_;
   TraceProcessor processor_;
 };

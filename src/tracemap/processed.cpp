@@ -1,6 +1,6 @@
 #include "tracemap/processed.h"
 
-#include <set>
+#include <algorithm>
 
 namespace rrr::tracemap {
 
@@ -13,8 +13,23 @@ ChangeKind classify_change(const ProcessedTrace& before,
   return ChangeKind::kNone;
 }
 
+TraceProcessor::TraceProcessor(const topo::Topology& topology,
+                               const Ip2As& ip2as,
+                               const AliasResolver& aliases,
+                               const Geolocator& geo,
+                               const HopPatcher& patcher)
+    : ip2as_(ip2as), patcher_(patcher) {
+  for (const topo::Router& router : topology.routers()) {
+    for (Ipv4 ip : router.interfaces) {
+      annotations_.try_emplace(ip, Annotation{ip2as.map(ip),
+                                              aliases.resolve(ip),
+                                              geo.locate(ip)});
+    }
+  }
+}
+
 ProcessedTrace TraceProcessor::process(const tr::Traceroute& raw) const {
-  tr::Traceroute trace = patcher_ ? patcher_->patch(raw) : raw;
+  const tr::Traceroute trace = patcher_.patch(raw);
 
   ProcessedTrace out;
   out.trace_id = trace.id;
@@ -26,17 +41,20 @@ ProcessedTrace TraceProcessor::process(const tr::Traceroute& raw) const {
 
   out.hops.reserve(trace.hops.size());
   for (const tr::Hop& hop : trace.hops) {
-    ProcessedHop ph;
-    if (hop.responded()) {
-      ph.ip = hop.ip;
-      MapResult mapped = ip2as_.map(*hop.ip);
-      ph.asn = mapped.asn;
-      ph.is_ixp = mapped.is_ixp;
-      ph.ixp = mapped.ixp;
-      ph.router = aliases_.resolve(*hop.ip);
-      ph.city = geo_.locate(*hop.ip);
-    }
-    out.hops.push_back(std::move(ph));
+    ProcessedHop& ph = out.hops.emplace_back();
+    if (!hop.responded()) continue;
+    ph.ip = hop.ip;
+    auto it = annotations_.find(*hop.ip);
+    const Annotation annotation =
+        it != annotations_.end()
+            ? it->second
+            : Annotation{ip2as_.map(*hop.ip), RouterKey{hop.ip->value()},
+                         std::nullopt};
+    ph.asn = annotation.mapped.asn;
+    ph.is_ixp = annotation.mapped.is_ixp;
+    ph.ixp = annotation.mapped.ixp;
+    ph.router = annotation.router;
+    ph.city = annotation.city;
   }
 
   // Merged AS path: collapse consecutive duplicates; bridge unmapped or
@@ -51,9 +69,8 @@ ProcessedTrace TraceProcessor::process(const tr::Traceroute& raw) const {
     }
   }
   // Loop check: an AS appearing twice non-consecutively after merging.
-  std::set<Asn> seen;
-  for (Asn asn : out.as_path) {
-    if (!seen.insert(asn).second) {
+  for (auto at = out.as_path.begin(); at != out.as_path.end(); ++at) {
+    if (std::find(out.as_path.begin(), at, *at) != at) {
       out.has_as_loop = true;
       break;
     }

@@ -4,9 +4,11 @@
 #pragma once
 
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "netbase/asn.h"
+#include "topology/topology.h"
 #include "topology/types.h"
 #include "tracemap/alias.h"
 #include "tracemap/geolocate.h"
@@ -77,20 +79,31 @@ enum class ChangeKind : std::uint8_t { kNone, kBorderLevel, kAsLevel };
 ChangeKind classify_change(const ProcessedTrace& before,
                            const ProcessedTrace& after);
 
+// Annotates patched traceroutes. Every router interface's ip2as, alias and
+// geolocation answers are worked out once, at construction, into one table,
+// so a responded hop costs one probe. The resolver and the geolocator are
+// read only here. An address the table lacks (a destination host, an
+// interface allocated later) is one neither of them knew: it is mapped by
+// `ip2as` on the spot and gets what they answer for any unknown address, a
+// singleton router and no city.
 class TraceProcessor {
  public:
-  // `patcher` may be null (no unresponsive-hop patching).
-  TraceProcessor(const Ip2As& ip2as, const AliasResolver& aliases,
-                 const Geolocator& geo, const HopPatcher* patcher = nullptr)
-      : ip2as_(ip2as), aliases_(aliases), geo_(geo), patcher_(patcher) {}
+  TraceProcessor(const topo::Topology& topology, const Ip2As& ip2as,
+                 const AliasResolver& aliases, const Geolocator& geo,
+                 const HopPatcher& patcher);
 
   ProcessedTrace process(const tr::Traceroute& trace) const;
 
  private:
+  struct Annotation {
+    MapResult mapped;
+    RouterKey router;
+    std::optional<topo::CityId> city;
+  };
+
   const Ip2As& ip2as_;
-  const AliasResolver& aliases_;
-  const Geolocator& geo_;
-  const HopPatcher* patcher_;
+  const HopPatcher& patcher_;
+  std::unordered_map<Ipv4, Annotation> annotations_;  // never iterated
 };
 
 }  // namespace rrr::tracemap

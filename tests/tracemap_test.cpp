@@ -399,5 +399,261 @@ TEST_F(ProcessingFixture, ClassifyChangeDistinguishesGranularities) {
   }
 }
 
+// TraceProcessor as it was before the hop-annotation table: the patch, then
+// Ip2As::map, AliasResolver::resolve and Geolocator::locate for every
+// responded hop, then a std::set loop check. Each lookup is a pure function
+// of the topology and the params, so building its own from the same inputs
+// gives the answers the table must hold.
+class ReferenceProcessor {
+ public:
+  ReferenceProcessor(const topo::Topology& topology,
+                     const PipelineParams& params, const HopPatcher& patcher)
+      : ip2as_(build_ip2as(topology, params.ixp_interface_coverage,
+                           params.seed)),
+        aliases_(topology, params.alias),
+        geo_(topology, params.geo),
+        patcher_(patcher) {}
+
+  ProcessedTrace process(const tr::Traceroute& raw) const {
+    tr::Traceroute trace = patcher_.patch(raw);
+
+    ProcessedTrace out;
+    out.trace_id = trace.id;
+    out.probe = trace.probe;
+    out.src_ip = trace.src_ip;
+    out.dst_ip = trace.dst_ip;
+    out.time = trace.time;
+    out.reached = trace.reached;
+    for (const tr::Hop& hop : trace.hops) {
+      ProcessedHop ph;
+      if (hop.responded()) {
+        ph.ip = hop.ip;
+        MapResult mapped = ip2as_.map(*hop.ip);
+        ph.asn = mapped.asn;
+        ph.is_ixp = mapped.is_ixp;
+        ph.ixp = mapped.ixp;
+        ph.router = aliases_.resolve(*hop.ip);
+        ph.city = geo_.locate(*hop.ip);
+      }
+      out.hops.push_back(ph);
+    }
+
+    Asn last_mapped;
+    for (const ProcessedHop& hop : out.hops) {
+      if (!hop.responded() || !hop.asn.is_valid()) continue;
+      if (hop.asn != last_mapped) {
+        out.as_path.push_back(hop.asn);
+        last_mapped = hop.asn;
+      }
+    }
+    std::set<Asn> seen;
+    for (Asn asn : out.as_path) {
+      if (!seen.insert(asn).second) {
+        out.has_as_loop = true;
+        break;
+      }
+    }
+    if (out.has_as_loop) out.as_path.clear();
+
+    int prev = -1;
+    for (std::size_t i = 0; i < out.hops.size(); ++i) {
+      const ProcessedHop& hop = out.hops[i];
+      if (!hop.responded() || !hop.asn.is_valid()) continue;
+      if (prev >= 0) {
+        const ProcessedHop& near = out.hops[static_cast<std::size_t>(prev)];
+        if (near.asn != hop.asn) {
+          BorderView border;
+          border.near_index = static_cast<std::size_t>(prev);
+          border.far_index = i;
+          border.near_as = near.asn;
+          border.far_as = hop.asn;
+          border.near_ip = *near.ip;
+          border.far_ip = *hop.ip;
+          border.border_router = hop.router;
+          border.via_ixp = hop.is_ixp || near.is_ixp;
+          border.near_city = near.city;
+          border.far_city = hop.city;
+          out.borders.push_back(border);
+        }
+      }
+      prev = static_cast<int>(i);
+    }
+    return out;
+  }
+
+ private:
+  Ip2As ip2as_;
+  AliasResolver aliases_;
+  Geolocator geo_;
+  const HopPatcher& patcher_;
+};
+
+::testing::AssertionResult same_processed(const ProcessedTrace& mine,
+                                          const ProcessedTrace& theirs) {
+  if (mine.trace_id != theirs.trace_id || mine.probe != theirs.probe ||
+      mine.src_ip != theirs.src_ip || mine.dst_ip != theirs.dst_ip ||
+      mine.time != theirs.time || mine.reached != theirs.reached) {
+    return ::testing::AssertionFailure() << "trace header differs";
+  }
+  if (mine.hops.size() != theirs.hops.size()) {
+    return ::testing::AssertionFailure() << "hop count differs";
+  }
+  for (std::size_t h = 0; h < mine.hops.size(); ++h) {
+    const ProcessedHop& a = mine.hops[h];
+    const ProcessedHop& b = theirs.hops[h];
+    if (a.ip != b.ip || a.asn != b.asn || a.is_ixp != b.is_ixp ||
+        a.ixp != b.ixp || a.router != b.router || a.city != b.city) {
+      return ::testing::AssertionFailure()
+             << "hop " << h << " (" << (b.ip ? b.ip->to_string() : "*")
+             << ") differs";
+    }
+  }
+  if (mine.as_path != theirs.as_path) {
+    return ::testing::AssertionFailure() << "AS path differs";
+  }
+  if (mine.has_as_loop != theirs.has_as_loop) {
+    return ::testing::AssertionFailure() << "loop flag differs";
+  }
+  if (mine.borders != theirs.borders) {
+    return ::testing::AssertionFailure() << "borders differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+tr::Traceroute hand_trace(std::uint64_t id,
+                          std::initializer_list<std::optional<Ipv4>> ips) {
+  tr::Traceroute trace;
+  trace.id = id;
+  double rtt = 1.0;
+  for (const std::optional<Ipv4>& ip : ips) {
+    trace.hops.push_back(tr::Hop{ip, rtt});
+    rtt += 2.5;
+  }
+  return trace;
+}
+
+TEST(TraceProcessor, FlatTableMatchesPerHopLookups) {
+  topo::TopologyParams shape;
+  shape.seed = 87;
+  topo::Topology topology = topo::build_topology(shape);
+  routing::ControlPlane cp(topology, 87);
+  tr::PlatformParams plat;
+  plat.num_probes = 120;
+  plat.num_anchors = 20;
+  plat.seed = 87;
+  tr::Platform platform(cp, tr::ProberParams{}, plat);
+  const PipelineParams params;
+  ProcessingContext processing(topology, params);
+  const ReferenceProcessor reference(topology, params, processing.patcher());
+
+  // Public-feed-shaped traces: random probes toward 120 destinations, half
+  // of them anchors, with Paris flow variants 0-15. The topology seed is one
+  // whose traces cross IXP interfaces the PeeringDB-like dump misses.
+  Rng rng(88);
+  std::vector<Ipv4> dests;
+  for (int i = 0; i < 120; ++i) {
+    const auto& anchors = platform.anchors();
+    dests.push_back(
+        i % 2 == 0 ? platform.probe(anchors[(i / 2) % anchors.size()]).ip
+                   : topology.allocate_host_ip(static_cast<topo::AsIndex>(
+                         rng.index(topology.as_count()))));
+  }
+  constexpr int kTraces = 4800;
+  std::vector<tr::Traceroute> traces;
+  for (int i = 0; i < kTraces; ++i) {
+    const auto& probes = platform.regular_probes();
+    traces.push_back(platform.issue(
+        probes[rng.index(probes.size())], dests[rng.index(dests.size())],
+        TimePoint(i), static_cast<int>(rng.uniform_int(0, 15))));
+  }
+  for (int i = 0; i < kTraces / 2; ++i) processing.ingest(traces[i]);
+
+  std::size_t stars = 0, patched = 0, singletons = 0, unlocated = 0,
+              unknown_members = 0, off_table = 0;
+  for (int i = kTraces / 2; i < kTraces; ++i) {
+    const ProcessedTrace theirs = reference.process(traces[i]);
+    ASSERT_TRUE(same_processed(processing.process(traces[i]), theirs))
+        << "trace " << i;
+    for (std::size_t h = 0; h < theirs.hops.size(); ++h) {
+      const ProcessedHop& hop = theirs.hops[h];
+      if (!hop.responded()) {
+        ++stars;
+        continue;
+      }
+      patched += !traces[i].hops[h].responded();
+      singletons += !hop.router.resolved();
+      unlocated += !hop.city.has_value();
+      unknown_members += hop.is_ixp && !hop.asn.is_valid();
+      off_table += topology.router_of_interface(*hop.ip) == topo::kNoRouter;
+    }
+  }
+  // The lossy defaults must reach every branch of an annotation.
+  EXPECT_GT(stars, 0u);
+  EXPECT_GT(patched, 0u);
+  EXPECT_GT(singletons, 0u);
+  EXPECT_GT(unlocated, 0u);
+  EXPECT_GT(unknown_members, 0u);
+  EXPECT_GT(off_table, 0u);
+
+  // Hand-built traces. Addresses allocated after the context was built are
+  // missing from its table and answered by the fallback.
+  const Ip2As ip2as =
+      build_ip2as(topology, params.ixp_interface_coverage, params.seed);
+  std::vector<Ipv4> interfaces;
+  std::map<Asn, std::vector<Ipv4>> by_as;
+  for (const topo::Router& router : topology.routers()) {
+    for (Ipv4 ip : router.interfaces) {
+      interfaces.push_back(ip);
+      const MapResult mapped = ip2as.map(ip);
+      if (mapped.mapped() && !mapped.is_ixp) by_as[mapped.asn].push_back(ip);
+    }
+  }
+  std::vector<Ipv4> looping;  // A, B, A after merging
+  for (const auto& [asn, ips] : by_as) {
+    if (ips.size() < 2) continue;
+    const auto other = std::find_if(by_as.begin(), by_as.end(),
+                                     [&](const auto& entry) {
+                                       return entry.first != asn;
+                                     });
+    looping = {ips[0], other->second[0], ips[1]};
+    break;
+  }
+  ASSERT_EQ(looping.size(), 3u);
+
+  const Ipv4 host = topology.allocate_host_ip(5);
+  const Ipv4 infra = topology.allocate_infra_ip(7);
+  const Ipv4 lan = topology.allocate_ixp_ip(topology.ixps().front().id);
+  const Ipv4 test_net(0xCB007107u);  // 203.0.113.7
+  const Ipv4 p = interfaces[0], m1 = interfaces[1], m2 = interfaces[2],
+             n = interfaces[3], q = interfaces[4];
+  processing.ingest(hand_trace(1, {p, m1, n}));  // (p, n): one middle
+  processing.ingest(hand_trace(2, {q, m1, n}));  // (q, n): two middles
+  processing.ingest(hand_trace(3, {q, m2, n}));
+
+  const std::vector<tr::Traceroute> hand = {
+      hand_trace(10, {p, m1, host}),
+      hand_trace(11, {infra, p, lan, n}),
+      hand_trace(12, {test_net, std::nullopt, m1}),
+      hand_trace(13, {p, std::nullopt, n}),
+      hand_trace(14, {q, std::nullopt, n}),
+      hand_trace(15, {looping[0], looping[1], looping[2]}),
+  };
+  for (const tr::Traceroute& trace : hand) {
+    ASSERT_TRUE(same_processed(processing.process(trace),
+                               reference.process(trace)))
+        << "hand trace " << trace.id;
+  }
+  const ProcessedTrace lan_hop = processing.process(hand[1]);
+  EXPECT_TRUE(lan_hop.hops[0].asn.is_valid());  // infra space is announced
+  EXPECT_TRUE(lan_hop.hops[2].is_ixp);
+  EXPECT_FALSE(lan_hop.hops[2].router.resolved());
+  EXPECT_FALSE(processing.process(hand[2]).hops[0].asn.is_valid());
+  EXPECT_EQ(processing.process(hand[3]).hops[1].ip, m1);
+  EXPECT_FALSE(processing.process(hand[4]).hops[1].responded());
+  const ProcessedTrace loop = processing.process(hand[5]);
+  EXPECT_TRUE(loop.has_as_loop);
+  EXPECT_TRUE(loop.as_path.empty());
+}
+
 }  // namespace
 }  // namespace rrr::tracemap
