@@ -156,8 +156,7 @@ PpsResult run_pps(const eval::WorldParams& params, double pps,
           *arm->tracker, arm->budget);
     } else if (n == "dtrack" || n == "dtrack+signals") {
       arm->dtrack = std::make_unique<baselines::DtrackStrategy>(
-          *arm->tracker, arm->budget, baselines::DtrackStrategy::Params{},
-          params.seed + 17);
+          *arm->tracker, arm->budget, params.seed + 17);
       arm->uses_signals = n == "dtrack+signals";
     } else if (n == "signals") {
       arm->uses_signals = true;

@@ -35,6 +35,10 @@ double accrue(double& credit, TimePoint& last, bool& started, TimePoint now,
   return credit;
 }
 
+// DTRACK's Laplace prior on a path's change rate: one change per week.
+constexpr double kPriorChanges = 1.0;
+constexpr double kPriorDays = 7.0;
+
 }  // namespace
 
 void RoundRobinStrategy::advance(TimePoint now, EmulationStats& stats) {
@@ -98,11 +102,9 @@ void SibylStrategy::advance(TimePoint now, EmulationStats& stats) {
 }
 
 DtrackStrategy::DtrackStrategy(CorpusTracker& tracker,
-                               const ProbeBudget& budget,
-                               const Params& params, std::uint64_t seed)
+                               const ProbeBudget& budget, std::uint64_t seed)
     : tracker_(tracker),
       budget_(budget),
-      params_(params),
       rng_(Rng(seed).fork(0xD7AC)),
       observed_changes_(tracker.oracle().path_count(), 0),
       monitored_since_(tracker.oracle().path_count()) {}
@@ -113,8 +115,8 @@ double DtrackStrategy::change_rate(std::size_t path) const {
           ? static_cast<double>(last_ - monitored_since_[path]) /
                 double(kSecondsPerDay)
           : 0.0;
-  return (params_.prior_changes + observed_changes_[path]) /
-         (params_.prior_days + std::max(days, 0.0));
+  return (kPriorChanges + observed_changes_[path]) /
+         (kPriorDays + std::max(days, 0.0));
 }
 
 void DtrackStrategy::remap(std::size_t path, TimePoint now,

@@ -100,14 +100,8 @@ class SibylStrategy {
 // hop triggers a full remap traceroute.
 class DtrackStrategy {
  public:
-  struct Params {
-    double prior_changes = 1.0;     // Laplace prior on the change rate
-    double prior_days = 7.0;
-    int hops_sampled_per_probe = 1;
-  };
-
   DtrackStrategy(CorpusTracker& tracker, const ProbeBudget& budget,
-                 const Params& params, std::uint64_t seed);
+                 std::uint64_t seed);
 
   void advance(TimePoint now, EmulationStats& stats);
 
@@ -118,7 +112,6 @@ class DtrackStrategy {
 
   CorpusTracker& tracker_;
   ProbeBudget budget_;
-  Params params_;
   Rng rng_;
   double credit_ = 0.0;
   TimePoint last_{};

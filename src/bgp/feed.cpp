@@ -159,7 +159,6 @@ std::vector<BgpRecord> FeedSimulator::on_event(
   for (const Key& key : candidates) {
     auto it = cache_.find(key);
     if (it == cache_.end()) continue;
-    ++stats_.candidates;
     const routing::RouteAttributes old_attrs = it->second;
     routing::RouteAttributes new_attrs =
         cp_.attributes(vps_[key.vp].as_index, key.origin);
@@ -179,7 +178,6 @@ std::vector<BgpRecord> FeedSimulator::on_event(
       }
       if (touches && old_attrs.reachable() &&
           rng_.bernoulli(params_.duplicate_prob_untouched)) {
-        ++stats_.duplicates;
         emit_route(out, vps_[key.vp], key.origin, old_attrs,
                    jittered(event.time), RecordType::kAnnouncement);
       }
@@ -187,17 +185,11 @@ std::vector<BgpRecord> FeedSimulator::on_event(
     }
 
     if (!new_attrs.reachable()) {
-      ++stats_.withdrawals;
       emit_route(out, vps_[key.vp], key.origin, new_attrs,
                  jittered(event.time), RecordType::kWithdrawal);
     } else if (new_attrs.path != old_attrs.path ||
                new_attrs.communities != old_attrs.communities) {
       // Visible attribute change: always announced.
-      if (new_attrs.path != old_attrs.path) {
-        ++stats_.path_changes;
-      } else {
-        ++stats_.community_changes;
-      }
       emit_route(out, vps_[key.vp], key.origin, new_attrs,
                  jittered(event.time), RecordType::kAnnouncement);
     } else {
@@ -208,7 +200,6 @@ std::vector<BgpRecord> FeedSimulator::on_event(
       double p = params_.duplicate_prob_adjacent;
       for (int i = 0; i < diff; ++i) p *= params_.duplicate_decay;
       if (diff >= 0 && rng_.bernoulli(p)) {
-        ++stats_.duplicates;
         emit_route(out, vps_[key.vp], key.origin, new_attrs,
                    jittered(event.time), RecordType::kAnnouncement);
       }

@@ -67,15 +67,6 @@ class FeedSimulator {
   const routing::RouteAttributes* cached_attributes(VpId vp,
                                                     AsIndex origin) const;
 
-  struct Stats {
-    std::int64_t candidates = 0;
-    std::int64_t path_changes = 0;       // announcements with a new AS path
-    std::int64_t community_changes = 0;  // same path, new communities
-    std::int64_t duplicates = 0;         // identical attributes re-announced
-    std::int64_t withdrawals = 0;
-  };
-  const Stats& stats() const { return stats_; }
-
  private:
   struct Key {
     VpId vp;
@@ -99,7 +90,6 @@ class FeedSimulator {
   std::map<Key, routing::RouteAttributes> cache_;
   // link -> keys whose cached crossings traverse it.
   std::map<topo::LinkId, std::set<Key>> by_link_;
-  Stats stats_;
 };
 
 }  // namespace rrr::bgp

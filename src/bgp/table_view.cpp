@@ -45,7 +45,7 @@ bool VpTableView::apply(const BgpRecord& record) {
     return table.erase(record.prefix);
   }
   VpRoute route;
-  route.path = InternedPath::from_id(canon_.canonical(record.as_path.id()));
+  route.path = InternedPath::from_id(canonical(record.as_path.id()));
   route.communities = record.communities;
   route.updated = record.time;
   table.insert(record.prefix, std::move(route));
@@ -65,15 +65,6 @@ const VpRoute* VpTableView::route(VpId vp, Ipv4 ip) const {
   auto it = tables_.find(vp);
   if (it == tables_.end()) return nullptr;
   return it->second.lookup(ip);
-}
-
-std::optional<Prefix> VpTableView::most_specific_prefix(VpId vp,
-                                                        Ipv4 ip) const {
-  auto it = tables_.find(vp);
-  if (it == tables_.end()) return std::nullopt;
-  auto match = it->second.lookup_match(ip);
-  if (!match) return std::nullopt;
-  return match->prefix;
 }
 
 std::vector<VpId> VpTableView::vps() const {

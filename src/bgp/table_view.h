@@ -2,12 +2,11 @@
 //
 // The paper initializes its BGP monitoring by maintaining per-vantage-point
 // table views from BGPStream, excluding prefixes more specific than /24,
-// stripping IXP route-server ASNs from paths, and finding the most specific
-// prefix each VP advertises toward every monitored destination.
+// stripping IXP route-server ASNs from paths, and looking up each VP's route
+// for the most specific prefix covering every monitored destination.
 #pragma once
 
 #include <map>
-#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -37,18 +36,14 @@ AsPath collapse_prepending(const AsPath& path);
 // id mapping. Most updates repeat a path already seen, so canonicalization
 // amortizes to one hash lookup instead of two vector rebuilds per record.
 //
-// Single-writer: the cache has no locking. Each owner (a VpTableView, the
-// engine's dispatch step) keeps its own instance. With an empty IXP list
-// this memoizes plain prepend-collapse — the dispatch-path normalization.
+// Single-writer: the cache has no locking. Its one owner is a VpTableView,
+// which serves both the table's own writes and the engine's dispatch step.
 class PathCanonicalizer {
  public:
-  PathCanonicalizer() = default;
   explicit PathCanonicalizer(const std::set<Asn>& ixp_asns)
       : ixp_asns_(ixp_asns.begin(), ixp_asns.end()) {}
 
   PathId canonical(PathId raw);
-
-  const std::vector<Asn>& ixp_asns() const { return ixp_asns_; }
 
  private:
   std::vector<Asn> ixp_asns_;  // sorted (std::set iteration order)
@@ -88,11 +83,15 @@ class VpTableView {
   std::size_t apply_all(const std::vector<BgpRecord>& records,
                         std::size_t count);
 
+  // The table-canonical form of a raw path: route-server ASNs stripped and
+  // prepending collapsed, as apply() stores it. The engine's dispatch
+  // compares each record against the standing route in this form. It
+  // writes the memo, so call it only where apply() may run: in the serial
+  // section of a window close, never beside the route() readers.
+  PathId canonical(PathId raw) { return canon_.canonical(raw); }
+
   // The VP's route for the most specific prefix covering `ip`, if any.
   const VpRoute* route(VpId vp, Ipv4 ip) const;
-
-  // §4.1.1: the most specific prefix VP `vp` advertises covering `ip`.
-  std::optional<Prefix> most_specific_prefix(VpId vp, Ipv4 ip) const;
 
   // All VPs with at least one route installed.
   std::vector<VpId> vps() const;

@@ -317,7 +317,6 @@ class World {
   std::vector<routing::Event> schedule_;
   std::size_t event_cursor_ = 0;
   TimePoint now_;
-  std::int64_t next_public_trace_slot_ = 0;
 
   // Checkpoint/resume state. `suppress_engine_` marks the resume
   // fast-forward region before the snapshot: the world (events, platform,

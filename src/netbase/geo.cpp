@@ -7,8 +7,6 @@ namespace {
 
 constexpr double kEarthRadiusKm = 6371.0;
 constexpr double kDegToRad = 3.14159265358979323846 / 180.0;
-// Speed of light in fiber, one-way, km per millisecond.
-constexpr double kFiberKmPerMs = 200.0;
 
 }  // namespace
 
@@ -21,14 +19,6 @@ double distance_km(const GeoPoint& a, const GeoPoint& b) {
              std::cos(lat1) * std::cos(lat2) * std::sin(dlon / 2) *
                  std::sin(dlon / 2);
   return 2.0 * kEarthRadiusKm * std::asin(std::min(1.0, std::sqrt(h)));
-}
-
-double min_rtt_ms(const GeoPoint& a, const GeoPoint& b) {
-  return 2.0 * distance_km(a, b) / kFiberKmPerMs;
-}
-
-double max_distance_km_for_rtt(double rtt_ms) {
-  return rtt_ms * kFiberKmPerMs / 2.0;
 }
 
 }  // namespace rrr

@@ -19,12 +19,4 @@ struct GeoPoint {
 // Great-circle distance in kilometres (haversine).
 double distance_km(const GeoPoint& a, const GeoPoint& b);
 
-// Lower bound on the round-trip time between two points over fiber, in
-// milliseconds. Light in fiber travels ~200 km/ms one way; the paper's
-// shortest-ping rule "RTT <= 1 ms implies <= 100 km" follows from this.
-double min_rtt_ms(const GeoPoint& a, const GeoPoint& b);
-
-// Distance implied by an RTT measurement: the farthest two points can be.
-double max_distance_km_for_rtt(double rtt_ms);
-
 }  // namespace rrr

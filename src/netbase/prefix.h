@@ -38,11 +38,6 @@ class Prefix {
   constexpr bool contains(Ipv4 ip) const {
     return (ip.value() & mask()) == network_.value();
   }
-  // True when `other` is fully inside this block (including equality).
-  constexpr bool covers(const Prefix& other) const {
-    return other.length_ >= length_ && contains(other.network_);
-  }
-
   // First / last address of the block.
   constexpr Ipv4 first_address() const { return network_; }
   constexpr Ipv4 last_address() const {

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "netbase/ipv4.h"
@@ -54,30 +53,6 @@ class RadixTrie {
     for (int depth = 0;; ++depth) {
       const Node& node = nodes_[index];
       if (node.has_value) best = &node.value;
-      if (depth == 32) break;
-      bool bit = (bits >> (31 - depth)) & 1u;
-      std::uint32_t next = bit ? node.one : node.zero;
-      if (next == kInvalid) break;
-      index = next;
-    }
-    return best;
-  }
-
-  // Longest-prefix match returning the matched prefix as well.
-  struct Match {
-    Prefix prefix;
-    const Value* value = nullptr;
-  };
-  std::optional<Match> lookup_match(Ipv4 ip) const {
-    std::optional<Match> best;
-    std::uint32_t index = 0;
-    std::uint32_t bits = ip.value();
-    for (int depth = 0;; ++depth) {
-      const Node& node = nodes_[index];
-      if (node.has_value) {
-        best = Match{Prefix(ip, static_cast<std::uint8_t>(depth)),
-                     &node.value};
-      }
       if (depth == 32) break;
       bool bit = (bits >> (31 - depth)) & 1u;
       std::uint32_t next = bit ? node.one : node.zero;

@@ -181,20 +181,6 @@ class Rng {
     return std::exponential_distribution<double>(rate)(engine_);
   }
 
-  double normal(double mean, double stddev) {
-    return std::normal_distribution<double>(mean, stddev)(engine_);
-  }
-
-  // Pareto-ish heavy-tailed integer in [1, cap]: used for degree
-  // distributions and burst sizes.
-  std::int64_t heavy_tailed(double alpha, std::int64_t cap) {
-    assert(alpha > 0.0 && cap >= 1);
-    double u = uniform();
-    double x = 1.0 / std::pow(1.0 - u, 1.0 / alpha);
-    auto v = static_cast<std::int64_t>(x);
-    return v < 1 ? 1 : (v > cap ? cap : v);
-  }
-
   // Picks an index in [0, weights.size()) proportionally to weights.
   std::size_t weighted_index(const std::vector<double>& weights) {
     assert(!weights.empty());

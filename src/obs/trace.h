@@ -215,10 +215,6 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  // Updates the numeric payload before the span closes (e.g. a work size
-  // known only after the phase ran).
-  void set_arg(std::int64_t arg) { event_.arg = arg; }
-
  private:
   TraceRecorder* recorder_;
   TraceEvent event_;

@@ -53,8 +53,7 @@ bool canonical_less(const StalenessSignal& a, const StalenessSignal& b) {
 }  // namespace
 
 void dispatch_against_table(const std::vector<bgp::BgpRecord>& records,
-                            std::size_t count, const bgp::VpTableView& table,
-                            bgp::PathCanonicalizer& collapse,
+                            std::size_t count, bgp::VpTableView& table,
                             std::vector<DispatchedRecord>& out) {
   out.clear();
   out.reserve(count);
@@ -63,7 +62,7 @@ void dispatch_against_table(const std::vector<bgp::BgpRecord>& records,
     DispatchedRecord dispatched;
     dispatched.record = &record;
     dispatched.path =
-        InternedPath::from_id(collapse.canonical(record.as_path.id()));
+        InternedPath::from_id(table.canonical(record.as_path.id()));
     const bgp::VpRoute* standing =
         table.route(record.vp, record.prefix.network());
     // Duplicate status is two id compares now: id equality is content
@@ -119,7 +118,6 @@ Engine::Engine(const EngineParams& params,
   }
   subpath_.set_pool(pool_.get());
   border_.set_pool(pool_.get());
-  ixp_.set_pool(pool_.get());
 
   if (params_.metrics != nullptr) {
     obs_ = EngineObs::create(*params_.metrics);
@@ -227,8 +225,7 @@ void Engine::close_one_window(std::int64_t window,
     obs::ScopedSpan dispatch_span(obs_.dispatch_us);
     obs::TraceSpan trace_span(params_.tracer, "dispatch", "close", window,
                               "records", static_cast<std::int64_t>(cut));
-    dispatch_against_table(pending_records_, cut, table_, collapse_canon_,
-                           dispatched_);
+    dispatch_against_table(pending_records_, cut, table_, dispatched_);
   }
 
   // Phase A — shards in parallel: dispatch the window's records to the
@@ -264,8 +261,9 @@ void Engine::close_one_window(std::int64_t window,
                          pending_records_.begin() +
                              static_cast<std::ptrdiff_t>(cut));
 
-  // Phase B — the three global trace monitors close concurrently (each
-  // fans its own per-series work out on the same pool).
+  // Phase B — the three global trace monitors close concurrently. The
+  // subpath and border monitors fan their per-series work out on the same
+  // pool; the IXP monitor only stamps its few pending signals.
   std::vector<StalenessSignal> subpath_raw;
   std::vector<StalenessSignal> border_raw;
   std::vector<StalenessSignal> ixp_raw;

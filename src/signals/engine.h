@@ -76,13 +76,12 @@ struct EngineParams {
 };
 
 // Replaces `out` with the monitor-facing view of the first `count` records
-// (normalized path, duplicate status) against the standing start-of-window
-// `table`. The views point into `records`, which must outlive them.
-// `collapse` is the caller's single-writer prepend-collapse memo (most
-// updates repeat a path already normalized this run).
+// (path in the table's canonical form, duplicate status) against the
+// standing start-of-window `table`. The views point into `records`, which
+// must outlive them. Normalizing writes the table's canonicalization memo,
+// so this runs in the serial section of the close.
 void dispatch_against_table(const std::vector<bgp::BgpRecord>& records,
-                            std::size_t count, const bgp::VpTableView& table,
-                            bgp::PathCanonicalizer& collapse,
+                            std::size_t count, bgp::VpTableView& table,
                             std::vector<DispatchedRecord>& out);
 
 // Moves every record belonging to a window <= `window` to the front of
@@ -185,10 +184,9 @@ class Engine {
   bgp::VpTableView table_;
   BgpContext context_;
   std::vector<bgp::BgpRecord> pending_records_;
-  // Dispatch-path prepend-collapse memo and the per-close dispatch batch;
-  // serial close path only. The batch is cleared each close and keeps its
-  // capacity, so a steady-state close allocates nothing for it.
-  bgp::PathCanonicalizer collapse_canon_;
+  // The per-close dispatch batch; serial close path only. It is cleared
+  // each close and keeps its capacity, so a steady-state close allocates
+  // nothing for it.
   std::vector<DispatchedRecord> dispatched_;
   PotentialIndex index_;
   Calibration calibration_;

@@ -1,15 +1,8 @@
 #include "signals/ixp_monitor.h"
 
-#include "runtime/parallel.h"
 #include "signals/feed_health.h"
 
 namespace rrr::signals {
-
-const std::set<Asn>& IxpMonitor::members_of(topo::IxpId ixp) const {
-  static const std::set<Asn> kEmpty;
-  auto it = members_.find(ixp);
-  return it == members_.end() ? kEmpty : it->second;
-}
 
 void IxpMonitor::watch(const CorpusView& view, PotentialIndex& index) {
   index_ = &index;
@@ -84,19 +77,13 @@ void IxpMonitor::handle_new_member(topo::IxpId ixp, Asn joiner) {
     }
     if (!member_downstream) continue;
 
+    // The joiner pays a provider `next_hop` for transit, so a free IXP path
+    // wins; over a public peer (another IXP) the class ties and the shorter
+    // AS path wins. A private peer usually carries higher local preference,
+    // so that join stays silent (file comment).
     AsRelDb::Info rel = rels_.relation(joiner, next_hop);
-    bool signal = false;
-    if (rel.rel == AsRel::kCustomer) {
-      // The joiner pays `next_hop` for transit; a free IXP path wins.
-      signal = true;
-    } else if (rel.rel == AsRel::kPeer && rel.via_ixp) {
-      // Public peer over another IXP: same class, shortest AS path wins.
-      signal = true;
-    } else if (rel.rel == AsRel::kPeer && !rel.via_ixp) {
-      // Private peers usually carry higher local preference; only signal
-      // when equal-preference behaviour has been learned for this AS.
-      signal = equal_pref_.contains(joiner);
-    }
+    bool signal = rel.rel == AsRel::kCustomer ||
+                  (rel.rel == AsRel::kPeer && rel.via_ixp);
     if (!signal) continue;
 
     // §4.2.3 gating: membership "discoveries" made while the public-trace
@@ -148,7 +135,6 @@ void IxpMonitor::save_state(store::Encoder& enc) const {
     enc.u16(ixp);
     put_asns(members);
   }
-  put_asns(equal_pref_);
   enc.u64(watched_.size());
   for (const auto& [pair, watched] : watched_) {
     put_pair(enc, pair);
@@ -170,7 +156,6 @@ void IxpMonitor::save_state(store::Encoder& enc) const {
 void IxpMonitor::load_state(store::Decoder& dec, PotentialIndex* index) {
   index_ = index;
   members_.clear();
-  equal_pref_.clear();
   watched_.clear();
   by_as_.clear();
   pending_.clear();
@@ -185,7 +170,6 @@ void IxpMonitor::load_state(store::Decoder& dec, PotentialIndex* index) {
     topo::IxpId ixp = dec.u16();
     members_[ixp] = get_asns();
   }
-  equal_pref_ = get_asns();
   std::uint64_t watched_count = dec.u64();
   for (std::uint64_t i = 0; i < watched_count; ++i) {
     tr::PairKey pair = get_pair(dec);
@@ -222,12 +206,10 @@ std::vector<StalenessSignal> IxpMonitor::close_window(std::int64_t window,
   std::vector<StalenessSignal> signals;
   signals.swap(pending_);
   obs::observe(mobs_.close_items, static_cast<double>(signals.size()));
-  // Pending signals are independent; stamping fans out over the pool and
-  // mutates each element in place, so order is untouched.
-  runtime::parallel_for(pool_, signals.size(), [&](std::size_t i) {
-    signals[i].window = window;
-    signals[i].time = window_end;
-  });
+  for (StalenessSignal& signal : signals) {
+    signal.window = window;
+    signal.time = window_end;
+  }
   return signals;
 }
 

@@ -8,21 +8,17 @@
 // When AS_i newly appears as a member of IXP_x, corpus traceroutes that
 // traverse AS_i and later another member AS_j may have switched to a direct
 // AS_i--AS_j peering: a signal fires when AS_i currently reaches AS_j via a
-// provider or a public peer (shortest-path / cost reasoning); private peers
-// only produce signals once equal local-preference behaviour has been
-// learned for AS_i.
+// provider or a public peer (shortest-path / cost reasoning). A join whose
+// next hop is a private peer never signals: the paper signals it once equal
+// local preference has been learned for AS_i, and nothing here learns local
+// preference.
 #pragma once
 
 #include <map>
 #include <set>
-#include <unordered_map>
 
 #include "signals/asreldb.h"
 #include "signals/monitor.h"
-
-namespace rrr::runtime {
-class ThreadPool;
-}
 
 namespace rrr::signals {
 
@@ -32,8 +28,6 @@ class IxpMonitor final : public Monitor {
              std::map<topo::IxpId, std::set<Asn>> initial_members)
       : rels_(rels), members_(std::move(initial_members)) {}
 
-  // Stamps window-close signals on `pool` (null = serial).
-  void set_pool(runtime::ThreadPool* pool) { pool_ = pool; }
   void watch(const CorpusView& view, PotentialIndex& index);
   void unwatch(const tr::PairKey& pair);
   void on_public_trace(const tracemap::ProcessedTrace& trace,
@@ -41,11 +35,6 @@ class IxpMonitor final : public Monitor {
   std::vector<StalenessSignal> close_window(std::int64_t window,
                                             TimePoint window_end);
 
-  // Calibration feedback: AS_i has been observed preferring IXP routes over
-  // private peers, so future private-peer cases also signal.
-  void learn_equal_preference(Asn as) { equal_pref_.insert(as); }
-
-  const std::set<Asn>& members_of(topo::IxpId ixp) const;
   std::size_t detected_joins() const { return detected_joins_; }
 
   // Checkpoint support. The potential index is re-bound explicitly on load
@@ -64,10 +53,8 @@ class IxpMonitor final : public Monitor {
 
   void handle_new_member(topo::IxpId ixp, Asn joiner);
 
-  runtime::ThreadPool* pool_ = nullptr;
   const AsRelDb& rels_;
   std::map<topo::IxpId, std::set<Asn>> members_;
-  std::set<Asn> equal_pref_;
   std::map<tr::PairKey, WatchedPair> watched_;
   std::map<Asn, std::set<tr::PairKey>> by_as_;
   PotentialIndex* index_ = nullptr;  // bound at first watch

@@ -114,7 +114,7 @@ class PotentialIndex {
 // copies ids instead of hop vectors and monitors compare paths by id.
 struct DispatchedRecord {
   const bgp::BgpRecord* record = nullptr;
-  InternedPath path;  // IXP-ASN-stripped, prepending-collapsed
+  InternedPath path;  // route-server ASNs stripped, prepending collapsed
   bool duplicate = false;  // same path & communities as the standing route
 };
 

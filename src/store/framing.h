@@ -33,6 +33,8 @@
 //      community sets as content, routes as u32 dictionary indices)
 //   3  the engine section drops the BGP table's epoch counter and the
 //      shards' RNG state, record backlog, cooldown map and window cursor
+//   4  the ixp section drops the equal-preference set, which nothing could
+//      fill
 #pragma once
 
 #include <cstdint>
@@ -46,7 +48,7 @@ namespace rrr::store {
 
 class IoContext;
 
-inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kFormatVersion = 4;
 inline constexpr char kMagic[4] = {'R', 'R', 'R', 'S'};
 
 // FNV-1a 64-bit over `data`, seedable for the two-part kind+payload sweep.

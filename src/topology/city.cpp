@@ -60,8 +60,6 @@ constexpr std::array<City, 48> kCities = {{
 
 }  // namespace
 
-std::span<const City> world_cities() { return kCities; }
-
 const City& city(CityId id) {
   assert(id < kCities.size());
   return kCities[id];

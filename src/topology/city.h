@@ -1,7 +1,6 @@
 // Built-in world city table used for PoP placement and geolocation.
 #pragma once
 
-#include <span>
 #include <string_view>
 
 #include "netbase/geo.h"
@@ -13,9 +12,6 @@ struct City {
   std::string_view name;
   GeoPoint location;
 };
-
-// The full built-in table (48 major interconnection cities).
-std::span<const City> world_cities();
 
 // Name/location of a city id; asserts on out-of-range ids.
 const City& city(CityId id);

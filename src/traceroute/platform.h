@@ -1,5 +1,5 @@
-// The measurement platform: probes, anchors, churn, and credit accounting,
-// modeled on RIPE Atlas.
+// The measurement platform: probes, anchors and churn, modeled on RIPE
+// Atlas.
 #pragma once
 
 #include <cstdint>
@@ -18,10 +18,6 @@ struct PlatformParams {
   // Daily probe disappearance probability (the paper's "fresh, dead Probe"
   // category in Figure 11 comes from this churn).
   double probe_death_per_day = 0.004;
-  // RIPE Atlas credit economics (§6.2): 1M credits/day per user, 10-30
-  // credits per traceroute.
-  std::int64_t credits_per_day = 1'000'000;
-  std::int64_t credits_per_traceroute = 20;
   std::uint64_t seed = 13;
 };
 
@@ -56,42 +52,6 @@ class Platform {
   std::vector<ProbeId> anchors_;
   std::vector<ProbeId> regular_;
   TimePoint churn_clock_;
-};
-
-// Tracks per-day measurement budgets (credits or probe counts).
-class Budget {
- public:
-  Budget(std::int64_t per_day, std::int64_t cost_each)
-      : per_day_(per_day), cost_each_(cost_each) {}
-
-  // Attempts to spend one measurement at time `t`; false when the day's
-  // budget is exhausted.
-  bool try_spend(TimePoint t) {
-    std::int64_t day = t.seconds() / kSecondsPerDay;
-    if (day != current_day_) {
-      current_day_ = day;
-      spent_today_ = 0;
-    }
-    if (spent_today_ + cost_each_ > per_day_) return false;
-    spent_today_ += cost_each_;
-    ++total_spent_;
-    return true;
-  }
-
-  std::int64_t remaining_today(TimePoint t) const {
-    std::int64_t day = t.seconds() / kSecondsPerDay;
-    std::int64_t spent = day == current_day_ ? spent_today_ : 0;
-    return (per_day_ - spent) / cost_each_;
-  }
-
-  std::int64_t total_spent() const { return total_spent_; }
-
- private:
-  std::int64_t per_day_;
-  std::int64_t cost_each_;
-  std::int64_t current_day_ = -1;
-  std::int64_t spent_today_ = 0;
-  std::int64_t total_spent_ = 0;
 };
 
 }  // namespace rrr::tr

@@ -88,24 +88,4 @@ Traceroute Prober::measure(const Probe& probe, Ipv4 dst_ip, TimePoint t,
   return trace;
 }
 
-std::optional<Ipv4> Prober::probe_hop(const Probe& probe, Ipv4 dst_ip,
-                                      TimePoint t, std::uint64_t flow_id,
-                                      int ttl) {
-  routing::ForwardPath path =
-      cp_.resolver().resolve(probe.as, probe.city, dst_ip, flow_id);
-  if (!path.reachable || ttl < 1 ||
-      static_cast<std::size_t>(ttl) > path.hops.size()) {
-    return std::nullopt;
-  }
-  topo::RouterId router = path.hop_routers[static_cast<std::size_t>(ttl - 1)];
-  if (router != topo::kNoRouter && router_is_silent(router)) {
-    return std::nullopt;
-  }
-  Rng rng(hash_combine(hash_combine(params_.seed, 0x77135ull),
-                       hash_combine(static_cast<std::uint64_t>(t.seconds()),
-                                    flow_id + ttl)));
-  if (rng.bernoulli(params_.intermittent_loss_prob)) return std::nullopt;
-  return path.hops[static_cast<std::size_t>(ttl - 1)];
-}
-
 }  // namespace rrr::tr

@@ -34,12 +34,6 @@ class Prober {
   Traceroute measure(const Probe& probe, Ipv4 dst_ip, TimePoint t,
                      std::uint64_t flow_id);
 
-  // Single TTL-limited probe toward dst: the IP revealed at `ttl` (1-based
-  // over our hop list), or nullopt for '*' / beyond path end. Used by the
-  // DTRACK baseline's change-detection probes.
-  std::optional<Ipv4> probe_hop(const Probe& probe, Ipv4 dst_ip, TimePoint t,
-                                std::uint64_t flow_id, int ttl);
-
   // Whether a router persistently ignores traceroute probes (deterministic
   // per router; exposed so tests can find silent routers).
   bool router_is_silent(topo::RouterId router) const;

@@ -88,7 +88,7 @@ TEST(Dtrack, DetectionProbesTriggerRemaps) {
   budget.packets_per_second = 2.0;
   budget.traceroute_cost = 15;
   budget.detection_cost = 1;
-  DtrackStrategy strategy(tracker, budget, {}, 1);
+  DtrackStrategy strategy(tracker, budget, 1);
   EmulationStats stats;
   strategy.advance(TimePoint(0), stats);
   strategy.advance(TimePoint(600), stats);

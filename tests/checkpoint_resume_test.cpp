@@ -613,8 +613,8 @@ TEST(CheckpointResume, MalformedSnapshotRejectionTable) {
                                 "from-the-future",
                                 store::kFormatVersion + 1);
   // Version checking is exact-match in both directions: a snapshot from the
-  // previous version (whose engine section still carries the table epoch
-  // and the shards' dead fields) must be rejected, not misparsed.
+  // previous version (whose ixp section still carries the equal-preference
+  // set) must be rejected, not misparsed.
   std::string old_version;
   store::append_frame_versioned(old_version, "rrr.snapshot",
                                 "from-the-past", store::kFormatVersion - 1);

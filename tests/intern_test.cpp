@@ -234,7 +234,7 @@ TEST(PathCanonicalizer, StripsAndCollapsesThroughMemo) {
 
 TEST(PathCanonicalizer, EmptyIxpListIsPlainCollapse) {
   Interner::ScopedInstance scoped;
-  bgp::PathCanonicalizer canon;
+  bgp::PathCanonicalizer canon(std::set<Asn>{});
   PathId raw =
       Interner::global().path_id(make_path({64500, 64500, 64501, 64500}));
   EXPECT_EQ(Interner::global().path(canon.canonical(raw)),

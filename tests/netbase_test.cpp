@@ -49,12 +49,8 @@ TEST(Prefix, MasksHostBits) {
 
 TEST(Prefix, ContainsAndCovers) {
   Prefix p16 = *Prefix::parse("10.1.0.0/16");
-  Prefix p24 = *Prefix::parse("10.1.2.0/24");
   EXPECT_TRUE(p16.contains(*Ipv4::parse("10.1.200.7")));
   EXPECT_FALSE(p16.contains(*Ipv4::parse("10.2.0.1")));
-  EXPECT_TRUE(p16.covers(p24));
-  EXPECT_FALSE(p24.covers(p16));
-  EXPECT_TRUE(p16.covers(p16));
 }
 
 TEST(Prefix, ZeroLengthCoversEverything) {
@@ -190,14 +186,6 @@ TEST(RadixTrie, EraseRestoresShorterMatch) {
   EXPECT_EQ(trie.size(), 1u);
 }
 
-TEST(RadixTrie, LookupMatchReportsPrefix) {
-  RadixTrie<int> trie;
-  trie.insert(*Prefix::parse("10.1.0.0/16"), 1);
-  auto match = trie.lookup_match(*Ipv4::parse("10.1.2.3"));
-  ASSERT_TRUE(match.has_value());
-  EXPECT_EQ(match->prefix.to_string(), "10.1.0.0/16");
-}
-
 // Property sweep: trie LPM agrees with a brute-force scan.
 class TrieProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -327,8 +315,6 @@ TEST(Rng, DrawsMatchStdMt19937_64) {
         ASSERT_EQ(rng.uniform_int(-5, 1000003),
                   std::uniform_int_distribution<std::int64_t>(-5, 1000003)(
                       ref));
-        ASSERT_EQ(rng.normal(3.0, 0.5),
-                  std::normal_distribution<double>(3.0, 0.5)(ref));
         ASSERT_EQ(rng.exponential(0.7),
                   std::exponential_distribution<double>(0.7)(ref));
         ASSERT_EQ(rng.weighted_index(weights),
@@ -386,13 +372,6 @@ TEST(Geo, HaversineKnownDistances) {
   EXPECT_GT(d, 580.0);
   EXPECT_LT(d, 680.0);
   EXPECT_NEAR(distance_km(london, london), 0.0, 1e-9);
-}
-
-TEST(Geo, RttBoundsMatchSpeedOfLightInFiber) {
-  // The paper's shortest-ping rule: 1 ms RTT => at most 100 km away.
-  EXPECT_NEAR(max_distance_km_for_rtt(1.0), 100.0, 1e-9);
-  GeoPoint a{0, 0}, b{0, 1};  // ~111 km apart
-  EXPECT_GT(min_rtt_ms(a, b), 1.0);
 }
 
 }  // namespace

@@ -270,18 +270,27 @@ TEST_F(IxpMonitorTest, ProviderNextHopTriggersSignal) {
   EXPECT_EQ(signals[0].pair.probe, 1u);
 }
 
-TEST_F(IxpMonitorTest, PrivatePeerSilentUntilLearned) {
+TEST_F(IxpMonitorTest, PublicPeerNextHopTriggersSignal) {
   IxpMonitor monitor(rels_, members_);
   PotentialIndex index;
+  // Corpus path: 11 -> 21 (public peer over an IXP) -> 30 (member).
+  monitor.watch(corpus_view(5, {Asn(11), Asn(21), Asn(30)}), index);
+  monitor.on_public_trace(ixp_sighting(Asn(11)), 5);
+  auto signals = monitor.close_window(5, TimePoint(5 * 900));
+  ASSERT_EQ(signals.size(), 1u);
+  EXPECT_EQ(signals[0].technique, Technique::kColocation);
+  EXPECT_EQ(signals[0].pair.probe, 5u);
+}
+
+TEST_F(IxpMonitorTest, PrivatePeerNeverSignals) {
+  IxpMonitor monitor(rels_, members_);
+  PotentialIndex index;
+  // Corpus path: 12 -> 22 (private peer) -> 30 (member). The join is
+  // learned, but a private peer keeps its higher local preference.
   monitor.watch(corpus_view(2, {Asn(12), Asn(22), Asn(30)}), index);
   monitor.on_public_trace(ixp_sighting(Asn(12)), 5);
+  EXPECT_EQ(monitor.detected_joins(), 1u);
   EXPECT_TRUE(monitor.close_window(5, TimePoint(5 * 900)).empty());
-  // After equal-preference behaviour is learned, the same case signals.
-  IxpMonitor learned(rels_, members_);
-  learned.learn_equal_preference(Asn(12));
-  learned.watch(corpus_view(2, {Asn(12), Asn(22), Asn(30)}), index);
-  learned.on_public_trace(ixp_sighting(Asn(12)), 5);
-  EXPECT_EQ(learned.close_window(5, TimePoint(5 * 900)).size(), 1u);
 }
 
 TEST_F(IxpMonitorTest, NoSignalWithoutDownstreamMember) {
@@ -375,6 +384,30 @@ TEST(CutWindowPrefix, EmptyWindowLeavesBacklogUntouched) {
   EXPECT_EQ(cut_window_prefix(pending, clock, 0), 0u);
   EXPECT_EQ(origins(pending, pending.size()),
             (std::vector<Asn>{Asn(900), Asn(901)}));
+}
+
+// The dispatch normalizes a record the way the table stores it. An
+// announcement that repeats the standing route through a route server is a
+// duplicate, not a path change for the community monitor.
+TEST(DispatchAgainstTable, RouteServerHopRepeatsStandingRoute) {
+  bgp::VpTableView table(std::set<Asn>{Asn(59001)});
+  bgp::BgpRecord standing = timed_record(0, Asn(200));
+  standing.as_path = {Asn(100), Asn(200)};
+  standing.communities = CommunitySet{Community(Asn(100), 7)};
+  ASSERT_TRUE(table.apply(standing));
+
+  bgp::BgpRecord repeat = standing;
+  repeat.time = TimePoint(10);
+  repeat.as_path = {Asn(100), Asn(59001), Asn(200)};
+  std::vector<bgp::BgpRecord> records = {repeat};
+  std::vector<DispatchedRecord> out;
+  dispatch_against_table(records, records.size(), table, out);
+
+  ASSERT_EQ(out.size(), 1u);
+  const bgp::VpRoute* route = table.route(1, standing.prefix.network());
+  ASSERT_NE(route, nullptr);
+  EXPECT_TRUE(out[0].path == route->path);
+  EXPECT_TRUE(out[0].duplicate);
 }
 
 }  // namespace

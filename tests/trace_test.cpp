@@ -175,10 +175,7 @@ TEST(TraceSpan, NullRecorderIsANoOpAndLiveOneRecords) {
   { TraceSpan span(nullptr, "noop", "test"); }  // must not crash
 
   TraceRecorder recorder;
-  {
-    TraceSpan span(&recorder, "work", "test", /*window=*/5, "items", 0);
-    span.set_arg(17);
-  }
+  { TraceSpan span(&recorder, "work", "test", /*window=*/5, "items", 17); }
   recorder.instant("mark", "test");
   recorder.drain();
   EXPECT_EQ(recorder.event_count(), 2u);

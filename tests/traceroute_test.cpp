@@ -4,7 +4,6 @@
 #include <set>
 
 #include "topology/builder.h"
-#include "traceroute/corpus.h"
 #include "traceroute/platform.h"
 
 namespace rrr::tr {
@@ -121,35 +120,6 @@ TEST_F(PlatformFixture, ChurnKillsOnlyRegularProbes) {
   for (ProbeId id : churny.anchors()) {
     EXPECT_TRUE(churny.probe(id).active);
   }
-}
-
-TEST(Budget, EnforcesDailyLimit) {
-  Budget budget(/*per_day=*/100, /*cost_each=*/20);
-  TimePoint day0(100);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(budget.try_spend(day0));
-  EXPECT_FALSE(budget.try_spend(day0));
-  EXPECT_EQ(budget.remaining_today(day0), 0);
-  // A new day resets the allowance.
-  TimePoint day1(kSecondsPerDay + 100);
-  EXPECT_TRUE(budget.try_spend(day1));
-  EXPECT_EQ(budget.total_spent(), 6);
-}
-
-TEST(Corpus, UpsertTracksRefreshes) {
-  Corpus corpus;
-  Traceroute trace;
-  trace.probe = 7;
-  trace.dst_ip = *Ipv4::parse("10.0.0.1");
-  trace.time = TimePoint(100);
-  CorpusEntry& first = corpus.upsert(trace);
-  EXPECT_EQ(first.refresh_count, 0u);
-  corpus.set_freshness(first.key, Freshness::kStale);
-  trace.time = TimePoint(200);
-  CorpusEntry& second = corpus.upsert(trace);
-  EXPECT_EQ(second.refresh_count, 1u);
-  EXPECT_EQ(second.freshness, Freshness::kFresh);  // refresh resets
-  EXPECT_EQ(corpus.size(), 1u);
-  EXPECT_EQ(second.measured, TimePoint(200));
 }
 
 }  // namespace
