@@ -1,11 +1,12 @@
 // Micro-benchmarks for the performance-critical building blocks: longest
 // prefix matching, outlier detectors, route computation, forwarding
-// resolution, public traceroute issue and ingest, traceroute processing and
-// intern-table lookups. Whole-window cost, BGP records and signals
-// included, is perfbench's to measure (perfbench/README.md).
+// resolution, public traceroute issue and ingest, traceroute processing,
+// intern-table lookups and corpus refresh. Whole-window cost, BGP records
+// and signals included, is perfbench's to measure (perfbench/README.md).
 #include <benchmark/benchmark.h>
 
 #include "detect/detector.h"
+#include "eval/world.h"
 #include "netbase/intern.h"
 #include "netbase/radix_trie.h"
 #include "netbase/rng.h"
@@ -226,6 +227,56 @@ void BM_InternLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InternLookup);
+
+// A bgp_corpus-shaped world (perfbench/workload.cpp): fig11's topology and
+// platform, 4000 pairs over 36 destinations, engine 4x4, after its warm-up
+// day and corpus initialization, with one fresh traceroute per pair issued
+// a window later.
+struct RefreshCorpus {
+  static eval::WorldParams params() {
+    eval::WorldParams p;
+    p.topology.num_transit = 48;
+    p.topology.num_stub = 200;
+    p.platform.num_probes = 700;
+    p.platform.probe_death_per_day = 0.006;
+    p.corpus_dest_count = 36;
+    p.recalibration_interval_windows = 0;
+    p.days = 14;
+    p.warmup_days = 1;
+    p.seed = 1;
+    p.corpus_pair_target = 4000;
+    p.public_traces_per_window = 50;
+    p.engine_threads = 4;
+    p.engine_shards = 4;
+    return p;
+  }
+
+  RefreshCorpus() : world(params()) {
+    world.run_until(world.corpus_t0());
+    world.initialize_corpus();
+    const TimePoint t = world.corpus_t0() + world.window_seconds();
+    for (const tr::PairKey& pair : world.ground_truth().pairs()) {
+      fresh.push_back(world.issue_corpus_traceroute(pair, t));
+    }
+  }
+
+  eval::World world;
+  std::vector<tr::Traceroute> fresh;
+};
+
+// One Engine::apply_refresh, cycling through the corpus as recalibration
+// does: grade the pair's potentials, unwatch it and watch the fresh trace.
+void BM_CorpusRefresh(benchmark::State& state) {
+  static RefreshCorpus corpus;
+  signals::Engine& engine = corpus.world.engine();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const tr::Traceroute& trace = corpus.fresh[i++ % corpus.fresh.size()];
+    benchmark::DoNotOptimize(engine.apply_refresh(
+        corpus.world.platform().probe(trace.probe), trace));
+  }
+}
+BENCHMARK(BM_CorpusRefresh);
 
 }  // namespace
 

@@ -40,6 +40,7 @@ PathId PathCanonicalizer::canonical(PathId raw) {
 
 bool VpTableView::apply(const BgpRecord& record) {
   if (!acceptable_prefix(record.prefix)) return false;
+  drop_rows();
   RadixTrie<VpRoute>& table = tables_[record.vp];
   if (record.type == RecordType::kWithdrawal) {
     return table.erase(record.prefix);
@@ -65,6 +66,15 @@ const VpRoute* VpTableView::route(VpId vp, Ipv4 ip) const {
   auto it = tables_.find(vp);
   if (it == tables_.end()) return nullptr;
   return it->second.lookup(ip);
+}
+
+RouteRow VpTableView::row(Ipv4 dst) {
+  auto [it, fresh] = rows_.try_emplace(dst.value());
+  if (fresh) {
+    it->second.reserve(row_vps_.size());
+    for (VpId vp : row_vps_) it->second.push_back({vp, route(vp, dst)});
+  }
+  return it->second;
 }
 
 std::vector<VpId> VpTableView::vps() const {
@@ -124,6 +134,7 @@ void VpTableView::save_state(store::Encoder& enc) const {
 }
 
 void VpTableView::load_state(store::Decoder& dec) {
+  drop_rows();
   tables_.clear();
   std::vector<InternedPath> dict_paths;
   std::uint64_t path_count = dec.bounded(dec.u32(), 8);
@@ -162,6 +173,7 @@ void VpTableView::load_state(store::Decoder& dec) {
 
 void VpTableView::restore_route(VpId vp, const Prefix& prefix,
                                 VpRoute route) {
+  drop_rows();
   tables_[vp].insert(prefix, std::move(route));
 }
 

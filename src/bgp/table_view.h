@@ -8,6 +8,7 @@
 
 #include <map>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -58,6 +59,16 @@ struct VpRoute {
   TimePoint updated;
 };
 
+// One VP's standing route toward a destination; null when it has none.
+struct RowCell {
+  VpId vp = kNoVp;
+  const VpRoute* route = nullptr;
+};
+
+// Every row VP's cell for one destination, in row-VP order
+// (VpTableView::row).
+using RouteRow = std::span<const RowCell>;
+
 // Maintains each vantage point's table from a stream of records.
 //
 // Concurrency: a VpTableView has no internal synchronization. The engine
@@ -68,7 +79,10 @@ struct VpRoute {
 // batch.
 class VpTableView {
  public:
-  explicit VpTableView(std::set<Asn> ixp_asns = {}) : canon_(ixp_asns) {}
+  // `row_vps` lists, in order, the VPs whose routes row() returns.
+  explicit VpTableView(std::set<Asn> ixp_asns = {},
+                       std::vector<VpId> row_vps = {})
+      : canon_(ixp_asns), row_vps_(std::move(row_vps)) {}
 
   // Applies one record (RIB entries and updates are treated alike; the
   // latest information wins). Records with unacceptable prefixes are
@@ -93,6 +107,15 @@ class VpTableView {
   // The VP's route for the most specific prefix covering `ip`, if any.
   const VpRoute* route(VpId vp, Ipv4 ip) const;
 
+  // route(vp, dst) for every row VP, in row-VP order. Memoized per
+  // destination: the corpus watches many pairs per destination, and every
+  // BGP monitor's watch reads the same row. The cells point into the
+  // tries, so every write (apply, restore_route, load_state) drops every
+  // row, and a row stays valid only until the next write. It writes the
+  // memo, so, like canonical(), call it only in the engine's serial
+  // section, never beside the route() readers.
+  RouteRow row(Ipv4 dst);
+
   // All VPs with at least one route installed.
   std::vector<VpId> vps() const;
 
@@ -111,8 +134,15 @@ class VpTableView {
   void restore_route(VpId vp, const Prefix& prefix, VpRoute route);
 
  private:
+  void drop_rows() {
+    if (!rows_.empty()) rows_.clear();
+  }
+
   PathCanonicalizer canon_;
   std::map<VpId, RadixTrie<VpRoute>> tables_;
+  std::vector<VpId> row_vps_;
+  // row()'s memo, keyed by destination address.
+  std::unordered_map<std::uint32_t, std::vector<RowCell>> rows_;
 };
 
 }  // namespace rrr::bgp

@@ -10,7 +10,8 @@
 namespace rrr::detect {
 namespace {
 
-double median_of(std::vector<double> values) {
+// Median of `values`, which it reorders.
+double median_in_place(std::vector<double>& values) {
   if (values.empty()) return 0.0;
   std::size_t mid = values.size() / 2;
   std::nth_element(values.begin(), values.begin() + mid, values.end());
@@ -26,20 +27,24 @@ double median_of(std::vector<double> values) {
 Judgement ModifiedZScoreDetector::update(double value) {
   Judgement judgement;
   if (history_.size() >= params_.min_history) {
-    std::vector<double> h(history_.begin(), history_.end());
-    double med = median_of(h);
-    std::vector<double> abs_dev;
-    abs_dev.reserve(h.size());
-    for (double v : h) abs_dev.push_back(std::abs(v - med));
-    double mad = median_of(abs_dev);
+    // Both medians reorder one per-thread scratch buffer, filled in history
+    // order each time, so the selections (and the scores) are those of the
+    // copies they replace, and a steady-state update allocates nothing.
+    thread_local std::vector<double> scratch;
+    scratch.assign(history_.begin(), history_.end());
+    double med = median_in_place(scratch);
+    double sum_ad = 0.0;  // in history order, for the fallback below
+    for (std::size_t i = 0; i < history_.size(); ++i) {
+      scratch[i] = std::abs(history_[i] - med);
+      sum_ad += scratch[i];
+    }
+    double mad = median_in_place(scratch);
     double m = 0.0;
     if (mad > 1e-12) {
       m = 0.6745 * (value - med) / mad;
     } else {
       // Degenerate MAD: fall back to the mean absolute deviation.
-      double mean_ad = 0.0;
-      for (double d : abs_dev) mean_ad += d;
-      mean_ad /= static_cast<double>(abs_dev.size());
+      double mean_ad = sum_ad / static_cast<double>(history_.size());
       if (mean_ad > 1e-12) {
         m = (value - med) / (1.253314 * mean_ad);
       } else {

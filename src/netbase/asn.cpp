@@ -18,16 +18,6 @@ std::string to_string(const AsPath& path) {
   return out;
 }
 
-bool contains(const AsPath& haystack, Asn needle) {
-  return std::find(haystack.begin(), haystack.end(), needle) !=
-         haystack.end();
-}
-
-int index_of(const AsPath& path, Asn needle) {
-  auto it = std::find(path.begin(), path.end(), needle);
-  return it == path.end() ? -1 : static_cast<int>(it - path.begin());
-}
-
 bool suffix_matches(const AsPath& path, std::size_t from_index,
                     const AsPath& reference) {
   if (from_index >= path.size()) return false;

@@ -1,6 +1,7 @@
 // Autonomous System Number strong type and AS-path alias.
 #pragma once
 
+#include <algorithm>
 #include <compare>
 #include <cstdint>
 #include <functional>
@@ -36,11 +37,18 @@ using AsPath = std::vector<Asn>;
 // Renders "1299 2914 18747".
 std::string to_string(const AsPath& path);
 
-// True when `needle` occurs in `haystack`.
-bool contains(const AsPath& haystack, Asn needle);
+// True when `needle` occurs in `haystack`. Inline, like index_of: the BGP
+// monitors call both per hop of every path they read.
+inline bool contains(const AsPath& haystack, Asn needle) {
+  return std::find(haystack.begin(), haystack.end(), needle) !=
+         haystack.end();
+}
 
 // Index of `needle` in `path`, or -1.
-int index_of(const AsPath& path, Asn needle);
+inline int index_of(const AsPath& path, Asn needle) {
+  auto it = std::find(path.begin(), path.end(), needle);
+  return it == path.end() ? -1 : static_cast<int>(it - path.begin());
+}
 
 // True when the suffix of `path` starting at `from_index` equals the suffix
 // of `reference` starting at the position where `reference` holds the same

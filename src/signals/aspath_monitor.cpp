@@ -19,29 +19,50 @@ int first_intersection(const AsPath& path, const AsPath& tau) {
   return -1;
 }
 
+// Whether `path`, which first intersects `tau` at hop j, matches τ's suffix
+// from there.
+bool matches_from(const AsPath& path, std::size_t j, const AsPath& tau) {
+  return suffix_matches(
+      path, static_cast<std::size_t>(index_of(path, tau[j])), tau);
+}
+
 }  // namespace
 
-void AsPathMonitor::watch(const CorpusView& view, PotentialIndex& index) {
+std::vector<PinnedHop> pin_hops(const AsPath& tau, bgp::RouteRow row) {
+  std::vector<PinnedHop> hops(tau.size());
+  std::vector<int> matching(tau.size(), 0);
+  for (const bgp::RowCell& cell : row) {
+    if (cell.route == nullptr || cell.route->path.empty()) continue;
+    const AsPath& path = cell.route->path;
+    int j = first_intersection(path, tau);
+    if (j < 0) continue;
+    auto hop = static_cast<std::size_t>(j);
+    hops[hop].v0.push_back(cell.vp);
+    if (matches_from(path, hop, tau)) ++matching[hop];
+  }
+  for (std::size_t j = 0; j < hops.size(); ++j) {
+    // Each VP lands in exactly one hop, and every V0 route first
+    // intersects τ at a_j, so each counts toward the ratio's denominator.
+    std::vector<bgp::VpId>& v0 = hops[j].v0;
+    std::sort(v0.begin(), v0.end());
+    if (!v0.empty()) {
+      hops[j].baseline_ratio = static_cast<double>(matching[j]) /
+                               static_cast<double>(v0.size());
+    }
+  }
+  return hops;
+}
+
+void AsPathMonitor::watch(const CorpusView& view, PotentialIndex& index,
+                          bgp::RouteRow row) {
   const tracemap::ProcessedTrace& pt = view.processed;
   if (pt.as_path.empty()) return;
 
-  // Pin V0 per AS hop: VPs whose standing route to d first intersects τ at
-  // that hop. Hops no VP can see are unmonitorable and get no entry.
-  std::vector<std::vector<bgp::VpId>> v0s(pt.as_path.size());
-  for (const bgp::VantagePoint& vp : *context_.vps) {
-    const bgp::VpRoute* route = context_.table->route(vp.id, view.key.dst);
-    if (route == nullptr || route->path.empty()) continue;
-    int j = first_intersection(route->path, pt.as_path);
-    if (j < 0) continue;
-    v0s[static_cast<std::size_t>(j)].push_back(vp.id);
-  }
-  for (std::vector<bgp::VpId>& v0 : v0s) {
-    std::sort(v0.begin(), v0.end());  // each VP lands in exactly one hop
-    v0.shrink_to_fit();
-  }
-
+  // Hops no VP can see are unmonitorable and get no entry.
+  std::vector<PinnedHop> hops = pin_hops(pt.as_path, row);
   for (std::size_t j = 0; j < pt.as_path.size(); ++j) {
-    if (v0s[j].empty()) continue;
+    if (hops[j].v0.empty()) continue;
+    hops[j].v0.shrink_to_fit();
     Entry& entry = entries_.add(
         Entry{
             .pair = view.key,
@@ -49,14 +70,12 @@ void AsPathMonitor::watch(const CorpusView& view, PotentialIndex& index) {
             .tau_path = pt.as_path,
             .tau_index = j,
             .border_index = ingress_border(pt, pt.as_path[j]),
-            .v0 = std::move(v0s[j]),
+            .v0 = std::move(hops[j].v0),
             .series = detect::LazySeries(detect::GapPolicy::kCarryLast),
+            .baseline_ratio = hops[j].baseline_ratio,
             .window_updates = {},
         },
         Technique::kBgpAsPath, index);
-    auto [num, den] = standing_counts(entry);
-    entry.baseline_ratio =
-        den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 1.0;
     // Seed the series with a warm history of the standing ratio: the feed
     // has been collected since before the corpus was initialized, so the
     // detector starts armed rather than blind to the first change.
@@ -90,11 +109,7 @@ bool AsPathMonitor::path_counts(const Entry& entry, const AsPath& path,
   int j = first_intersection(path, entry.tau_path);
   if (j < 0 || static_cast<std::size_t>(j) != entry.tau_index) return false;
   ++den;
-  if (suffix_matches(path, static_cast<std::size_t>(index_of(
-                               path, entry.tau_path[entry.tau_index])),
-                     entry.tau_path)) {
-    ++num;
-  }
+  if (matches_from(path, entry.tau_index, entry.tau_path)) ++num;
   return true;
 }
 

@@ -20,13 +20,28 @@ class ThreadPool;
 
 namespace rrr::signals {
 
+// One hop a_j of a corpus AS path τ as the watch pins it: V0, the VPs (in
+// ascending order) whose standing route toward τ's destination first
+// intersects τ at a_j, and the standing P_ratio, the share of those routes
+// that match τ's suffix from a_j (1 when V0 is empty).
+struct PinnedHop {
+  std::vector<bgp::VpId> v0;
+  double baseline_ratio = 1.0;
+};
+
+// Pins every hop of `tau` in one pass over `row`, the standing routes
+// toward its destination.
+std::vector<PinnedHop> pin_hops(const AsPath& tau, bgp::RouteRow row);
+
 class AsPathMonitor final : public Monitor {
  public:
   explicit AsPathMonitor(const BgpContext& context) : context_(context) {}
 
   // Evaluates window closes across entries on `pool` (null = serial).
   void set_pool(runtime::ThreadPool* pool) { pool_ = pool; }
-  void watch(const CorpusView& view, PotentialIndex& index);
+  // `row` holds the standing routes toward `view.key.dst`.
+  void watch(const CorpusView& view, PotentialIndex& index,
+             bgp::RouteRow row);
   void unwatch(const tr::PairKey& pair);
   void on_record(const DispatchedRecord& record, std::int64_t window);
   std::vector<StalenessSignal> close_window(std::int64_t window,

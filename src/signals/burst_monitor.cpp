@@ -8,13 +8,6 @@
 namespace rrr::signals {
 namespace {
 
-// Whether `path` ends with exactly `suffix` (same origin-side hops).
-bool shares_suffix(const AsPath& path, const AsPath& suffix) {
-  if (suffix.empty() || path.size() < suffix.size()) return false;
-  return std::equal(suffix.begin(), suffix.end(),
-                    path.end() - static_cast<std::ptrdiff_t>(suffix.size()));
-}
-
 bool vp_contains(const std::vector<bgp::VpId>& vps, bgp::VpId vp) {
   return std::binary_search(vps.begin(), vps.end(), vp);
 }
@@ -25,71 +18,109 @@ void vp_insert(std::vector<bgp::VpId>& vps, bgp::VpId vp) {
   if (it == vps.end() || *it != vp) vps.insert(it, vp);
 }
 
+// How many origin-side hops `path` shares with `tau`. A path ends with τ's
+// suffix from a_j exactly when this is at least |τ| - j.
+std::size_t shared_suffix(const AsPath& path, const AsPath& tau) {
+  std::size_t n = 0;
+  while (n < path.size() && n < tau.size() &&
+         path[path.size() - 1 - n] == tau[tau.size() - 1 - n]) {
+    ++n;
+  }
+  return n;
+}
+
 }  // namespace
 
-void BurstMonitor::watch(const CorpusView& view, PotentialIndex& index) {
+std::vector<BurstHop> burst_hops(const AsPath& tau, bgp::RouteRow row) {
+  // Neither a path's shared suffix with τ nor which of its ASes lie off τ
+  // depends on the hop, so both are worked out once per watch: `shared`
+  // per VP, and every off-τ AS as an (AS, VP) pair, sorted, so each AS's
+  // VPs sit together in ascending order.
+  struct OffTau {
+    Asn as;
+    bgp::VpId vp;
+    std::size_t shared;
+    auto operator<=>(const OffTau&) const = default;
+  };
+  std::vector<std::pair<bgp::VpId, std::size_t>> shared;
+  std::vector<OffTau> off_tau;
+  for (const bgp::RowCell& cell : row) {
+    if (cell.route == nullptr || cell.route->path.empty()) continue;
+    const AsPath& path = cell.route->path;
+    std::size_t n = shared_suffix(path, tau);
+    shared.emplace_back(cell.vp, n);
+    for (Asn asn : path) {
+      if (!contains(tau, asn)) off_tau.push_back({asn, cell.vp, n});
+    }
+  }
+  std::sort(shared.begin(), shared.end());
+  shared.erase(std::unique(shared.begin(), shared.end()), shared.end());
+  std::sort(off_tau.begin(), off_tau.end());
+  off_tau.erase(std::unique(off_tau.begin(), off_tau.end()), off_tau.end());
+
+  std::vector<BurstHop> hops(tau.size());
+  std::vector<bgp::VpId> on_v0;
+  std::vector<bgp::VpId> w;
+  for (std::size_t j = 0; j < tau.size(); ++j) {
+    const std::size_t need = tau.size() - j;
+    BurstHop& hop = hops[j];
+    for (const auto& [vp, n] : shared) {
+      if (n >= need) hop.v0.push_back(vp);
+    }
+    if (hop.v0.size() < 2) continue;
+    // One pass over the off-τ pairs, an AS at a time: its V0 paths make it
+    // an extra, and its other paths are W^{k,d}. An off-τ AS can never lie
+    // on the suffix, so "traverses a_k but not the whole suffix" is
+    // exactly "a_k off τ on the path, and the path outside V0".
+    for (std::size_t begin = 0; begin < off_tau.size();) {
+      std::size_t end = begin;
+      on_v0.clear();
+      w.clear();
+      for (; end < off_tau.size() && off_tau[end].as == off_tau[begin].as;
+           ++end) {
+        (off_tau[end].shared >= need ? on_v0 : w).push_back(off_tau[end].vp);
+      }
+      Asn as = off_tau[begin].as;
+      begin = end;
+      if (on_v0.size() < 2 || w.empty()) continue;
+      for (bgp::VpId vp : on_v0) hop.vp_extras[vp].push_back(hop.extras.size());
+      hop.extras.emplace_back(as, w);
+    }
+  }
+  return hops;
+}
+
+void BurstMonitor::watch(const CorpusView& view, PotentialIndex& index,
+                         bgp::RouteRow row) {
   const tracemap::ProcessedTrace& pt = view.processed;
   if (pt.as_path.empty()) return;
 
-  // Gather each VP's standing path toward d once. The resolved references
-  // are stable: interned entries never move.
-  std::vector<std::pair<bgp::VpId, const AsPath*>> vp_paths;
-  for (const bgp::VantagePoint& vp : *context_.vps) {
-    const bgp::VpRoute* route = context_.table->route(vp.id, view.key.dst);
-    if (route != nullptr && !route->path.empty()) {
-      vp_paths.emplace_back(vp.id, &route->path.view());
-    }
-  }
-
+  std::vector<BurstHop> hops = burst_hops(pt.as_path, row);
   for (std::size_t j = 0; j < pt.as_path.size(); ++j) {
-    AsPath suffix(pt.as_path.begin() + static_cast<std::ptrdiff_t>(j),
-                  pt.as_path.end());
+    BurstHop& hop = hops[j];
+    if (hop.v0.size() < 2) continue;  // need corroboration across VPs
+    hop.v0.shrink_to_fit();
     Entry entry{
         .pair = view.key,
-        .suffix = suffix,
+        .suffix = AsPath(pt.as_path.begin() + static_cast<std::ptrdiff_t>(j),
+                         pt.as_path.end()),
         .border_index = ingress_border(pt, pt.as_path[j]),
-        .v0 = {},
+        .v0 = std::move(hop.v0),
         .series = detect::LazySeries(detect::GapPolicy::kZero),
         .window_dups = {},
         .extras = {},
-        .vp_extras = {},
+        .vp_extras = std::move(hop.vp_extras),
     };
-    for (auto& [vp, path] : vp_paths) {
-      if (shares_suffix(*path, suffix)) vp_insert(entry.v0, vp);
-    }
-    if (entry.v0.size() < 2) continue;  // need corroboration across VPs
-    entry.v0.shrink_to_fit();
-
-    // Extra ASes: on >= 2 V0 paths but not on τ.
-    std::map<Asn, std::set<bgp::VpId>> outside;
-    for (auto& [vp, path] : vp_paths) {
-      if (!vp_contains(entry.v0, vp)) continue;
-      for (Asn asn : *path) {
-        if (!contains(pt.as_path, asn)) outside[asn].insert(vp);
-      }
-    }
-    for (auto& [asn, vps_on] : outside) {
-      if (vps_on.size() < 2) continue;
-      ExtraSeries extra{
-          .as = asn,
-          .vps = {},
+    entry.extras.reserve(hop.extras.size());
+    for (auto& [as, vps] : hop.extras) {
+      vps.shrink_to_fit();
+      entry.extras.push_back(ExtraSeries{
+          .as = as,
+          .vps = std::move(vps),
           .series = detect::LazySeries(detect::GapPolicy::kZero),
           .window_dups = {},
           .outlier_this_window = false,
-      };
-      // W^{k,d}: VPs traversing a_k toward d but NOT the whole suffix.
-      for (auto& [vp, path] : vp_paths) {
-        if (contains(*path, asn) && !shares_suffix(*path, suffix)) {
-          vp_insert(extra.vps, vp);
-        }
-      }
-      if (extra.vps.empty()) continue;
-      extra.vps.shrink_to_fit();
-      std::size_t extra_index = entry.extras.size();
-      entry.extras.push_back(std::move(extra));
-      for (bgp::VpId vp : vps_on) {
-        entry.vp_extras[vp].push_back(extra_index);
-      }
+      });
     }
 
     // Seed with a warm zero baseline (duplicates are absent most windows),

@@ -22,13 +22,32 @@ class ThreadPool;
 
 namespace rrr::signals {
 
+// The watch-time VP sets of one suffix {a_j .. a_d} of a corpus AS path τ.
+// VP lists are ascending.
+struct BurstHop {
+  // V0: the VPs whose standing route ends with the suffix.
+  std::vector<bgp::VpId> v0;
+  // Each extra AS a_k — off τ, on at least two V0 paths, in ascending order
+  // — with W^{k,d}, the VPs whose route traverses a_k but not the whole
+  // suffix; an AS with an empty W^{k,d} is left out. Empty when |V0| < 2.
+  std::vector<std::pair<Asn, std::vector<bgp::VpId>>> extras;
+  // The extras (indices into `extras`) each V0 VP's path traverses.
+  std::map<bgp::VpId, std::vector<std::size_t>> vp_extras;
+};
+
+// Every suffix's sets for `tau` (index j = the suffix from a_j), from
+// `row`, the standing routes toward its destination.
+std::vector<BurstHop> burst_hops(const AsPath& tau, bgp::RouteRow row);
+
 class BurstMonitor final : public Monitor {
  public:
   explicit BurstMonitor(const BgpContext& context) : context_(context) {}
 
   // Evaluates window closes across entries on `pool` (null = serial).
   void set_pool(runtime::ThreadPool* pool) { pool_ = pool; }
-  void watch(const CorpusView& view, PotentialIndex& index);
+  // `row` holds the standing routes toward `view.key.dst`.
+  void watch(const CorpusView& view, PotentialIndex& index,
+             bgp::RouteRow row);
   void unwatch(const tr::PairKey& pair);
   void on_record(const DispatchedRecord& record, std::int64_t window);
   std::vector<StalenessSignal> close_window(std::int64_t window,

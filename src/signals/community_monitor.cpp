@@ -18,7 +18,35 @@ constexpr double kPrunePrecisionFloor = 0.34;
 constexpr int kPairPruneFpThreshold = 4;
 constexpr int kDefinerPruneFpThreshold = 6;
 
+// Whether `path` overlaps τ's suffix at `as` (i.e. the suffixes from a_j
+// match).
+bool overlaps_suffix(const AsPath& path, Asn as, const AsPath& tau) {
+  int pos = index_of(path, as);
+  if (pos < 0) return false;
+  return suffix_matches(path, static_cast<std::size_t>(pos), tau);
+}
+
+// Adds the communities defined by `as` on `route` when it overlaps τ's
+// suffix there.
+void add_baseline(CommunitySet& baseline, const bgp::VpRoute* route, Asn as,
+                  const AsPath& tau) {
+  if (route == nullptr || !overlaps_suffix(route->path, as, tau)) return;
+  for (Community c : route->communities) {
+    if (c.definer() == as) baseline.insert(c);
+  }
+}
+
 }  // namespace
+
+std::vector<CommunitySet> hop_baselines(const AsPath& tau, bgp::RouteRow row) {
+  std::vector<CommunitySet> baselines(tau.size());
+  for (std::size_t j = 0; j < tau.size(); ++j) {
+    for (const bgp::RowCell& cell : row) {
+      add_baseline(baselines[j], cell.route, tau[j], tau);
+    }
+  }
+  return baselines;
+}
 
 void CommunityReputation::record_outcome(Community community,
                                          const tr::PairKey& pair,
@@ -79,30 +107,21 @@ std::size_t CommunityReputation::pruned_count() const {
   return count;
 }
 
-bool CommunityMonitor::overlaps_suffix(const Entry& entry,
-                                       const AsPath& path) {
-  int pos = index_of(path, entry.as);
-  if (pos < 0) return false;
-  return suffix_matches(path, static_cast<std::size_t>(pos),
-                        entry.tau_path);
-}
-
 CommunitySet CommunityMonitor::baseline_communities(
     const Entry& entry) const {
   CommunitySet baseline;
   for (const bgp::VantagePoint& vp : *context_.vps) {
-    const bgp::VpRoute* route = context_.table->route(vp.id, entry.pair.dst);
-    if (route == nullptr || !overlaps_suffix(entry, route->path)) continue;
-    for (Community c : route->communities) {
-      if (c.definer() == entry.as) baseline.insert(c);
-    }
+    add_baseline(baseline, context_.table->route(vp.id, entry.pair.dst),
+                 entry.as, entry.tau_path);
   }
   return baseline;
 }
 
-void CommunityMonitor::watch(const CorpusView& view, PotentialIndex& index) {
+void CommunityMonitor::watch(const CorpusView& view, PotentialIndex& index,
+                             bgp::RouteRow row) {
   const tracemap::ProcessedTrace& pt = view.processed;
   if (pt.as_path.empty()) return;
+  std::vector<CommunitySet> baselines = hop_baselines(pt.as_path, row);
   for (std::size_t j = 0; j < pt.as_path.size(); ++j) {
     Entry entry;
     entry.pair = view.key;
@@ -110,7 +129,7 @@ void CommunityMonitor::watch(const CorpusView& view, PotentialIndex& index) {
     entry.tau_path = pt.as_path;
     entry.tau_index = j;
     entry.border_index = ingress_border(pt, entry.as);
-    entry.baseline = baseline_communities(entry);
+    entry.baseline = std::move(baselines[j]);
     entries_.add(std::move(entry), Technique::kBgpCommunity, index);
   }
 }
@@ -125,7 +144,10 @@ bool CommunityMonitor::community_known_elsewhere(const Entry& entry,
   for (const bgp::VantagePoint& vp : *context_.vps) {
     if (vp.id == except_vp) continue;
     const bgp::VpRoute* route = context_.table->route(vp.id, entry.pair.dst);
-    if (route == nullptr || !overlaps_suffix(entry, route->path)) continue;
+    if (route == nullptr ||
+        !overlaps_suffix(route->path, entry.as, entry.tau_path)) {
+      continue;
+    }
     if (route->communities.contains(community)) return true;
   }
   return false;
@@ -153,11 +175,11 @@ void CommunityMonitor::on_record(const DispatchedRecord& record,
       // AND on the announced one. A route that moved away from a_j drops
       // a_j's communities trivially; that is an AS-path event about the
       // VP, not evidence that τ's border at a_j moved.
-      if (!overlaps_suffix(*entry, prev->path)) {
+      if (!overlaps_suffix(prev->path, entry->as, entry->tau_path)) {
         ++stats_.no_prev_overlap;
         continue;
       }
-      if (!overlaps_suffix(*entry, record.path)) {
+      if (!overlaps_suffix(record.path, entry->as, entry->tau_path)) {
         ++stats_.no_new_overlap;
         continue;
       }

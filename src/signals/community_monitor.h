@@ -110,6 +110,11 @@ class CommunityReputation {
   std::map<std::pair<Asn, tr::PairKey>, Stats> definer_stats_;
 };
 
+// Each hop a_j's baseline of a corpus AS path τ: the communities defined by
+// a_j on the routes in `row` (the standing routes toward τ's destination)
+// that overlap τ's suffix from a_j.
+std::vector<CommunitySet> hop_baselines(const AsPath& tau, bgp::RouteRow row);
+
 class CommunityMonitor final : public Monitor {
  public:
   CommunityMonitor(const BgpContext& context, CommunityReputation& reputation)
@@ -117,7 +122,9 @@ class CommunityMonitor final : public Monitor {
 
   // Stamps window-close signals across entries on `pool` (null = serial).
   void set_pool(runtime::ThreadPool* pool) { pool_ = pool; }
-  void watch(const CorpusView& view, PotentialIndex& index);
+  // `row` holds the standing routes toward `view.key.dst`.
+  void watch(const CorpusView& view, PotentialIndex& index,
+             bgp::RouteRow row);
   void unwatch(const tr::PairKey& pair);
   void on_record(const DispatchedRecord& record, std::int64_t window);
   std::vector<StalenessSignal> close_window(std::int64_t window,
@@ -163,13 +170,12 @@ class CommunityMonitor final : public Monitor {
     int pending_vp_count = 0;
   };
 
-  // Whether `path` overlaps τ's suffix at `entry.as` (i.e. the suffixes
-  // from a_j match).
-  static bool overlaps_suffix(const Entry& entry, const AsPath& path);
   // Communities defined by `definer` on any *other* overlapping VP's
   // standing route toward dst.
   bool community_known_elsewhere(const Entry& entry, Community community,
                                  bgp::VpId except_vp) const;
+  // The entry's baseline read through route(), for the revocation sweep on
+  // the pool.
   CommunitySet baseline_communities(const Entry& entry) const;
 
   runtime::ThreadPool* pool_ = nullptr;

@@ -14,6 +14,13 @@ EngineParams normalized(EngineParams params) {
   return params;
 }
 
+std::vector<bgp::VpId> ids_of(const std::vector<bgp::VantagePoint>& vps) {
+  std::vector<bgp::VpId> ids;
+  ids.reserve(vps.size());
+  for (const bgp::VantagePoint& vp : vps) ids.push_back(vp.id);
+  return ids;
+}
+
 // Every kRevocationCheckWindows windows the shards sweep their corpus for
 // revocations (§4.3.2).
 constexpr std::int64_t kRevocationCheckWindows = 8;
@@ -103,7 +110,7 @@ Engine::Engine(const EngineParams& params,
       processing_(processing),
       rng_(Rng(params.seed).fork(0xE9619E)),
       vps_(std::move(vps)),
-      table_(std::move(ixp_route_server_asns)),
+      table_(std::move(ixp_route_server_asns), ids_of(vps_)),
       rels_(std::move(rels)),
       subpath_(params_.trace_drop_outliers),
       border_(params_.trace_drop_outliers),
@@ -178,7 +185,7 @@ std::size_t Engine::shard_of(const tr::PairKey& pair) const {
 
 void Engine::watch(const tr::Probe& probe, const tr::Traceroute& trace) {
   tr::PairKey key{trace.probe, trace.dst_ip};
-  shards_[shard_of(key)]->watch(probe, trace);
+  shards_[shard_of(key)]->watch(probe, trace, table_.row(trace.dst_ip));
 }
 
 std::size_t Engine::corpus_size() const {
@@ -362,7 +369,8 @@ std::vector<tr::PairKey> Engine::plan_refreshes(int budget) {
 RefreshOutcome Engine::apply_refresh(const tr::Probe& probe,
                                      const tr::Traceroute& fresh) {
   tr::PairKey key{fresh.probe, fresh.dst_ip};
-  return shards_[shard_of(key)]->apply_refresh(probe, fresh);
+  return shards_[shard_of(key)]->apply_refresh(probe, fresh,
+                                               table_.row(fresh.dst_ip));
 }
 
 tr::Freshness Engine::freshness(const tr::PairKey& pair) const {

@@ -81,8 +81,8 @@ tr::Freshness EngineShard::initial_freshness(
   return relations.empty() ? tr::Freshness::kUnknown : tr::Freshness::kFresh;
 }
 
-void EngineShard::watch(const tr::Probe& probe,
-                        const tr::Traceroute& trace) {
+void EngineShard::watch(const tr::Probe& probe, const tr::Traceroute& trace,
+                        bgp::RouteRow row) {
   tr::PairKey key{trace.probe, trace.dst_ip};
   PairState state;
   state.view.key = key;
@@ -92,9 +92,9 @@ void EngineShard::watch(const tr::Probe& probe,
   state.view.processed = processing_.ingest(trace);
   state.watched_window = state.view.window;
 
-  aspath_->watch(state.view, *index_);
-  community_->watch(state.view, *index_);
-  burst_->watch(state.view, *index_);
+  aspath_->watch(state.view, *index_, row);
+  community_->watch(state.view, *index_, row);
+  burst_->watch(state.view, *index_, row);
   subpath_->watch(state.view, *index_);
   border_->watch(state.view, *index_);
   ixp_->watch(state.view, *index_);
@@ -211,7 +211,8 @@ bool EngineShard::portion_changed(const tracemap::ProcessedTrace& before,
 }
 
 RefreshOutcome EngineShard::apply_refresh(const tr::Probe& probe,
-                                          const tr::Traceroute& fresh) {
+                                          const tr::Traceroute& fresh,
+                                          bgp::RouteRow row) {
   tr::PairKey key{fresh.probe, fresh.dst_ip};
   RefreshOutcome outcome;
   outcome.pair = key;
@@ -272,8 +273,9 @@ RefreshOutcome EngineShard::apply_refresh(const tr::Probe& probe,
   }
 
   // Register the fresh measurement. `probe` and `fresh` stay valid through
-  // watch() (it only reads them), so no defensive copies.
-  watch(probe, fresh);
+  // watch() (it only reads them), so no defensive copies; nothing above
+  // writes the table, so `row` is still the standing one.
+  watch(probe, fresh, row);
   obs::inc(obs_.refreshes);
   if (outcome.change != tracemap::ChangeKind::kNone) {
     obs::inc(obs_.refreshes_changed);

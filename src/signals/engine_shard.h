@@ -78,7 +78,10 @@ class EngineShard {
               const EngineSharedState& shared);
 
   // --- corpus management ---
-  void watch(const tr::Probe& probe, const tr::Traceroute& trace);
+  // `row` holds the standing routes toward `trace.dst_ip` (the engine's
+  // VpTableView::row); the AS-path, community and burst watches read it.
+  void watch(const tr::Probe& probe, const tr::Traceroute& trace,
+             bgp::RouteRow row);
   std::size_t corpus_size() const { return corpus_.size(); }
   bool has_pair(const tr::PairKey& pair) const {
     return corpus_.contains(pair);
@@ -86,9 +89,10 @@ class EngineShard {
 
   // --- refresh cycle (§4.3.1) ---
   // Grades related potential signals against the new measurement, updates
-  // calibration and community reputation, and re-registers the pair.
+  // calibration and community reputation, and re-registers the pair,
+  // watching it through `row` as watch() does.
   RefreshOutcome apply_refresh(const tr::Probe& probe,
-                               const tr::Traceroute& fresh);
+                               const tr::Traceroute& fresh, bgp::RouteRow row);
   // Adds this shard's refresh candidates (pairs with firing signals) to the
   // engine's merged candidate map.
   void collect_refresh_candidates(

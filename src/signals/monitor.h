@@ -126,6 +126,9 @@ class FeedHealthTracker;
 // monitor has the same shape:
 //
 //   watch(view, index), unwatch(pair)  start / stop monitoring a corpus pair
+//                                      (the BGP monitors' watch also takes
+//                                      the route row toward the pair's
+//                                      destination)
 //   on_record(record, window)          BGP monitors: every update record of
 //                                      the current window, *before* the
 //                                      standing table view absorbs it (so

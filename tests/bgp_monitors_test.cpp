@@ -15,25 +15,34 @@
 #include "signals/aspath_monitor.h"
 #include "signals/burst_monitor.h"
 #include "signals/community_monitor.h"
+#include "signals/engine.h"
 #include "signals/serial.h"
 
 namespace rrr::signals {
 namespace {
 
 constexpr std::int64_t kWatchWindow = 100;
+// An IXP route server the fixture's table strips from paths.
+constexpr Asn kRouteServer(59001);
+
+std::vector<bgp::VantagePoint> four_vps() {
+  std::vector<bgp::VantagePoint> vps;
+  for (bgp::VpId vp = 0; vp < 4; ++vp) {
+    bgp::VantagePoint vantage;
+    vantage.id = vp;
+    vantage.asn = Asn(900 + vp);
+    vps.push_back(vantage);
+  }
+  return vps;
+}
 
 class BgpMonitorFixture : public ::testing::Test {
  protected:
-  BgpMonitorFixture() {
-    // Four VPs, all with routes to the destination 10.1.0.1 through the
-    // suffix {20, 30, 40}; VPs 0-2 enter at AS 20 (matching the corpus
-    // traceroute), VP 3 first intersects deeper at AS 30.
-    for (bgp::VpId vp = 0; vp < 4; ++vp) {
-      bgp::VantagePoint vantage;
-      vantage.id = vp;
-      vantage.asn = Asn(900 + vp);
-      vps_.push_back(vantage);
-    }
+  // Four VPs, all with routes to the destination 10.1.0.1 through the
+  // suffix {20, 30, 40}; VPs 0-2 enter at AS 20 (matching the corpus
+  // traceroute), VP 3 first intersects deeper at AS 30.
+  BgpMonitorFixture()
+      : vps_(four_vps()), table_(std::set<Asn>{kRouteServer}, {0, 1, 2, 3}) {
     context_.table = &table_;
     context_.vps = &vps_;
 
@@ -76,23 +85,26 @@ class BgpMonitorFixture : public ::testing::Test {
     return record;
   }
 
+  // The engine's view of `record` against the standing table: its path in
+  // table-canonical form and its duplicate status. The view points at
+  // `record`, which outlives it; the one-record batch does not.
   DispatchedRecord dispatch(const bgp::BgpRecord& record) {
-    DispatchedRecord dispatched;
-    dispatched.record = &record;
-    dispatched.path = record.as_path;
-    const bgp::VpRoute* standing =
-        table_.route(record.vp, record.prefix.network());
-    dispatched.duplicate = record.type == bgp::RecordType::kAnnouncement &&
-                           standing != nullptr &&
-                           standing->path == record.as_path &&
-                           standing->communities == record.communities;
-    return dispatched;
+    std::vector<bgp::BgpRecord> batch = {record};
+    std::vector<DispatchedRecord> out;
+    dispatch_against_table(batch, batch.size(), table_, out);
+    out.front().record = &record;
+    return out.front();
+  }
+
+  // The standing routes a watch of `view` reads.
+  bgp::RouteRow row_of(const CorpusView& view) {
+    return table_.row(view.key.dst);
   }
 
   // The monitors read the table through BgpContext; apply() makes an
   // install visible immediately.
-  bgp::VpTableView table_;
   std::vector<bgp::VantagePoint> vps_;
+  bgp::VpTableView table_;
   BgpContext context_;
   CorpusView view_;
   PotentialIndex index_;
@@ -100,7 +112,7 @@ class BgpMonitorFixture : public ::testing::Test {
 
 TEST_F(BgpMonitorFixture, AsPathMonitorPinsV0AndDetectsSuffixShift) {
   AsPathMonitor monitor(context_);
-  monitor.watch(view_, index_);
+  monitor.watch(view_, index_, row_of(view_));
   ASSERT_GT(index_.relations_of(view_.key).size(), 0u);
 
   // Keep the ratio steady for enough windows, then shift every VP away
@@ -157,8 +169,8 @@ TEST_F(BgpMonitorFixture, AsPathStandingCountsFollowTheTableInEngineOrder) {
   PotentialIndex cached_index;
   PotentialIndex rebuilt_index;
   for (const CorpusView& view : views) {
-    cached.watch(view, cached_index);
-    rebuilt.watch(view, rebuilt_index);
+    cached.watch(view, cached_index, row_of(view));
+    rebuilt.watch(view, rebuilt_index, row_of(view));
   }
   ASSERT_EQ(saved(cached), saved(rebuilt));
 
@@ -234,7 +246,7 @@ TEST_F(BgpMonitorFixture, AsPathStandingCountsFollowTheTableInEngineOrder) {
 TEST_F(BgpMonitorFixture, CommunityChangeSamePathSignals) {
   CommunityReputation reputation;
   CommunityMonitor monitor(context_, reputation);
-  monitor.watch(view_, index_);
+  monitor.watch(view_, index_, row_of(view_));
 
   std::int64_t w = kWatchWindow + 1;
   bgp::BgpRecord changed = update(0, {Asn(900), Asn(20), Asn(30), Asn(40)},
@@ -251,7 +263,7 @@ TEST_F(BgpMonitorFixture, CommunityChangeSamePathSignals) {
 TEST_F(BgpMonitorFixture, CommunityVanishingWithPathChangeIsSuppressed) {
   CommunityReputation reputation;
   CommunityMonitor monitor(context_, reputation);
-  monitor.watch(view_, index_);
+  monitor.watch(view_, index_, row_of(view_));
 
   // VP 0 reroutes upstream: AS 20's community disappears because the new
   // chain strips it — not evidence of a border change at AS 20. The new
@@ -270,7 +282,7 @@ TEST_F(BgpMonitorFixture, CommunityKnownElsewhereIsNotNews) {
   // VP 1 already carries the "new" community before the watch.
   install(1, {Asn(901), Asn(20), Asn(30), Asn(40)},
           {Community(Asn(20), 51013)});
-  monitor.watch(view_, index_);
+  monitor.watch(view_, index_, row_of(view_));
 
   std::int64_t w = kWatchWindow + 1;
   bgp::BgpRecord changed =
@@ -285,7 +297,7 @@ TEST_F(BgpMonitorFixture, CommunityKnownElsewhereIsNotNews) {
 
 TEST_F(BgpMonitorFixture, BurstQuorumGatesSignals) {
   BurstMonitor monitor(context_);
-  monitor.watch(view_, index_);
+  monitor.watch(view_, index_, row_of(view_));
   ASSERT_GT(monitor.entry_count(), 0u);
 
   // One duplicate from a single VP: never a burst.
@@ -320,7 +332,7 @@ TEST_F(BgpMonitorFixture, BurstQuorumGatesSignals) {
 TEST_F(BgpMonitorFixture, UnwatchStopsSignals) {
   CommunityReputation reputation;
   CommunityMonitor monitor(context_, reputation);
-  monitor.watch(view_, index_);
+  monitor.watch(view_, index_, row_of(view_));
   monitor.unwatch(view_.key);
   index_.unrelate_pair(view_.key);
 
@@ -358,7 +370,9 @@ struct BgpRig {
   BgpRig(const BgpRig&) = delete;
   BgpRig& operator=(const BgpRig&) = delete;
 
-  void watch(const CorpusView& view) { monitor.watch(view, index); }
+  void watch(const CorpusView& view, bgp::RouteRow row) {
+    monitor.watch(view, index, row);
+  }
   void unwatch(const tr::PairKey& pair) {
     monitor.unwatch(pair);
     index.unrelate_pair(pair);
@@ -469,16 +483,18 @@ class BgpMonitorTest : public BgpMonitorFixture {
   // probe is refreshed at window 40 and again at 90, as the engine does it
   // (unwatch, unrelate, watch against the then-standing table).
   void churn(std::int64_t w, const std::vector<CorpusView>& views,
-             const std::vector<Rig*>& rigs) const {
+             const std::vector<Rig*>& rigs) {
     std::int64_t offset = w - kWatchWindow;
     for (Rig* rig : rigs) {
       if (offset == 0) {
-        for (const CorpusView& view : views) rig->watch(view);
+        for (const CorpusView& view : views) {
+          rig->watch(view, this->row_of(view));
+        }
       } else if (offset == 40 || offset == 90) {
         CorpusView view = views[4];
         view.window = w;
         rig->unwatch(view.key);
-        rig->watch(view);
+        rig->watch(view, this->row_of(view));
       }
     }
   }
@@ -603,12 +619,12 @@ TYPED_TEST(BgpMonitorTest,
   CorpusView b = this->view_;
   b.key.probe = a.key.probe + 1;
   Rig both(this->context_);
-  both.watch(a);
-  both.watch(b);
+  both.watch(a, this->row_of(a));
+  both.watch(b, this->row_of(b));
   ASSERT_NE(state_of(both.monitor), state_of(Rig(this->context_).monitor));
   both.unwatch(b.key);
   Rig alone(this->context_);
-  alone.watch(a);
+  alone.watch(a, this->row_of(a));
   EXPECT_EQ(state_of(both.monitor), state_of(alone.monitor));
 
   const std::int64_t w = kWatchWindow + 30;
@@ -645,7 +661,7 @@ TYPED_TEST(BgpMonitorTest, ShortPrefixReachesEveryCoveredDestinationInOrder) {
   for (const char* dst : {"10.77.1.1", "11.0.0.1", "10.200.3.4", "10.2.0.9"}) {
     CorpusView view = this->view_;
     view.key.dst = *Ipv4::parse(dst);
-    rig.watch(view);
+    rig.watch(view, this->row_of(view));
   }
 
   // What moves each technique, announced for the whole /8 by VPs 0-2:
@@ -682,12 +698,58 @@ TYPED_TEST(BgpMonitorTest, ShortPrefixReachesEveryCoveredDestinationInOrder) {
   EXPECT_EQ(order, covered);
 }
 
+// A repeat of a VP's standing route that passes through an IXP route server
+// and prepends the VP's own AS is, in the table's canonical form, the
+// standing route: each monitor takes it as the duplicate the verbatim
+// repeat is, and ends the window as if it had seen that one.
+TYPED_TEST(BgpMonitorTest, RouteServerRepeatDispatchesAsDuplicate) {
+  using Rig = BgpRig<TypeParam>;
+  Rig verbatim(this->context_);
+  Rig detoured(this->context_);
+  for (Rig* rig : {&verbatim, &detoured}) {
+    rig->watch(this->view_, this->row_of(this->view_));
+  }
+  const std::int64_t w = kWatchWindow + 30;
+  std::vector<bgp::BgpRecord> repeats;
+  std::vector<bgp::BgpRecord> detours;
+  for (bgp::VpId vp : {0u, 1u, 2u}) {
+    const bgp::VpRoute* standing =
+        this->table_.route(vp, this->view_.key.dst);
+    ASSERT_NE(standing, nullptr);
+    repeats.push_back(this->update(vp, standing->path.view(),
+                                   standing->communities.view(), w * 900));
+    AsPath path = standing->path.view();
+    path.insert(path.begin() + 1, kRouteServer);
+    path.insert(path.begin(), path.front());
+    bgp::BgpRecord detour = repeats.back();
+    detour.as_path = path;
+    detours.push_back(std::move(detour));
+  }
+  for (std::size_t i = 0; i < repeats.size(); ++i) {
+    DispatchedRecord plain = this->dispatch(repeats[i]);
+    DispatchedRecord stripped = this->dispatch(detours[i]);
+    ASSERT_TRUE(plain.duplicate);
+    ASSERT_TRUE(stripped.duplicate);
+    EXPECT_EQ(stripped.record, &detours[i]);
+    EXPECT_TRUE(stripped.path == plain.path);
+    verbatim.monitor.on_record(plain, w);
+    detoured.monitor.on_record(stripped, w);
+  }
+  EXPECT_EQ(state_of(detoured.monitor), state_of(verbatim.monitor));
+  std::string want = bytes_of(verbatim.close(w));
+  EXPECT_EQ(bytes_of(detoured.close(w)), want);
+  EXPECT_EQ(state_of(detoured.monitor), state_of(verbatim.monitor));
+  if constexpr (std::is_same_v<TypeParam, BurstMonitor>) {
+    EXPECT_FALSE(want.empty()) << "three VPs repeating are a burst";
+  }
+}
+
 // An index list naming a potential the snapshot holds no entry for is a
 // classified kCorrupt, like every other impossible field.
 TYPED_TEST(BgpMonitorTest, IndexNamingAnUnknownPotentialIsCorrupt) {
   using Rig = BgpRig<TypeParam>;
   Rig rig(this->context_);
-  rig.watch(this->view_);
+  rig.watch(this->view_, this->row_of(this->view_));
   std::string bytes = state_of(rig.monitor);
   // The snapshot ends with an id list that is empty between windows; make
   // it name one potential no entry has.

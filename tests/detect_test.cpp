@@ -277,6 +277,128 @@ TEST(Bitmap, OnePassKernelMatchesReferenceBitForBit) {
   EXPECT_GT(outliers, 0u);
 }
 
+// The modified z-score update as first written: it copies the history, the
+// median copies it again, and the absolute deviations are a third vector
+// whose median takes a fourth. Kept as the oracle for the scratch-buffer
+// update, which must match it bit for bit.
+class ReferenceZScore {
+ public:
+  explicit ReferenceZScore(const ZScoreParams& params) : params_(params) {}
+
+  Judgement update(double value) {
+    Judgement judgement;
+    if (history_.size() >= params_.min_history) {
+      std::vector<double> h(history_.begin(), history_.end());
+      double med = median_of(h);
+      std::vector<double> abs_dev;
+      abs_dev.reserve(h.size());
+      for (double v : h) abs_dev.push_back(std::abs(v - med));
+      double mad = median_of(abs_dev);
+      double m = 0.0;
+      if (mad > 1e-12) {
+        m = 0.6745 * (value - med) / mad;
+      } else {
+        double mean_ad = 0.0;
+        for (double d : abs_dev) mean_ad += d;
+        mean_ad /= static_cast<double>(abs_dev.size());
+        if (mean_ad > 1e-12) {
+          m = (value - med) / (1.253314 * mean_ad);
+        } else {
+          m = value == med
+                  ? 0.0
+                  : (value < med ? -2.0 : 2.0) * params_.threshold;
+        }
+      }
+      judgement.score = m;
+      judgement.outlier = std::abs(m) > params_.threshold &&
+                          std::abs(value - med) >= params_.min_abs_deviation;
+    }
+    if (!(judgement.outlier && params_.drop_outliers_from_history)) {
+      history_.push_back(value);
+      if (history_.size() > params_.max_history) history_.pop_front();
+    }
+    return judgement;
+  }
+
+  std::size_t size() const { return history_.size(); }
+
+ private:
+  static double median_of(std::vector<double> values) {
+    if (values.empty()) return 0.0;
+    std::size_t mid = values.size() / 2;
+    std::nth_element(values.begin(), values.begin() + mid, values.end());
+    double upper = values[mid];
+    if (values.size() % 2 == 1) return upper;
+    std::nth_element(values.begin(), values.begin() + mid - 1,
+                     values.begin() + mid);
+    return (values[mid - 1] + upper) / 2.0;
+  }
+
+  ZScoreParams params_;
+  std::deque<double> history_;
+};
+
+TEST(ModifiedZScore, ScratchUpdateMatchesReferenceBitForBit) {
+  using Source = std::function<double(Rng&, int)>;
+  const std::vector<std::pair<const char*, Source>> shapes = {
+      {"noise", [](Rng& rng, int) { return rng.uniform(); }},
+      {"constant", [](Rng&, int) { return 0.75; }},
+      // Over half the values equal: the MAD is zero while the values
+      // spread, so the mean-absolute-deviation fallback scores.
+      {"zero MAD, nonzero spread", [](Rng& rng, int) {
+         return rng.bernoulli(0.3) ? rng.uniform() : 0.5;
+       }},
+      {"step up, then down", [](Rng& rng, int i) {
+         return (i >= 60 && i < 180 ? 0.9 : 0.2) + 0.01 * rng.uniform();
+       }},
+      {"sparse spikes", [](Rng& rng, int) {
+         return rng.bernoulli(0.05) ? 5.0 + rng.uniform() : 0.1;
+       }},
+  };
+  // Caps of both parities, so full histories have odd and even sizes as
+  // well as the growing ones.
+  const std::size_t caps[] = {96, 33};
+  Rng rng(19930601);
+  std::size_t outliers = 0;
+  std::size_t fallbacks = 0;
+  std::size_t odd = 0;
+  std::size_t even = 0;
+  for (bool drop : {true, false}) {
+    for (std::size_t cap : caps) {
+      for (const auto& [name, source] : shapes) {
+        ZScoreParams params;
+        params.max_history = cap;
+        params.drop_outliers_from_history = drop;
+        ModifiedZScoreDetector fast(params);
+        ReferenceZScore reference(params);
+        for (int step = 0; step < 300; ++step) {
+          SCOPED_TRACE(std::string(name) + ", cap " + std::to_string(cap) +
+                       (drop ? ", dropping" : ", keeping") + ", step " +
+                       std::to_string(step));
+          if (reference.size() >= params.min_history) {
+            (reference.size() % 2 == 1 ? odd : even) += 1;
+          }
+          double value = source(rng, step);
+          Judgement got = fast.update(value);
+          Judgement want = reference.update(value);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.score),
+                    std::bit_cast<std::uint64_t>(want.score));
+          ASSERT_EQ(got.outlier, want.outlier);
+          if (want.outlier) ++outliers;
+          if (std::string(name) == "zero MAD, nonzero spread" &&
+              want.score != 0.0) {
+            ++fallbacks;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(outliers, 0u);
+  EXPECT_GT(fallbacks, 0u);
+  EXPECT_GT(odd, 0u);
+  EXPECT_GT(even, 0u);
+}
+
 // A snapshot whose history count exceeds the detector's cap is rejected
 // before any value is read; a count at the cap loads and saves back the
 // same bytes.
