@@ -1,5 +1,6 @@
 #include "routing/forwarding.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "netbase/rng.h"
@@ -36,18 +37,22 @@ InterconnectId ForwardingResolver::egress_choice(AsIndex from_as,
 
   // ECMP interconnect group: flows hash uniformly across the group's active
   // members instead of the pure hot-potato winner (interdomain diamonds).
-  const topo::Interconnect& winner = topology_.interconnect_at(best);
-  if (winner.ecmp_group >= 0) {
-    std::vector<InterconnectId> members;
-    for (InterconnectId ic_id : topology_.link_interconnects(link)) {
-      if (!state_.interconnect_active(ic_id)) continue;
-      if (topology_.interconnect_at(ic_id).ecmp_group == winner.ecmp_group) {
-        members.push_back(ic_id);
+  // The flow takes the (h mod k)-th of the k members, in link order.
+  const int group = topology_.interconnect_at(best).ecmp_group;
+  if (group >= 0) {
+    auto member = [&](InterconnectId ic_id) {
+      return state_.interconnect_active(ic_id) &&
+             topology_.interconnect_at(ic_id).ecmp_group == group;
+    };
+    const auto interconnects = topology_.link_interconnects(link);
+    const auto members = static_cast<std::uint64_t>(
+        std::count_if(interconnects.begin(), interconnects.end(), member));
+    if (members >= 2) {
+      std::uint64_t skip =
+          hash_combine(flow_id, 0x1C0000ull + link) % members;
+      for (InterconnectId ic_id : interconnects) {
+        if (member(ic_id) && skip-- == 0) return ic_id;
       }
-    }
-    if (members.size() >= 2) {
-      std::uint64_t h = hash_combine(flow_id, 0x1C0000ull + link);
-      return members[h % members.size()];
     }
   }
   return best;
@@ -95,8 +100,16 @@ ForwardPath ForwardingResolver::resolve(AsIndex src_as, CityId src_city,
   const Route& route = table.at(src_as);
   if (!route.reachable()) return path;
 
-  // Translate the ASN path into dense indices.
+  // Translate the ASN path into dense indices. Each AS shows at most three
+  // hops: where the path enters it, an internal router in the city it
+  // leaves from, and its near-side border router (for the last AS, the
+  // destination host).
   path.as_path.reserve(route.path.size());
+  path.crossings.reserve(route.path.size());
+  if (with_ip_hops) {
+    path.hops.reserve(3 * route.path.size());
+    path.hop_routers.reserve(3 * route.path.size());
+  }
   for (Asn asn : route.path) {
     AsIndex idx = topology_.index_of(asn);
     if (idx == topo::kNoAs) return path;  // should not happen

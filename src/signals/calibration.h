@@ -46,7 +46,10 @@ class Calibration {
   std::uint64_t digest() const;
 
   // Checkpoint support: round-trips every tally's outcome deque and window
-  // bounds.
+  // bounds. The section lists each (VP, potential) key once, in ascending
+  // order, with outcome bytes 0-3; load_state rejects anything else as
+  // kCorrupt, so a loaded state re-saves the bytes it read. A load that
+  // throws leaves the tallies as they were.
   void save_state(store::Encoder& enc) const {
     enc.u64(tallies_.size());
     for (const auto& [key, tally] : tallies_) {
@@ -62,22 +65,34 @@ class Calibration {
     }
   }
   void load_state(store::Decoder& dec) {
-    tallies_.clear();
-    std::uint64_t count = dec.u64();
+    auto corrupt = [](const char* what) {
+      return store::StoreError(store::StoreError::Kind::kCorrupt, what);
+    };
+    decltype(tallies_) tallies;
+    // A tally holds its key, an event count and two window bounds; an
+    // event, a window and an outcome byte.
+    const std::uint64_t count = dec.count(4 + 8 + 8 + 8 + 8);
     for (std::uint64_t i = 0; i < count; ++i) {
       std::pair<tr::ProbeId, PotentialId> key;
       key.first = dec.u32();
       key.second = dec.u64();
-      Tally& tally = tallies_[key];
-      std::uint64_t event_count = dec.u64();
+      if (!tallies.empty() && key <= tallies.rbegin()->first) {
+        throw corrupt("calibration keys out of order or repeated");
+      }
+      Tally& tally = tallies.emplace_hint(tallies.end(), key, Tally{})->second;
+      const std::uint64_t event_count = dec.count(8 + 1);
       for (std::uint64_t j = 0; j < event_count; ++j) {
-        std::int64_t window = dec.i64();
-        auto outcome = static_cast<Outcome>(dec.u8());
-        tally.events.emplace_back(window, outcome);
+        const std::int64_t window = dec.i64();
+        const std::uint8_t outcome = dec.u8();
+        if (outcome > static_cast<std::uint8_t>(Outcome::kFalseNegative)) {
+          throw corrupt("calibration outcome byte out of range");
+        }
+        tally.events.emplace_back(window, static_cast<Outcome>(outcome));
       }
       tally.first_window = dec.i64();
       tally.last_window = dec.i64();
     }
+    tallies_ = std::move(tallies);
   }
 
  private:

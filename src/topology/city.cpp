@@ -68,8 +68,23 @@ const City& city(CityId id) {
 CityId city_count() { return static_cast<CityId>(kCities.size()); }
 
 double city_distance_km(CityId a, CityId b) {
-  if (a == b) return 0.0;
-  return distance_km(city(a).location, city(b).location);
+  assert(a < kCities.size() && b < kCities.size());
+  // Every pair's distance_km, worked out once: the prober and the egress
+  // choice need about nine distances between two cities a traceroute, and
+  // a haversine is a chain of libm calls. A function-local static, since
+  // worlds are built on several threads at once.
+  static const std::array<double, kCities.size() * kCities.size()> table =
+      [] {
+        std::array<double, kCities.size() * kCities.size()> km{};
+        for (std::size_t i = 0; i < kCities.size(); ++i) {
+          for (std::size_t j = 0; j < kCities.size(); ++j) {
+            km[i * kCities.size() + j] =
+                distance_km(kCities[i].location, kCities[j].location);
+          }
+        }
+        return km;
+      }();
+  return table[a * kCities.size() + b];
 }
 
 CityId find_city(std::string_view name) {

@@ -19,7 +19,8 @@ const City& city(CityId id);
 // Number of cities in the table.
 CityId city_count();
 
-// Distance between two cities in km.
+// Great-circle distance between two cities in km, bit-identical to
+// distance_km of their locations; asserts on out-of-range ids.
 double city_distance_km(CityId a, CityId b);
 
 // Id of the named city, or kNoCity.

@@ -3,56 +3,86 @@
 #include <algorithm>
 #include <utility>
 
+#include "netbase/rng.h"
+
 namespace rrr::tracemap {
+
+std::size_t HopPatcher::find(std::uint64_t ends) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t at = mix64(ends) & mask;
+  while (slots_[at].ambiguous != kFree && slots_[at].ends != ends) {
+    at = (at + 1) & mask;
+  }
+  return at;
+}
+
+void HopPatcher::rehash(std::size_t size) {
+  std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(size));
+  for (const Slot& slot : old) {
+    if (slot.ambiguous != kFree) slots_[find(slot.ends)] = slot;
+  }
+}
+
+void HopPatcher::learn(std::uint64_t ends, Ipv4 middle) {
+  std::size_t at = find(ends);
+  if (slots_[at].ambiguous == kFree) {
+    if (2 * (pairs_ + 1) > slots_.size()) {
+      rehash(2 * slots_.size());
+      at = find(ends);
+    }
+    slots_[at] = Slot{ends, middle, kUnique};
+    ++pairs_;
+    return;
+  }
+  Slot& slot = slots_[at];
+  if (slot.ambiguous == kUnique) {
+    if (slot.middle == middle) return;
+    slot.ambiguous = static_cast<std::uint32_t>(ambiguous_.size());
+    ambiguous_.push_back({std::min(slot.middle, middle),
+                          std::max(slot.middle, middle)});
+    return;
+  }
+  std::vector<Ipv4>& mids = ambiguous_[slot.ambiguous];
+  auto it = std::lower_bound(mids.begin(), mids.end(), middle);
+  if (it == mids.end() || *it != middle) mids.insert(it, middle);
+}
 
 void HopPatcher::observe(const tr::Traceroute& trace) {
   const auto& hops = trace.hops;
   for (std::size_t i = 1; i + 1 < hops.size(); ++i) {
     if (hops[i - 1].responded() && hops[i].responded() &&
         hops[i + 1].responded()) {
-      std::vector<Ipv4>& mids =
-          middles_[ends_key(*hops[i - 1].ip, *hops[i + 1].ip)];
-      const Ipv4 mid = *hops[i].ip;
-      auto at = std::lower_bound(mids.begin(), mids.end(), mid);
-      if (at == mids.end() || *at != mid) mids.insert(at, mid);
+      learn(ends_key(*hops[i - 1].ip, *hops[i + 1].ip), *hops[i].ip);
     }
   }
 }
 
 std::optional<Ipv4> HopPatcher::unique_middle(Ipv4 prev, Ipv4 next) const {
-  auto it = middles_.find(ends_key(prev, next));
-  if (it == middles_.end() || it->second.size() != 1) return std::nullopt;
-  return it->second.front();
-}
-
-tr::Traceroute HopPatcher::patch(const tr::Traceroute& trace) const {
-  tr::Traceroute patched = trace;
-  auto& hops = patched.hops;
-  for (std::size_t i = 1; i + 1 < hops.size(); ++i) {
-    if (!hops[i].responded() && hops[i - 1].responded() &&
-        hops[i + 1].responded()) {
-      if (auto middle = unique_middle(*hops[i - 1].ip, *hops[i + 1].ip)) {
-        hops[i].ip = middle;
-        // Interpolated latency: midway between the neighbors.
-        hops[i].rtt_ms = (hops[i - 1].rtt_ms + hops[i + 1].rtt_ms) / 2.0;
-      }
-    }
-  }
-  return patched;
+  const Slot& slot = slots_[find(ends_key(prev, next))];
+  if (slot.ambiguous != kUnique) return std::nullopt;
+  return slot.middle;
 }
 
 void HopPatcher::save_state(store::Encoder& enc) const {
-  std::vector<const decltype(middles_)::value_type*> entries;
-  entries.reserve(middles_.size());
-  for (const auto& entry : middles_) entries.push_back(&entry);
+  std::vector<const Slot*> entries;
+  entries.reserve(pairs_);
+  for (const Slot& slot : slots_) {
+    if (slot.ambiguous != kFree) entries.push_back(&slot);
+  }
   std::sort(entries.begin(), entries.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
+            [](const Slot* a, const Slot* b) { return a->ends < b->ends; });
   enc.u64(entries.size());
-  for (const auto* entry : entries) {
-    store::put(enc, Ipv4(static_cast<std::uint32_t>(entry->first >> 32)));
-    store::put(enc, Ipv4(static_cast<std::uint32_t>(entry->first)));
-    enc.u64(entry->second.size());
-    for (Ipv4 mid : entry->second) store::put(enc, mid);
+  for (const Slot* slot : entries) {
+    store::put(enc, Ipv4(static_cast<std::uint32_t>(slot->ends >> 32)));
+    store::put(enc, Ipv4(static_cast<std::uint32_t>(slot->ends)));
+    if (slot->ambiguous == kUnique) {
+      enc.u64(1);
+      store::put(enc, slot->middle);
+      continue;
+    }
+    const std::vector<Ipv4>& mids = ambiguous_[slot->ambiguous];
+    enc.u64(mids.size());
+    for (Ipv4 mid : mids) store::put(enc, mid);
   }
 }
 
@@ -60,10 +90,12 @@ void HopPatcher::load_state(store::Decoder& dec) {
   auto corrupt = [](const char* what) {
     return store::StoreError(store::StoreError::Kind::kCorrupt, what);
   };
-  decltype(middles_) middles;
+  HopPatcher loaded;
   // Each entry holds its two ends, a count and at least one middle.
   const std::uint64_t n = dec.count(4 + 4 + 8 + 4);
-  middles.reserve(n);
+  std::size_t size = loaded.slots_.size();
+  while (size < 2 * n) size *= 2;
+  loaded.rehash(size);
   std::uint64_t last_key = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     const Ipv4 prev = store::get_ipv4(dec);
@@ -84,9 +116,15 @@ void HopPatcher::load_state(store::Decoder& dec) {
       }
       mids.push_back(mid);
     }
-    middles.emplace(key, std::move(mids));
+    Slot& slot = loaded.slots_[loaded.find(key)];
+    slot = Slot{key, mids.front(), kUnique};
+    if (m > 1) {
+      slot.ambiguous = static_cast<std::uint32_t>(loaded.ambiguous_.size());
+      loaded.ambiguous_.push_back(std::move(mids));
+    }
   }
-  middles_ = std::move(middles);
+  loaded.pairs_ = n;
+  *this = std::move(loaded);
 }
 
 }  // namespace rrr::tracemap

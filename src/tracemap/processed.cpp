@@ -28,9 +28,7 @@ TraceProcessor::TraceProcessor(const topo::Topology& topology,
   }
 }
 
-ProcessedTrace TraceProcessor::process(const tr::Traceroute& raw) const {
-  const tr::Traceroute trace = patcher_.patch(raw);
-
+ProcessedTrace TraceProcessor::process(const tr::Traceroute& trace) const {
   ProcessedTrace out;
   out.trace_id = trace.id;
   out.probe = trace.probe;
@@ -39,17 +37,25 @@ ProcessedTrace TraceProcessor::process(const tr::Traceroute& raw) const {
   out.time = trace.time;
   out.reached = trace.reached;
 
-  out.hops.reserve(trace.hops.size());
-  for (const tr::Hop& hop : trace.hops) {
+  const std::vector<tr::Hop>& hops = trace.hops;
+  out.hops.reserve(hops.size());
+  for (std::size_t i = 0; i < hops.size(); ++i) {
     ProcessedHop& ph = out.hops.emplace_back();
-    if (!hop.responded()) continue;
-    ph.ip = hop.ip;
-    auto it = annotations_.find(*hop.ip);
+    ph.ip = hops[i].ip;
+    // A star flanked by responding hops takes the pair's unique middle.
+    // The flanks are read from the raw trace: a patch at hop i-1 needs hop
+    // i to have responded, so it never enables a patch at hop i.
+    if (!ph.ip && i > 0 && i + 1 < hops.size() && hops[i - 1].responded() &&
+        hops[i + 1].responded()) {
+      ph.ip = patcher_.unique_middle(*hops[i - 1].ip, *hops[i + 1].ip);
+    }
+    if (!ph.ip) continue;
+    const Ipv4 ip = *ph.ip;
+    auto it = annotations_.find(ip);
     const Annotation annotation =
         it != annotations_.end()
             ? it->second
-            : Annotation{ip2as_.map(*hop.ip), RouterKey{hop.ip->value()},
-                         std::nullopt};
+            : Annotation{ip2as_.map(ip), RouterKey{ip.value()}, std::nullopt};
     ph.asn = annotation.mapped.asn;
     ph.is_ixp = annotation.mapped.is_ixp;
     ph.ixp = annotation.mapped.ixp;

@@ -79,13 +79,14 @@ enum class ChangeKind : std::uint8_t { kNone, kBorderLevel, kAsLevel };
 ChangeKind classify_change(const ProcessedTrace& before,
                            const ProcessedTrace& after);
 
-// Annotates patched traceroutes. Every router interface's ip2as, alias and
-// geolocation answers are worked out once, at construction, into one table,
-// so a responded hop costs one probe. The resolver and the geolocator are
-// read only here. An address the table lacks (a destination host, an
-// interface allocated later) is one neither of them knew: it is mapped by
-// `ip2as` on the spot and gets what they answer for any unknown address, a
-// singleton router and no city.
+// Patches and annotates traceroutes in one pass: a star flanked by
+// responding hops takes the patcher's unique middle for its flanks. Every
+// router interface's ip2as, alias and geolocation answers are worked out
+// once, at construction, into one table, so a responded hop costs one
+// probe. The resolver and the geolocator are read only here. An address the
+// table lacks (a destination host, an interface allocated later) is one
+// neither of them knew: it is mapped by `ip2as` on the spot and gets what
+// they answer for any unknown address, a singleton router and no city.
 class TraceProcessor {
  public:
   TraceProcessor(const topo::Topology& topology, const Ip2As& ip2as,

@@ -55,6 +55,7 @@ Traceroute Prober::measure(const Probe& probe, Ipv4 dst_ip, TimePoint t,
                                 flow_id))));
 
   const topo::Topology& topology = cp_.topology();
+  trace.hops.reserve(path.hops.size());
   double cumulative_km = 0.0;
   topo::CityId previous_city = probe.city;
   for (std::size_t i = 0; i < path.hops.size(); ++i) {

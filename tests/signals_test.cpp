@@ -63,6 +63,76 @@ TEST(Calibration, UninitializedUntilHistoryAccumulates) {
   EXPECT_FALSE(calibration.tpr(9, 9).has_value());  // never recorded
 }
 
+// One tally of a calibration section: a key, one event, window bounds.
+void put_tally(store::Encoder& enc, tr::ProbeId vp, PotentialId potential,
+               std::uint8_t outcome) {
+  enc.u32(vp);
+  enc.u64(potential);
+  enc.u64(1);
+  enc.i64(4);
+  enc.u8(outcome);
+  enc.i64(4);
+  enc.i64(4);
+}
+
+TEST(Calibration, LoadRejectsWhatSaveNeverWrites) {
+  Calibration calibration;
+  calibration.record(2, 3, 0, Outcome::kTruePositive);
+  calibration.record(2, 3, 4, Outcome::kFalseNegative);
+  calibration.record(7, 1, 4, Outcome::kTrueNegative);
+  store::Encoder enc;
+  calibration.save_state(enc);
+  const std::string bytes = enc.take();
+
+  // Key (5, 9) twice, the second with outcome byte 7: 98 bytes that used
+  // to load, merged into one tally.
+  store::Encoder merged;
+  merged.u64(2);
+  put_tally(merged, 5, 9, 0);
+  put_tally(merged, 5, 9, 7);
+  ASSERT_EQ(merged.buffer().size(), 98u);
+  store::Encoder repeated;
+  repeated.u64(2);
+  put_tally(repeated, 5, 9, 0);
+  put_tally(repeated, 5, 9, 1);
+  store::Encoder descending;
+  descending.u64(2);
+  put_tally(descending, 5, 9, 0);
+  put_tally(descending, 4, 9, 0);
+  store::Encoder outcome;
+  outcome.u64(1);
+  put_tally(outcome, 5, 9, 4);
+  store::Encoder oversized;  // more tallies than the payload can hold
+  oversized.u64(2);
+  put_tally(oversized, 5, 9, 0);
+  for (const std::string& damaged :
+       {merged.take(), repeated.take(), descending.take(), outcome.take(),
+        oversized.take()}) {
+    store::Decoder dec(damaged);
+    try {
+      calibration.load_state(dec);
+      ADD_FAILURE() << "a " << damaged.size() << "-byte section loaded";
+    } catch (const store::StoreError& error) {
+      EXPECT_EQ(error.kind(), store::StoreError::Kind::kCorrupt);
+    }
+    store::Encoder again;
+    calibration.save_state(again);
+    ASSERT_EQ(again.buffer(), bytes) << "a failed load changed the tallies";
+  }
+
+  // Ascending keys with outcomes 0-3 load and re-save verbatim.
+  store::Encoder valid;
+  valid.u64(4);
+  for (std::uint8_t b = 0; b < 4; ++b) put_tally(valid, 5, 9 + b, b);
+  const std::string section = valid.take();
+  store::Decoder dec(section);
+  calibration.load_state(dec);
+  dec.expect_done();
+  store::Encoder again;
+  calibration.save_state(again);
+  EXPECT_EQ(again.buffer(), section);
+}
+
 ActiveSignal make_signal(Technique technique, SignalMeta meta,
                          tr::PairKey pair) {
   ActiveSignal s;

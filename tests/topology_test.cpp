@@ -1,6 +1,8 @@
 // Unit and property tests for the topology substrate (src/topology).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include "topology/builder.h"
@@ -26,6 +28,19 @@ TEST(CityTable, LooksSane) {
   EXPECT_EQ(find_city("Atlantis"), kNoCity);
   EXPECT_GT(city_distance_km(find_city("London"), find_city("Tokyo")),
             9000.0);
+}
+
+// The distance table holds distance_km's own doubles, so every RTT and
+// hot-potato cost built on it stays bit-identical to a per-call haversine.
+TEST(CityTable, DistanceTableMatchesHaversineBitForBit) {
+  for (CityId a = 0; a < city_count(); ++a) {
+    for (CityId b = 0; b < city_count(); ++b) {
+      const double reference = distance_km(city(a).location, city(b).location);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(city_distance_km(a, b)),
+                std::bit_cast<std::uint64_t>(reference))
+          << city(a).name << " -> " << city(b).name;
+    }
+  }
 }
 
 TEST(Builder, DeterministicForSameSeed) {

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <map>
 #include <set>
 #include <string>
@@ -109,40 +110,51 @@ TEST(Geolocate, UnknownAddressesAreUnlocated) {
 }
 
 TEST(HopPatcher, FillsUniquelyDeterminedStars) {
-  HopPatcher patcher;
+  topo::Topology topology = small_topology();
+  ProcessingContext processing(topology, {});
+  const Ipv4 a = *Ipv4::parse("1.1.1.1"), b = *Ipv4::parse("2.2.2.2"),
+             c = *Ipv4::parse("3.3.3.3");
   tr::Traceroute teach;
-  teach.hops = {{*Ipv4::parse("1.1.1.1"), 1.0},
-                {*Ipv4::parse("2.2.2.2"), 2.0},
-                {*Ipv4::parse("3.3.3.3"), 3.0}};
-  patcher.observe(teach);
+  teach.hops = {{a, 1.0}, {b, 2.0}, {c, 3.0}};
+  processing.ingest(teach);
+  EXPECT_EQ(processing.patcher().unique_middle(a, c), b);
+  EXPECT_FALSE(processing.patcher().unique_middle(c, a).has_value());
 
   tr::Traceroute broken = teach;
   broken.hops[1].ip.reset();
-  tr::Traceroute patched = patcher.patch(broken);
+  const ProcessedTrace patched = processing.process(broken);
   ASSERT_TRUE(patched.hops[1].responded());
-  EXPECT_EQ(*patched.hops[1].ip, *Ipv4::parse("2.2.2.2"));
-  EXPECT_NEAR(patched.hops[1].rtt_ms, 2.0, 1e-9);
+  EXPECT_EQ(*patched.hops[1].ip, b);
+  EXPECT_EQ(patched.hops[1].asn, processing.process(teach).hops[1].asn);
+  EXPECT_FALSE(broken.hops[1].responded());  // the raw trace is untouched
+
+  // A star needs a responding hop on both sides.
+  broken.hops[0].ip.reset();
+  const ProcessedTrace unflanked = processing.process(broken);
+  EXPECT_FALSE(unflanked.hops[0].responded());
+  EXPECT_FALSE(unflanked.hops[1].responded());
 }
 
 TEST(HopPatcher, AmbiguousMiddlesStayWild) {
-  HopPatcher patcher;
-  tr::Traceroute a;
-  a.hops = {{*Ipv4::parse("1.1.1.1"), 1.0},
-            {*Ipv4::parse("2.2.2.2"), 2.0},
-            {*Ipv4::parse("3.3.3.3"), 3.0}};
-  patcher.observe(a);
-  a.hops[1].ip = *Ipv4::parse("9.9.9.9");  // a second observed middle
-  patcher.observe(a);
+  topo::Topology topology = small_topology();
+  ProcessingContext processing(topology, {});
+  const Ipv4 a = *Ipv4::parse("1.1.1.1"), c = *Ipv4::parse("3.3.3.3");
+  tr::Traceroute seen;
+  seen.hops = {{a, 1.0}, {*Ipv4::parse("2.2.2.2"), 2.0}, {c, 3.0}};
+  processing.ingest(seen);
+  seen.hops[1].ip = *Ipv4::parse("9.9.9.9");  // a second observed middle
+  processing.ingest(seen);
+  EXPECT_FALSE(processing.patcher().unique_middle(a, c).has_value());
 
-  tr::Traceroute broken = a;
+  tr::Traceroute broken = seen;
   broken.hops[1].ip.reset();
-  tr::Traceroute patched = patcher.patch(broken);
-  EXPECT_FALSE(patched.hops[1].responded());
+  EXPECT_FALSE(processing.process(broken).hops[1].responded());
 }
 
 // A std::map / std::set triple store with HopPatcher's encoding: the
-// straightforward layout the hashed store must agree with, observation for
-// observation and byte for byte.
+// straightforward layout the open-addressing store must agree with,
+// observation for observation and byte for byte. Its patch() is the
+// copy-then-patch path TraceProcessor replaced, kept as the oracle.
 class ReferencePatcher {
  public:
   void observe(const tr::Traceroute& trace) {
@@ -202,13 +214,14 @@ std::string saved(const HopPatcher& patcher) {
   return enc.take();
 }
 
-// Seeded traces over a 64-address pool. Each address steps to four of the
-// next five addresses, the first step far likelier, so triples repeat and
-// many (prev, next) pairs gain two to four middles; 10% of the hops are
-// stars.
+// Seeded traces over a 64-address pool starting at `base`. Each address
+// steps to four of the next five addresses, the first step far likelier, so
+// triples repeat and many (prev, next) pairs gain two to four middles; 10%
+// of the hops are stars.
 class PoolTraces {
  public:
-  explicit PoolTraces(std::uint64_t seed) : rng_(seed) {
+  PoolTraces(std::uint64_t seed, std::uint32_t base = 0x0A000001u)
+      : rng_(seed), base_(base) {
     for (std::uint32_t at = 0; at < kPool; ++at) {
       std::vector<std::uint32_t> steps = {1, 2, 3, 4, 5};
       rng_.shuffle(steps);
@@ -218,7 +231,7 @@ class PoolTraces {
     }
   }
 
-  static Ipv4 address(std::uint32_t i) { return Ipv4(0x0A000001u + i); }
+  Ipv4 address(std::uint32_t i) const { return Ipv4(base_ + i); }
 
   tr::Traceroute next() {
     tr::Traceroute trace;
@@ -237,21 +250,34 @@ class PoolTraces {
  private:
   static constexpr std::size_t kPool = 64;
   Rng rng_;
+  std::uint32_t base_;
   std::array<std::array<std::uint32_t, 4>, kPool> successors_{};
 };
 
 TEST(HopPatcher, HashedStoreMatchesTreeReference) {
   HopPatcher patcher;
   ReferencePatcher reference;
+  // Halfway through, a second pool's pairs start to arrive, so the table
+  // doubles while it already holds unique and ambiguous pairs. It doubles
+  // whenever its pair count passes a power of two.
   PoolTraces traces(77);
-  for (int i = 1; i <= 5000; ++i) {
-    const tr::Traceroute trace = traces.next();
+  PoolTraces later(79, 0x0B000001u);
+  std::size_t last_pairs = 0;
+  bool grew_between_checks = false;
+  for (int i = 1; i <= 6000; ++i) {
+    const tr::Traceroute trace =
+        i > 3000 && i % 2 == 0 ? later.next() : traces.next();
     patcher.observe(trace);
     reference.observe(trace);
-    if (i % 500 == 0) {
+    if (i % 250 == 0) {
       ASSERT_EQ(saved(patcher), reference.save_state()) << i;
+      const std::size_t pairs = reference.middles().size();
+      grew_between_checks |=
+          last_pairs > 0 && std::bit_width(pairs) > std::bit_width(last_pairs);
+      last_pairs = pairs;
     }
   }
+  EXPECT_TRUE(grew_between_checks);
   // The pool shape must give both unique and ambiguous pairs.
   std::size_t most_middles = 0, unique = 0;
   for (const auto& [ends, mids] : reference.middles()) {
@@ -267,9 +293,9 @@ TEST(HopPatcher, HashedStoreMatchesTreeReference) {
   }
   Rng pick(78);
   for (int i = 0; i < 200; ++i) {
-    // Pairs the pool never produces: one end outside it.
-    const Ipv4 inside = PoolTraces::address(
-        static_cast<std::uint32_t>(pick.index(64)));
+    // Pairs the pools never produce: one end outside both.
+    const Ipv4 inside =
+        traces.address(static_cast<std::uint32_t>(pick.index(64)));
     const Ipv4 outside(0xC0000200u + static_cast<std::uint32_t>(i));
     const bool outside_first = pick.bernoulli(0.5);
     const Ipv4 prev = outside_first ? outside : inside;
@@ -278,21 +304,22 @@ TEST(HopPatcher, HashedStoreMatchesTreeReference) {
     ASSERT_FALSE(reference.unique_middle(prev, next).has_value());
   }
 
+  // Every star flanked by responding hops gets the reference's answer.
   std::size_t filled = 0;
-  for (int i = 0; i < 200;) {
+  for (int i = 0; i < 200; ++i) {
     const tr::Traceroute trace = traces.next();
-    if (std::all_of(trace.hops.begin(), trace.hops.end(),
-                    [](const tr::Hop& hop) { return hop.responded(); })) {
-      continue;
-    }
-    ++i;
-    const tr::Traceroute mine = patcher.patch(trace);
-    const tr::Traceroute theirs = reference.patch(trace);
-    ASSERT_EQ(mine.hops.size(), theirs.hops.size());
-    for (std::size_t h = 0; h < mine.hops.size(); ++h) {
-      ASSERT_EQ(mine.hops[h].ip, theirs.hops[h].ip) << i << "/" << h;
-      ASSERT_EQ(mine.hops[h].rtt_ms, theirs.hops[h].rtt_ms) << i << "/" << h;
-      filled += !trace.hops[h].responded() && mine.hops[h].responded();
+    const auto& hops = trace.hops;
+    for (std::size_t h = 1; h + 1 < hops.size(); ++h) {
+      if (hops[h].responded() || !hops[h - 1].responded() ||
+          !hops[h + 1].responded()) {
+        continue;
+      }
+      const std::optional<Ipv4> mine =
+          patcher.unique_middle(*hops[h - 1].ip, *hops[h + 1].ip);
+      ASSERT_EQ(mine,
+                reference.unique_middle(*hops[h - 1].ip, *hops[h + 1].ip))
+          << i << "/" << h;
+      filled += mine.has_value();
     }
   }
   EXPECT_GT(filled, 0u);
@@ -303,6 +330,32 @@ TEST(HopPatcher, HashedStoreMatchesTreeReference) {
   loaded.load_state(dec);
   dec.expect_done();
   EXPECT_EQ(saved(loaded), bytes);
+
+  // A load that throws leaves the store as it was: a truncated section, a
+  // count past the payload, and the reference's pairs with the last two
+  // swapped, which fails only after every other pair was read.
+  std::vector<std::pair<std::pair<Ipv4, Ipv4>, std::set<Ipv4>>> entries(
+      reference.middles().begin(), reference.middles().end());
+  std::swap(entries[entries.size() - 2], entries.back());
+  store::Encoder unordered;
+  unordered.u64(entries.size());
+  for (const auto& [ends, mids] : entries) {
+    store::put(unordered, ends.first);
+    store::put(unordered, ends.second);
+    unordered.u64(mids.size());
+    for (Ipv4 mid : mids) store::put(unordered, mid);
+  }
+  for (const std::string& damaged :
+       {bytes.substr(0, bytes.size() - 3), std::string(bytes.size(), '\xFF'),
+        unordered.take()}) {
+    store::Decoder bad(damaged);
+    EXPECT_THROW(loaded.load_state(bad), store::StoreError);
+    ASSERT_EQ(saved(loaded), bytes);
+  }
+  for (const auto& [ends, mids] : reference.middles()) {
+    ASSERT_EQ(loaded.unique_middle(ends.first, ends.second),
+              reference.unique_middle(ends.first, ends.second));
+  }
 }
 
 class ProcessingFixture : public ::testing::Test {
@@ -399,15 +452,18 @@ TEST_F(ProcessingFixture, ClassifyChangeDistinguishesGranularities) {
   }
 }
 
-// TraceProcessor as it was before the hop-annotation table: the patch, then
-// Ip2As::map, AliasResolver::resolve and Geolocator::locate for every
-// responded hop, then a std::set loop check. Each lookup is a pure function
+// TraceProcessor as it was before the hop-annotation table and patching
+// while annotating: a patched copy of the trace, then Ip2As::map,
+// AliasResolver::resolve and Geolocator::locate for every responded hop,
+// then a std::set loop check. It patches from its own tree store, fed the
+// same observations. Each lookup is a pure function
 // of the topology and the params, so building its own from the same inputs
 // gives the answers the table must hold.
 class ReferenceProcessor {
  public:
   ReferenceProcessor(const topo::Topology& topology,
-                     const PipelineParams& params, const HopPatcher& patcher)
+                     const PipelineParams& params,
+                     const ReferencePatcher& patcher)
       : ip2as_(build_ip2as(topology, params.ixp_interface_coverage,
                            params.seed)),
         aliases_(topology, params.alias),
@@ -485,7 +541,7 @@ class ReferenceProcessor {
   Ip2As ip2as_;
   AliasResolver aliases_;
   Geolocator geo_;
-  const HopPatcher& patcher_;
+  const ReferencePatcher& patcher_;
 };
 
 ::testing::AssertionResult same_processed(const ProcessedTrace& mine,
@@ -544,7 +600,12 @@ TEST(TraceProcessor, FlatTableMatchesPerHopLookups) {
   tr::Platform platform(cp, tr::ProberParams{}, plat);
   const PipelineParams params;
   ProcessingContext processing(topology, params);
-  const ReferenceProcessor reference(topology, params, processing.patcher());
+  ReferencePatcher patcher;
+  const ReferenceProcessor reference(topology, params, patcher);
+  auto ingest = [&](const tr::Traceroute& trace) {
+    processing.ingest(trace);
+    patcher.observe(trace);
+  };
 
   // Public-feed-shaped traces: random probes toward 120 destinations, half
   // of them anchors, with Paris flow variants 0-15. The topology seed is one
@@ -566,7 +627,7 @@ TEST(TraceProcessor, FlatTableMatchesPerHopLookups) {
         probes[rng.index(probes.size())], dests[rng.index(dests.size())],
         TimePoint(i), static_cast<int>(rng.uniform_int(0, 15))));
   }
-  for (int i = 0; i < kTraces / 2; ++i) processing.ingest(traces[i]);
+  for (int i = 0; i < kTraces / 2; ++i) ingest(traces[i]);
 
   std::size_t stars = 0, patched = 0, singletons = 0, unlocated = 0,
               unknown_members = 0, off_table = 0;
@@ -626,9 +687,9 @@ TEST(TraceProcessor, FlatTableMatchesPerHopLookups) {
   const Ipv4 test_net(0xCB007107u);  // 203.0.113.7
   const Ipv4 p = interfaces[0], m1 = interfaces[1], m2 = interfaces[2],
              n = interfaces[3], q = interfaces[4];
-  processing.ingest(hand_trace(1, {p, m1, n}));  // (p, n): one middle
-  processing.ingest(hand_trace(2, {q, m1, n}));  // (q, n): two middles
-  processing.ingest(hand_trace(3, {q, m2, n}));
+  ingest(hand_trace(1, {p, m1, n}));  // (p, n): one middle
+  ingest(hand_trace(2, {q, m1, n}));  // (q, n): two middles
+  ingest(hand_trace(3, {q, m2, n}));
 
   const std::vector<tr::Traceroute> hand = {
       hand_trace(10, {p, m1, host}),
