@@ -1,7 +1,8 @@
 // Micro-benchmarks for the performance-critical building blocks: longest
 // prefix matching, outlier detectors, route computation, forwarding
 // resolution, public traceroute issue and ingest, traceroute processing,
-// intern-table lookups and corpus refresh. Whole-window cost, BGP records
+// the engine's whole public-trace ingest, intern-table lookups and corpus
+// refresh. Whole-window cost, BGP records
 // and signals included, is perfbench's to measure (perfbench/README.md).
 #include <benchmark/benchmark.h>
 
@@ -228,30 +229,72 @@ void BM_InternLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_InternLookup);
 
-// A bgp_corpus-shaped world (perfbench/workload.cpp): fig11's topology and
-// platform, 4000 pairs over 36 destinations, engine 4x4, after its warm-up
-// day and corpus initialization, with one fresh traceroute per pair issued
-// a window later.
-struct RefreshCorpus {
-  static eval::WorldParams params() {
-    eval::WorldParams p;
-    p.topology.num_transit = 48;
-    p.topology.num_stub = 200;
-    p.platform.num_probes = 700;
-    p.platform.probe_death_per_day = 0.006;
-    p.corpus_dest_count = 36;
-    p.recalibration_interval_windows = 0;
-    p.days = 14;
-    p.warmup_days = 1;
-    p.seed = 1;
-    p.corpus_pair_target = 4000;
-    p.public_traces_per_window = 50;
-    p.engine_threads = 4;
-    p.engine_shards = 4;
-    return p;
+// A perfbench world (perfbench/workload.cpp): fig11's topology and
+// platform over 36 destinations in archive mode, one warm-up day, seed 1,
+// with the workload's corpus size, public feed rate and engine (threads =
+// shards).
+eval::WorldParams perfbench_world(int pairs, int public_rate, int engine) {
+  eval::WorldParams p;
+  p.topology.num_transit = 48;
+  p.topology.num_stub = 200;
+  p.platform.num_probes = 700;
+  p.platform.probe_death_per_day = 0.006;
+  p.corpus_dest_count = 36;
+  p.recalibration_interval_windows = 0;
+  p.days = 14;
+  p.warmup_days = 1;
+  p.seed = 1;
+  p.corpus_pair_target = pairs;
+  p.public_traces_per_window = public_rate;
+  p.engine_threads = engine;
+  p.engine_shards = engine;
+  return p;
+}
+
+// A trace_feed-shaped world (300 pairs, 900 public traces a window, engine
+// 1x1) after its warm-up day, corpus initialization and one day of
+// windows, with 4096 public-feed shots, drawn the way
+// World::issue_public_trace draws them, issued in the next window.
+struct IngestWorld {
+  IngestWorld() : world(perfbench_world(300, 900, 1)) {
+    world.run_until(world.corpus_t0());
+    world.initialize_corpus();
+    const TimePoint now = world.corpus_t0() + kSecondsPerDay;
+    world.run_until(now);
+    Rng rng(12);
+    const auto& probes = world.public_probes();
+    const auto& dests = world.public_dests();
+    while (traces.size() < 4096) {
+      const tr::ProbeId probe = probes[rng.index(probes.size())];
+      if (!world.platform().probe(probe).active) continue;
+      const Ipv4 dst = dests[rng.index(dests.size())];
+      const int variant = static_cast<int>(rng.uniform_int(0, 15));
+      traces.push_back(world.platform().issue(
+          probe, dst, now + static_cast<std::int64_t>(traces.size() / 8),
+          variant));
+    }
   }
 
-  RefreshCorpus() : world(params()) {
+  eval::World world;
+  std::vector<tr::Traceroute> traces;
+};
+
+// One Engine::on_public_trace on that world: learn the trace's triples,
+// process it, and feed the subpath, border and IXP monitors their
+// corpus-subscribed series.
+void BM_EngineIngest(benchmark::State& state) {
+  static IngestWorld live;
+  signals::Engine& engine = live.world.engine();
+  std::size_t i = 0;
+  for (auto _ : state) engine.on_public_trace(live.traces[i++ & 4095]);
+}
+BENCHMARK(BM_EngineIngest);
+
+// A bgp_corpus-shaped world (4000 pairs, 50 public traces a window, engine
+// 4x4) after its warm-up day and corpus initialization, with one fresh
+// traceroute per pair issued a window later.
+struct RefreshCorpus {
+  RefreshCorpus() : world(perfbench_world(4000, 50, 4)) {
     world.run_until(world.corpus_t0());
     world.initialize_corpus();
     const TimePoint t = world.corpus_t0() + world.window_seconds();

@@ -241,12 +241,4 @@ inline std::uint64_t hash_combine(std::uint64_t a, std::uint64_t b) {
   return mix64(a ^ (b + 0x9E3779B97F4A7C15ULL + (a << 6) + (a >> 2)));
 }
 
-// Hasher for unordered containers keyed by a packed integer (two ids in one
-// u64): mix64 spreads the fields over every bucket bit.
-struct Mix64Hash {
-  std::size_t operator()(std::uint64_t key) const noexcept {
-    return mix64(key);
-  }
-};
-
 }  // namespace rrr

@@ -30,14 +30,14 @@ const RouteTable& ControlPlane::table_for(AsIndex origin) {
 }
 
 ControlPlane::CachedTable& ControlPlane::cached(AsIndex origin) {
-  auto it = tables_.find(origin);
-  if (it == tables_.end()) {
-    CachedTable entry;
-    entry.table = compute_routes(topology_, state_, origin);
-    entry.used = used_links(entry.table);
-    it = tables_.emplace(origin, std::move(entry)).first;
+  if (origin >= tables_.size()) tables_.resize(origin + 1);
+  std::unique_ptr<CachedTable>& entry = tables_[origin];
+  if (entry == nullptr) {
+    entry = std::make_unique<CachedTable>();
+    entry->table = compute_routes(topology_, state_, origin);
+    entry->used = used_links(entry->table);
   }
-  return it->second;
+  return *entry;
 }
 
 RouteAttributes ControlPlane::attributes(AsIndex vp_as, AsIndex origin) {
@@ -102,8 +102,10 @@ RouteAttributes ControlPlane::attributes(AsIndex vp_as, AsIndex origin) {
 std::vector<AsIndex> ControlPlane::origins_using_link(
     topo::LinkId link) const {
   std::vector<AsIndex> origins;
-  for (const auto& [origin, entry] : tables_) {
-    if (std::binary_search(entry.used.begin(), entry.used.end(), link)) {
+  for (AsIndex origin = 0; origin < tables_.size(); ++origin) {
+    const CachedTable* entry = tables_[origin].get();
+    if (entry != nullptr &&
+        std::binary_search(entry->used.begin(), entry->used.end(), link)) {
       origins.push_back(origin);
     }
   }
@@ -112,16 +114,19 @@ std::vector<AsIndex> ControlPlane::origins_using_link(
 
 std::vector<AsIndex> ControlPlane::cached_origins() const {
   std::vector<AsIndex> origins;
-  origins.reserve(tables_.size());
-  for (const auto& [origin, entry] : tables_) origins.push_back(origin);
+  for (AsIndex origin = 0; origin < tables_.size(); ++origin) {
+    if (tables_[origin] != nullptr) origins.push_back(origin);
+  }
   return origins;
 }
 
 void ControlPlane::recompute_origin(AsIndex origin, Impact& impact) {
-  auto it = tables_.find(origin);
-  if (it == tables_.end()) return;  // not monitored; stays lazy
+  if (origin >= tables_.size() || tables_[origin] == nullptr) {
+    return;  // not monitored; stays lazy
+  }
+  CachedTable& entry = *tables_[origin];
   RouteTable fresh = compute_routes(topology_, state_, origin);
-  const RouteTable& old = it->second.table;
+  const RouteTable& old = entry.table;
   for (AsIndex viewer = 0; viewer < fresh.routes.size(); ++viewer) {
     // Only viewer count of the old table is comparable after topology
     // growth; new ASes have no old route.
@@ -131,8 +136,8 @@ void ControlPlane::recompute_origin(AsIndex origin, Impact& impact) {
             : fresh.routes[viewer].reachable();
     if (changed) impact.as_route_changes.emplace_back(viewer, origin);
   }
-  it->second.used = used_links(fresh);
-  it->second.table = std::move(fresh);
+  entry.used = used_links(fresh);
+  entry.table = std::move(fresh);
   impact.recomputed_origins.push_back(origin);
 }
 

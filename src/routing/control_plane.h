@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -101,7 +100,10 @@ class ControlPlane final : public RouteProvider {
   RoutingState state_;
   ForwardingResolver resolver_;
   Rng rng_;
-  std::map<AsIndex, CachedTable> tables_;
+  // Indexed by origin; null while the origin is uncached. Ascending index
+  // is the cached origins' order. Entries never move, so a table_for
+  // reference stays valid as the cache grows.
+  std::vector<std::unique_ptr<CachedTable>> tables_;
 };
 
 }  // namespace rrr::routing

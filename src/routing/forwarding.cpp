@@ -93,12 +93,20 @@ ForwardPath ForwardingResolver::resolve(AsIndex src_as, CityId src_city,
                                         Ipv4 dst_ip, std::uint64_t flow_id,
                                         bool with_ip_hops) const {
   ForwardPath path;
+  resolve(src_as, src_city, dst_ip, flow_id, with_ip_hops, path);
+  return path;
+}
+
+void ForwardingResolver::resolve(AsIndex src_as, CityId src_city,
+                                 Ipv4 dst_ip, std::uint64_t flow_id,
+                                 bool with_ip_hops, ForwardPath& path) const {
+  path.clear();
   AsIndex dst_as = topology_.announced_owner_of(dst_ip);
-  if (dst_as == topo::kNoAs) return path;
+  if (dst_as == topo::kNoAs) return;
 
   const RouteTable& table = routes_.table_for(dst_as);
   const Route& route = table.at(src_as);
-  if (!route.reachable()) return path;
+  if (!route.reachable()) return;
 
   // Translate the ASN path into dense indices. Each AS shows at most three
   // hops: where the path enters it, an internal router in the city it
@@ -112,7 +120,7 @@ ForwardPath ForwardingResolver::resolve(AsIndex src_as, CityId src_city,
   }
   for (Asn asn : route.path) {
     AsIndex idx = topology_.index_of(asn);
-    if (idx == topo::kNoAs) return path;  // should not happen
+    if (idx == topo::kNoAs) return;  // should not happen
     path.as_path.push_back(idx);
   }
 
@@ -121,7 +129,10 @@ ForwardPath ForwardingResolver::resolve(AsIndex src_as, CityId src_city,
     AsIndex from = path.as_path[i];
     AsIndex to = path.as_path[i + 1];
     InterconnectId ic_id = egress_choice(from, to, current_city, flow_id);
-    if (ic_id == topo::kNoInterconnect) return ForwardPath{};  // partitioned
+    if (ic_id == topo::kNoInterconnect) {  // partitioned
+      path.clear();
+      return;
+    }
     const topo::Interconnect& ic = topology_.interconnect_at(ic_id);
     bool forward = topology_.link_at(ic.link).a == from;
     if (with_ip_hops) {
@@ -154,7 +165,6 @@ ForwardPath ForwardingResolver::resolve(AsIndex src_as, CityId src_city,
     path.hop_routers.push_back(topo::kNoRouter);
   }
   path.reachable = true;
-  return path;
 }
 
 }  // namespace rrr::routing

@@ -55,6 +55,15 @@ struct ForwardPath {
   // Router revealing each hop (kNoRouter for the destination host).
   std::vector<RouterId> hop_routers;
 
+  // Empties every field, keeping the vectors' capacity.
+  void clear() {
+    reachable = false;
+    as_path.clear();
+    crossings.clear();
+    hops.clear();
+    hop_routers.clear();
+  }
+
   // True when the border-level path (AS path + crossings) equals `other`'s.
   bool same_border_path(const ForwardPath& other) const {
     return as_path == other.as_path && crossings == other.crossings;
@@ -74,6 +83,12 @@ class ForwardingResolver {
   // truth bookkeeping is ~3x faster without it).
   ForwardPath resolve(AsIndex src_as, CityId src_city, Ipv4 dst_ip,
                       std::uint64_t flow_id, bool with_ip_hops = true) const;
+  // The same, into `path`, overwriting every field. Its vectors keep their
+  // capacity, so a caller that reuses one `path` allocates nothing once it
+  // has seen its longest route.
+  void resolve(AsIndex src_as, CityId src_city, Ipv4 dst_ip,
+               std::uint64_t flow_id, bool with_ip_hops,
+               ForwardPath& path) const;
 
   // The interconnect AS `from_as` currently uses to reach `to_as` for flows
   // entering `from_as` at `ingress_city`. Exposed for the control plane's

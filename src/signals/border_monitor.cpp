@@ -64,6 +64,9 @@ void BorderMonitor::save_state(store::Encoder& enc) const {
 }
 
 void BorderMonitor::load_state(store::Decoder& dec) {
+  auto corrupt = [](const char* what) {
+    return store::StoreError(store::StoreError::Kind::kCorrupt, what);
+  };
   routers_.clear();
   entries_.clear();
   clear();
@@ -74,6 +77,9 @@ void BorderMonitor::load_state(store::Decoder& dec) {
     key.c_m = dec.u16();
     key.as_n = store::get_asn(dec);
     key.c_n = dec.u16();
+    if (!entries_.empty() && key <= entries_.rbegin()->first) {
+      throw corrupt("border city pairs out of order or repeated");
+    }
     std::vector<RouterSeries*>& routers = entries_[key];
     std::uint64_t router_count = dec.count(8 + 8);
     routers.reserve(router_count);
@@ -81,6 +87,11 @@ void BorderMonitor::load_state(store::Decoder& dec) {
       PotentialId id = dec.u64();
       RouterSeries& rs = routers_.emplace_back(zscore());
       rs.router = tracemap::RouterKey{dec.u64()};
+      for (const RouterSeries* other : routers) {
+        if (other->router == rs.router) {
+          throw corrupt("border router repeated under one city pair");
+        }
+      }
       load_series(dec, id, rs);
       routers.push_back(&rs);
     }

@@ -208,12 +208,12 @@ void Engine::on_public_trace(const tr::Traceroute& trace) {
   // Public traces feed only the global trace monitors — no shard fan-out
   // (and none would be deterministic: their series mix evidence across
   // pairs, so each trace must update exactly one instance).
-  tracemap::ProcessedTrace processed = processing_.ingest(trace);
+  processing_.ingest(trace, public_trace_);
   std::int64_t window = clock_.index_of(trace.time);
   if (health_ != nullptr) health_->count_trace(trace.probe, window);
-  subpath_.on_public_trace(processed, window);
-  border_.on_public_trace(processed, window);
-  ixp_.on_public_trace(processed, window);
+  subpath_.on_public_trace(public_trace_, window);
+  border_.on_public_trace(public_trace_, window);
+  ixp_.on_public_trace(public_trace_, window);
 }
 
 void Engine::close_one_window(std::int64_t window,

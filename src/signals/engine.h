@@ -188,6 +188,10 @@ class Engine {
   // each close and keeps its capacity, so a steady-state close allocates
   // nothing for it.
   std::vector<DispatchedRecord> dispatched_;
+  // The public trace being ingested, processed in place; it keeps its
+  // vectors' capacity, so a steady-state on_public_trace allocates nothing
+  // for it.
+  tracemap::ProcessedTrace public_trace_;
   PotentialIndex index_;
   Calibration calibration_;
   CommunityReputation reputation_;

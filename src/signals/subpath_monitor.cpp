@@ -12,20 +12,27 @@ std::uint64_t SubpathMonitor::key_of(const std::vector<Ipv4>& ips) {
   return h;
 }
 
-SubpathMonitor::Segment& SubpathMonitor::add_segment(std::vector<Ipv4> ips) {
+SubpathMonitor::Segment* SubpathMonitor::add_segment(std::vector<Ipv4> ips) {
+  const auto position = static_cast<std::uint32_t>(segments_.size());
+  if (!by_key_.insert(IndexSlot{key_of(ips), position}).second) {
+    return nullptr;
+  }
   Segment& segment = segments_.emplace_back(zscore());
   segment.ip_overlap = static_cast<int>(ips.size());
   segment.ips = std::move(ips);
-  by_key_.emplace(key_of(segment.ips), &segment);
-  by_first_ip_[segment.ips.front()].push_back(&segment);
-  return segment;
+  auto [list, added] = by_first_ip_.insert(IndexSlot{
+      segment.ips.front().value(),
+      static_cast<std::uint32_t>(first_ip_lists_.size())});
+  if (added) first_ip_lists_.emplace_back();
+  first_ip_lists_[list->value].push_back(&segment);
+  return &segment;
 }
 
 SubpathMonitor::Segment& SubpathMonitor::ensure_segment(
     const std::vector<Ipv4>& ips, PotentialIndex& index) {
-  auto it = by_key_.find(key_of(ips));
-  if (it != by_key_.end()) return *it->second;
-  Segment& segment = add_segment(ips);
+  const std::uint32_t known = lookup(by_key_, key_of(ips));
+  if (known != IndexSlot::kNone) return segments_[known];
+  Segment& segment = *add_segment(ips);
   open(segment, index);
   return segment;
 }
@@ -64,34 +71,33 @@ void SubpathMonitor::watch(const CorpusView& view, PotentialIndex& index) {
 
 void SubpathMonitor::on_public_trace(const tracemap::ProcessedTrace& trace,
                                      std::int64_t window) {
-  // Position of a responding IP's first occurrence; a trace has a dozen
-  // hops, so a scan beats building an index per trace.
-  auto first_position = [&trace](Ipv4 ip) {
-    for (std::size_t j = 0; j < trace.hops.size(); ++j) {
-      if (trace.hops[j].responded() && *trace.hops[j].ip == ip) return j;
-    }
-    return trace.hops.size();
+  // One word per hop, so the scans below read 8 bytes a hop instead of a
+  // whole ProcessedHop.
+  hop_keys_.clear();
+  for (const tracemap::ProcessedHop& hop : trace.hops) {
+    hop_keys_.push_back(hop.responded() ? hop.ip->value() : kStar);
+  }
+  const std::size_t n = hop_keys_.size();
+  const std::uint64_t* keys = hop_keys_.data();
+  // Position of an IP's first occurrence; a trace has a dozen hops, so a
+  // scan beats building an index per trace.
+  auto first_position = [keys, n](Ipv4 ip) {
+    return static_cast<std::size_t>(std::find(keys, keys + n, ip.value()) -
+                                    keys);
   };
-  for (std::size_t i = 0; i < trace.hops.size(); ++i) {
-    if (!trace.hops[i].responded()) continue;
-    auto sit = by_first_ip_.find(*trace.hops[i].ip);
-    if (sit == by_first_ip_.end()) continue;
-    for (Segment* segment : sit->second) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (keys[i] == kStar) continue;
+    const std::uint32_t list = lookup(by_first_ip_, keys[i]);
+    if (list == IndexSlot::kNone) continue;
+    for (Segment* segment : first_ip_lists_[list]) {
       // Intersect: the public trace goes from ι_m to ι_n.
       const std::size_t end = first_position(segment->ips.back());
-      if (end == trace.hops.size() || end <= i) continue;
+      if (end == n || end <= i) continue;
       // Match: the exact hop sequence is followed.
-      bool match = true;
-      if (i + segment->ips.size() <= trace.hops.size()) {
-        for (std::size_t k = 0; k < segment->ips.size(); ++k) {
-          const auto& hop = trace.hops[i + k];
-          if (!hop.responded() || *hop.ip != segment->ips[k]) {
-            match = false;
-            break;
-          }
-        }
-      } else {
-        match = false;
+      const std::vector<Ipv4>& ips = segment->ips;
+      bool match = i + ips.size() <= n;
+      for (std::size_t k = 0; match && k < ips.size(); ++k) {
+        match = keys[i + k] == ips[k].value();
       }
       observe(*segment, window, match);
       ++observations_;
@@ -152,24 +158,32 @@ void SubpathMonitor::save_state(store::Encoder& enc) const {
 }
 
 void SubpathMonitor::load_state(store::Decoder& dec) {
+  auto corrupt = [](const char* what) {
+    return store::StoreError(store::StoreError::Kind::kCorrupt, what);
+  };
   segments_.clear();
-  by_key_.clear();
-  by_first_ip_.clear();
+  by_key_ = FlatIndex();
+  by_first_ip_ = FlatIndex();
+  first_ip_lists_.clear();
   clear();
   std::uint64_t count = dec.u64();
   for (std::uint64_t i = 0; i < count; ++i) {
     PotentialId id = dec.u64();
+    if (i > 0 && id <= segments_.back().id) {
+      throw corrupt("subpath segment ids out of order or repeated");
+    }
     std::vector<Ipv4> ips;
     std::uint64_t ip_count = dec.count(4);
     if (ip_count < 2) {  // watch() opens segments of two hops or more
-      throw store::StoreError(store::StoreError::Kind::kCorrupt,
-                              "subpath segment has fewer than two hops");
+      throw corrupt("subpath segment has fewer than two hops");
     }
     ips.reserve(ip_count);
     for (std::uint64_t j = 0; j < ip_count; ++j) {
       ips.push_back(store::get_ipv4(dec));
     }
-    load_series(dec, id, add_segment(std::move(ips)));
+    Segment* segment = add_segment(std::move(ips));
+    if (segment == nullptr) throw corrupt("two subpath segments share IPs");
+    load_series(dec, id, *segment);
   }
   load_index(dec);
   observations_ = dec.u64();

@@ -14,8 +14,8 @@
 #pragma once
 
 #include <deque>
-#include <unordered_map>
 
+#include "netbase/flat_table.h"
 #include "signals/trace_series_monitor.h"
 
 namespace rrr::signals {
@@ -54,10 +54,12 @@ class SubpathMonitor final : public TraceSeriesMonitor {
 
   // Checkpoint support. Segments serialize in id order, each as its id,
   // its IPs and its series, followed by the series index and the
-  // observation count. by_first_ip_ is rebuilt in id order, which equals
-  // its original insertion order (ensure_segment registers a segment the
-  // moment its id is created, and ids are handed out monotonically). Map
-  // keys are recomputed from segment contents.
+  // observation count. The first-IP lists are rebuilt in id order, which
+  // equals their original insertion order (ensure_segment registers a
+  // segment the moment its id is created, and ids are handed out
+  // monotonically). Content keys are recomputed from segment contents. A
+  // load accepts only what a save writes: ids strictly ascending and no
+  // two segments with the same IPs, else kCorrupt.
   void save_state(store::Encoder& enc) const;
   void load_state(store::Decoder& dec);
 
@@ -70,16 +72,27 @@ class SubpathMonitor final : public TraceSeriesMonitor {
     std::vector<Ipv4> ips;  // ι_m .. ι_n
   };
 
+  // A star's word in hop_keys_: no address equals it.
+  static constexpr std::uint64_t kStar = std::uint64_t{1} << 32;
+
   // Content hash identifying a segment.
   static std::uint64_t key_of(const std::vector<Ipv4>& ips);
   Segment& ensure_segment(const std::vector<Ipv4>& ips,
                           PotentialIndex& index);
-  // Appends a segment holding `ips` and indexes it by content and first IP.
-  Segment& add_segment(std::vector<Ipv4> ips);
+  // Appends a segment holding `ips` and indexes it by content and first
+  // IP; null, with nothing appended, when a segment already holds `ips`.
+  Segment* add_segment(std::vector<Ipv4> ips);
 
   std::deque<Segment> segments_;  // in id order
-  std::unordered_map<std::uint64_t, Segment*> by_key_;
-  std::unordered_map<Ipv4, std::vector<Segment*>> by_first_ip_;
+  // Content key -> position in segments_.
+  FlatIndex by_key_;
+  // First IP -> position in first_ip_lists_, which holds the segments
+  // starting at that IP in id order.
+  FlatIndex by_first_ip_;
+  std::vector<std::vector<Segment*>> first_ip_lists_;
+  // The public trace being matched, one word per hop: a responded hop's
+  // address, or kStar. Reused, so matching a trace allocates nothing.
+  std::vector<std::uint64_t> hop_keys_;
   std::uint64_t observations_ = 0;
 };
 

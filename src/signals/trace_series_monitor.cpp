@@ -211,6 +211,14 @@ void TraceSeriesMonitor::load_index(store::Decoder& dec) {
   // A monitor may store its series in key order; lookups need id order.
   std::sort(series_.begin(), series_.end(),
             [](const Series* a, const Series* b) { return a->id < b->id; });
+  // open() gives every series its own id, so a shared one is damage.
+  if (std::adjacent_find(series_.begin(), series_.end(),
+                         [](const Series* a, const Series* b) {
+                           return a->id == b->id;
+                         }) != series_.end()) {
+    throw store::StoreError(store::StoreError::Kind::kCorrupt,
+                            "two trace series share a potential id");
+  }
   auto get_ids = [this, &dec]() {
     std::vector<Series*> list;
     std::uint64_t n = dec.count(8);

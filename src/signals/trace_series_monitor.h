@@ -92,7 +92,8 @@ class TraceSeriesMonitor : public Monitor {
   // Checkpoint halves. A monitor writes each series' id and key, then
   // save_series(); after every series it writes save_index() once.
   // load_series() registers the series under `id`, so load_index() can
-  // resolve the ids the index holds; clear() comes first.
+  // resolve the ids the index holds; it rejects two series under one id as
+  // kCorrupt. clear() comes first.
   void save_series(store::Encoder& enc, const Series& series) const;
   void load_series(store::Decoder& dec, PotentialId id, Series& series);
   void save_index(store::Encoder& enc) const;

@@ -12,8 +12,8 @@ std::uint64_t as_pair_key(AsIndex a, AsIndex b) {
   return std::uint64_t{a} << 32 | b;
 }
 
-std::uint64_t as_city_key(AsIndex as, CityId city) {
-  return std::uint64_t{as} << 16 | city;
+std::uint64_t routers_key(AsIndex as, CityId city, bool border) {
+  return std::uint64_t{border} << 48 | std::uint64_t{as} << 16 | city;
 }
 
 }  // namespace
@@ -36,10 +36,9 @@ AsIndex Topology::add_as(AsNode node) {
     throw std::invalid_argument("AS must have at least one PoP");
   }
   auto index = static_cast<AsIndex>(ases_.size());
-  if (asn_index_.contains(node.asn.number())) {
+  if (!asn_index_.insert(IndexSlot{node.asn.number(), index}).second) {
     throw std::invalid_argument("duplicate ASN " + node.asn.to_string());
   }
-  asn_index_.emplace(node.asn.number(), index);
   for (const Prefix& p : node.originated) announced_.insert(p, index);
   ases_.push_back(std::move(node));
   neighbors_.emplace_back();
@@ -51,11 +50,11 @@ AsIndex Topology::add_as(AsNode node) {
 RouterId Topology::add_router(Router router) {
   auto id = static_cast<RouterId>(routers_.size());
   router.id = id;
-  if (!router.is_border) {
-    internal_routers_[as_city_key(router.owner, router.city)].push_back(id);
-  } else {
-    border_routers_[as_city_key(router.owner, router.city)].push_back(id);
-  }
+  auto [list, added] = router_index_.insert(
+      IndexSlot{routers_key(router.owner, router.city, router.is_border),
+                static_cast<std::uint32_t>(router_lists_.size())});
+  if (added) router_lists_.emplace_back();
+  router_lists_[list->value].push_back(id);
   std::vector<Ipv4> interfaces = std::move(router.interfaces);
   router.interfaces.clear();
   routers_.push_back(std::move(router));
@@ -74,13 +73,13 @@ IxpId Topology::add_ixp(Ixp ixp) {
 LinkId Topology::add_link(AsIndex a, AsIndex b, RelType rel) {
   assert(a < ases_.size() && b < ases_.size() && a != b);
   auto key = std::minmax(a, b);
-  if (link_index_.contains(as_pair_key(key.first, key.second))) {
+  auto id = static_cast<LinkId>(links_.size());
+  if (!link_index_.insert(IndexSlot{as_pair_key(key.first, key.second), id})
+           .second) {
     throw std::invalid_argument("duplicate AS link");
   }
-  auto id = static_cast<LinkId>(links_.size());
   links_.push_back(AsLink{.id = id, .a = a, .b = b, .rel = rel,
                           .interconnects = {}});
-  link_index_.emplace(as_pair_key(key.first, key.second), id);
   NeighborKind a_sees, b_sees;
   if (rel == RelType::kCustomerProvider) {
     a_sees = NeighborKind::kProvider;  // a is the customer, sees provider b
@@ -105,12 +104,11 @@ InterconnectId Topology::add_interconnect(Interconnect ic) {
 void Topology::attach_interface(RouterId router, Ipv4 ip) {
   assert(router < routers_.size());
   routers_[router].interfaces.push_back(ip);
-  interface_router_.emplace(ip, router);
+  interface_router_.insert(IndexSlot{ip.value(), router});
 }
 
 AsIndex Topology::index_of(Asn asn) const {
-  auto it = asn_index_.find(asn.number());
-  return it == asn_index_.end() ? kNoAs : it->second;
+  return lookup(asn_index_, asn.number());
 }
 
 std::span<const Neighbor> Topology::neighbors(AsIndex as) const {
@@ -120,13 +118,11 @@ std::span<const Neighbor> Topology::neighbors(AsIndex as) const {
 
 LinkId Topology::link_between(AsIndex a, AsIndex b) const {
   auto key = std::minmax(a, b);
-  auto it = link_index_.find(as_pair_key(key.first, key.second));
-  return it == link_index_.end() ? kNoLink : it->second;
+  return lookup(link_index_, as_pair_key(key.first, key.second));
 }
 
 RouterId Topology::router_of_interface(Ipv4 ip) const {
-  auto it = interface_router_.find(ip);
-  return it == interface_router_.end() ? kNoRouter : it->second;
+  return lookup(interface_router_, ip.value());
 }
 
 AsIndex Topology::true_owner_of(Ipv4 ip) const {
@@ -147,18 +143,12 @@ AsIndex Topology::announced_owner_of(Ipv4 ip) const {
   return as == nullptr ? kNoAs : *as;
 }
 
-std::span<const RouterId> Topology::internal_routers(AsIndex as,
-                                                     CityId city) const {
-  auto it = internal_routers_.find(as_city_key(as, city));
-  if (it == internal_routers_.end()) return {};
-  return it->second;
-}
-
-std::span<const RouterId> Topology::border_routers(AsIndex as,
-                                                   CityId city) const {
-  auto it = border_routers_.find(as_city_key(as, city));
-  if (it == border_routers_.end()) return {};
-  return it->second;
+std::span<const RouterId> Topology::routers_at(AsIndex as, CityId city,
+                                               bool border) const {
+  const std::uint32_t list =
+      lookup(router_index_, routers_key(as, city, border));
+  if (list == IndexSlot::kNone) return {};
+  return router_lists_[list];
 }
 
 std::span<const InterconnectId> Topology::link_interconnects(

@@ -13,11 +13,11 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "netbase/asn.h"
 #include "netbase/community.h"
+#include "netbase/flat_table.h"
 #include "netbase/ipv4.h"
 #include "netbase/prefix.h"
 #include "netbase/radix_trie.h"
@@ -183,10 +183,14 @@ class Topology {
   AsIndex announced_owner_of(Ipv4 ip) const;
 
   // Internal (non-border) routers of an AS in a city.
-  std::span<const RouterId> internal_routers(AsIndex as, CityId city) const;
+  std::span<const RouterId> internal_routers(AsIndex as, CityId city) const {
+    return routers_at(as, city, /*border=*/false);
+  }
 
   // Border routers of an AS in a city.
-  std::span<const RouterId> border_routers(AsIndex as, CityId city) const;
+  std::span<const RouterId> border_routers(AsIndex as, CityId city) const {
+    return routers_at(as, city, /*border=*/true);
+  }
 
   // Every interconnect of `link` in construction order.
   std::span<const InterconnectId> link_interconnects(LinkId link) const;
@@ -214,23 +218,26 @@ class Topology {
   std::size_t as_count() const { return ases_.size(); }
 
  private:
+  std::span<const RouterId> routers_at(AsIndex as, CityId city,
+                                       bool border) const;
+
   std::vector<AsNode> ases_;
   std::vector<Router> routers_;
   std::vector<AsLink> links_;
   std::vector<Interconnect> interconnects_;
   std::vector<Ixp> ixps_;
 
-  std::unordered_map<std::uint32_t, AsIndex> asn_index_;
+  // The indexes are flat tables and never iterated. ASN -> AsIndex.
+  FlatIndex asn_index_;
   std::vector<std::vector<Neighbor>> neighbors_;
-  // Keyed by min(a, b) << 32 | max(a, b); never iterated.
-  std::unordered_map<std::uint64_t, LinkId, Mix64Hash> link_index_;
-  std::unordered_map<Ipv4, RouterId> interface_router_;
-  // Keyed by owner << 16 | city, routers in construction order; never
-  // iterated.
-  std::unordered_map<std::uint64_t, std::vector<RouterId>, Mix64Hash>
-      internal_routers_;
-  std::unordered_map<std::uint64_t, std::vector<RouterId>, Mix64Hash>
-      border_routers_;
+  // min(a, b) << 32 | max(a, b) -> LinkId.
+  FlatIndex link_index_;
+  // Interface address -> RouterId.
+  FlatIndex interface_router_;
+  // border << 48 | owner << 16 | city -> position in router_lists_, which
+  // holds the routers of that kind there in construction order.
+  FlatIndex router_index_;
+  std::vector<std::vector<RouterId>> router_lists_;
   RadixTrie<AsIndex> announced_;
   std::map<std::pair<IxpId, AsIndex>, Ipv4> member_ixp_ips_;
   std::vector<std::uint32_t> next_infra_offset_;

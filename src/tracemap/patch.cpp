@@ -3,46 +3,19 @@
 #include <algorithm>
 #include <utility>
 
-#include "netbase/rng.h"
-
 namespace rrr::tracemap {
 
-std::size_t HopPatcher::find(std::uint64_t ends) const {
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t at = mix64(ends) & mask;
-  while (slots_[at].ambiguous != kFree && slots_[at].ends != ends) {
-    at = (at + 1) & mask;
-  }
-  return at;
-}
-
-void HopPatcher::rehash(std::size_t size) {
-  std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(size));
-  for (const Slot& slot : old) {
-    if (slot.ambiguous != kFree) slots_[find(slot.ends)] = slot;
-  }
-}
-
 void HopPatcher::learn(std::uint64_t ends, Ipv4 middle) {
-  std::size_t at = find(ends);
-  if (slots_[at].ambiguous == kFree) {
-    if (2 * (pairs_ + 1) > slots_.size()) {
-      rehash(2 * slots_.size());
-      at = find(ends);
-    }
-    slots_[at] = Slot{ends, middle, kUnique};
-    ++pairs_;
+  auto [slot, added] = pairs_.insert(Slot{ends, middle, kUnique});
+  if (added) return;
+  if (slot->ambiguous == kUnique) {
+    if (slot->middle == middle) return;
+    slot->ambiguous = static_cast<std::uint32_t>(ambiguous_.size());
+    ambiguous_.push_back({std::min(slot->middle, middle),
+                          std::max(slot->middle, middle)});
     return;
   }
-  Slot& slot = slots_[at];
-  if (slot.ambiguous == kUnique) {
-    if (slot.middle == middle) return;
-    slot.ambiguous = static_cast<std::uint32_t>(ambiguous_.size());
-    ambiguous_.push_back({std::min(slot.middle, middle),
-                          std::max(slot.middle, middle)});
-    return;
-  }
-  std::vector<Ipv4>& mids = ambiguous_[slot.ambiguous];
+  std::vector<Ipv4>& mids = ambiguous_[slot->ambiguous];
   auto it = std::lower_bound(mids.begin(), mids.end(), middle);
   if (it == mids.end() || *it != middle) mids.insert(it, middle);
 }
@@ -58,23 +31,21 @@ void HopPatcher::observe(const tr::Traceroute& trace) {
 }
 
 std::optional<Ipv4> HopPatcher::unique_middle(Ipv4 prev, Ipv4 next) const {
-  const Slot& slot = slots_[find(ends_key(prev, next))];
-  if (slot.ambiguous != kUnique) return std::nullopt;
-  return slot.middle;
+  const Slot* slot = pairs_.find(ends_key(prev, next));
+  if (slot == nullptr || slot->ambiguous != kUnique) return std::nullopt;
+  return slot->middle;
 }
 
 void HopPatcher::save_state(store::Encoder& enc) const {
   std::vector<const Slot*> entries;
-  entries.reserve(pairs_);
-  for (const Slot& slot : slots_) {
-    if (slot.ambiguous != kFree) entries.push_back(&slot);
-  }
+  entries.reserve(pairs_.size());
+  pairs_.for_each([&entries](const Slot& slot) { entries.push_back(&slot); });
   std::sort(entries.begin(), entries.end(),
-            [](const Slot* a, const Slot* b) { return a->ends < b->ends; });
+            [](const Slot* a, const Slot* b) { return a->key < b->key; });
   enc.u64(entries.size());
   for (const Slot* slot : entries) {
-    store::put(enc, Ipv4(static_cast<std::uint32_t>(slot->ends >> 32)));
-    store::put(enc, Ipv4(static_cast<std::uint32_t>(slot->ends)));
+    store::put(enc, Ipv4(static_cast<std::uint32_t>(slot->key >> 32)));
+    store::put(enc, Ipv4(static_cast<std::uint32_t>(slot->key)));
     if (slot->ambiguous == kUnique) {
       enc.u64(1);
       store::put(enc, slot->middle);
@@ -93,9 +64,7 @@ void HopPatcher::load_state(store::Decoder& dec) {
   HopPatcher loaded;
   // Each entry holds its two ends, a count and at least one middle.
   const std::uint64_t n = dec.count(4 + 4 + 8 + 4);
-  std::size_t size = loaded.slots_.size();
-  while (size < 2 * n) size *= 2;
-  loaded.rehash(size);
+  loaded.pairs_.reserve(n);
   std::uint64_t last_key = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
     const Ipv4 prev = store::get_ipv4(dec);
@@ -116,14 +85,13 @@ void HopPatcher::load_state(store::Decoder& dec) {
       }
       mids.push_back(mid);
     }
-    Slot& slot = loaded.slots_[loaded.find(key)];
-    slot = Slot{key, mids.front(), kUnique};
+    Slot slot{key, mids.front(), kUnique};
     if (m > 1) {
       slot.ambiguous = static_cast<std::uint32_t>(loaded.ambiguous_.size());
       loaded.ambiguous_.push_back(std::move(mids));
     }
+    loaded.pairs_.insert(slot);
   }
-  loaded.pairs_ = n;
   *this = std::move(loaded);
 }
 

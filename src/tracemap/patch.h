@@ -9,6 +9,7 @@
 #include <optional>
 #include <vector>
 
+#include "netbase/flat_table.h"
 #include "netbase/ipv4.h"
 #include "store/codec.h"
 #include "traceroute/traceroute.h"
@@ -35,32 +36,28 @@ class HopPatcher {
   static constexpr std::uint32_t kFree = 0xFFFFFFFFu;
   static constexpr std::uint32_t kUnique = 0xFFFFFFFEu;
 
-  // One (prev, next) pair. While `ambiguous` is kUnique, `middle` is the
-  // only middle seen; once a second shows up, `ambiguous` indexes the
-  // pair's ascending middle list in ambiguous_. kFree marks an unused slot.
+  // One (prev, next) pair, keyed by ends_key. While `ambiguous` is
+  // kUnique, `middle` is the only middle seen; once a second shows up,
+  // `ambiguous` indexes the pair's ascending middle list in ambiguous_.
+  // kFree marks an unused slot.
   struct Slot {
-    std::uint64_t ends = 0;
+    std::uint64_t key = 0;
     Ipv4 middle;
     std::uint32_t ambiguous = kFree;
+
+    bool used() const { return ambiguous != kFree; }
   };
 
   static std::uint64_t ends_key(Ipv4 prev, Ipv4 next) {
     return std::uint64_t{prev.value()} << 32 | next.value();
   }
 
-  // The slot holding `ends`, or the free slot where it would go.
-  std::size_t find(std::uint64_t ends) const;
   void learn(std::uint64_t ends, Ipv4 middle);
-  // Moves every pair into a table of `size` slots, a power of two at least
-  // 2 * pairs_.
-  void rehash(std::size_t size);
 
-  // Open addressing, keyed by ends_key and probed linearly from its mix64:
-  // a power-of-two size, at most half full, so a known triple costs one or
-  // two slot reads and no allocation. About one pair in ten is ambiguous;
-  // only those own a list.
-  std::vector<Slot> slots_ = std::vector<Slot>(16);
-  std::size_t pairs_ = 0;
+  // 16-byte slots in one flat table, so a known triple costs one or two
+  // slot reads and no allocation. About one pair in ten is ambiguous; only
+  // those own a list.
+  FlatTable<Slot> pairs_;
   std::vector<std::vector<Ipv4>> ambiguous_;
 };
 

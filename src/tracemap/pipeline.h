@@ -47,6 +47,11 @@ class ProcessingContext {
     patcher_.observe(trace);
     return processor_.process(trace);
   }
+  // The same, into a caller's reused `out` (TraceProcessor::process).
+  void ingest(const tr::Traceroute& trace, ProcessedTrace& out) {
+    patcher_.observe(trace);
+    processor_.process(trace, out);
+  }
   // Processes without learning (e.g. replaying archived data).
   ProcessedTrace process(const tr::Traceroute& trace) const {
     return processor_.process(trace);

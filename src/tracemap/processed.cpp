@@ -21,21 +21,31 @@ TraceProcessor::TraceProcessor(const topo::Topology& topology,
     : ip2as_(ip2as), patcher_(patcher) {
   for (const topo::Router& router : topology.routers()) {
     for (Ipv4 ip : router.interfaces) {
-      annotations_.try_emplace(ip, Annotation{ip2as.map(ip),
-                                              aliases.resolve(ip),
-                                              geo.locate(ip)});
+      annotations_.insert(AnnotationSlot{ip.value(), ip2as.map(ip),
+                                         aliases.resolve(ip), geo.locate(ip),
+                                         true});
     }
   }
 }
 
 ProcessedTrace TraceProcessor::process(const tr::Traceroute& trace) const {
   ProcessedTrace out;
+  process(trace, out);
+  return out;
+}
+
+void TraceProcessor::process(const tr::Traceroute& trace,
+                             ProcessedTrace& out) const {
   out.trace_id = trace.id;
   out.probe = trace.probe;
   out.src_ip = trace.src_ip;
   out.dst_ip = trace.dst_ip;
   out.time = trace.time;
   out.reached = trace.reached;
+  out.hops.clear();
+  out.as_path.clear();
+  out.has_as_loop = false;
+  out.borders.clear();
 
   const std::vector<tr::Hop>& hops = trace.hops;
   out.hops.reserve(hops.size());
@@ -51,11 +61,12 @@ ProcessedTrace TraceProcessor::process(const tr::Traceroute& trace) const {
     }
     if (!ph.ip) continue;
     const Ipv4 ip = *ph.ip;
-    auto it = annotations_.find(ip);
-    const Annotation annotation =
-        it != annotations_.end()
-            ? it->second
-            : Annotation{ip2as_.map(ip), RouterKey{ip.value()}, std::nullopt};
+    const AnnotationSlot* known = annotations_.find(ip.value());
+    const AnnotationSlot annotation =
+        known != nullptr ? *known
+                         : AnnotationSlot{ip.value(), ip2as_.map(ip),
+                                          RouterKey{ip.value()}, std::nullopt,
+                                          true};
     ph.asn = annotation.mapped.asn;
     ph.is_ixp = annotation.mapped.is_ixp;
     ph.ixp = annotation.mapped.ixp;
@@ -108,7 +119,6 @@ ProcessedTrace TraceProcessor::process(const tr::Traceroute& trace) const {
     }
     prev = static_cast<int>(i);
   }
-  return out;
 }
 
 }  // namespace rrr::tracemap

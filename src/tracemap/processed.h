@@ -4,10 +4,10 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "netbase/asn.h"
+#include "netbase/flat_table.h"
 #include "topology/topology.h"
 #include "topology/types.h"
 #include "tracemap/alias.h"
@@ -82,7 +82,7 @@ ChangeKind classify_change(const ProcessedTrace& before,
 // Patches and annotates traceroutes in one pass: a star flanked by
 // responding hops takes the patcher's unique middle for its flanks. Every
 // router interface's ip2as, alias and geolocation answers are worked out
-// once, at construction, into one table, so a responded hop costs one
+// once, at construction, into one flat table, so a responded hop costs one
 // probe. The resolver and the geolocator are read only here. An address the
 // table lacks (a destination host, an interface allocated later) is one
 // neither of them knew: it is mapped by `ip2as` on the spot and gets what
@@ -94,17 +94,26 @@ class TraceProcessor {
                  const HopPatcher& patcher);
 
   ProcessedTrace process(const tr::Traceroute& trace) const;
+  // Processes into `out`, overwriting every field. Its vectors keep their
+  // capacity, so a caller that reuses one `out` allocates nothing once it
+  // has seen its longest trace.
+  void process(const tr::Traceroute& trace, ProcessedTrace& out) const;
 
  private:
-  struct Annotation {
+  // One interface's three answers, keyed by its address; never iterated.
+  struct AnnotationSlot {
+    std::uint64_t key = 0;
     MapResult mapped;
     RouterKey router;
     std::optional<topo::CityId> city;
+    bool taken = false;
+
+    bool used() const { return taken; }
   };
 
   const Ip2As& ip2as_;
   const HopPatcher& patcher_;
-  std::unordered_map<Ipv4, Annotation> annotations_;  // never iterated
+  FlatTable<AnnotationSlot> annotations_;
 };
 
 }  // namespace rrr::tracemap

@@ -43,8 +43,9 @@ Traceroute Prober::measure(const Probe& probe, Ipv4 dst_ip, TimePoint t,
   trace.time = t;
   trace.flow_id = flow_id;
 
-  routing::ForwardPath path =
-      cp_.resolver().resolve(probe.as, probe.city, dst_ip, flow_id);
+  routing::ForwardPath& path = path_;
+  cp_.resolver().resolve(probe.as, probe.city, dst_ip, flow_id,
+                         /*with_ip_hops=*/true, path);
   if (!path.reachable) return trace;
 
   // Per-measurement randomness that does not depend on call order.
@@ -55,17 +56,18 @@ Traceroute Prober::measure(const Probe& probe, Ipv4 dst_ip, TimePoint t,
                                 flow_id))));
 
   const topo::Topology& topology = cp_.topology();
+  // The destination host sits in its origin AS's primary PoP; the path
+  // ends at that origin.
+  const topo::CityId dst_city = cp_.resolver().host_city(path.as_path.back());
   trace.hops.reserve(path.hops.size());
   double cumulative_km = 0.0;
   topo::CityId previous_city = probe.city;
   for (std::size_t i = 0; i < path.hops.size(); ++i) {
     bool is_destination = i + 1 == path.hops.size();
     topo::RouterId router = path.hop_routers[i];
-    topo::CityId hop_city =
-        router == topo::kNoRouter
-            ? topology.as_at(topology.announced_owner_of(dst_ip))
-                  .pops.front()
-            : topology.router_at(router).city;
+    topo::CityId hop_city = router == topo::kNoRouter
+                                ? dst_city
+                                : topology.router_at(router).city;
     cumulative_km += topo::city_distance_km(previous_city, hop_city);
     previous_city = hop_city;
     // Base propagation RTT plus per-hop queueing jitter; a small floor so

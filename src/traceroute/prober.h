@@ -30,7 +30,8 @@ class Prober {
 
   // Measures from `probe` toward `dst_ip` at time `t`. `flow_id`
   // determines every load-balancing decision (Paris semantics); the caller
-  // varies it across measurements that should explore diamonds.
+  // varies it across measurements that should explore diamonds. Not
+  // reentrant: it numbers traces and resolves into one kept path.
   Traceroute measure(const Probe& probe, Ipv4 dst_ip, TimePoint t,
                      std::uint64_t flow_id);
 
@@ -42,6 +43,9 @@ class Prober {
   routing::ControlPlane& cp_;
   ProberParams params_;
   std::uint64_t issued_ = 0;
+  // The path being measured, resolved in place; it keeps its capacity, so
+  // a measurement allocates only the returned trace's hops.
+  routing::ForwardPath path_;
 };
 
 }  // namespace rrr::tr

@@ -5,10 +5,12 @@
 #include <random>
 #include <set>
 #include <sstream>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "netbase/asn.h"
 #include "netbase/community.h"
+#include "netbase/flat_table.h"
 #include "netbase/geo.h"
 #include "netbase/ipv4.h"
 #include "netbase/parse.h"
@@ -224,6 +226,65 @@ TEST_P(TrieProperty, AgreesWithLinearScan) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TrieProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// FlatTable against std::unordered_map fed the same inserts: clustered
+// packed keys (the shape of an (AS, city) or (prev, next) key), the same
+// key inserted again with another value, and lookups of keys never
+// inserted. The table doubles nine times on the way; every answer is
+// compared after each doubling.
+TEST(FlatTable, MatchesUnorderedMapThroughGrowth) {
+  Rng rng(41);
+  FlatIndex table;
+  std::unordered_map<std::uint64_t, std::uint32_t> reference;
+  std::vector<std::uint64_t> inserted;
+  auto key_at = [](std::uint64_t i) {
+    return (i % 97) << 32 | (i / 97) << 16 | (i * 7 % 13);
+  };
+  int doublings = 0;
+  std::size_t capacity = 8;  // half of the initial 16 slots
+  for (std::uint64_t i = 0; i < 5000; ++i) {
+    const std::uint64_t key =
+        rng.bernoulli(0.2) && !inserted.empty()
+            ? inserted[rng.index(inserted.size())]
+            : key_at(i);
+    const auto value = static_cast<std::uint32_t>(rng.index(1u << 30));
+    const auto [slot, added] = table.insert(IndexSlot{key, value});
+    const auto [it, ref_added] = reference.emplace(key, value);
+    ASSERT_EQ(added, ref_added) << i;
+    ASSERT_EQ(slot->key, key);
+    ASSERT_EQ(slot->value, it->second);
+    if (added) inserted.push_back(key);
+    ASSERT_EQ(table.size(), reference.size());
+    if (table.size() <= capacity) continue;
+    ++doublings;
+    capacity *= 2;
+    for (const auto& [k, v] : reference) ASSERT_EQ(lookup(table, k), v);
+    for (std::uint64_t j = 0; j < 300; ++j) {
+      const std::uint64_t absent = key_at(100000 + j) ^ (1ull << 63);
+      ASSERT_EQ(reference.count(absent), 0u);
+      ASSERT_EQ(table.find(absent), nullptr);
+      ASSERT_EQ(lookup(table, absent), IndexSlot::kNone);
+    }
+  }
+  EXPECT_EQ(doublings, 9);
+  std::size_t visited = 0;
+  table.for_each([&](const IndexSlot& slot) {
+    ++visited;
+    EXPECT_EQ(reference.at(slot.key), slot.value);
+  });
+  EXPECT_EQ(visited, reference.size());
+
+  // A reserved table holds its keys without growing and answers the same.
+  FlatIndex reserved;
+  reserved.reserve(reference.size());
+  for (const auto& [k, v] : reference) reserved.insert(IndexSlot{k, v});
+  for (const auto& [k, v] : reference) ASSERT_EQ(lookup(reserved, k), v);
+  // Zero is a key like any other; only the value marks a free slot.
+  FlatIndex zero;
+  EXPECT_EQ(zero.find(0), nullptr);
+  zero.insert(IndexSlot{0, 5});
+  EXPECT_EQ(lookup(zero, 0), 5u);
+}
 
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(12345), b(12345);

@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <algorithm>
 #include <cstdint>
 #include <set>
+#include <unordered_map>
+#include <vector>
 
 #include "topology/builder.h"
 #include "topology/city.h"
@@ -151,6 +154,85 @@ TEST_P(TopologyInvariants, IxpMembersShareOneLanAddressAcrossPeerings) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TopologyInvariants,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// Topology's flat indexes against std::unordered_maps fed the same adds:
+// a built topology's ASes, routers and links replayed into a fresh one,
+// plus an interface attached a second time to another router (the first
+// router keeps it). Every ASN up to past the largest, every ordered AS
+// pair, every (AS, city) and every interface with its two neighbouring
+// addresses is asked of both, so absent keys are covered too.
+TEST(TopologyIndexes, MatchUnorderedMapsBuiltFromTheSameAdds) {
+  const Topology built = build_topology(small_params(23));
+  Topology replayed;
+  std::unordered_map<std::uint32_t, AsIndex> asns;
+  std::unordered_map<std::uint64_t, LinkId> links;
+  std::unordered_map<std::uint32_t, RouterId> interfaces;
+  std::unordered_map<std::uint64_t, std::vector<RouterId>> internal, border;
+  auto at_key = [](AsIndex as, CityId city) {
+    return std::uint64_t{as} << 16 | city;
+  };
+
+  for (const AsNode& node : built.ases()) {
+    asns.emplace(node.asn.number(), replayed.add_as(node));
+  }
+  for (const Router& router : built.routers()) {
+    const RouterId id = replayed.add_router(router);
+    (router.is_border ? border : internal)[at_key(router.owner, router.city)]
+        .push_back(id);
+    for (Ipv4 ip : router.interfaces) interfaces.emplace(ip.value(), id);
+  }
+  const Ipv4 shared = built.routers()[3].interfaces.front();
+  replayed.attach_interface(5, shared);
+  interfaces.emplace(shared.value(), 5);
+  for (const AsLink& link : built.links()) {
+    const auto [lo, hi] = std::minmax(link.a, link.b);
+    links.emplace(std::uint64_t{lo} << 32 | hi,
+                  replayed.add_link(link.a, link.b, link.rel));
+  }
+  ASSERT_EQ(interfaces.at(shared.value()), 3u);
+
+  auto find_or = [](const auto& map, auto key, auto none) {
+    auto it = map.find(key);
+    return it == map.end() ? none : it->second;
+  };
+  std::uint32_t max_asn = 0;
+  for (const auto& [asn, index] : asns) max_asn = std::max(max_asn, asn);
+  for (std::uint32_t asn = 0; asn <= max_asn + 64; ++asn) {
+    ASSERT_EQ(replayed.index_of(Asn(asn)), find_or(asns, asn, kNoAs)) << asn;
+  }
+  const auto n = static_cast<AsIndex>(replayed.as_count());
+  for (AsIndex a = 0; a < n + 2; ++a) {
+    for (AsIndex b = 0; b < n + 2; ++b) {
+      const auto [lo, hi] = std::minmax(a, b);
+      ASSERT_EQ(replayed.link_between(a, b),
+                find_or(links, std::uint64_t{lo} << 32 | hi, kNoLink))
+          << a << "-" << b;
+    }
+    for (CityId city = 0; city < city_count() + 2; ++city) {
+      const std::vector<RouterId> none;
+      const auto want_internal = find_or(internal, at_key(a, city), none);
+      const auto want_border = find_or(border, at_key(a, city), none);
+      const auto got_internal = replayed.internal_routers(a, city);
+      const auto got_border = replayed.border_routers(a, city);
+      ASSERT_TRUE(std::equal(got_internal.begin(), got_internal.end(),
+                             want_internal.begin(), want_internal.end()))
+          << a << "@" << city;
+      ASSERT_TRUE(std::equal(got_border.begin(), got_border.end(),
+                             want_border.begin(), want_border.end()))
+          << a << "@" << city;
+    }
+  }
+  std::size_t absent = 0;
+  for (const auto& [ip, router] : interfaces) {
+    for (std::uint32_t probe : {ip - 1, ip, ip + 1}) {
+      const RouterId want = find_or(interfaces, probe, kNoRouter);
+      absent += want == kNoRouter;
+      ASSERT_EQ(replayed.router_of_interface(Ipv4(probe)), want) << probe;
+    }
+  }
+  EXPECT_GT(absent, 0u);
+  EXPECT_GT(links.size(), 0u);
+}
 
 TEST(IxpJoin, CreatesPeeringsAndReusesLanAddress) {
   TopologyParams params = small_params(3);

@@ -5,10 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <deque>
+#include <optional>
 #include <string>
 #include <type_traits>
+#include <unordered_map>
 #include <vector>
 
+#include "detect/series.h"
+#include "netbase/rng.h"
 #include "obs/metrics.h"
 #include "runtime/thread_pool.h"
 #include "signals/border_monitor.h"
@@ -393,6 +398,344 @@ TYPED_TEST(TraceMonitorTest, PooledCloseEqualsSerialClose) {
   }
   EXPECT_EQ(state_of(pooled.monitor), state_of(serial.monitor));
   EXPECT_GT(total, 2u * kRoutes);
+}
+
+// SubpathMonitor as it was before its flat indexes and hop-key scan:
+// content keys and first IPs in std::unordered_maps, and the public trace
+// scanned as ProcessedHops. The monitor must agree with it on every signal
+// and every snapshot byte.
+class ReferenceSubpathMonitor final : public TraceSeriesMonitor {
+ public:
+  ReferenceSubpathMonitor()
+      : TraceSeriesMonitor(Technique::kTraceSubpath, true) {}
+
+  void watch(const CorpusView& view, PotentialIndex& index) {
+    const tracemap::ProcessedTrace& pt = view.processed;
+    for (std::size_t b = 0; b < pt.borders.size(); ++b) {
+      std::size_t begin =
+          b > 0 ? pt.borders[b - 1].far_index
+                : (pt.borders[b].near_index > 0 ? pt.borders[b].near_index - 1
+                                                : pt.borders[b].near_index);
+      std::size_t end = b + 1 < pt.borders.size()
+                            ? pt.borders[b + 1].near_index
+                            : std::min(pt.borders[b].far_index + 1,
+                                       pt.hops.size() - 1);
+      if (end <= begin) continue;
+      std::vector<Ipv4> ips;
+      bool usable = true;
+      for (std::size_t i = begin; i <= end; ++i) {
+        if (!pt.hops[i].responded()) {
+          usable = false;
+          break;
+        }
+        ips.push_back(*pt.hops[i].ip);
+      }
+      if (!usable || ips.size() < 2) continue;
+      subscribe(ensure_segment(ips, index), view.key, b, index);
+    }
+  }
+
+  void on_public_trace(const tracemap::ProcessedTrace& trace,
+                       std::int64_t window) {
+    auto first_position = [&trace](Ipv4 ip) {
+      for (std::size_t j = 0; j < trace.hops.size(); ++j) {
+        if (trace.hops[j].responded() && *trace.hops[j].ip == ip) return j;
+      }
+      return trace.hops.size();
+    };
+    for (std::size_t i = 0; i < trace.hops.size(); ++i) {
+      if (!trace.hops[i].responded()) continue;
+      auto sit = by_first_ip_.find(*trace.hops[i].ip);
+      if (sit == by_first_ip_.end()) continue;
+      for (Segment* segment : sit->second) {
+        const std::size_t end = first_position(segment->ips.back());
+        if (end == trace.hops.size() || end <= i) continue;
+        bool match = true;
+        if (i + segment->ips.size() <= trace.hops.size()) {
+          for (std::size_t k = 0; k < segment->ips.size(); ++k) {
+            const auto& hop = trace.hops[i + k];
+            if (!hop.responded() || *hop.ip != segment->ips[k]) {
+              match = false;
+              break;
+            }
+          }
+        } else {
+          match = false;
+        }
+        observe(*segment, window, match);
+        ++observations_;
+      }
+    }
+  }
+
+  void save_state(store::Encoder& enc) const {
+    enc.u64(segments_.size());
+    for (const Segment& segment : segments_) {
+      enc.u64(segment.id);
+      enc.u64(segment.ips.size());
+      for (Ipv4 ip : segment.ips) store::put(enc, ip);
+      save_series(enc, segment);
+    }
+    save_index(enc);
+    enc.u64(observations_);
+  }
+
+ private:
+  struct Segment : Series {
+    using Series::Series;
+    std::vector<Ipv4> ips;
+  };
+
+  Segment& ensure_segment(const std::vector<Ipv4>& ips,
+                          PotentialIndex& index) {
+    std::uint64_t key = 0x5E69E7;
+    for (Ipv4 ip : ips) key = hash_combine(key, ip.value());
+    auto it = by_key_.find(key);
+    if (it != by_key_.end()) return *it->second;
+    Segment& segment = segments_.emplace_back(zscore());
+    segment.ip_overlap = static_cast<int>(ips.size());
+    segment.ips = ips;
+    by_key_.emplace(key, &segment);
+    by_first_ip_[segment.ips.front()].push_back(&segment);
+    open(segment, index);
+    return segment;
+  }
+
+  std::deque<Segment> segments_;
+  std::unordered_map<std::uint64_t, Segment*> by_key_;
+  std::unordered_map<Ipv4, std::vector<Segment*>> by_first_ip_;
+  std::uint64_t observations_ = 0;
+};
+
+// Seeded corpus routes and public traces over a 40-address pool. A route
+// is 4-8 distinct addresses crossing two or three ASes; a public trace
+// follows a route, follows it with one hop moved, or wanders the pool,
+// with stars and with the route's first address revisited downstream.
+class SubpathFeed {
+ public:
+  explicit SubpathFeed(std::uint64_t seed) : rng_(seed) {
+    for (int r = 0; r < 8; ++r) {
+      std::vector<std::uint32_t> pool(kPool);
+      for (std::uint32_t i = 0; i < kPool; ++i) pool[i] = i;
+      rng_.shuffle(pool);
+      const std::int64_t length = rng_.uniform_int(4, 8);
+      routes_.emplace_back(pool.begin(), pool.begin() + length);
+    }
+  }
+
+  std::size_t routes() const { return routes_.size(); }
+
+  // Route r as a corpus trace: its ASes change every two or three hops.
+  tracemap::ProcessedTrace corpus(std::size_t r) const {
+    std::vector<Hop> hops;
+    for (std::size_t h = 0; h < routes_[r].size(); ++h) {
+      const auto as = static_cast<std::uint32_t>(h / (2 + r % 2));
+      hops.push_back(Hop{address(routes_[r][h]), 2000 + as,
+                         static_cast<topo::CityId>(as)});
+    }
+    return make_trace(hops);
+  }
+
+  // One public trace; routes 0-3 move a hop far more often once `moved`
+  // is set.
+  tracemap::ProcessedTrace next(bool moved) {
+    tracemap::ProcessedTrace pt;
+    const std::size_t r = rng_.index(routes_.size());
+    const double kind = rng_.uniform();
+    std::vector<std::uint32_t> ips;
+    if (kind < 0.7) {
+      ips = routes_[r];
+      const double move_prob = moved && r < 4 ? 0.6 : 0.1;
+      if (rng_.bernoulli(move_prob)) {
+        ips[1 + rng_.index(ips.size() - 2)] = kPool + 1;  // a detour hop
+      }
+      if (rng_.bernoulli(0.3)) {
+        ips.insert(ips.begin(), static_cast<std::uint32_t>(rng_.index(kPool)));
+      }
+      if (rng_.bernoulli(0.2)) ips.push_back(ips.front());  // revisit
+    } else {
+      const std::int64_t length = rng_.uniform_int(2, 14);
+      for (std::int64_t h = 0; h < length; ++h) {
+        ips.push_back(static_cast<std::uint32_t>(rng_.index(kPool)));
+      }
+    }
+    for (std::uint32_t ip : ips) {
+      tracemap::ProcessedHop hop;
+      if (!rng_.bernoulli(0.08)) hop.ip = Ipv4(address(ip));
+      pt.hops.push_back(hop);
+    }
+    return pt;
+  }
+
+ private:
+  static constexpr std::uint32_t kPool = 40;
+  static std::uint32_t address(std::uint32_t i) { return 0x0A140000u + i; }
+
+  Rng rng_;
+  std::vector<std::vector<std::uint32_t>> routes_;
+};
+
+TEST(SubpathMonitor, FlatIndexAndHopKeysMatchTheReference) {
+  SubpathMonitor monitor;
+  ReferenceSubpathMonitor reference;
+  PotentialIndex index, reference_index;
+  SubpathFeed feed(61);
+  std::size_t signals = 0;
+  for (std::int64_t w = 0; w < 200; ++w) {
+    if (w % 25 == 0) {  // new subscribers arrive over time
+      for (std::size_t r = 0; r < feed.routes(); ++r) {
+        CorpusView view;
+        view.key = pair_of(static_cast<std::uint32_t>(100 * w + r));
+        view.processed = feed.corpus(r);
+        monitor.watch(view, index);
+        reference.watch(view, reference_index);
+      }
+    }
+    for (int t = 0; t < 60; ++t) {
+      const tracemap::ProcessedTrace trace = feed.next(w >= 120);
+      monitor.on_public_trace(trace, w);
+      reference.on_public_trace(trace, w);
+    }
+    const TimePoint end((w + 1) * kWindow);
+    const std::vector<StalenessSignal> got = monitor.close_window(w, end);
+    signals += got.size();
+    ASSERT_EQ(bytes_of(got), bytes_of(reference.close_window(w, end)))
+        << "window " << w;
+    if (w % 20 == 19) {
+      ASSERT_EQ(state_of(monitor), state_of(reference)) << "window " << w;
+    }
+  }
+  EXPECT_GT(signals, 0u);
+  EXPECT_GT(monitor.stats().armed, 0u);
+}
+
+// Trace-series sections written by hand: each series is a fresh one with
+// no subscribers, and the series index is empty.
+void put_fresh_series(store::Encoder& enc) {
+  detect::AdaptiveRatioSeries(detect::ZScoreParams{}).save_state(enc);
+  enc.u64(0);     // subscribers
+  enc.f64(-1.0);  // baseline ratio
+  enc.boolean(false);
+  enc.boolean(false);
+}
+
+void put_empty_index(store::Encoder& enc) {
+  enc.u64(0);  // pairs
+  enc.u64(0);  // touched
+}
+
+std::string subpath_section(
+    const std::vector<std::pair<PotentialId, std::vector<std::uint32_t>>>&
+        segments) {
+  store::Encoder enc;
+  enc.u64(segments.size());
+  for (const auto& [id, ips] : segments) {
+    enc.u64(id);
+    enc.u64(ips.size());
+    for (std::uint32_t ip : ips) store::put(enc, Ipv4(ip));
+    put_fresh_series(enc);
+  }
+  put_empty_index(enc);
+  enc.u64(0);  // observations
+  return enc.take();
+}
+
+struct CityPair {
+  std::uint32_t as_m;
+  topo::CityId c_m;
+  std::uint32_t as_n;
+  topo::CityId c_n;
+};
+
+std::string border_section(
+    const std::vector<std::pair<
+        CityPair, std::vector<std::pair<PotentialId, std::uint64_t>>>>&
+        entries) {
+  store::Encoder enc;
+  enc.u64(entries.size());
+  for (const auto& [key, routers] : entries) {
+    store::put(enc, Asn(key.as_m));
+    enc.u16(key.c_m);
+    store::put(enc, Asn(key.as_n));
+    enc.u16(key.c_n);
+    enc.u64(routers.size());
+    for (const auto& [id, router] : routers) {
+      enc.u64(id);
+      enc.u64(router);
+      put_fresh_series(enc);
+    }
+  }
+  put_empty_index(enc);
+  return enc.take();
+}
+
+template <typename M>
+void expect_corrupt(const std::string& bytes, const char* what) {
+  SCOPED_TRACE(what);
+  M monitor;
+  store::Decoder dec(bytes);
+  try {
+    monitor.load_state(dec);
+    ADD_FAILURE() << "expected StoreError";
+  } catch (const store::StoreError& error) {
+    EXPECT_EQ(error.kind(), store::StoreError::Kind::kCorrupt);
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << "threw " << error.what() << ", not StoreError";
+  }
+}
+
+template <typename M>
+void expect_round_trip(const std::string& bytes) {
+  M monitor;
+  store::Decoder dec(bytes);
+  monitor.load_state(dec);
+  dec.expect_done();
+  EXPECT_EQ(state_of(monitor), bytes);
+}
+
+TEST(SubpathMonitor, LoadRejectsSegmentIdsThatDoNotAscend) {
+  expect_round_trip<SubpathMonitor>(
+      subpath_section({{0, {1, 2, 3}}, {4, {2, 3}}}));
+  expect_corrupt<SubpathMonitor>(
+      subpath_section({{4, {1, 2, 3}}, {0, {2, 3}}}), "descending ids");
+}
+
+TEST(SubpathMonitor, LoadRejectsTwoSegmentsWithTheSameIps) {
+  expect_corrupt<SubpathMonitor>(
+      subpath_section({{0, {1, 2, 3}}, {1, {1, 2, 3}}}), "same IPs");
+}
+
+TEST(SubpathMonitor, LoadRejectsOnePotentialOnTwoSegments) {
+  expect_corrupt<SubpathMonitor>(
+      subpath_section({{3, {1, 2, 3}}, {3, {2, 3}}}), "shared id");
+}
+
+TEST(BorderMonitor, LoadRejectsCityPairsThatDoNotAscend) {
+  const CityPair low{1000, 1, 1001, 2}, high{1000, 1, 1001, 3};
+  expect_round_trip<BorderMonitor>(
+      border_section({{low, {{0, 7}}}, {high, {{1, 8}}}}));
+  expect_corrupt<BorderMonitor>(
+      border_section({{high, {{0, 7}}}, {low, {{1, 8}}}}), "descending");
+}
+
+TEST(BorderMonitor, LoadRejectsARepeatedCityPair) {
+  // It used to load with the two router lists merged, and re-save as one
+  // pair holding both.
+  const CityPair key{1000, 1, 1001, 2};
+  expect_corrupt<BorderMonitor>(
+      border_section({{key, {{0, 7}}}, {key, {{1, 8}}}}), "repeated pair");
+}
+
+TEST(BorderMonitor, LoadRejectsTheSameRouterTwiceUnderOnePair) {
+  const CityPair key{1000, 1, 1001, 2};
+  expect_corrupt<BorderMonitor>(border_section({{key, {{0, 7}, {1, 7}}}}),
+                                "repeated router");
+}
+
+TEST(BorderMonitor, LoadRejectsOnePotentialOnTwoSeries) {
+  const CityPair low{1000, 1, 1001, 2}, high{1000, 1, 1001, 3};
+  expect_corrupt<BorderMonitor>(
+      border_section({{low, {{5, 7}}}, {high, {{5, 8}}}}), "shared id");
 }
 
 }  // namespace

@@ -714,6 +714,26 @@ TEST(TraceProcessor, FlatTableMatchesPerHopLookups) {
   const ProcessedTrace loop = processing.process(hand[5]);
   EXPECT_TRUE(loop.has_as_loop);
   EXPECT_TRUE(loop.as_path.empty());
+
+  // The engine's path: ingest into one reused ProcessedTrace. A reachable
+  // trace after an unreachable one (no hops), an AS-loop one and a patched
+  // one must leave nothing of them behind.
+  ProcessedTrace reused;
+  auto ingest_reused = [&](const tr::Traceroute& trace) {
+    processing.ingest(trace, reused);
+    patcher.observe(trace);
+    return same_processed(reused, reference.process(trace));
+  };
+  const tr::Traceroute& reachable = traces[kTraces - 1];
+  ASSERT_TRUE(reachable.reached);
+  const tr::Traceroute unreachable = hand_trace(16, {});
+  for (const tr::Traceroute* before : {&unreachable, &hand[5], &hand[3]}) {
+    ASSERT_TRUE(ingest_reused(*before)) << "trace " << before->id;
+    ASSERT_TRUE(ingest_reused(reachable)) << "after trace " << before->id;
+  }
+  for (int i = kTraces / 2; i < kTraces; ++i) {
+    ASSERT_TRUE(ingest_reused(traces[i])) << "trace " << i;
+  }
 }
 
 }  // namespace

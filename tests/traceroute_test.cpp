@@ -437,5 +437,70 @@ TEST(PublicTraceOracle, ResolveAndMeasureMatchTheHaversineCode) {
   }
 }
 
+// The resolver's reused path and the prober's kept one: a reachable shot
+// after an unreachable one (a destination nobody announces) and after a
+// partitioned one (every interconnect of a link on its route down while
+// the cached route still crosses it) must match the reference exactly.
+TEST(PublicTraceOracle, ReusedPathsMatchAfterUnreachableAndPartitioned) {
+  topo::TopologyParams shape;
+  shape.seed = 91;
+  topo::Topology topology = topo::build_topology(shape);
+  routing::ControlPlane cp(topology, 91);
+  PlatformParams plat;
+  plat.num_probes = 120;
+  plat.num_anchors = 20;
+  plat.seed = 91;
+  const ProberParams prober;
+  Platform platform(cp, prober, plat);
+  ReferenceTracer reference(cp, prober);
+
+  // A regular probe and a destination at least three ASes away.
+  const Probe* probe = nullptr;
+  Ipv4 dst;
+  routing::ForwardPath far;
+  Rng rng(92);
+  for (int attempt = 0; attempt < 1000 && probe == nullptr; ++attempt) {
+    const auto& probes = platform.regular_probes();
+    const Probe& candidate = platform.probe(probes[rng.index(probes.size())]);
+    const Ipv4 target = topology.allocate_host_ip(
+        static_cast<topo::AsIndex>(rng.index(topology.as_count())));
+    far = reference.resolve(candidate.as, candidate.city, target, 5);
+    if (far.reachable && far.as_path.size() >= 3) {
+      probe = &candidate;
+      dst = target;
+    }
+  }
+  ASSERT_NE(probe, nullptr);
+  const Ipv4 unannounced(0xCB007107u);  // 203.0.113.7
+  ASSERT_EQ(topology.announced_owner_of(unannounced), topo::kNoAs);
+
+  routing::ForwardPath reused;
+  auto check = [&](Ipv4 target, const char* what) {
+    SCOPED_TRACE(what);
+    cp.resolver().resolve(probe->as, probe->city, target, 5, true, reused);
+    const routing::ForwardPath theirs =
+        reference.resolve(probe->as, probe->city, target, 5);
+    EXPECT_TRUE(same_path(reused, theirs));
+    const TimePoint t(100);
+    EXPECT_TRUE(same_trace(platform.prober().measure(*probe, target, t, 5),
+                           reference.measure(*probe, target, t, 5)));
+    return theirs.reachable;
+  };
+  EXPECT_TRUE(check(dst, "reachable"));
+  EXPECT_FALSE(check(unannounced, "unreachable"));
+  EXPECT_TRUE(check(dst, "reachable after unreachable"));
+
+  const topo::LinkId cut =
+      topology.link_between(far.as_path[1], far.as_path[2]);
+  for (topo::InterconnectId ic : topology.link_at(cut).interconnects) {
+    cp.state_mut().set_interconnect_active(ic, false);
+  }
+  EXPECT_FALSE(check(dst, "partitioned"));
+  for (topo::InterconnectId ic : topology.link_at(cut).interconnects) {
+    cp.state_mut().set_interconnect_active(ic, true);
+  }
+  EXPECT_TRUE(check(dst, "reachable after partitioned"));
+}
+
 }  // namespace
 }  // namespace rrr::tr
