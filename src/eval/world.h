@@ -65,9 +65,9 @@ struct WorldParams {
   // throughput knob: signal output is identical at any value (the engine's
   // determinism contract, DESIGN.md "Runtime & determinism").
   int engine_threads = 1;
-  // Corpus partition count of the sharded engine (DESIGN.md "Sharded
-  // engine"). Like engine_threads, a pure throughput knob: the signal
-  // stream is bit-identical for any (shards, threads) combination.
+  // Partition count of the engine's per-pair BGP monitors (DESIGN.md
+  // "Sharded engine"). Like engine_threads, a pure throughput knob: the
+  // signal stream is bit-identical for any (shards, threads) combination.
   int engine_shards = 1;
   // Enables the telemetry registry + per-window stats series (DESIGN.md
   // "Observability"). When off, the engine's instrumentation sites degrade

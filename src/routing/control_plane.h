@@ -40,7 +40,7 @@ struct RouteAttributes {
       default;
 };
 
-class ControlPlane final : public RouteProvider {
+class ControlPlane {
  public:
   // The control plane mutates the topology on IXP-join events, hence the
   // non-const reference; it must outlive the control plane.
@@ -52,9 +52,9 @@ class ControlPlane final : public RouteProvider {
   RoutingState& state_mut() { return state_; }
   const ForwardingResolver& resolver() const { return resolver_; }
 
-  // RouteProvider: converged table for `origin`, computed lazily and cached
-  // until an event invalidates it.
-  const RouteTable& table_for(AsIndex origin) override;
+  // Converged table for `origin`, computed lazily and cached until an event
+  // invalidates it.
+  const RouteTable& table_for(AsIndex origin);
 
   // Pre-computes and pins `origin` in the cache so that later events report
   // its changes in their impact.

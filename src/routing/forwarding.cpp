@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "netbase/rng.h"
+#include "routing/control_plane.h"
 #include "topology/city.h"
 
 namespace rrr::routing {

@@ -22,13 +22,8 @@ namespace rrr::routing {
 using topo::CityId;
 using topo::RouterId;
 
-// Supplies converged per-origin route tables; implemented with caching by
-// the ControlPlane and with direct computation in tests.
-class RouteProvider {
- public:
-  virtual ~RouteProvider() = default;
-  virtual const RouteTable& table_for(AsIndex origin) = 0;
-};
+// Supplies the converged per-origin route tables the resolver walks.
+class ControlPlane;
 
 struct BorderCrossing {
   InterconnectId interconnect = topo::kNoInterconnect;
@@ -73,7 +68,7 @@ struct ForwardPath {
 class ForwardingResolver {
  public:
   ForwardingResolver(const Topology& topology, const RoutingState& state,
-                     RouteProvider& routes)
+                     ControlPlane& routes)
       : topology_(topology), state_(state), routes_(routes) {}
 
   // Resolves the path from (src_as, src_city) to dst_ip for the given flow.
@@ -110,7 +105,7 @@ class ForwardingResolver {
 
   const Topology& topology_;
   const RoutingState& state_;
-  RouteProvider& routes_;
+  ControlPlane& routes_;
 };
 
 }  // namespace rrr::routing

@@ -1,10 +1,11 @@
 #include "signals/engine.h"
 
 #include <algorithm>
+#include <array>
 
 #include "bgp/serial.h"
 #include "runtime/parallel.h"
-#include "runtime/task_group.h"
+#include "signals/serial.h"
 
 namespace rrr::signals {
 namespace {
@@ -21,7 +22,7 @@ std::vector<bgp::VpId> ids_of(const std::vector<bgp::VantagePoint>& vps) {
   return ids;
 }
 
-// Every kRevocationCheckWindows windows the shards sweep their corpus for
+// Every kRevocationCheckWindows windows the engine sweeps the corpus for
 // revocations (§4.3.2).
 constexpr std::int64_t kRevocationCheckWindows = 8;
 // A potential signal that keeps flagging a persistent change re-fires at
@@ -55,6 +56,38 @@ bool canonical_less(const StalenessSignal& a, const StalenessSignal& b) {
   if (a.potential != b.potential) return a.potential < b.potential;
   if (a.pair != b.pair) return a.pair < b.pair;
   return a.border_index < b.border_index;
+}
+
+void append(std::vector<StalenessSignal>& into,
+            std::vector<StalenessSignal>&& batch) {
+  into.insert(into.end(), std::make_move_iterator(batch.begin()),
+              std::make_move_iterator(batch.end()));
+}
+
+// §4.3.1 grading: whether the portion of `before` that a potential
+// monitors (`border_index`, or the whole AS path) changed in `after`.
+bool portion_changed(const tracemap::ProcessedTrace& before,
+                     const tracemap::ProcessedTrace& after,
+                     std::size_t border_index) {
+  if (border_index == kWholePath) return before.as_path != after.as_path;
+  if (border_index >= before.borders.size()) return false;
+  const tracemap::BorderView& old_border = before.borders[border_index];
+  bool same_as_pair_seen = false;
+  for (const tracemap::BorderView& candidate : after.borders) {
+    if (candidate.near_as == old_border.near_as &&
+        candidate.far_as == old_border.far_as) {
+      if (candidate.border_router == old_border.border_router) {
+        return false;  // the portion survives in the new measurement
+      }
+      same_as_pair_seen = true;
+    }
+  }
+  // The same AS pair crossed through a different router: a border change.
+  if (same_as_pair_seen) return true;
+  // The border is absent entirely. With a changed AS path that is a real
+  // change; with the same AS path it is almost always an unresponsive-hop
+  // artifact, and wildcards cannot indicate a change (Appendix A).
+  return before.as_path != after.as_path;
 }
 
 }  // namespace
@@ -123,8 +156,6 @@ Engine::Engine(const EngineParams& params,
   if (pool_ != nullptr && params_.tracer != nullptr) {
     pool_->set_tracer(params_.tracer);
   }
-  subpath_.set_pool(pool_.get());
-  border_.set_pool(pool_.get());
 
   if (params_.metrics != nullptr) {
     obs_ = EngineObs::create(*params_.metrics);
@@ -141,39 +172,36 @@ Engine::Engine(const EngineParams& params,
       pool_->set_obs(&pool_obs_);
     }
   }
-  subpath_.set_obs(obs_.monitors[technique_index(Technique::kTraceSubpath)]);
-  border_.set_obs(obs_.monitors[technique_index(Technique::kTraceBorder)]);
-  ixp_.set_obs(obs_.monitors[technique_index(Technique::kColocation)]);
-
   if (params_.feed_health.enabled) {
     health_ = std::make_unique<FeedHealthTracker>(params_.feed_health);
     if (params_.metrics != nullptr) health_->set_metrics(*params_.metrics);
   }
-  subpath_.set_feed_health(
-      health_.get(),
-      obs_.dropped_unhealthy_feed[technique_index(Technique::kTraceSubpath)]);
-  border_.set_feed_health(
-      health_.get(),
-      obs_.dropped_unhealthy_feed[technique_index(Technique::kTraceBorder)]);
-  ixp_.set_feed_health(
-      health_.get(),
-      obs_.dropped_unhealthy_feed[technique_index(Technique::kColocation)]);
 
-  EngineSharedState shared;
-  shared.context = &context_;
-  shared.pool = pool_.get();
-  shared.index = &index_;
-  shared.calibration = &calibration_;
-  shared.reputation = &reputation_;
-  shared.subpath = &subpath_;
-  shared.border = &border_;
-  shared.ixp = &ixp_;
-  shared.obs = &obs_;
-  shared.health = health_.get();
+  // Every monitor updates the engine's per-technique instruments (atomic
+  // updates) and consults the one feed-health tracker, which is read-only
+  // during a close (its transitions run before phase A). Monitors with
+  // per-series window-close work shard it over the pool; a null pool keeps
+  // them on the exact serial code path.
+  auto wire = [&](Monitor& monitor, Technique technique) {
+    const std::size_t t = technique_index(technique);
+    monitor.set_obs(obs_.monitors[t]);
+    monitor.set_feed_health(health_.get(), obs_.dropped_unhealthy_feed[t]);
+  };
+  subpath_.set_pool(pool_.get());
+  border_.set_pool(pool_.get());
+  wire(subpath_, Technique::kTraceSubpath);
+  wire(border_, Technique::kTraceBorder);
+  wire(ixp_, Technique::kColocation);
   shards_.reserve(static_cast<std::size_t>(params_.shards));
   for (int i = 0; i < params_.shards; ++i) {
-    shards_.push_back(
-        std::make_unique<EngineShard>(clock_, processing_, shared));
+    BgpMonitors& bgp = *shards_.emplace_back(
+        std::make_unique<BgpMonitors>(context_, reputation_));
+    bgp.aspath.set_pool(pool_.get());
+    bgp.community.set_pool(pool_.get());
+    bgp.burst.set_pool(pool_.get());
+    wire(bgp.aspath, Technique::kBgpAsPath);
+    wire(bgp.community, Technique::kBgpCommunity);
+    wire(bgp.burst, Technique::kBgpBurst);
   }
 }
 
@@ -183,16 +211,66 @@ std::size_t Engine::shard_of(const tr::PairKey& pair) const {
   return static_cast<std::size_t>(h % shards_.size());
 }
 
-void Engine::watch(const tr::Probe& probe, const tr::Traceroute& trace) {
-  tr::PairKey key{trace.probe, trace.dst_ip};
-  shards_[shard_of(key)]->watch(probe, trace, table_.row(trace.dst_ip));
+bool Engine::reverted(const tr::PairKey& pair, Technique technique,
+                      PotentialId potential) const {
+  switch (technique) {
+    case Technique::kBgpAsPath:
+      return shards_[shard_of(pair)]->aspath.reverted(potential);
+    case Technique::kBgpCommunity:
+      return shards_[shard_of(pair)]->community.reverted(potential);
+    case Technique::kTraceSubpath: return subpath_.reverted(potential);
+    case Technique::kTraceBorder: return border_.reverted(potential);
+    case Technique::kBgpBurst:
+    case Technique::kColocation: return false;
+  }
+  return false;
 }
 
-std::size_t Engine::corpus_size() const {
-  std::size_t total = 0;
-  for (const auto& shard : shards_) total += shard->corpus_size();
-  return total;
+tr::Freshness Engine::initial_freshness(const tr::PairKey& pair,
+                                        const CorpusView& view) const {
+  // Fresh only when every border of the traceroute is monitored by at
+  // least one potential signal; otherwise its state is unknowable (§6.2).
+  const auto& relations = index_.relations_of(pair);
+  for (std::size_t b = 0; b < view.processed.borders.size(); ++b) {
+    bool covered = false;
+    for (const auto& relation : relations) {
+      if (relation.border_index == b || relation.border_index == kWholePath) {
+        covered = true;
+        break;
+      }
+    }
+    if (!covered) return tr::Freshness::kUnknown;
+  }
+  return relations.empty() ? tr::Freshness::kUnknown : tr::Freshness::kFresh;
 }
+
+void Engine::watch(const tr::Probe& probe, const tr::Traceroute& trace) {
+  tr::PairKey key{trace.probe, trace.dst_ip};
+  PairState state;
+  state.view.key = key;
+  state.view.probe_as = probe.as;
+  state.view.probe_city = probe.city;
+  state.view.window = clock_.index_of(trace.time);
+  state.view.processed = processing_.ingest(trace);
+  state.watched_window = state.view.window;
+
+  // The AS-path, community and burst watches read the standing routes
+  // toward the destination from one memoized row.
+  const bgp::RouteRow row = table_.row(trace.dst_ip);
+  BgpMonitors& bgp = *shards_[shard_of(key)];
+  bgp.aspath.watch(state.view, index_, row);
+  bgp.community.watch(state.view, index_, row);
+  bgp.burst.watch(state.view, index_, row);
+  subpath_.watch(state.view, index_);
+  border_.watch(state.view, index_);
+  ixp_.watch(state.view, index_);
+
+  state.freshness = initial_freshness(key, state.view);
+  firing_.erase(key);
+  corpus_[key] = std::move(state);
+}
+
+std::size_t Engine::corpus_size() const { return corpus_.size(); }
 
 void Engine::on_bgp_record(const bgp::BgpRecord& record) {
   // Delivery tally at the (serial) feed boundary — the one place every
@@ -247,8 +325,15 @@ void Engine::close_one_window(std::int64_t window,
         obs::TraceSpan trace_span(params_.tracer, "shard_close", "close",
                                   window, "shard",
                                   static_cast<std::int64_t>(i));
-        shards_[i]->dispatch_window_records(dispatched_, window);
-        shards_[i]->collect_bgp_close(raw[i], window, end);
+        BgpMonitors& bgp = *shards_[i];
+        for (const DispatchedRecord& dispatched : dispatched_) {
+          bgp.aspath.on_record(dispatched, window);
+          bgp.community.on_record(dispatched, window);
+          bgp.burst.on_record(dispatched, window);
+        }
+        append(raw[i], bgp.aspath.close_window(window, end));
+        append(raw[i], bgp.community.close_window(window, end));
+        append(raw[i], bgp.burst.close_window(window, end));
       },
       /*grain=*/1);
 
@@ -268,47 +353,36 @@ void Engine::close_one_window(std::int64_t window,
                          pending_records_.begin() +
                              static_cast<std::ptrdiff_t>(cut));
 
-  // Phase B — the three global trace monitors close concurrently. The
-  // subpath and border monitors fan their per-series work out on the same
-  // pool; the IXP monitor only stamps its few pending signals.
-  std::vector<StalenessSignal> subpath_raw;
-  std::vector<StalenessSignal> border_raw;
-  std::vector<StalenessSignal> ixp_raw;
-  {
-    runtime::TaskGroup group(pool_.get());
-    group.spawn([&] {
-      obs::TraceSpan span(params_.tracer, "close_subpath", "close", window);
-      subpath_raw = subpath_.close_window(window, end);
-    });
-    group.spawn([&] {
-      obs::TraceSpan span(params_.tracer, "close_border", "close", window);
-      border_raw = border_.close_window(window, end);
-    });
-    group.spawn([&] {
-      obs::TraceSpan span(params_.tracer, "close_ixp", "close", window);
-      ixp_raw = ixp_.close_window(window, end);
-    });
-    group.wait();
-  }
+  // Phase B — the three global trace monitors close concurrently, one
+  // pool task each. The subpath and border monitors fan their per-series
+  // work out on the same pool; the IXP monitor only stamps its few pending
+  // signals.
+  static constexpr const char* kTraceCloseSpans[] = {
+      "close_subpath", "close_border", "close_ixp"};
+  std::array<std::vector<StalenessSignal>, 3> trace_raw;
+  runtime::parallel_for(
+      pool_.get(), trace_raw.size(),
+      [&](std::size_t i) {
+        obs::TraceSpan span(params_.tracer, kTraceCloseSpans[i], "close",
+                            window);
+        trace_raw[i] = i == 0   ? subpath_.close_window(window, end)
+                       : i == 1 ? border_.close_window(window, end)
+                                : ixp_.close_window(window, end);
+      },
+      /*grain=*/1);
 
   // Merge in canonical order, then register serially: registration owns
-  // the global cooldown map and the shards' freshness state.
+  // the global cooldown map and the corpus's freshness state.
   std::vector<StalenessSignal> batch;
   {
     obs::ScopedSpan merge_span(obs_.merge_us);
     obs::TraceSpan trace_span(params_.tracer, "merge", "close", window);
-    std::size_t total =
-        subpath_raw.size() + border_raw.size() + ixp_raw.size();
+    std::size_t total = 0;
     for (const auto& buffer : raw) total += buffer.size();
+    for (const auto& buffer : trace_raw) total += buffer.size();
     batch.reserve(total);
-    auto append = [&batch](std::vector<StalenessSignal>&& buffer) {
-      batch.insert(batch.end(), std::make_move_iterator(buffer.begin()),
-                   std::make_move_iterator(buffer.end()));
-    };
-    for (auto& buffer : raw) append(std::move(buffer));
-    append(std::move(subpath_raw));
-    append(std::move(border_raw));
-    append(std::move(ixp_raw));
+    for (auto& buffer : raw) append(batch, std::move(buffer));
+    for (auto& buffer : trace_raw) append(batch, std::move(buffer));
     std::sort(batch.begin(), batch.end(), canonical_less);
   }
 
@@ -319,8 +393,8 @@ void Engine::close_one_window(std::int64_t window,
                               static_cast<std::int64_t>(batch.size()));
     out.reserve(out.size() + batch.size());
     for (StalenessSignal& signal : batch) {
-      EngineShard& shard = *shards_[shard_of(signal.pair)];
-      if (!shard.has_pair(signal.pair)) {
+      auto pair = corpus_.find(signal.pair);
+      if (pair == corpus_.end()) {
         obs::inc(obs_.signals_dropped_refreshed);
         continue;  // refreshed mid-window
       }
@@ -332,18 +406,63 @@ void Engine::close_one_window(std::int64_t window,
       }
       last_fired_[signal.potential] = signal.window;
       obs::inc(obs_.signals_emitted[technique_index(signal.technique)]);
-      shard.mark_stale(signal);
+      PairState& state = pair->second;
+      state.freshness = tr::Freshness::kStale;
+      ActiveSignal active;
+      active.potential = signal.potential;
+      active.technique = signal.technique;
+      active.meta = signal.meta;
+      active.pair = signal.pair;
+      active.community = signal.community;
+      state.active[signal.potential] = std::move(active);
+      firing_.try_emplace(signal.pair, &state);
       out.push_back(std::move(signal));
     }
   }
 
   if (window % kRevocationCheckWindows == kRevocationCheckWindows - 1) {
     obs::TraceSpan trace_span(params_.tracer, "revocation", "close", window);
-    // Each shard sweeps its own corpus; monitors and table are read-only.
-    runtime::parallel_for(
-        pool_.get(), shards_.size(),
-        [&](std::size_t i) { shards_[i]->run_revocation(); },
-        /*grain=*/1);
+    run_revocation();
+  }
+}
+
+void Engine::run_revocation() {
+  // Stale pairs with active signals, in corpus order.
+  std::vector<std::pair<tr::PairKey, PairState*>> stale;
+  for (const auto& [key, state] : firing_) {
+    if (state->freshness == tr::Freshness::kStale) {
+      stale.emplace_back(key, state);
+    }
+  }
+  // Judge on the pool: the monitors, the table and the corpus are
+  // read-only, and each judgement writes only its own byte (not a
+  // std::vector<bool> bit).
+  std::vector<std::uint8_t> revoke(stale.size(), 0);
+  runtime::parallel_for(pool_.get(), stale.size(), [&](std::size_t i) {
+    const auto& [key, state] = stale[i];
+    // §4.3.2: revocation applies when every AS-path, community, subpath,
+    // and border signal has returned to its issue-time state. Burst and
+    // colocation signals carry no revertible state; they neither revoke
+    // nor block (a pair flagged *only* by them stays flagged).
+    int revocable = 0;
+    for (const auto& [potential, active] : state->active) {
+      if (active.technique == Technique::kBgpBurst ||
+          active.technique == Technique::kColocation) {
+        continue;
+      }
+      if (!reverted(key, active.technique, potential)) return;
+      ++revocable;
+    }
+    revoke[i] = revocable > 0;
+  });
+  // Apply serially, in corpus order.
+  for (std::size_t i = 0; i < stale.size(); ++i) {
+    if (revoke[i] == 0) continue;
+    const auto& [key, state] = stale[i];
+    state->active.clear();
+    state->freshness = initial_freshness(key, state->view);
+    firing_.erase(key);
+    obs::inc(obs_.revocations);
   }
 }
 
@@ -359,50 +478,125 @@ std::vector<StalenessSignal> Engine::advance_to(TimePoint t) {
 }
 
 std::vector<tr::PairKey> Engine::plan_refreshes(int budget) {
-  // std::map keeps the merged candidates in pair order, so the scheduler
-  // sees the same input whatever the partition.
+  // Candidates are the pairs with firing signals, in pair order.
   std::map<tr::PairKey, RefreshScheduler::PairState> pairs;
-  for (const auto& shard : shards_) shard->collect_refresh_candidates(pairs);
+  for (const auto& [key, state] : firing_) {
+    RefreshScheduler::PairState ps;
+    for (const auto& [potential, active] : state->active) {
+      ps.firing.push_back(active);
+    }
+    for (const auto& relation : index_.relations_of(key)) {
+      if (!state->active.contains(relation.id)) {
+        ps.silent.push_back(relation.id);
+      }
+    }
+    pairs.emplace_hint(pairs.end(), key, std::move(ps));
+  }
   return RefreshScheduler::plan(pairs, calibration_, budget, rng_);
 }
 
 RefreshOutcome Engine::apply_refresh(const tr::Probe& probe,
                                      const tr::Traceroute& fresh) {
   tr::PairKey key{fresh.probe, fresh.dst_ip};
-  return shards_[shard_of(key)]->apply_refresh(probe, fresh,
-                                               table_.row(fresh.dst_ip));
+  RefreshOutcome outcome;
+  outcome.pair = key;
+
+  tracemap::ProcessedTrace new_processed = processing_.ingest(fresh);
+  auto it = corpus_.find(key);
+  if (it != corpus_.end()) {
+    PairState& state = it->second;
+    outcome.was_flagged_stale = state.freshness == tr::Freshness::kStale;
+    outcome.change =
+        tracemap::classify_change(state.view.processed, new_processed);
+
+    // Grade every related potential (§4.3.1) — unless the pair's probe is
+    // quarantined, in which case the "fresh" measurement itself is suspect
+    // and grading against it would poison the TPR/TNR tallies. The refresh
+    // still replaces the corpus entry; only the grades are frozen.
+    std::int64_t window = clock_.index_of(fresh.time);
+    if (health_ != nullptr && health_->trace_quarantined(key.probe)) {
+      obs::inc(obs_.calibration_frozen);
+    } else {
+      for (const auto& relation : index_.relations_of(key)) {
+        bool fired = state.active.contains(relation.id);
+        bool changed = portion_changed(state.view.processed, new_processed,
+                                       relation.border_index);
+        Outcome graded =
+            fired
+                ? (changed ? Outcome::kTruePositive : Outcome::kFalsePositive)
+                : (changed ? Outcome::kFalseNegative
+                           : Outcome::kTrueNegative);
+        calibration_.record(key.probe, relation.id, window, graded);
+      }
+    }
+    // Community reputation: grade the fired community signals.
+    for (const auto& [potential, active] : state.active) {
+      if (active.technique != Technique::kBgpCommunity) continue;
+      bool changed = true;
+      for (const auto& relation : index_.relations_of(key)) {
+        if (relation.id == potential) {
+          changed = portion_changed(state.view.processed, new_processed,
+                                    relation.border_index);
+          break;
+        }
+      }
+      if (active.community.raw() != 0) {
+        reputation_.record_outcome(active.community, key, changed);
+      }
+    }
+
+    // Unregister the old measurement everywhere.
+    BgpMonitors& bgp = *shards_[shard_of(key)];
+    bgp.aspath.unwatch(key);
+    bgp.community.unwatch(key);
+    bgp.burst.unwatch(key);
+    subpath_.unwatch(key);
+    border_.unwatch(key);
+    ixp_.unwatch(key);
+    index_.unrelate_pair(key);
+    firing_.erase(key);
+    corpus_.erase(it);
+  }
+
+  // Register the fresh measurement. `probe` and `fresh` stay valid through
+  // watch() (it only reads them), so no defensive copies.
+  watch(probe, fresh);
+  obs::inc(obs_.refreshes);
+  if (outcome.change != tracemap::ChangeKind::kNone) {
+    obs::inc(obs_.refreshes_changed);
+  }
+  return outcome;
 }
 
 tr::Freshness Engine::freshness(const tr::PairKey& pair) const {
-  return shards_[shard_of(pair)]->freshness(pair);
+  auto it = corpus_.find(pair);
+  return it == corpus_.end() ? tr::Freshness::kUnknown
+                             : it->second.freshness;
 }
 
 std::vector<tr::PairKey> Engine::stale_pairs() const {
   std::vector<tr::PairKey> out;
-  for (const auto& shard : shards_) {
-    std::vector<tr::PairKey> part = shard->stale_pairs();
-    out.insert(out.end(), part.begin(), part.end());
+  for (const auto& [key, state] : corpus_) {
+    if (state.freshness == tr::Freshness::kStale) out.push_back(key);
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
 std::vector<PairStateView> Engine::pair_states() const {
   std::vector<PairStateView> out;
-  out.reserve(corpus_size());
-  for (const auto& shard : shards_) shard->collect_pair_states(out);
-  // Each shard appends in pair order; the merged view re-sorts so the
-  // result is partition-invariant.
-  std::sort(out.begin(), out.end(),
-            [](const PairStateView& a, const PairStateView& b) {
-              return a.pair < b.pair;
-            });
+  out.reserve(corpus_.size());
+  for (const auto& [key, state] : corpus_) {
+    out.push_back(PairStateView{
+        key, state.freshness, state.watched_window,
+        static_cast<std::uint32_t>(state.active.size())});
+  }
   return out;
 }
 
 const tracemap::ProcessedTrace* Engine::processed_of(
     const tr::PairKey& pair) const {
-  return shards_[shard_of(pair)]->processed_of(pair);
+  auto it = corpus_.find(pair);
+  return it == corpus_.end() ? nullptr : &it->second.view.processed;
 }
 
 void Engine::save_state(store::Encoder& enc) const {
@@ -427,7 +621,34 @@ void Engine::save_state(store::Encoder& enc) const {
   }
   enc.i64(next_window_);
   enc.u32(static_cast<std::uint32_t>(shards_.size()));
-  for (const auto& shard : shards_) shard->save_state(enc);
+  // Shard by shard: the shard's pairs in pair order, then its monitors.
+  // One walk files the pairs (a corpus walk misses cache on most nodes).
+  std::vector<std::vector<const decltype(corpus_)::value_type*>> filed(
+      shards_.size());
+  for (const auto& entry : corpus_) {
+    filed[shard_of(entry.first)].push_back(&entry);
+  }
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    enc.u64(filed[s].size());
+    for (const auto* entry : filed[s]) {
+      const auto& [key, state] = *entry;
+      put_pair(enc, key);
+      enc.u32(state.view.probe_as);
+      enc.u16(state.view.probe_city);
+      enc.i64(state.view.window);
+      tracemap::put_processed(enc, state.view.processed);
+      enc.u8(static_cast<std::uint8_t>(state.freshness));
+      enc.i64(state.watched_window);
+      enc.u64(state.active.size());
+      for (const auto& [potential, active] : state.active) {
+        enc.u64(potential);
+        put_active(enc, active);
+      }
+    }
+    shards_[s]->aspath.save_state(enc);
+    shards_[s]->community.save_state(enc);
+    shards_[s]->burst.save_state(enc);
+  }
 }
 
 void Engine::load_state(store::Decoder& dec) {
@@ -460,7 +681,11 @@ void Engine::load_state(store::Decoder& dec) {
   std::uint64_t fired_count = dec.u64();
   for (std::uint64_t i = 0; i < fired_count; ++i) {
     PotentialId potential = dec.u64();
-    last_fired_[potential] = dec.i64();
+    if (!last_fired_.empty() && potential <= last_fired_.rbegin()->first) {
+      throw store::StoreError(store::StoreError::Kind::kCorrupt,
+                              "cooldown potentials repeated or out of order");
+    }
+    last_fired_.emplace_hint(last_fired_.end(), potential, dec.i64());
   }
   next_window_ = dec.i64();
   std::uint32_t shard_count = dec.u32();
@@ -469,13 +694,63 @@ void Engine::load_state(store::Decoder& dec) {
         store::StoreError::Kind::kCorrupt,
         "snapshot shard count does not match engine configuration");
   }
-  for (auto& shard : shards_) shard->load_state(dec);
+  corpus_.clear();
+  firing_.clear();
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    const tr::PairKey* previous = nullptr;
+    std::uint64_t pair_count = dec.u64();
+    for (std::uint64_t i = 0; i < pair_count; ++i) {
+      tr::PairKey key = get_pair(dec);
+      if (shard_of(key) != s) {
+        throw store::StoreError(store::StoreError::Kind::kCorrupt,
+                                "corpus pair filed under another shard");
+      }
+      if (previous != nullptr && !(*previous < key)) {
+        throw store::StoreError(
+            store::StoreError::Kind::kCorrupt,
+            "corpus pairs repeated or out of order within a shard");
+      }
+      PairState state;
+      state.view.key = key;
+      state.view.probe_as = dec.u32();
+      state.view.probe_city = dec.u16();
+      state.view.window = dec.i64();
+      state.view.processed = tracemap::get_processed(dec);
+      std::uint8_t freshness = dec.u8();
+      if (freshness > static_cast<std::uint8_t>(tr::Freshness::kUnknown)) {
+        throw store::StoreError(store::StoreError::Kind::kCorrupt,
+                                "corpus pair freshness is unknown");
+      }
+      state.freshness = static_cast<tr::Freshness>(freshness);
+      state.watched_window = dec.i64();
+      std::uint64_t active_count = dec.u64();
+      for (std::uint64_t j = 0; j < active_count; ++j) {
+        PotentialId potential = dec.u64();
+        if (!state.active.empty() &&
+            potential <= state.active.rbegin()->first) {
+          throw store::StoreError(
+              store::StoreError::Kind::kCorrupt,
+              "active signals repeated or out of order");
+        }
+        state.active.emplace_hint(state.active.end(), potential,
+                                  get_active(dec));
+      }
+      auto& entry = *corpus_.emplace(key, std::move(state)).first;
+      if (!entry.second.active.empty()) {
+        firing_.try_emplace(key, &entry.second);
+      }
+      previous = &entry.first;
+    }
+    shards_[s]->aspath.load_state(dec);
+    shards_[s]->community.load_state(dec);
+    shards_[s]->burst.load_state(dec);
+  }
 }
 
 CommunityMonitor::Stats Engine::community_stats() const {
   CommunityMonitor::Stats total;
   for (const auto& shard : shards_) {
-    const CommunityMonitor::Stats& s = shard->community_monitor().stats();
+    const CommunityMonitor::Stats& s = shard->community.stats();
     total.records += s.records;
     total.diffs += s.diffs;
     total.no_prev_overlap += s.no_prev_overlap;

@@ -7,13 +7,15 @@
 // Contract: feed all BGP records and public traceroutes belonging to a
 // window before calling advance_to() past that window's end.
 //
-// The corpus is partitioned over N EngineShards (signals/engine_shard.h).
-// Each pair is routed to shard hash(pair) % N by a platform-stable hash, so
-// a shard owns a disjoint slice of the corpus plus the BGP monitors whose
-// entries are per-pair (AS-path, community, burst). One BGP/public-trace
-// stream fans out to all shards; per-window shard batches merge at the
-// boundary in a canonical order, making the signal stream bit-identical for
-// any (shards, threads) combination (DESIGN.md "Sharded engine").
+// The engine holds the corpus once: one map from pair to that pair's
+// processed traceroute, freshness and active signals, and every per-pair
+// step (watch, refresh grading, revocation, the queries) runs here. Only
+// the BGP monitors (AS-path, community, burst), whose entries are per pair,
+// are partitioned: a pair's entries live in the shard hash(pair) % N, by a
+// platform-stable hash, and phase A of a window close dispatches and closes
+// each shard's three monitors as one pool task. Per-shard batches merge at
+// the boundary in a canonical order, so the signal stream is bit-identical
+// for any (shards, threads) combination (DESIGN.md "Sharded engine").
 //
 // Exactly one BGP table exists regardless of shard count. During a window
 // close the shards' BGP monitors read it from pool threads (phase A); once
@@ -21,15 +23,14 @@
 // serial section, and only then do the trace monitors close (phase B).
 // Readers therefore never lock and never observe a half-applied batch.
 //
-// Cross-pair state that the design shares *between* pairs — the
-// potential-id space, calibration and community-reputation tallies, the
-// global signal cooldown, and the trace-driven monitors (subpath/border
-// series are deduplicated across pairs; IXP membership is learned globally)
-// — stays in the engine with one instance, because per-shard copies would
-// make the output depend on the partition. Shards borrow it read-only
-// during parallel phases; all mutation happens in engine-serial sections
-// (watch, refresh, absorb, registration), which is what keeps the close
-// TSAN-clean without locks.
+// Cross-pair state — the potential-id space, calibration and
+// community-reputation tallies, the global signal cooldown, and the
+// trace-driven monitors (subpath/border series are deduplicated across
+// pairs; IXP membership is learned globally) — has one instance, because
+// per-shard copies would make the output depend on the partition. Parallel
+// phases only read it; all mutation happens in engine-serial sections
+// (watch, refresh, absorb, registration, applying revocations), which is
+// what keeps the close TSAN-clean without locks.
 #pragma once
 
 #include <map>
@@ -41,10 +42,39 @@
 #include "bgp/table_view.h"
 #include "obs/trace.h"
 #include "runtime/thread_pool.h"
+#include "signals/aspath_monitor.h"
 #include "signals/asreldb.h"
-#include "signals/engine_shard.h"
+#include "signals/bgp_context.h"
+#include "signals/border_monitor.h"
+#include "signals/burst_monitor.h"
+#include "signals/calibration.h"
+#include "signals/community_monitor.h"
+#include "signals/engine_obs.h"
+#include "signals/feed_health.h"
+#include "signals/ixp_monitor.h"
+#include "signals/monitor.h"
+#include "signals/subpath_monitor.h"
+#include "tracemap/pipeline.h"
+#include "traceroute/traceroute.h"
 
 namespace rrr::signals {
+
+// One pair's verdict state as read out for the serving layer (src/serve).
+// A value copy of the corpus entry's dynamic fields — holders never point
+// back into the engine.
+struct PairStateView {
+  tr::PairKey pair;
+  tr::Freshness freshness = tr::Freshness::kFresh;
+  std::int64_t watched_window = 0;
+  std::uint32_t active_signals = 0;  // fired-and-unrevoked signals
+};
+
+// What a refresh revealed, returned to callers for their own accounting.
+struct RefreshOutcome {
+  tr::PairKey pair;
+  tracemap::ChangeKind change = tracemap::ChangeKind::kNone;
+  bool was_flagged_stale = false;
+};
 
 struct EngineParams {
   TimePoint t0;  // start of window 0; windows are kBaseWindowSeconds long
@@ -53,12 +83,13 @@ struct EngineParams {
   // --ablate-stationarity turns it off.
   bool trace_drop_outliers = true;
   std::uint64_t seed = 31;
-  // Parallelism degree for window closing (shard closes and per-series
-  // monitor work share one thread pool). 1 = fully serial; results are
-  // identical either way — buffers merge in a canonical order, see
-  // DESIGN.md "Runtime & determinism".
+  // Parallelism degree for window closing (shard closes, per-series
+  // monitor work and the revocation sweep share one thread pool). 1 =
+  // fully serial; results are identical either way — buffers merge in a
+  // canonical order, see DESIGN.md "Runtime & determinism".
   int threads = 1;
-  // Corpus partitions. Purely a throughput knob: the signal stream is
+  // Partitions of the BGP monitors' per-pair entries (phase A runs one
+  // task per shard). Purely a throughput knob: the signal stream is
   // identical for any (shards, threads) combination.
   int shards = 1;
   // Telemetry sink; null (the default) disables all instrumentation — every
@@ -121,20 +152,19 @@ class Engine {
   std::vector<StalenessSignal> advance_to(TimePoint t);
 
   // --- refresh cycle (§4.3.1) ---
-  // Merges every shard's candidates and plans under one global budget with
-  // one calibration store and one RNG stream, so the chosen set is
-  // independent of the partition.
+  // Plans over every pair with firing signals under one global budget with
+  // one calibration store and one RNG stream.
   std::vector<tr::PairKey> plan_refreshes(int budget);
   RefreshOutcome apply_refresh(const tr::Probe& probe,
                                const tr::Traceroute& fresh);
 
   // --- queries ---
   tr::Freshness freshness(const tr::PairKey& pair) const;
-  // Stale pairs across all shards, sorted by pair key.
+  // Stale pairs, sorted by pair key.
   std::vector<tr::PairKey> stale_pairs() const;
-  // Per-pair verdict state merged across shards, sorted by pair key. Pure
-  // read (no RNG draw, no mutation) — the serving layer materializes its
-  // snapshots from this at every window boundary.
+  // Per-pair verdict state, sorted by pair key. Pure read (no RNG draw, no
+  // mutation) — the serving layer materializes its snapshots from this at
+  // every window boundary.
   std::vector<PairStateView> pair_states() const;
   // Number of closed windows, i.e. of window batches absorbed into the BGP
   // table; captured into ServingSnapshot::table_epoch.
@@ -151,25 +181,56 @@ class Engine {
   CommunityMonitor::Stats community_stats() const;
 
   // --- checkpoint support ---
-  // Serializes the engine's single cross-pair instances followed by every
-  // shard's local slice. The shard count is stored and verified on load:
-  // a snapshot written at N shards restores only into an engine built with
-  // N shards (the partition fixes which shard holds which pair — but the
-  // merged signal stream is partition-invariant, so the determinism grid
-  // may still compare runs across shard counts by their outputs).
+  // Serializes the engine's single cross-pair instances, then, shard by
+  // shard, the shard's corpus pairs in pair order followed by its three BGP
+  // monitors. The shard count is stored and verified on load: a snapshot
+  // written at N shards restores only into an engine built with N shards,
+  // and a pair filed under another shard than shard_of() names, or out of
+  // order within its shard, is kCorrupt (the merged signal stream is
+  // partition-invariant, so the determinism grid may still compare runs
+  // across shard counts by their outputs).
   void save_state(store::Encoder& enc) const;
   void load_state(store::Decoder& dec);
 
  private:
+  // One corpus pair: what the monitors watch, and its verdict state.
+  struct PairState {
+    CorpusView view;
+    tr::Freshness freshness = tr::Freshness::kFresh;
+    std::int64_t watched_window = 0;
+    // Fired-and-unrevoked signals, keyed by potential.
+    std::map<PotentialId, ActiveSignal> active;
+  };
+  // The BGP monitors of one pair partition. Their entries are per pair, so
+  // each shard's three monitors close as one phase-A task without touching
+  // another shard's entries. Held by pointer: the monitors keep references
+  // to the engine's context and reputation store.
+  struct BgpMonitors {
+    BgpMonitors(const BgpContext& context, CommunityReputation& reputation)
+        : aspath(context), community(context, reputation), burst(context) {}
+    AsPathMonitor aspath;
+    CommunityMonitor community;
+    BurstMonitor burst;
+  };
+
   void close_one_window(std::int64_t window,
                         std::vector<StalenessSignal>& out);
+  // §4.3.2 sweep over the corpus: judges the stale pairs on the pool, then
+  // applies their revocations serially.
+  void run_revocation();
+  // §4.3.2: whether the monitor behind `technique` reports `potential`
+  // back in its issue-time state (false for the techniques that cannot
+  // revert: burst and colocation). `pair` names the BGP monitors' shard.
+  bool reverted(const tr::PairKey& pair, Technique technique,
+                PotentialId potential) const;
+  tr::Freshness initial_freshness(const tr::PairKey& pair,
+                                  const CorpusView& view) const;
 
   EngineParams params_;
   WindowClock clock_;
   tracemap::ProcessingContext& processing_;
   Rng rng_;
-  // Engine-owned instrument bundles (all-null when params_.metrics is null);
-  // declared before the shards, which copy obs_ at construction.
+  // Engine-owned instrument bundles (all-null when params_.metrics is null).
   EngineObs obs_;
   runtime::PoolObs pool_obs_;
   // Per-shard phase-A close spans, labeled {shard="i"}; empty when
@@ -200,13 +261,21 @@ class Engine {
   BorderMonitor border_;
   IxpMonitor ixp_;
   // Feed-health tracker (one instance: delivery is counted at the engine's
-  // serial feed boundary; shards only consult it). Null when tracking is
-  // off. Declared before the shards, which borrow it at construction.
+  // serial feed boundary; monitors only consult it). Null when tracking is
+  // off.
   std::unique_ptr<FeedHealthTracker> health_;
 
-  std::vector<std::unique_ptr<EngineShard>> shards_;
-  // Global signal cooldown: a potential shared by pairs in different shards
-  // must still fire at most once per cooldown window span.
+  // Indexed by shard_of(pair).
+  std::vector<std::unique_ptr<BgpMonitors>> shards_;
+  std::map<tr::PairKey, PairState> corpus_;
+  // The corpus pairs whose `active` set is non-empty, each pointing at its
+  // corpus entry (map entries never move; every path that empties or erases
+  // an entry drops it here): the candidates of the revocation sweep and the
+  // refresh planner. Walking the whole corpus instead costs a cache miss or
+  // two per pair, about 1.3 ms over bgp_corpus's 4000 pairs.
+  std::map<tr::PairKey, PairState*> firing_;
+  // Global signal cooldown: a potential shared by several pairs fires at
+  // most once per cooldown window span.
   std::map<PotentialId, std::int64_t> last_fired_;
   std::int64_t next_window_ = 0;  // first window not yet closed
 };

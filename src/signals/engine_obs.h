@@ -3,9 +3,9 @@
 //
 // Ownership: the engine builds one EngineObs of pointers into its
 // MetricsRegistry and hands *copies* of the relevant sub-bundles to
-// monitors, shards, and the potential index. Instruments are registry-owned, so copies stay valid for
-// the registry's lifetime; a default-constructed bundle is all-null and
-// makes every update a no-op.
+// monitors and the potential index. Instruments are registry-owned, so
+// copies stay valid for the registry's lifetime; a default-constructed
+// bundle is all-null and makes every update a no-op.
 #pragma once
 
 #include <array>

@@ -62,8 +62,8 @@ class PotentialIndex {
   }
 
   // Checkpoint support: round-trips the id->technique table and every
-  // pair relation, so restored ids keep their meanings and calibration
-  // grading sees the same silent/firing partition.
+  // pair relation (pairs in order), so restored ids keep their meanings
+  // and calibration grading sees the same silent/firing partition.
   void save_state(store::Encoder& enc) const {
     enc.u64(techniques_.size());
     for (Technique technique : techniques_) {
@@ -79,28 +79,9 @@ class PotentialIndex {
       }
     }
   }
-  void load_state(store::Decoder& dec) {
-    techniques_.clear();
-    by_pair_.clear();
-    std::uint64_t count = dec.count(1);
-    techniques_.reserve(count);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      techniques_.push_back(get_technique(dec));
-    }
-    std::uint64_t pair_count = dec.u64();
-    for (std::uint64_t i = 0; i < pair_count; ++i) {
-      tr::PairKey pair = get_pair(dec);
-      std::vector<Relation>& relations = by_pair_[pair];
-      std::uint64_t relation_count = dec.count(8 + 8);
-      relations.reserve(relation_count);
-      for (std::uint64_t j = 0; j < relation_count; ++j) {
-        Relation relation;
-        relation.id = dec.u64();
-        relation.border_index = dec.u64();
-        relations.push_back(relation);
-      }
-    }
-  }
+  // A pair repeated or out of order, a relation repeated within its pair,
+  // or one naming no created potential is kCorrupt.
+  void load_state(store::Decoder& dec);
 
  private:
   std::vector<Technique> techniques_;  // indexed by (id - 1)
@@ -122,8 +103,8 @@ class FeedHealthTracker;
 
 // What every technique's monitor shares: the close-path instrumentation and
 // the feed-health gate. There is no interface to dispatch through — the
-// engine and its shards hold and call each concrete monitor — but every
-// monitor has the same shape:
+// engine holds and calls each concrete monitor — but every monitor has the
+// same shape:
 //
 //   watch(view, index), unwatch(pair)  start / stop monitoring a corpus pair
 //                                      (the BGP monitors' watch also takes

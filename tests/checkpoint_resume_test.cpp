@@ -1,7 +1,8 @@
 // The resume-determinism contract of the durable state store (DESIGN.md
 // §11): a run that checkpoints at window k and resumes must be
-// indistinguishable — signal stream, stale pairs, calibration digest,
-// semantic telemetry, and the codec bytes of the final corpus — from the
+// indistinguishable — signal stream, stale pairs, per-pair verdict state,
+// calibration digest, semantic telemetry, and the codec bytes of the final
+// corpus — from the
 // run that never stopped. The grid here pins that for every window k of a
 // small world, across (shards x threads x fault plan), through the WAL tail
 // after a mid-cadence crash, and across resume-of-a-resumed-run. The
@@ -15,6 +16,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -27,6 +29,7 @@
 #include "netbase/intern.h"
 #include "netbase/rng.h"
 #include "signals/feed_health.h"
+#include "signals/serial.h"
 #include "store/checkpoint.h"
 #include "store/codec.h"
 #include "store/framing.h"
@@ -139,6 +142,7 @@ struct RunTrace {
   std::int64_t resumed_at = 0;  // completed windows right after construction
   std::vector<SignalKey> signals;
   std::vector<tr::PairKey> stale;
+  std::vector<PairStateRow> pair_states;  // pair_state_rows() at the end
   std::uint64_t calibration_digest = 0;
   std::string semantic_stats;
   std::string corpus_bytes;  // final_corpus_bytes() of the finished world
@@ -213,6 +217,7 @@ RunTrace drive(WorldParams params, const DriveSpec& spec) {
   if (stop < windows) return trace;  // crashed mid-run, no final state
 
   trace.stale = world.engine().stale_pairs();
+  trace.pair_states = pair_state_rows(world);
   trace.calibration_digest = world.engine().calibration().digest();
   trace.semantic_stats = world.semantic_stats_json();
   trace.corpus_bytes = final_corpus_bytes(world);
@@ -224,6 +229,7 @@ void expect_same_final_state(const RunTrace& want, const RunTrace& got,
                              const std::string& label) {
   ASSERT_TRUE(want.finished && got.finished) << label;
   EXPECT_EQ(want.stale, got.stale) << label;
+  EXPECT_EQ(want.pair_states, got.pair_states) << label;
   EXPECT_EQ(want.calibration_digest, got.calibration_digest) << label;
   EXPECT_EQ(want.semantic_stats, got.semantic_stats) << label;
   EXPECT_EQ(want.corpus_bytes, got.corpus_bytes) << label;
@@ -553,6 +559,7 @@ TEST(CheckpointResume, TransientReportedFaultsAreInvisibleUnderRetry) {
   world.initialize_corpus();
   world.run_until(world.end(), hooks);
   trace.stale = world.engine().stale_pairs();
+  trace.pair_states = pair_state_rows(world);
   trace.calibration_digest = world.engine().calibration().digest();
   trace.semantic_stats = world.semantic_stats_json();
   trace.corpus_bytes = final_corpus_bytes(world);
@@ -743,6 +750,97 @@ TEST(CheckpointResume, TableSnapshotDanglingDictionaryIndexIsRejected) {
   }
 }
 
+void overwrite(std::string& bytes, std::size_t at, const std::string& with) {
+  bytes.replace(at, with.size(), with);
+}
+
+std::string pair_bytes(const tr::PairKey& pair) {
+  store::Encoder enc;
+  signals::put_pair(enc, pair);
+  return enc.take();
+}
+
+// A world's engine section after corpus init and `windows` windows, the
+// cooldown map its signal stream implies, and fresh engines configured like
+// the writer to load damaged copies into. Declare an
+// Interner::ScopedInstance first, so decoded paths stay local to the test.
+struct EngineSection {
+  explicit EngineSection(const WorldParams& params, std::int64_t windows = 24)
+      : world(params), rels(signals::AsRelDb::from_topology(world.topology())) {
+    World::Hooks hooks;
+    hooks.on_signals = [this](std::int64_t, TimePoint,
+                              std::vector<signals::StalenessSignal>&& sigs) {
+      for (const signals::StalenessSignal& s : sigs) {
+        last_fired[s.potential] = s.window;
+      }
+    };
+    world.run_until(world.corpus_t0(), hooks);
+    world.initialize_corpus();
+    world.run_until(world.start() + windows * world.window_seconds(), hooks);
+    store::Encoder enc;
+    world.engine().save_state(enc);
+    bytes = enc.take();
+    engine_params.shards = params.engine_shards;
+    engine_params.threads = params.engine_threads;
+    engine_params.feed_health = params.feed_health;
+  }
+
+  std::unique_ptr<signals::Engine> fresh_engine() {
+    return std::make_unique<signals::Engine>(
+        engine_params, world.processing(), world.feed().vantage_points(),
+        std::set<Asn>{}, rels, std::map<topo::IxpId, std::set<Asn>>{});
+  }
+
+  // The message of the kCorrupt StoreError `damaged` raises in a fresh
+  // engine; empty when it loads.
+  std::string corrupt_error(const std::string& damaged) {
+    auto engine = fresh_engine();
+    store::Decoder dec(damaged);
+    try {
+      engine->load_state(dec);
+    } catch (const store::StoreError& error) {
+      EXPECT_EQ(error.kind(), store::StoreError::Kind::kCorrupt)
+          << error.what();
+      return error.what();
+    }
+    return "";
+  }
+
+  // Offset of `pair`'s corpus record, which opens with its key; the
+  // processed trace follows the probe AS, probe city and window.
+  std::size_t pair_record(const tr::PairKey& pair) {
+    const std::string key = pair_bytes(pair);
+    store::Encoder processed;
+    tracemap::put_processed(processed, *world.engine().processed_of(pair));
+    constexpr std::size_t kBeforeProcessed = 8 + 4 + 2 + 8;
+    for (std::size_t at = bytes.find(processed.buffer());
+         at != std::string::npos;
+         at = bytes.find(processed.buffer(), at + 1)) {
+      if (at >= kBeforeProcessed &&
+          bytes.compare(at - kBeforeProcessed, key.size(), key) == 0) {
+        return at - kBeforeProcessed;
+      }
+    }
+    ADD_FAILURE() << "no corpus record for probe " << pair.probe;
+    return 0;
+  }
+
+  // The corpus pairs filed under `shard`, in pair order.
+  std::vector<tr::PairKey> pairs_of(std::size_t shard) {
+    std::vector<tr::PairKey> out;
+    for (const signals::PairStateView& view : world.engine().pair_states()) {
+      if (world.engine().shard_of(view.pair) == shard) out.push_back(view.pair);
+    }
+    return out;
+  }
+
+  World world;
+  signals::AsRelDb rels;
+  signals::EngineParams engine_params;
+  std::string bytes;
+  std::map<signals::PotentialId, std::int64_t> last_fired;
+};
+
 // Seeded fuzz of the engine's snapshot section: byte stomps, truncations
 // and count overwrites of a real section, each loaded into a fresh engine
 // of the writer's configuration, either load or throw StoreError — never
@@ -752,32 +850,13 @@ TEST(CheckpointResume, TableSnapshotDanglingDictionaryIndexIsRejected) {
 TEST(CheckpointResume, DamagedEngineSectionsLoadOrThrowStoreError) {
   Interner::ScopedInstance interner;  // decoded paths stay local
   // Two shards and feed health on, so every part of the section is there.
-  WorldParams params = tiny_params(81, /*threads=*/1, /*shards=*/2,
-                                   /*faulted=*/true);
-  World world(params);
-  world.run_until(world.corpus_t0(), World::Hooks{});
-  world.initialize_corpus();
-  world.run_until(world.start() + 24 * world.window_seconds(),
-                  World::Hooks{});
-  store::Encoder enc;
-  world.engine().save_state(enc);
-  const std::string section = enc.take();
-
-  signals::EngineParams engine_params;
-  engine_params.shards = params.engine_shards;
-  engine_params.threads = params.engine_threads;
-  engine_params.feed_health = params.feed_health;
-  const signals::AsRelDb rels =
-      signals::AsRelDb::from_topology(world.topology());
-  auto fresh_engine = [&] {
-    return std::make_unique<signals::Engine>(
-        engine_params, world.processing(), world.feed().vantage_points(),
-        std::set<Asn>{}, rels, std::map<topo::IxpId, std::set<Asn>>{});
-  };
+  EngineSection written(tiny_params(81, /*threads=*/1, /*shards=*/2,
+                                    /*faulted=*/true));
+  const std::string& section = written.bytes;
   {
     // The undamaged section round-trips: the fresh engine is configured
     // like the writer.
-    auto engine = fresh_engine();
+    auto engine = written.fresh_engine();
     store::Decoder dec(section);
     engine->load_state(dec);
     EXPECT_TRUE(dec.done());
@@ -816,7 +895,7 @@ TEST(CheckpointResume, DamagedEngineSectionsLoadOrThrowStoreError) {
         break;
       }
     }
-    auto engine = fresh_engine();
+    auto engine = written.fresh_engine();
     store::Decoder dec(bytes);
     try {
       engine->load_state(dec);
@@ -828,6 +907,193 @@ TEST(CheckpointResume, DamagedEngineSectionsLoadOrThrowStoreError) {
   }
   // Some damage lands in fields any value fits (times, ratios, counters).
   EXPECT_GT(loaded, 0u);
+}
+
+// The engine's loaders reject, as kCorrupt, each shape save_state never
+// writes; a loader that accepted one would resume into a world that
+// re-saves different bytes.
+
+TEST(CheckpointResume, EngineRejectsCorpusPairFiledUnderAnotherShard) {
+  Interner::ScopedInstance interner;
+  EngineSection written(tiny_params(83, /*threads=*/1, /*shards=*/2));
+  const std::vector<tr::PairKey> first_shard = written.pairs_of(0);
+  ASSERT_GE(first_shard.size(), 2u);
+  // A key below the shard's first pair, so the order still holds, that
+  // hashes to the other shard.
+  tr::PairKey misfiled = first_shard.front();
+  do {
+    misfiled.dst = Ipv4(misfiled.dst.value() - 1);
+  } while (written.world.engine().shard_of(misfiled) == 0);
+  std::string bytes = written.bytes;
+  overwrite(bytes, written.pair_record(first_shard.front()),
+            pair_bytes(misfiled));
+  EXPECT_NE(written.corrupt_error(bytes).find("another shard"),
+            std::string::npos);
+}
+
+TEST(CheckpointResume, EngineRejectsCorpusPairsOutOfOrderWithinAShard) {
+  Interner::ScopedInstance interner;
+  EngineSection written(tiny_params(83, /*threads=*/1, /*shards=*/2));
+  const std::vector<tr::PairKey> first_shard = written.pairs_of(0);
+  ASSERT_GE(first_shard.size(), 2u);
+  const tr::PairKey& a = first_shard[0];
+  const tr::PairKey& b = first_shard[1];
+  std::string repeated = written.bytes;
+  overwrite(repeated, written.pair_record(b), pair_bytes(a));
+  EXPECT_NE(written.corrupt_error(repeated).find("out of order"),
+            std::string::npos);
+  std::string swapped = written.bytes;
+  overwrite(swapped, written.pair_record(a), pair_bytes(b));
+  overwrite(swapped, written.pair_record(b), pair_bytes(a));
+  EXPECT_NE(written.corrupt_error(swapped).find("out of order"),
+            std::string::npos);
+}
+
+TEST(CheckpointResume, EngineRejectsActiveSignalsRepeatedOrOutOfOrder) {
+  Interner::ScopedInstance interner;
+  // Active sets build up over the day; at 24 windows no pair holds two.
+  EngineSection written(tiny_params(83, /*threads=*/1, /*shards=*/2), 95);
+  const signals::PairStateView* flagged = nullptr;
+  const std::vector<signals::PairStateView> states =
+      written.world.engine().pair_states();
+  for (const signals::PairStateView& view : states) {
+    if (view.active_signals >= 2) {
+      flagged = &view;
+      break;
+    }
+  }
+  ASSERT_NE(flagged, nullptr) << "no pair holds two active signals";
+  // After the processed trace: freshness, watched window, the active
+  // count, then each active signal as its potential and its record.
+  store::Encoder processed, active;
+  tracemap::put_processed(
+      processed, *written.world.engine().processed_of(flagged->pair));
+  signals::put_active(active, signals::ActiveSignal{});
+  const std::size_t first = written.pair_record(flagged->pair) + 8 + 4 + 2 +
+                            8 + processed.buffer().size() + 1 + 8 + 8;
+  const std::size_t entry = 8 + active.buffer().size();
+  const std::string first_key = written.bytes.substr(first, 8);
+  const std::string second_key = written.bytes.substr(first + entry, 8);
+  ASSERT_LT(store::Decoder(first_key).u64(), store::Decoder(second_key).u64());
+
+  std::string repeated = written.bytes;
+  overwrite(repeated, first + entry, first_key);
+  EXPECT_NE(written.corrupt_error(repeated).find("active signals"),
+            std::string::npos);
+  std::string swapped = written.bytes;
+  overwrite(swapped, first, second_key);
+  overwrite(swapped, first + entry, first_key);
+  EXPECT_NE(written.corrupt_error(swapped).find("active signals"),
+            std::string::npos);
+}
+
+TEST(CheckpointResume, EngineRejectsCooldownPotentialsRepeatedOrOutOfOrder) {
+  Interner::ScopedInstance interner;
+  EngineSection written(tiny_params(83, /*threads=*/1, /*shards=*/2));
+  ASSERT_GE(written.last_fired.size(), 2u);
+  // The cooldown map holds every emitted potential's last window; the next
+  // window and the shard count follow it.
+  store::Encoder cooldown;
+  cooldown.u64(written.last_fired.size());
+  for (const auto& [potential, window] : written.last_fired) {
+    cooldown.u64(potential);
+    cooldown.i64(window);
+  }
+  cooldown.i64(static_cast<std::int64_t>(written.world.engine().table_epoch()));
+  cooldown.u32(2);
+  const std::size_t at = written.bytes.find(cooldown.buffer());
+  ASSERT_NE(at, std::string::npos) << "cooldown map not found";
+  const std::size_t first = at + 8;
+  const std::string first_key = written.bytes.substr(first, 8);
+  const std::string second_key = written.bytes.substr(first + 16, 8);
+
+  std::string repeated = written.bytes;
+  overwrite(repeated, first + 16, first_key);
+  EXPECT_NE(written.corrupt_error(repeated).find("cooldown"),
+            std::string::npos);
+  std::string swapped = written.bytes;
+  overwrite(swapped, first, second_key);
+  overwrite(swapped, first + 16, first_key);
+  EXPECT_NE(written.corrupt_error(swapped).find("cooldown"),
+            std::string::npos);
+}
+
+// A PotentialIndex section by hand: `potentials` AS-path potentials, then
+// each pair's relations.
+using PairRelations =
+    std::pair<tr::PairKey, std::vector<signals::PotentialIndex::Relation>>;
+std::string index_section(std::uint64_t potentials,
+                          const std::vector<PairRelations>& pairs) {
+  store::Encoder enc;
+  enc.u64(potentials);
+  for (std::uint64_t i = 0; i < potentials; ++i) {
+    enc.u8(static_cast<std::uint8_t>(signals::Technique::kBgpAsPath));
+  }
+  enc.u64(pairs.size());
+  for (const auto& [pair, relations] : pairs) {
+    signals::put_pair(enc, pair);
+    enc.u64(relations.size());
+    for (const signals::PotentialIndex::Relation& relation : relations) {
+      enc.u64(relation.id);
+      enc.u64(relation.border_index);
+    }
+  }
+  return enc.take();
+}
+
+// The message of the kCorrupt StoreError `bytes` raise in
+// PotentialIndex::load_state; empty when they load.
+std::string index_error(const std::string& bytes) {
+  signals::PotentialIndex index;
+  store::Decoder dec(bytes);
+  try {
+    index.load_state(dec);
+  } catch (const store::StoreError& error) {
+    EXPECT_EQ(error.kind(), store::StoreError::Kind::kCorrupt)
+        << error.what();
+    return error.what();
+  }
+  return "";
+}
+
+const tr::PairKey kPairA{3, Ipv4(0x0A000001)};
+const tr::PairKey kPairB{3, Ipv4(0x0A000002)};
+
+TEST(CheckpointResume, PotentialIndexRejectsPairsRepeatedOrOutOfOrder) {
+  const std::string valid =
+      index_section(2, {{kPairA, {{1, signals::kWholePath}, {2, 0}}},
+                        {kPairB, {{2, 1}}}});
+  EXPECT_EQ(index_error(valid), "");
+  signals::PotentialIndex index;
+  store::Decoder dec(valid);
+  index.load_state(dec);
+  store::Encoder again;
+  index.save_state(again);
+  EXPECT_EQ(again.buffer(), valid);
+
+  EXPECT_NE(index_error(index_section(2, {{kPairA, {{1, 0}}},
+                                          {kPairA, {{2, 0}}}}))
+                .find("out of order"),
+            std::string::npos);
+  EXPECT_NE(index_error(index_section(2, {{kPairB, {{1, 0}}},
+                                          {kPairA, {{2, 0}}}}))
+                .find("out of order"),
+            std::string::npos);
+}
+
+TEST(CheckpointResume, PotentialIndexRejectsRelationRepeatedWithinAPair) {
+  EXPECT_NE(index_error(index_section(2, {{kPairA, {{1, 0}, {2, 0}, {1, 0}}}}))
+                .find("repeated"),
+            std::string::npos);
+}
+
+TEST(CheckpointResume, PotentialIndexRejectsRelationNamingNoPotential) {
+  EXPECT_NE(index_error(index_section(2, {{kPairA, {{0, 0}}}}))
+                .find("names no potential"),
+            std::string::npos);
+  EXPECT_NE(index_error(index_section(2, {{kPairA, {{1, 0}, {3, 0}}}}))
+                .find("names no potential"),
+            std::string::npos);
 }
 
 // Seeded fuzz of the hop patcher's snapshot section: every damaged copy
@@ -1123,32 +1389,38 @@ TEST(CheckpointResume, FrameLayoutMatchesDocumentedSpec) {
 }
 
 // Golden snapshot fixture: when RRR_GOLDEN_SNAPSHOT_DIR is set (CI does),
-// write a deterministic checkpoint there — uploaded as an artifact so
-// format regressions are diffable across PRs — and prove it resumes.
+// write deterministic checkpoints there — uploaded as an artifact so format
+// regressions are diffable across PRs — and prove each resumes. The 1-shard
+// world's checkpoint goes at the top; the same world at 2 shards goes under
+// shards-2/, pinning the engine's multi-shard layout.
 TEST(CheckpointResume, GoldenSnapshotFixture) {
   const char* golden = std::getenv("RRR_GOLDEN_SNAPSHOT_DIR");
   if (golden == nullptr) {
     GTEST_SKIP() << "RRR_GOLDEN_SNAPSHOT_DIR not set";
   }
   store::ensure_dir(golden);
-  WorldParams params = tiny_params(7);
-  DriveSpec make_spec;
-  make_spec.checkpoint_dir = golden;
-  make_spec.checkpoint_every = 4;
-  make_spec.stop_window = 8;
-  drive(params, make_spec);
-  DriveSpec spec;
-  spec.resume_from = golden;
-  spec.resume_window = 8;
-  RunTrace warm = drive(params, spec);
-  EXPECT_EQ(warm.resumed_at, 8);
-  EXPECT_TRUE(warm.finished);
-  // Sidecar digest so artifact diffs have a one-line summary.
-  const std::string snap =
-      std::string(golden) + "/" + store::snapshot_name(8);
+  // Sidecar digest so artifact diffs have a one-line summary per snapshot.
   std::ofstream digest(std::string(golden) + "/DIGEST.txt");
-  digest << store::snapshot_name(8) << " fnv1a64="
-         << store::fnv1a64(read_bytes(snap)) << "\n";
+  for (const auto& [shards, prefix] :
+       {std::pair<int, std::string>{1, ""}, {2, "shards-2/"}}) {
+    const std::string dir = std::string(golden) + "/" + prefix;
+    store::ensure_dir(dir);
+    WorldParams params = tiny_params(7, /*threads=*/1, shards);
+    DriveSpec make_spec;
+    make_spec.checkpoint_dir = dir;
+    make_spec.checkpoint_every = 4;
+    make_spec.stop_window = 8;
+    drive(params, make_spec);
+    DriveSpec spec;
+    spec.resume_from = dir;
+    spec.resume_window = 8;
+    RunTrace warm = drive(params, spec);
+    EXPECT_EQ(warm.resumed_at, 8) << shards << " shard(s)";
+    EXPECT_TRUE(warm.finished) << shards << " shard(s)";
+    const std::string name = store::snapshot_name(8);
+    digest << prefix << name
+           << " fnv1a64=" << store::fnv1a64(read_bytes(dir + name)) << "\n";
+  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // End-to-end determinism of the staleness engine's parallel window closing:
-// the signal stream, stale-pair set, and calibration state must be
-// bit-identical at any engine (shards, threads) combination (the
-// determinism contract, DESIGN.md "Runtime & determinism" and "Sharded
-// engine"), and two serial runs must be byte-identical down to the
-// codec bytes of their final corpus.
+// the signal stream, stale-pair set, per-pair verdict state, and
+// calibration state must be bit-identical at any engine (shards, threads)
+// combination (the determinism contract, DESIGN.md "Runtime & determinism"
+// and "Sharded engine"), and two serial runs must be byte-identical down to
+// the codec bytes of their final corpus.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -53,6 +53,7 @@ using SignalKey = std::tuple<std::int64_t, tr::ProbeId, std::uint32_t,
 struct RunTrace {
   std::vector<SignalKey> signals;
   std::vector<tr::PairKey> stale;
+  std::vector<PairStateRow> pair_states;  // pair_state_rows() at the end
   std::uint64_t calibration_digest = 0;
   std::string corpus_bytes;  // final_corpus_bytes() of the finished world
   std::string semantic_stats;  // JSON of the semantic-domain metrics
@@ -109,6 +110,7 @@ RunTrace run_world(std::uint64_t seed, int engine_threads,
   world.run_until(world.end(), hooks);
 
   trace.stale = world.engine().stale_pairs();
+  trace.pair_states = pair_state_rows(world);
   trace.calibration_digest = world.engine().calibration().digest();
   trace.semantic_stats = world.semantic_stats_json();
   if (world.fault_injector() != nullptr) {
@@ -141,6 +143,7 @@ TEST(Determinism, StalePairsAndCalibrationIdenticalAcrossThreadCounts) {
   RunTrace serial = run_world(12, 1);
   RunTrace parallel = run_world(12, 4);
   EXPECT_EQ(serial.stale, parallel.stale);
+  EXPECT_EQ(serial.pair_states, parallel.pair_states);
   EXPECT_EQ(serial.calibration_digest, parallel.calibration_digest);
 }
 
@@ -176,6 +179,7 @@ TEST(Determinism, ShardGridMatchesSingleShardSerial) {
                                 " threads=" + std::to_string(threads);
       EXPECT_EQ(baseline.signals, run.signals) << point;
       EXPECT_EQ(baseline.stale, run.stale) << point;
+      EXPECT_EQ(baseline.pair_states, run.pair_states) << point;
       EXPECT_EQ(baseline.calibration_digest, run.calibration_digest)
           << point;
       EXPECT_EQ(baseline.corpus_bytes, run.corpus_bytes) << point;
@@ -223,6 +227,7 @@ TEST(Determinism, FaultedGridMatchesSingleShardSerial) {
                                 " threads=" + std::to_string(threads);
       EXPECT_EQ(baseline.signals, run.signals) << point;
       EXPECT_EQ(baseline.stale, run.stale) << point;
+      EXPECT_EQ(baseline.pair_states, run.pair_states) << point;
       EXPECT_EQ(baseline.calibration_digest, run.calibration_digest)
           << point;
       EXPECT_EQ(baseline.corpus_bytes, run.corpus_bytes) << point;
