@@ -12,41 +12,34 @@
 
 namespace rrr::bgp {
 
+inline RecordType enum_last(RecordType) { return RecordType::kWithdrawal; }
+
 // Interned attributes are resolved to content on write and re-interned on
 // read, so the byte format is identical to the pre-interning one and never
-// leaks intern-id values (which are free to differ across runs).
+// leaks intern-id values (which are free to differ across runs). The
+// community set keeps its lenient read (store::get_community_set): which
+// damaged records the fault injector's decode accepts is part of a
+// faulted world's output.
+template <class Io, store::Is<BgpRecord> Self>
+void io(Io& io, Self& record) {
+  io(record.time);
+  io.check(record.time.seconds() >= 0, "BGP record time is negative");
+  io(record.type, record.vp, record.peer_asn, record.peer_ip,
+     record.collector, record.prefix, record.as_path);
+  if constexpr (Io::kLoading) {
+    record.communities = store::get_community_set(io);
+  } else {
+    io(record.communities.view());
+  }
+}
+
 inline void put_record(store::Encoder& enc, const BgpRecord& record) {
-  store::put(enc, record.time);
-  enc.u8(static_cast<std::uint8_t>(record.type));
-  enc.u32(record.vp);
-  store::put(enc, record.peer_asn);
-  store::put(enc, record.peer_ip);
-  enc.str(record.collector.str());
-  store::put(enc, record.prefix);
-  store::put(enc, record.as_path);
-  store::put(enc, record.communities);
+  enc(record);
 }
 
 inline BgpRecord get_record(store::Decoder& dec) {
   BgpRecord record;
-  record.time = store::get_time(dec);
-  if (record.time.seconds() < 0) {
-    throw store::StoreError(store::StoreError::Kind::kCorrupt,
-                            "BGP record time is negative");
-  }
-  const std::uint8_t type = dec.u8();
-  if (type > static_cast<std::uint8_t>(RecordType::kWithdrawal)) {
-    throw store::StoreError(store::StoreError::Kind::kCorrupt,
-                            "BGP record type is unknown");
-  }
-  record.type = static_cast<RecordType>(type);
-  record.vp = dec.u32();
-  record.peer_asn = store::get_asn(dec);
-  record.peer_ip = store::get_ipv4(dec);
-  record.collector = dec.str();
-  record.prefix = store::get_prefix(dec);
-  record.as_path = store::get_as_path(dec);
-  record.communities = store::get_community_set(dec);
+  dec(record);
   return record;
 }
 

@@ -156,21 +156,4 @@ Judgement BitmapDetector::update(double value) {
   return judgement;
 }
 
-void save_ring(store::Encoder& enc, const Ring& values) {
-  enc.u64(values.size());
-  for (double v : values) enc.f64(v);
-}
-
-void load_ring(store::Decoder& dec, Ring& values) {
-  std::uint64_t n = dec.u64();
-  if (n > values.max_size()) {
-    throw store::StoreError(store::StoreError::Kind::kCorrupt,
-                            "detector history holds " + std::to_string(n) +
-                                " values, more than its cap of " +
-                                std::to_string(values.max_size()));
-  }
-  values.clear();
-  for (std::uint64_t i = 0; i < n; ++i) values.push_back(dec.f64());
-}
-
 }  // namespace rrr::detect

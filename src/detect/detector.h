@@ -89,6 +89,24 @@ class Ring {
   const_iterator begin() const { return const_iterator(this, 0); }
   const_iterator end() const { return const_iterator(this, size_); }
 
+  // Snapshot: a u64 count and the values front to back (the byte format of
+  // the deque this replaced, so existing snapshots load as-is). A count
+  // over the cap, the most the detector ever retains, is kCorrupt before
+  // any value is read.
+  template <class Io, class Self>
+  static void io(Io& io, Self& ring) {
+    std::uint64_t n = ring.size();
+    io(n);
+    io.check(n <= ring.max_size(),
+             "detector history holds more values than its cap");
+    if constexpr (Io::kLoading) ring.clear();
+    for (std::uint64_t i = 0; i < n; ++i) {
+      double value = Io::kLoading ? 0.0 : ring[i];
+      io(value);
+      if constexpr (Io::kLoading) ring.push_back(value);
+    }
+  }
+
  private:
   std::size_t slot(std::size_t i) const {
     std::size_t s = head_ + i;
@@ -114,14 +132,6 @@ struct Judgement {
   bool outlier = false;
   double score = 0.0;  // detector-specific magnitude (z-score / distance)
 };
-
-// Shared helpers for the detectors' history-ring state. The byte format
-// (u64 count + f64 values in order) is unchanged from the deque-backed
-// representation these replaced, so existing snapshots load as-is.
-// load_ring throws StoreError kCorrupt, before reading any value, when the
-// stored count exceeds the ring's cap, the most the detector ever retains.
-void save_ring(store::Encoder& enc, const Ring& values);
-void load_ring(store::Decoder& dec, Ring& values);
 
 // Both detectors share one streaming shape. update() feeds the next
 // observed value (missing windows are simply not fed) and judges it.
@@ -156,8 +166,8 @@ class ModifiedZScoreDetector {
   void backfill(double value, std::size_t count);
   // Drops the history, keeping the configuration.
   void reset() { history_.clear(); }
-  void save_state(store::Encoder& enc) const { save_ring(enc, history_); }
-  void load_state(store::Decoder& dec) { load_ring(dec, history_); }
+  void save_state(store::Encoder& enc) const { enc(history_); }
+  void load_state(store::Decoder& dec) { dec(history_); }
 
  private:
   ZScoreParams params_;
@@ -187,14 +197,8 @@ class BitmapDetector {
 
   Judgement update(double value);
   void backfill(double value, std::size_t count);
-  void save_state(store::Encoder& enc) const {
-    save_ring(enc, values_);
-    save_ring(enc, scores_);
-  }
-  void load_state(store::Decoder& dec) {
-    load_ring(dec, values_);
-    load_ring(dec, scores_);
-  }
+  void save_state(store::Encoder& enc) const { enc(values_, scores_); }
+  void load_state(store::Decoder& dec) { dec(values_, scores_); }
 
  private:
   double bitmap_distance() const;

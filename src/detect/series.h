@@ -51,20 +51,15 @@ class LazySeries {
 
   // Checkpoint support: dynamic state only. The owner reconstructs the
   // series with its usual gap policy, then loads.
-  void save_state(store::Encoder& enc) const {
-    detector_.save_state(enc);
-    enc.i64(last_window_);
-    enc.f64(last_value_);
-    enc.boolean(has_last_);
-  }
-  void load_state(store::Decoder& dec) {
-    detector_.load_state(dec);
-    last_window_ = dec.i64();
-    last_value_ = dec.f64();
-    has_last_ = dec.boolean();
-  }
+  void save_state(store::Encoder& enc) const { io(enc, *this); }
+  void load_state(store::Decoder& dec) { io(dec, *this); }
 
  private:
+  template <class Io, class Self>
+  static void io(Io& io, Self& self) {
+    io(self.detector_, self.last_window_, self.last_value_, self.has_last_);
+  }
+
   BitmapDetector detector_;
   GapPolicy gap_;
   std::int64_t last_window_ = std::numeric_limits<std::int64_t>::min();
@@ -110,38 +105,18 @@ class AdaptiveRatioSeries {
 
   // Checkpoint support: dynamic state only (max_multiplier_ is
   // configuration, re-supplied at construction).
-  void save_state(store::Encoder& enc) const {
-    detector_.save_state(enc);
-    enc.i64(multiplier_);
-    enc.i64(consecutive_);
-    enc.i64(misses_at_level_);
-    enc.boolean(armed_);
-    enc.boolean(dormant_);
-    enc.i64(pending_num_);
-    enc.i64(pending_den_);
-    enc.i64(current_agg_);
-    enc.i64(next_agg_);
-    enc.boolean(next_agg_init_);
-    enc.f64(last_ratio_);
-    enc.boolean(has_ratio_);
-  }
-  void load_state(store::Decoder& dec) {
-    detector_.load_state(dec);
-    multiplier_ = dec.i64();
-    consecutive_ = dec.i64();
-    misses_at_level_ = dec.i64();
-    armed_ = dec.boolean();
-    dormant_ = dec.boolean();
-    pending_num_ = dec.i64();
-    pending_den_ = dec.i64();
-    current_agg_ = dec.i64();
-    next_agg_ = dec.i64();
-    next_agg_init_ = dec.boolean();
-    last_ratio_ = dec.f64();
-    has_ratio_ = dec.boolean();
-  }
+  void save_state(store::Encoder& enc) const { io(enc, *this); }
+  void load_state(store::Decoder& dec) { io(dec, *this); }
 
  private:
+  template <class Io, class Self>
+  static void io(Io& io, Self& self) {
+    io(self.detector_, self.multiplier_, self.consecutive_,
+       self.misses_at_level_, self.armed_, self.dormant_, self.pending_num_,
+       self.pending_den_, self.current_agg_, self.next_agg_,
+       self.next_agg_init_, self.last_ratio_, self.has_ratio_);
+  }
+
   void escalate();
 
   ModifiedZScoreDetector detector_;

@@ -55,8 +55,8 @@ class AsPathMonitor final : public Monitor {
   // lists are saved rather than rebuilt because their order feeds the
   // close and therefore the canonical signal merge; the cached standing
   // counts are recomputed from the table on first use.
-  void save_state(store::Encoder& enc) const;
-  void load_state(store::Decoder& dec);
+  void save_state(store::Encoder& enc) const { io(enc, *this); }
+  void load_state(store::Decoder& dec) { io(dec, *this); }
 
  private:
   struct Entry {
@@ -64,12 +64,12 @@ class AsPathMonitor final : public Monitor {
     tr::PairKey pair;
     Asn as;                 // a_j
     InternedPath tau_path;  // τ_d's full AS path; shared across entries
-    std::size_t tau_index;  // position of a_j in tau_path
+    std::size_t tau_index = 0;  // position of a_j in tau_path
     std::size_t border_index = kWholePath;
     // Sorted, duplicate-free; flat instead of std::set for the same
     // resident-set reasons as BurstMonitor's VP lists.
     std::vector<bgp::VpId> v0;
-    detect::LazySeries series;
+    detect::LazySeries series{detect::GapPolicy::kCarryLast};
     double baseline_ratio = 1.0;
     bool touched = false;  // updates buffered this window
     // Windows left in which the series must be re-evaluated even without
@@ -85,6 +85,15 @@ class AsPathMonitor final : public Monitor {
     // buffering an update is an id copy, and the checkpoint codec resolves
     // to content on write (bytes unchanged) / re-interns on read.
     std::vector<std::pair<bgp::VpId, InternedPath>> window_updates;
+
+    template <class Io, class Self>
+    static void io(Io& io, Self& entry) {
+      io(entry.pair, entry.as, entry.tau_path, entry.tau_index);
+      io.check(entry.tau_index < entry.tau_path.size(),
+               "AS-path entry hop lies off its path");
+      io(entry.border_index, entry.v0, entry.series, entry.baseline_ratio,
+         entry.touched, entry.hot_windows, entry.window_updates);
+    }
   };
 
   // (match, intersect) counts over the standing routes of `entry`'s V0,
@@ -110,6 +119,12 @@ class AsPathMonitor final : public Monitor {
   // Its touched list holds the entries updates reached this window.
   BgpEntryIndex<Entry> entries_;
   std::vector<Entry*> hot_;
+
+  template <class Io, class Self>
+  static void io(Io& io, Self& self) {
+    io(self.entries_);
+    BgpEntryIndex<Entry>::ids(io, self.entries_, self.hot_);
+  }
 };
 
 }  // namespace rrr::signals

@@ -1,5 +1,7 @@
 #include "signals/border_monitor.h"
 
+#include <algorithm>
+
 namespace rrr::signals {
 
 std::optional<BorderMonitor::CityPairKey> BorderMonitor::key_of(
@@ -46,57 +48,19 @@ void BorderMonitor::on_public_trace(const tracemap::ProcessedTrace& trace,
   }
 }
 
-void BorderMonitor::save_state(store::Encoder& enc) const {
-  enc.u64(entries_.size());
+void BorderMonitor::register_loaded() {
+  clear_series();
   for (const auto& [key, routers] : entries_) {
-    store::put(enc, key.as_m);
-    enc.u16(key.c_m);
-    store::put(enc, key.as_n);
-    enc.u16(key.c_n);
-    enc.u64(routers.size());
-    for (const RouterSeries* rs : routers) {
-      enc.u64(rs->id);
-      enc.u64(rs->router.value);
-      save_series(enc, *rs);
-    }
-  }
-  save_index(enc);
-}
-
-void BorderMonitor::load_state(store::Decoder& dec) {
-  auto corrupt = [](const char* what) {
-    return store::StoreError(store::StoreError::Kind::kCorrupt, what);
-  };
-  routers_.clear();
-  entries_.clear();
-  clear();
-  std::uint64_t entry_count = dec.u64();
-  for (std::uint64_t i = 0; i < entry_count; ++i) {
-    CityPairKey key;
-    key.as_m = store::get_asn(dec);
-    key.c_m = dec.u16();
-    key.as_n = store::get_asn(dec);
-    key.c_n = dec.u16();
-    if (!entries_.empty() && key <= entries_.rbegin()->first) {
-      throw corrupt("border city pairs out of order or repeated");
-    }
-    std::vector<RouterSeries*>& routers = entries_[key];
-    std::uint64_t router_count = dec.count(8 + 8);
-    routers.reserve(router_count);
-    for (std::uint64_t j = 0; j < router_count; ++j) {
-      PotentialId id = dec.u64();
-      RouterSeries& rs = routers_.emplace_back(zscore());
-      rs.router = tracemap::RouterKey{dec.u64()};
-      for (const RouterSeries* other : routers) {
-        if (other->router == rs.router) {
-          throw corrupt("border router repeated under one city pair");
-        }
+    for (auto it = routers.begin(); it != routers.end(); ++it) {
+      if (std::find_if(routers.begin(), it, [&](const RouterSeries* other) {
+            return other->router == (*it)->router;
+          }) != it) {
+        throw store::StoreError(store::StoreError::Kind::kCorrupt,
+                                "border router repeated under one city pair");
       }
-      load_series(dec, id, rs);
-      routers.push_back(&rs);
+      register_series(**it);
     }
   }
-  load_index(dec);
 }
 
 }  // namespace rrr::signals

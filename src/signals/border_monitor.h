@@ -33,8 +33,8 @@ class BorderMonitor final : public TraceSeriesMonitor {
   // router and its series), then the series index. A load accepts only
   // what a save writes: city pairs strictly ascending and each router once
   // per pair, else kCorrupt.
-  void save_state(store::Encoder& enc) const;
-  void load_state(store::Decoder& dec);
+  void save_state(store::Encoder& enc) const { io(enc, *this); }
+  void load_state(store::Decoder& dec) { io(dec, *this); }
 
  private:
   // ⟨AS_m, c_m⟩ -> ⟨AS_n, c_n⟩.
@@ -44,6 +44,11 @@ class BorderMonitor final : public TraceSeriesMonitor {
     Asn as_n;
     topo::CityId c_n = topo::kNoCity;
     auto operator<=>(const CityPairKey&) const = default;
+
+    template <class Io, class Self>
+    static void io(Io& io, Self& key) {
+      io(key.as_m, key.c_m, key.as_n, key.c_n);
+    }
   };
   struct RouterSeries : Series {
     using Series::Series;
@@ -54,6 +59,28 @@ class BorderMonitor final : public TraceSeriesMonitor {
 
   std::deque<RouterSeries> routers_;  // storage; entries_ points into it
   std::map<CityPairKey, std::vector<RouterSeries*>> entries_;
+
+  // Re-registers loaded series; a router twice under one city pair is
+  // kCorrupt.
+  void register_loaded();
+
+  template <class Io, class Self>
+  static void io(Io& io, Self& self) {
+    if constexpr (Io::kLoading) self.routers_.clear();
+    // A router series holds at least its id and its router.
+    auto routers = [&self](auto& io, auto& list) {
+      io.each(list, 8 + 8, [&self]<class I>(I& io, auto& series) {
+        if constexpr (I::kLoading) {
+          series = &self.routers_.emplace_back(self.zscore());
+        }
+        io(series->id, series->router);
+        Series::io(io, *series);
+      });
+    };
+    io.ordered(self.entries_, "border city pairs", routers);
+    if constexpr (Io::kLoading) self.register_loaded();
+    index_io(io, self);
+  }
 };
 
 }  // namespace rrr::signals

@@ -106,7 +106,6 @@ void BurstMonitor::watch(const CorpusView& view, PotentialIndex& index,
                          pt.as_path.end()),
         .border_index = ingress_border(pt, pt.as_path[j]),
         .v0 = std::move(hop.v0),
-        .series = detect::LazySeries(detect::GapPolicy::kZero),
         .window_dups = {},
         .extras = {},
         .vp_extras = std::move(hop.vp_extras),
@@ -117,7 +116,6 @@ void BurstMonitor::watch(const CorpusView& view, PotentialIndex& index,
       entry.extras.push_back(ExtraSeries{
           .as = as,
           .vps = std::move(vps),
-          .series = detect::LazySeries(detect::GapPolicy::kZero),
           .window_dups = {},
           .outlier_this_window = false,
       });
@@ -255,94 +253,6 @@ std::vector<StalenessSignal> BurstMonitor::close_window(
     }
   }
   return signals;
-}
-
-void BurstMonitor::save_state(store::Encoder& enc) const {
-  auto put_vps = [](store::Encoder& enc, const std::vector<bgp::VpId>& vps) {
-    enc.u64(vps.size());
-    for (bgp::VpId vp : vps) enc.u32(vp);
-  };
-  entries_.save_state(enc, [&](store::Encoder& enc, const Entry& entry) {
-    store::put(enc, entry.suffix);
-    enc.u64(entry.border_index);
-    put_vps(enc, entry.v0);
-    entry.series.save_state(enc);
-    put_vps(enc, entry.window_dups);
-    enc.u64(entry.extras.size());
-    for (const ExtraSeries& extra : entry.extras) {
-      store::put(enc, extra.as);
-      put_vps(enc, extra.vps);
-      extra.series.save_state(enc);
-      put_vps(enc, extra.window_dups);
-      enc.boolean(extra.outlier_this_window);
-    }
-    enc.u64(entry.vp_extras.size());
-    for (const auto& [vp, indices] : entry.vp_extras) {
-      enc.u32(vp);
-      enc.u64(indices.size());
-      for (std::size_t index : indices) enc.u64(index);
-    }
-    enc.boolean(entry.touched);
-  });
-}
-
-void BurstMonitor::load_state(store::Decoder& dec) {
-  auto get_vps = [](store::Decoder& dec) {
-    // The writer emits VPs in sorted order; keeping stream order preserves
-    // the sorted-unique invariant the binary searches rely on.
-    std::vector<bgp::VpId> vps(dec.count(4));
-    for (bgp::VpId& vp : vps) vp = dec.u32();
-    return vps;
-  };
-  entries_.load_state(dec, [&](store::Decoder& dec) {
-    AsPath suffix = store::get_as_path(dec);
-    std::uint64_t border_index = dec.u64();
-    Entry entry{
-        .pair = {},  // id and pair are the store's
-        .suffix = std::move(suffix),
-        .border_index = border_index,
-        .v0 = get_vps(dec),
-        .series = detect::LazySeries(detect::GapPolicy::kZero),
-        .window_dups = {},
-        .extras = {},
-        .vp_extras = {},
-    };
-    entry.series.load_state(dec);
-    entry.window_dups = get_vps(dec);
-    // An extra holds at least its AS, two VP-list counts and its flag.
-    std::uint64_t extra_count = dec.count(4 + 8 + 8 + 1);
-    entry.extras.reserve(extra_count);
-    for (std::uint64_t j = 0; j < extra_count; ++j) {
-      ExtraSeries extra{
-          .as = store::get_asn(dec),
-          .vps = get_vps(dec),
-          .series = detect::LazySeries(detect::GapPolicy::kZero),
-          .window_dups = {},
-          .outlier_this_window = false,
-      };
-      extra.series.load_state(dec);
-      extra.window_dups = get_vps(dec);
-      extra.outlier_this_window = dec.boolean();
-      entry.extras.push_back(std::move(extra));
-    }
-    std::uint64_t vp_extra_count = dec.u64();
-    for (std::uint64_t j = 0; j < vp_extra_count; ++j) {
-      bgp::VpId vp = dec.u32();
-      std::vector<std::size_t>& indices = entry.vp_extras[vp];
-      std::uint64_t index_count = dec.count(8);
-      indices.reserve(index_count);
-      for (std::uint64_t k = 0; k < index_count; ++k) {
-        std::uint64_t index = dec.u64();
-        if (index >= entry.extras.size()) {
-          throw store::StoreError(store::StoreError::Kind::kCorrupt,
-                                  "burst entry names an unknown extra AS");
-        }
-        indices.push_back(index);
-      }
-    }
-    entry.touched = dec.boolean();
-    return entry;
-  });
 }
 
 }  // namespace rrr::signals

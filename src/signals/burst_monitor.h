@@ -57,8 +57,8 @@ class BurstMonitor final : public Monitor {
 
   // Checkpoint support: the entry store's snapshot (BgpEntryIndex), each
   // entry with every dynamic field.
-  void save_state(store::Encoder& enc) const;
-  void load_state(store::Decoder& dec);
+  void save_state(store::Encoder& enc) const { enc(entries_); }
+  void load_state(store::Decoder& dec) { dec(entries_); }
 
  private:
   // Sorted duplicate-free VP lists, flat instead of std::set: the monitor
@@ -71,9 +71,15 @@ class BurstMonitor final : public Monitor {
   struct ExtraSeries {
     Asn as;                      // a_k, traversed outside the overlap
     VpList vps;                  // W^{k,d}
-    detect::LazySeries series;   // U'^{k,d}
+    detect::LazySeries series{detect::GapPolicy::kZero};  // U'^{k,d}
     VpList window_dups;
     bool outlier_this_window = false;
+
+    template <class Io, class Self>
+    static void io(Io& io, Self& extra) {
+      io(extra.as, extra.vps, extra.series, extra.window_dups,
+         extra.outlier_this_window);
+    }
   };
 
   struct Entry {                  // one per (pair, suffix start j)
@@ -82,12 +88,26 @@ class BurstMonitor final : public Monitor {
     InternedPath suffix;         // {a_j .. a_d}; shared across entries
     std::size_t border_index = kWholePath;
     VpList v0;                   // VPs sharing the suffix at watch time
-    detect::LazySeries series;   // U^{j,d}
+    detect::LazySeries series{detect::GapPolicy::kZero};  // U^{j,d}
     VpList window_dups;
     std::vector<ExtraSeries> extras;
     // Extra ASes traversed per V0 VP (indices into `extras`).
     std::map<bgp::VpId, std::vector<std::size_t>> vp_extras;
     bool touched = false;  // duplicates buffered this window
+
+    template <class Io, class Self>
+    static void io(Io& io, Self& entry) {
+      io(entry.pair, entry.suffix, entry.border_index, entry.v0,
+         entry.series, entry.window_dups, entry.extras);
+      io.ordered(entry.vp_extras, "burst entry VPs");
+      for (const auto& [vp, indices] : entry.vp_extras) {
+        for (std::size_t index : indices) {
+          io.check(index < entry.extras.size(),
+                   "burst entry names an unknown extra AS");
+        }
+      }
+      io(entry.touched);
+    }
   };
 
   runtime::ThreadPool* pool_ = nullptr;

@@ -26,6 +26,7 @@ enum class Outcome : std::uint8_t {
   kTrueNegative,
   kFalseNegative,
 };
+inline Outcome enum_last(Outcome) { return Outcome::kFalseNegative; }
 
 class Calibration {
  public:
@@ -50,49 +51,11 @@ class Calibration {
   // order, with outcome bytes 0-3; load_state rejects anything else as
   // kCorrupt, so a loaded state re-saves the bytes it read. A load that
   // throws leaves the tallies as they were.
-  void save_state(store::Encoder& enc) const {
-    enc.u64(tallies_.size());
-    for (const auto& [key, tally] : tallies_) {
-      enc.u32(key.first);
-      enc.u64(key.second);
-      enc.u64(tally.events.size());
-      for (const auto& [window, outcome] : tally.events) {
-        enc.i64(window);
-        enc.u8(static_cast<std::uint8_t>(outcome));
-      }
-      enc.i64(tally.first_window);
-      enc.i64(tally.last_window);
-    }
-  }
+  void save_state(store::Encoder& enc) const { io(enc, *this); }
   void load_state(store::Decoder& dec) {
-    auto corrupt = [](const char* what) {
-      return store::StoreError(store::StoreError::Kind::kCorrupt, what);
-    };
-    decltype(tallies_) tallies;
-    // A tally holds its key, an event count and two window bounds; an
-    // event, a window and an outcome byte.
-    const std::uint64_t count = dec.count(4 + 8 + 8 + 8 + 8);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      std::pair<tr::ProbeId, PotentialId> key;
-      key.first = dec.u32();
-      key.second = dec.u64();
-      if (!tallies.empty() && key <= tallies.rbegin()->first) {
-        throw corrupt("calibration keys out of order or repeated");
-      }
-      Tally& tally = tallies.emplace_hint(tallies.end(), key, Tally{})->second;
-      const std::uint64_t event_count = dec.count(8 + 1);
-      for (std::uint64_t j = 0; j < event_count; ++j) {
-        const std::int64_t window = dec.i64();
-        const std::uint8_t outcome = dec.u8();
-        if (outcome > static_cast<std::uint8_t>(Outcome::kFalseNegative)) {
-          throw corrupt("calibration outcome byte out of range");
-        }
-        tally.events.emplace_back(window, static_cast<Outcome>(outcome));
-      }
-      tally.first_window = dec.i64();
-      tally.last_window = dec.i64();
-    }
-    tallies_ = std::move(tallies);
+    Calibration loaded;
+    io(dec, loaded);
+    *this = std::move(loaded);
   }
 
  private:
@@ -100,6 +63,11 @@ class Calibration {
     std::deque<std::pair<std::int64_t, Outcome>> events;
     std::int64_t first_window = -1;
     std::int64_t last_window = -1;
+
+    template <class Io, class Self>
+    static void io(Io& io, Self& tally) {
+      io(tally.events, tally.first_window, tally.last_window);
+    }
   };
   struct Counts {
     int tp = 0, fp = 0, tn = 0, fn = 0;
@@ -108,6 +76,11 @@ class Calibration {
   const Tally* find(tr::ProbeId vp, PotentialId signal) const;
 
   std::map<std::pair<tr::ProbeId, PotentialId>, Tally> tallies_;
+
+  template <class Io, class Self>
+  static void io(Io& io, Self& self) {
+    io.ordered(self.tallies_, "calibration keys");
+  }
 };
 
 // A signal currently indicating that its pair is stale.

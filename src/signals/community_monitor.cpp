@@ -262,50 +262,6 @@ std::vector<StalenessSignal> CommunityMonitor::close_window(
   });
 }
 
-void CommunityMonitor::save_state(store::Encoder& enc) const {
-  enc.i64(stats_.records);
-  enc.i64(stats_.diffs);
-  enc.i64(stats_.no_prev_overlap);
-  enc.i64(stats_.no_new_overlap);
-  enc.i64(stats_.path_rule);
-  enc.i64(stats_.known_elsewhere);
-  enc.i64(stats_.pruned);
-  enc.i64(stats_.fired);
-  entries_.save_state(enc, [](store::Encoder& enc, const Entry& entry) {
-    store::put(enc, entry.as);
-    store::put(enc, entry.tau_path);
-    enc.u64(entry.tau_index);
-    enc.u64(entry.border_index);
-    store::put(enc, entry.baseline);
-    enc.boolean(entry.touched);
-    store::put(enc, entry.pending_community);
-    enc.i64(entry.pending_vp_count);
-  });
-}
-
-void CommunityMonitor::load_state(store::Decoder& dec) {
-  stats_.records = dec.i64();
-  stats_.diffs = dec.i64();
-  stats_.no_prev_overlap = dec.i64();
-  stats_.no_new_overlap = dec.i64();
-  stats_.path_rule = dec.i64();
-  stats_.known_elsewhere = dec.i64();
-  stats_.pruned = dec.i64();
-  stats_.fired = dec.i64();
-  entries_.load_state(dec, [](store::Decoder& dec) {
-    Entry entry;
-    entry.as = store::get_asn(dec);
-    entry.tau_path = store::get_as_path(dec);
-    entry.tau_index = dec.u64();
-    entry.border_index = dec.u64();
-    entry.baseline = store::get_community_set(dec);
-    entry.touched = dec.boolean();
-    entry.pending_community = store::get_community(dec);
-    entry.pending_vp_count = static_cast<int>(dec.i64());
-    return entry;
-  });
-}
-
 bool CommunityMonitor::reverted(PotentialId id) const {
   const Entry* entry = entries_.find(id);
   return entry != nullptr && baseline_communities(*entry) == entry->baseline;

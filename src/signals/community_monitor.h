@@ -45,61 +45,17 @@ class CommunityReputation {
   struct Stats {
     int tp = 0;
     int fp = 0;
+
+    template <class Io, class Self>
+    static void io(Io& io, Self& stats) {
+      io(stats.tp, stats.fp);
+    }
   };
   const std::map<Community, Stats>& stats() const { return stats_; }
 
   // Checkpoint support: round-trips the three tally maps.
-  void save_state(store::Encoder& enc) const {
-    auto put_stats = [&enc](const Stats& stats) {
-      enc.i64(stats.tp);
-      enc.i64(stats.fp);
-    };
-    enc.u64(stats_.size());
-    for (const auto& [community, stats] : stats_) {
-      store::put(enc, community);
-      put_stats(stats);
-    }
-    enc.u64(pair_stats_.size());
-    for (const auto& [key, stats] : pair_stats_) {
-      store::put(enc, key.first);
-      put_pair(enc, key.second);
-      put_stats(stats);
-    }
-    enc.u64(definer_stats_.size());
-    for (const auto& [key, stats] : definer_stats_) {
-      store::put(enc, key.first);
-      put_pair(enc, key.second);
-      put_stats(stats);
-    }
-  }
-  void load_state(store::Decoder& dec) {
-    stats_.clear();
-    pair_stats_.clear();
-    definer_stats_.clear();
-    auto get_stats = [&dec]() {
-      Stats stats;
-      stats.tp = static_cast<int>(dec.i64());
-      stats.fp = static_cast<int>(dec.i64());
-      return stats;
-    };
-    std::uint64_t n = dec.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Community community = store::get_community(dec);
-      stats_[community] = get_stats();
-    }
-    n = dec.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Community community = store::get_community(dec);
-      tr::PairKey pair = get_pair(dec);
-      pair_stats_[{community, pair}] = get_stats();
-    }
-    n = dec.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Asn definer = store::get_asn(dec);
-      tr::PairKey pair = get_pair(dec);
-      definer_stats_[{definer, pair}] = get_stats();
-    }
-  }
+  void save_state(store::Encoder& enc) const { io(enc, *this); }
+  void load_state(store::Decoder& dec) { io(dec, *this); }
 
  private:
   std::map<Community, Stats> stats_;
@@ -108,6 +64,13 @@ class CommunityReputation {
   // mis-predict for a traceroute, the BGP path evidently traverses a
   // different portion of that AS than the traceroute does.
   std::map<std::pair<Asn, tr::PairKey>, Stats> definer_stats_;
+
+  template <class Io, class Self>
+  static void io(Io& io, Self& self) {
+    io.ordered(self.stats_, "reputation communities");
+    io.ordered(self.pair_stats_, "reputation (community, pair) keys");
+    io.ordered(self.definer_stats_, "reputation (definer, pair) keys");
+  }
 };
 
 // Each hop a_j's baseline of a corpus AS path τ: the communities defined by
@@ -140,13 +103,20 @@ class CommunityMonitor final : public Monitor {
     std::int64_t known_elsewhere = 0;  // suppressed: community visible on another VP
     std::int64_t pruned = 0;           // suppressed: reputation
     std::int64_t fired = 0;            // pending signals created
+
+    template <class Io, class Self>
+    static void io(Io& io, Self& stats) {
+      io(stats.records, stats.diffs, stats.no_prev_overlap,
+         stats.no_new_overlap, stats.path_rule, stats.known_elsewhere,
+         stats.pruned, stats.fired);
+    }
   };
   const Stats& stats() const { return stats_; }
 
   // Checkpoint support: the stats, then the entry store's snapshot
   // (BgpEntryIndex), whose touched list holds the pending entries.
-  void save_state(store::Encoder& enc) const;
-  void load_state(store::Decoder& dec);
+  void save_state(store::Encoder& enc) const { io(enc, *this); }
+  void load_state(store::Decoder& dec) { io(dec, *this); }
 
  private:
   mutable Stats stats_;
@@ -168,6 +138,13 @@ class CommunityMonitor final : public Monitor {
     bool touched = false;
     Community pending_community;
     int pending_vp_count = 0;
+
+    template <class Io, class Self>
+    static void io(Io& io, Self& entry) {
+      io(entry.pair, entry.as, entry.tau_path, entry.tau_index,
+         entry.border_index, entry.baseline, entry.touched,
+         entry.pending_community, entry.pending_vp_count);
+    }
   };
 
   // Communities defined by `definer` on any *other* overlapping VP's
@@ -182,6 +159,11 @@ class CommunityMonitor final : public Monitor {
   const BgpContext& context_;
   CommunityReputation& reputation_;
   BgpEntryIndex<Entry> entries_;
+
+  template <class Io, class Self>
+  static void io(Io& io, Self& self) {
+    io(self.stats_, self.entries_);
+  }
 };
 
 }  // namespace rrr::signals

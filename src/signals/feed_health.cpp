@@ -185,8 +185,7 @@ void FeedHealthTracker::advance(Stream& stream, const Feed& feed,
 FeedHealthTracker::CloseResult FeedHealthTracker::close_feed(
     Feed& feed, std::int64_t window) {
   CloseResult result;
-  const auto ring = static_cast<std::size_t>(
-      std::max<std::int64_t>(params_.max_horizon_windows, 1));
+  const std::size_t ring = ring_size();
   if (feed.totals.size() != ring) feed.totals.assign(ring, 0);
 
   // Pass 1: drain this window's counts into every stream's ring and the
@@ -271,122 +270,6 @@ bool FeedHealthTracker::bgp_quarantined(bgp::VpId vp) const {
 bool FeedHealthTracker::trace_quarantined(tr::ProbeId probe) const {
   FeedState state = trace_state(probe);
   return state == FeedState::kDead || state == FeedState::kRecovering;
-}
-
-void FeedHealthTracker::save_state(store::Encoder& enc) const {
-  auto save_feed = [&](const Feed& feed) {
-    enc.u64(feed.streams.size());
-    for (const auto& [id, stream] : feed.streams) {
-      enc.u32(id);
-      enc.f64(stream.baseline);
-      enc.u8(static_cast<std::uint8_t>(stream.state));
-      enc.i64(stream.gap_streak);
-      enc.i64(stream.ok_streak);
-      enc.i64(stream.seen_windows);
-      enc.u64(stream.recent.size());
-      for (std::int64_t v : stream.recent) enc.i64(v);
-      enc.u64(stream.recent_pos);
-      enc.u64(stream.pending.size());
-      for (const auto& [window, count] : stream.pending) {
-        enc.i64(window);
-        enc.i64(count);
-      }
-    }
-    enc.u64(feed.totals.size());
-    for (std::int64_t v : feed.totals) enc.i64(v);
-    enc.u64(feed.totals_pos);
-    enc.i64(feed.seen_windows);
-  };
-  save_feed(bgp_);
-  save_feed(trace_);
-  // Written as (name, local id) sorted by name — exactly the bytes the
-  // pre-interning std::map<std::string, id> emitted — so snapshots depend
-  // only on content, never on global intern-id assignment history.
-  std::vector<std::pair<std::string_view, std::uint32_t>> collectors;
-  collectors.reserve(collector_local_.size());
-  for (const auto& [collector, local] : collector_local_) {
-    collectors.emplace_back(Interner::global().collector(collector), local);
-  }
-  std::sort(collectors.begin(), collectors.end());
-  enc.u64(collectors.size());
-  for (const auto& [name, local] : collectors) {
-    enc.str(name);
-    enc.u32(local);
-  }
-  enc.u64(vp_collector_.size());
-  for (const auto& [vp, id] : vp_collector_) {
-    enc.u32(vp);
-    enc.u32(id);
-  }
-  enc.boolean(bgp_degraded_);
-  enc.boolean(trace_degraded_);
-  enc.f64(bgp_quarantined_fraction_);
-  enc.f64(trace_quarantined_fraction_);
-}
-
-void FeedHealthTracker::load_state(store::Decoder& dec) {
-  // Every ring is empty (never closed) or ring-sized, and its write
-  // position lies inside the ring close_feed() sizes it to.
-  const auto ring = static_cast<std::size_t>(
-      std::max<std::int64_t>(params_.max_horizon_windows, 1));
-  auto load_ring = [&](std::vector<std::int64_t>& values, std::size_t& pos) {
-    std::uint64_t size = dec.u64();
-    if (size != 0 && size != ring) {
-      throw store::StoreError(store::StoreError::Kind::kCorrupt,
-                              "feed-health ring has the wrong size");
-    }
-    values.assign(size, 0);
-    for (std::int64_t& v : values) v = dec.i64();
-    pos = dec.u64();
-    if (pos >= ring) {
-      throw store::StoreError(store::StoreError::Kind::kCorrupt,
-                              "feed-health ring position is out of range");
-    }
-  };
-  auto load_feed = [&](Feed& feed) {
-    feed.streams.clear();
-    std::uint64_t stream_count = dec.u64();
-    for (std::uint64_t i = 0; i < stream_count; ++i) {
-      std::uint32_t id = dec.u32();
-      Stream& stream = feed.streams[id];
-      stream.baseline = dec.f64();
-      std::uint8_t state = dec.u8();
-      if (state > static_cast<std::uint8_t>(FeedState::kRecovering)) {
-        throw store::StoreError(store::StoreError::Kind::kCorrupt,
-                                "feed-health stream state is unknown");
-      }
-      stream.state = static_cast<FeedState>(state);
-      stream.gap_streak = dec.i64();
-      stream.ok_streak = dec.i64();
-      stream.seen_windows = dec.i64();
-      load_ring(stream.recent, stream.recent_pos);
-      std::uint64_t pending = dec.u64();
-      for (std::uint64_t j = 0; j < pending; ++j) {
-        std::int64_t window = dec.i64();
-        stream.pending[window] = dec.i64();
-      }
-    }
-    load_ring(feed.totals, feed.totals_pos);
-    feed.seen_windows = dec.i64();
-  };
-  load_feed(bgp_);
-  load_feed(trace_);
-  collector_local_.clear();
-  std::uint64_t collectors = dec.u64();
-  for (std::uint64_t i = 0; i < collectors; ++i) {
-    std::string collector(dec.str());
-    collector_local_[Interner::global().collector_id(collector)] = dec.u32();
-  }
-  vp_collector_.clear();
-  std::uint64_t vps = dec.u64();
-  for (std::uint64_t i = 0; i < vps; ++i) {
-    bgp::VpId vp = dec.u32();
-    vp_collector_[vp] = dec.u32();
-  }
-  bgp_degraded_ = dec.boolean();
-  trace_degraded_ = dec.boolean();
-  bgp_quarantined_fraction_ = dec.f64();
-  trace_quarantined_fraction_ = dec.f64();
 }
 
 }  // namespace rrr::signals

@@ -41,9 +41,11 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bgp/record.h"
+#include "netbase/intern.h"
 #include "store/serial.h"
 #include "traceroute/traceroute.h"
 
@@ -60,6 +62,7 @@ enum class FeedState : std::uint8_t {
   kDead = 2,
   kRecovering = 3,
 };
+inline FeedState enum_last(FeedState) { return FeedState::kRecovering; }
 
 const char* to_string(FeedState state);
 
@@ -160,8 +163,8 @@ class FeedHealthTracker {
   // subsequent judgements are bit-identical to the uninterrupted one
   // (asserted by tests/checkpoint_resume_test.cpp). The exported gauges
   // are refreshed on the next close_window.
-  void save_state(store::Encoder& enc) const;
-  void load_state(store::Decoder& dec);
+  void save_state(store::Encoder& enc) const { io(enc, *this); }
+  void load_state(store::Decoder& dec) { io(dec, *this); }
 
  private:
   struct Stream {
@@ -202,6 +205,53 @@ class FeedHealthTracker {
     std::int64_t quarantined = 0;
   };
   CloseResult close_feed(Feed& feed, std::int64_t window);
+  // The length of every arrival ring, max_horizon_windows (at least 1).
+  std::size_t ring_size() const {
+    return static_cast<std::size_t>(
+        std::max<std::int64_t>(params_.max_horizon_windows, 1));
+  }
+
+  template <class Io, class Self>
+  static void io(Io& io, Self& self) {
+    // Every ring is empty (never closed) or ring-sized, and its write
+    // position lies inside the ring close_feed() sizes it to.
+    auto ring = [size = self.ring_size()](auto& io, auto& values, auto& pos) {
+      io(values, pos);
+      io.check(values.empty() || values.size() == size,
+               "feed-health ring has the wrong size");
+      io.check(pos < size, "feed-health ring position is out of range");
+    };
+    auto stream = [&ring](auto& io, auto& stream) {
+      io(stream.baseline, stream.state, stream.gap_streak, stream.ok_streak,
+         stream.seen_windows);
+      ring(io, stream.recent, stream.recent_pos);
+      io.ordered(stream.pending, "feed-health pending windows");
+    };
+    for (auto* feed : {&self.bgp_, &self.trace_}) {
+      io.ordered(feed->streams, "feed-health streams", stream);
+      ring(io, feed->totals, feed->totals_pos);
+      io(feed->seen_windows);
+    }
+    // Collectors as (name, local id) in name order — the bytes of the
+    // pre-interning std::map<std::string, id> — so snapshots depend only on
+    // content, never on intern-id assignment history.
+    std::map<std::string_view, std::uint32_t> collectors;
+    if constexpr (!Io::kLoading) {
+      for (const auto& [collector, local] : self.collector_local_) {
+        collectors.emplace(Interner::global().collector(collector), local);
+      }
+    }
+    io.ordered(collectors, "feed-health collectors");
+    if constexpr (Io::kLoading) {
+      self.collector_local_.clear();
+      for (const auto& [name, local] : collectors) {
+        self.collector_local_[Interner::global().collector_id(name)] = local;
+      }
+    }
+    io.ordered(self.vp_collector_, "feed-health VPs");
+    io(self.bgp_degraded_, self.trace_degraded_,
+       self.bgp_quarantined_fraction_, self.trace_quarantined_fraction_);
+  }
 
   FeedHealthParams params_;
   // BGP streams are keyed by a tracker-local dense id assigned in serial

@@ -9,7 +9,6 @@ void IxpMonitor::watch(const CorpusView& view, PotentialIndex& index) {
   const tracemap::ProcessedTrace& pt = view.processed;
   if (pt.as_path.empty()) return;
   WatchedPair watched;
-  watched.key = view.key;
   watched.path = pt.as_path;
   watched.ingress_border.assign(pt.as_path.size(), kWholePath);
   for (std::size_t p = 0; p < pt.as_path.size(); ++p) {
@@ -123,81 +122,6 @@ void IxpMonitor::on_public_trace(const tracemap::ProcessedTrace& trace,
     // member; far-end neighbors are ignored (§4.2.3).
     handle_new_member(hop.ixp, near.asn);
   }
-}
-
-void IxpMonitor::save_state(store::Encoder& enc) const {
-  auto put_asns = [&enc](const std::set<Asn>& asns) {
-    enc.u64(asns.size());
-    for (Asn asn : asns) store::put(enc, asn);
-  };
-  enc.u64(members_.size());
-  for (const auto& [ixp, members] : members_) {
-    enc.u16(ixp);
-    put_asns(members);
-  }
-  enc.u64(watched_.size());
-  for (const auto& [pair, watched] : watched_) {
-    put_pair(enc, pair);
-    store::put(enc, watched.path);
-    enc.u64(watched.ingress_border.size());
-    for (std::size_t border : watched.ingress_border) enc.u64(border);
-  }
-  enc.u64(by_as_.size());
-  for (const auto& [asn, pairs] : by_as_) {
-    store::put(enc, asn);
-    enc.u64(pairs.size());
-    for (const tr::PairKey& pair : pairs) put_pair(enc, pair);
-  }
-  enc.u64(pending_.size());
-  for (const StalenessSignal& signal : pending_) put_signal(enc, signal);
-  enc.u64(detected_joins_);
-}
-
-void IxpMonitor::load_state(store::Decoder& dec, PotentialIndex* index) {
-  index_ = index;
-  members_.clear();
-  watched_.clear();
-  by_as_.clear();
-  pending_.clear();
-  auto get_asns = [&dec]() {
-    std::set<Asn> asns;
-    std::uint64_t n = dec.u64();
-    for (std::uint64_t i = 0; i < n; ++i) asns.insert(store::get_asn(dec));
-    return asns;
-  };
-  std::uint64_t member_count = dec.u64();
-  for (std::uint64_t i = 0; i < member_count; ++i) {
-    topo::IxpId ixp = dec.u16();
-    members_[ixp] = get_asns();
-  }
-  std::uint64_t watched_count = dec.u64();
-  for (std::uint64_t i = 0; i < watched_count; ++i) {
-    tr::PairKey pair = get_pair(dec);
-    WatchedPair watched;
-    watched.key = pair;
-    watched.path = store::get_as_path(dec);
-    std::uint64_t border_count = dec.count(8);
-    watched.ingress_border.reserve(border_count);
-    for (std::uint64_t j = 0; j < border_count; ++j) {
-      watched.ingress_border.push_back(dec.u64());
-    }
-    watched_[pair] = std::move(watched);
-  }
-  std::uint64_t as_count = dec.u64();
-  for (std::uint64_t i = 0; i < as_count; ++i) {
-    Asn asn = store::get_asn(dec);
-    std::set<tr::PairKey>& pairs = by_as_[asn];
-    std::uint64_t pair_count = dec.u64();
-    for (std::uint64_t j = 0; j < pair_count; ++j) {
-      pairs.insert(get_pair(dec));
-    }
-  }
-  std::uint64_t pending_count = dec.count(kSignalBytes);
-  pending_.reserve(pending_count);
-  for (std::uint64_t i = 0; i < pending_count; ++i) {
-    pending_.push_back(get_signal(dec));
-  }
-  detected_joins_ = dec.u64();
 }
 
 std::vector<StalenessSignal> IxpMonitor::close_window(std::int64_t window,

@@ -40,15 +40,22 @@ class IxpMonitor final : public Monitor {
   // Checkpoint support. The potential index is re-bound explicitly on load
   // (it is normally captured at first watch, which a restored monitor may
   // never see again).
-  void save_state(store::Encoder& enc) const;
-  void load_state(store::Decoder& dec, PotentialIndex* index);
+  void save_state(store::Encoder& enc) const { io(enc, *this); }
+  void load_state(store::Decoder& dec, PotentialIndex* index) {
+    io(dec, *this);
+    index_ = index;
+  }
 
  private:
   struct WatchedPair {
-    tr::PairKey key;
     AsPath path;
     // For AS at path position p, the border index whose far side is it.
     std::vector<std::size_t> ingress_border;
+
+    template <class Io, class Self>
+    static void io(Io& io, Self& watched) {
+      io(watched.path, watched.ingress_border);
+    }
   };
 
   void handle_new_member(topo::IxpId ixp, Asn joiner);
@@ -60,6 +67,18 @@ class IxpMonitor final : public Monitor {
   PotentialIndex* index_ = nullptr;  // bound at first watch
   std::vector<StalenessSignal> pending_;
   std::size_t detected_joins_ = 0;
+
+  template <class Io, class Self>
+  static void io(Io& io, Self& self) {
+    io.ordered(self.members_, "IXP ids", [](auto& io, auto& members) {
+      io.ordered(members, "IXP members");
+    });
+    io.ordered(self.watched_, "IXP watched pairs");
+    io.ordered(self.by_as_, "IXP ASes", [](auto& io, auto& pairs) {
+      io.ordered(pairs, "IXP AS pairs");
+    });
+    io(self.pending_, self.detected_joins_);
+  }
 };
 
 }  // namespace rrr::signals

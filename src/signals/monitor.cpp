@@ -64,40 +64,18 @@ void PotentialIndex::unrelate_pair(const tr::PairKey& pair) {
   by_pair_.erase(pair);
 }
 
-void PotentialIndex::load_state(store::Decoder& dec) {
-  techniques_.clear();
-  by_pair_.clear();
-  std::uint64_t count = dec.count(1);
-  techniques_.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    techniques_.push_back(get_technique(dec));
-  }
+void PotentialIndex::check_relations() const {
   auto corrupt = [](const char* what) {
     return store::StoreError(store::StoreError::Kind::kCorrupt, what);
   };
-  std::uint64_t pair_count = dec.u64();
-  for (std::uint64_t i = 0; i < pair_count; ++i) {
-    tr::PairKey pair = get_pair(dec);
-    if (!by_pair_.empty() && !(by_pair_.rbegin()->first < pair)) {
-      throw corrupt("potential-index pairs repeated or out of order");
-    }
-    std::vector<Relation>& relations =
-        by_pair_.emplace_hint(by_pair_.end(), pair, std::vector<Relation>{})
-            ->second;
-    std::uint64_t relation_count = dec.count(8 + 8);
-    relations.reserve(relation_count);
-    for (std::uint64_t j = 0; j < relation_count; ++j) {
-      Relation relation;
-      relation.id = dec.u64();
-      relation.border_index = dec.u64();
-      if (relation.id == kNoPotential || relation.id > techniques_.size()) {
+  for (const auto& [pair, relations] : by_pair_) {
+    for (auto it = relations.begin(); it != relations.end(); ++it) {
+      if (it->id == kNoPotential || it->id > techniques_.size()) {
         throw corrupt("potential-index relation names no potential");
       }
-      if (std::find(relations.begin(), relations.end(), relation) !=
-          relations.end()) {
+      if (std::find(relations.begin(), it, *it) != it) {
         throw corrupt("potential-index relation repeated within its pair");
       }
-      relations.push_back(relation);
     }
   }
 }

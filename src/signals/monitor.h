@@ -51,6 +51,11 @@ class PotentialIndex {
     PotentialId id = kNoPotential;
     std::size_t border_index = kWholePath;
     auto operator<=>(const Relation&) const = default;
+
+    template <class Io, class Self>
+    static void io(Io& io, Self& relation) {
+      io(relation.id, relation.border_index);
+    }
   };
   // All potentials related to `pair` (empty vector when none).
   const std::vector<Relation>& relations_of(const tr::PairKey& pair) const;
@@ -63,31 +68,40 @@ class PotentialIndex {
 
   // Checkpoint support: round-trips the id->technique table and every
   // pair relation (pairs in order), so restored ids keep their meanings
-  // and calibration grading sees the same silent/firing partition.
-  void save_state(store::Encoder& enc) const {
-    enc.u64(techniques_.size());
-    for (Technique technique : techniques_) {
-      enc.u8(static_cast<std::uint8_t>(technique));
-    }
-    enc.u64(by_pair_.size());
-    for (const auto& [pair, relations] : by_pair_) {
-      put_pair(enc, pair);
-      enc.u64(relations.size());
-      for (const Relation& relation : relations) {
-        enc.u64(relation.id);
-        enc.u64(relation.border_index);
-      }
-    }
-  }
-  // A pair repeated or out of order, a relation repeated within its pair,
-  // or one naming no created potential is kCorrupt.
-  void load_state(store::Decoder& dec);
+  // and calibration grading sees the same silent/firing partition. A pair
+  // repeated or out of order, a relation repeated within its pair, or one
+  // naming no created potential is kCorrupt.
+  void save_state(store::Encoder& enc) const { io(enc, *this); }
+  void load_state(store::Decoder& dec) { io(dec, *this); }
 
  private:
   std::vector<Technique> techniques_;  // indexed by (id - 1)
   std::map<tr::PairKey, std::vector<Relation>> by_pair_;
   std::array<obs::Counter*, kTechniqueCount> opened_{};
+
+  template <class Io, class Self>
+  static void io(Io& io, Self& self) {
+    io(self.techniques_);
+    io.ordered(self.by_pair_, "potential-index pairs");
+    if constexpr (Io::kLoading) self.check_relations();
+  }
+  void check_relations() const;
 };
+
+// A list of potential owners (BGP entries, trace series) as their ids, the
+// snapshot form of the monitors' indexes: on load `find(id)` resolves each
+// id, and one it cannot resolve is kCorrupt.
+template <class Io, class List, class Find>
+void potential_ids(Io& io, List& list, Find&& find) {
+  io.each(list, sizeof(PotentialId), [&]<class I>(I& io, auto& owner) {
+    PotentialId id = I::kLoading ? kNoPotential : owner->id;
+    io(id);
+    if constexpr (I::kLoading) {
+      owner = find(id);
+      io.check(owner != nullptr, "monitor index names an unknown potential");
+    }
+  });
+}
 
 // A BGP record as dispatched to monitors: attributes normalized (§4.1.1)
 // and duplicate status precomputed against the standing table. The

@@ -12,27 +12,48 @@ std::uint64_t SubpathMonitor::key_of(const std::vector<Ipv4>& ips) {
   return h;
 }
 
-SubpathMonitor::Segment* SubpathMonitor::add_segment(std::vector<Ipv4> ips) {
-  const auto position = static_cast<std::uint32_t>(segments_.size());
-  if (!by_key_.insert(IndexSlot{key_of(ips), position}).second) {
-    return nullptr;
+bool SubpathMonitor::index_segment(std::uint32_t position) {
+  Segment& segment = segments_[position];
+  if (!by_key_.insert(IndexSlot{key_of(segment.ips), position}).second) {
+    return false;
   }
-  Segment& segment = segments_.emplace_back(zscore());
-  segment.ip_overlap = static_cast<int>(ips.size());
-  segment.ips = std::move(ips);
+  segment.ip_overlap = static_cast<int>(segment.ips.size());
   auto [list, added] = by_first_ip_.insert(IndexSlot{
       segment.ips.front().value(),
       static_cast<std::uint32_t>(first_ip_lists_.size())});
   if (added) first_ip_lists_.emplace_back();
   first_ip_lists_[list->value].push_back(&segment);
-  return &segment;
+  return true;
+}
+
+void SubpathMonitor::index_loaded() {
+  auto corrupt = [](const char* what) {
+    return store::StoreError(store::StoreError::Kind::kCorrupt, what);
+  };
+  by_key_ = FlatIndex();
+  by_first_ip_ = FlatIndex();
+  first_ip_lists_.clear();
+  clear_series();
+  for (std::uint32_t i = 0; i < segments_.size(); ++i) {
+    Segment& segment = segments_[i];
+    if (i > 0 && segment.id <= segments_[i - 1].id) {
+      throw corrupt("subpath segment ids out of order or repeated");
+    }
+    if (segment.ips.size() < 2) {  // watch() opens segments of two hops+
+      throw corrupt("subpath segment has fewer than two hops");
+    }
+    if (!index_segment(i)) throw corrupt("two subpath segments share IPs");
+    register_series(segment);
+  }
 }
 
 SubpathMonitor::Segment& SubpathMonitor::ensure_segment(
     const std::vector<Ipv4>& ips, PotentialIndex& index) {
   const std::uint32_t known = lookup(by_key_, key_of(ips));
   if (known != IndexSlot::kNone) return segments_[known];
-  Segment& segment = *add_segment(ips);
+  Segment& segment = segments_.emplace_back(zscore());
+  segment.ips = ips;
+  index_segment(static_cast<std::uint32_t>(segments_.size() - 1));
   open(segment, index);
   return segment;
 }
@@ -143,50 +164,6 @@ std::vector<SubpathMonitor::SegmentInfo> SubpathMonitor::segments_for(
     out.push_back(info);
   }
   return out;
-}
-
-void SubpathMonitor::save_state(store::Encoder& enc) const {
-  enc.u64(segments_.size());
-  for (const Segment& segment : segments_) {
-    enc.u64(segment.id);
-    enc.u64(segment.ips.size());
-    for (Ipv4 ip : segment.ips) store::put(enc, ip);
-    save_series(enc, segment);
-  }
-  save_index(enc);
-  enc.u64(observations_);
-}
-
-void SubpathMonitor::load_state(store::Decoder& dec) {
-  auto corrupt = [](const char* what) {
-    return store::StoreError(store::StoreError::Kind::kCorrupt, what);
-  };
-  segments_.clear();
-  by_key_ = FlatIndex();
-  by_first_ip_ = FlatIndex();
-  first_ip_lists_.clear();
-  clear();
-  std::uint64_t count = dec.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    PotentialId id = dec.u64();
-    if (i > 0 && id <= segments_.back().id) {
-      throw corrupt("subpath segment ids out of order or repeated");
-    }
-    std::vector<Ipv4> ips;
-    std::uint64_t ip_count = dec.count(4);
-    if (ip_count < 2) {  // watch() opens segments of two hops or more
-      throw corrupt("subpath segment has fewer than two hops");
-    }
-    ips.reserve(ip_count);
-    for (std::uint64_t j = 0; j < ip_count; ++j) {
-      ips.push_back(store::get_ipv4(dec));
-    }
-    Segment* segment = add_segment(std::move(ips));
-    if (segment == nullptr) throw corrupt("two subpath segments share IPs");
-    load_series(dec, id, *segment);
-  }
-  load_index(dec);
-  observations_ = dec.u64();
 }
 
 }  // namespace rrr::signals

@@ -60,8 +60,8 @@ class SubpathMonitor final : public TraceSeriesMonitor {
   // monotonically). Content keys are recomputed from segment contents. A
   // load accepts only what a save writes: ids strictly ascending and no
   // two segments with the same IPs, else kCorrupt.
-  void save_state(store::Encoder& enc) const;
-  void load_state(store::Decoder& dec);
+  void save_state(store::Encoder& enc) const { io(enc, *this); }
+  void load_state(store::Decoder& dec) { io(dec, *this); }
 
  private:
   // Hops of context kept past the last border when carving segments.
@@ -79,9 +79,11 @@ class SubpathMonitor final : public TraceSeriesMonitor {
   static std::uint64_t key_of(const std::vector<Ipv4>& ips);
   Segment& ensure_segment(const std::vector<Ipv4>& ips,
                           PotentialIndex& index);
-  // Appends a segment holding `ips` and indexes it by content and first
-  // IP; null, with nothing appended, when a segment already holds `ips`.
-  Segment* add_segment(std::vector<Ipv4> ips);
+  // Indexes the segment at `position` by content and first IP; false when
+  // another segment holds its IPs.
+  bool index_segment(std::uint32_t position);
+  // Rebuilds the indexes and the series registry of loaded segments.
+  void index_loaded();
 
   std::deque<Segment> segments_;  // in id order
   // Content key -> position in segments_.
@@ -94,6 +96,21 @@ class SubpathMonitor final : public TraceSeriesMonitor {
   // address, or kStar. Reused, so matching a trace allocates nothing.
   std::vector<std::uint64_t> hop_keys_;
   std::uint64_t observations_ = 0;
+
+  template <class Io, class Self>
+  static void io(Io& io, Self& self) {
+    // A segment holds at least its id and its IP count.
+    io.each(
+        self.segments_, 8 + 8,
+        [](auto& io, auto& segment) {
+          io(segment.id, segment.ips);
+          Series::io(io, segment);
+        },
+        self.zscore());
+    if constexpr (Io::kLoading) self.index_loaded();
+    index_io(io, self);
+    io(self.observations_);
+  }
 };
 
 }  // namespace rrr::signals

@@ -161,53 +161,7 @@ TraceSeriesMonitor::Series* TraceSeriesMonitor::find(PotentialId id) const {
   return it != series_.end() && (*it)->id == id ? *it : nullptr;
 }
 
-void TraceSeriesMonitor::save_series(store::Encoder& enc,
-                                     const Series& series) const {
-  series.ratio.save_state(enc);
-  enc.u64(series.subscribers.size());
-  for (const Subscriber& sub : series.subscribers) {
-    put_pair(enc, sub.pair);
-    enc.u64(sub.border);
-    enc.boolean(sub.zombie);
-  }
-  enc.f64(series.baseline_ratio);
-  enc.boolean(series.touched);
-  enc.boolean(series.pending_drop);
-}
-
-void TraceSeriesMonitor::load_series(store::Decoder& dec, PotentialId id,
-                                     Series& series) {
-  series.id = id;
-  series.ratio.load_state(dec);
-  std::uint64_t count = dec.count(8 + 8 + 1);
-  series.subscribers.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Subscriber sub;
-    sub.pair = get_pair(dec);
-    sub.border = dec.u64();
-    sub.zombie = dec.boolean();
-    series.subscribers.push_back(sub);
-  }
-  series.baseline_ratio = dec.f64();
-  series.touched = dec.boolean();
-  series.pending_drop = dec.boolean();
-  series_.push_back(&series);
-}
-
-void TraceSeriesMonitor::save_index(store::Encoder& enc) const {
-  auto put_ids = [&enc](const std::vector<Series*>& list) {
-    enc.u64(list.size());
-    for (const Series* series : list) enc.u64(series->id);
-  };
-  enc.u64(by_pair_.size());
-  for (const auto& [pair, list] : by_pair_) {
-    put_pair(enc, pair);
-    put_ids(list);
-  }
-  put_ids(touched_);
-}
-
-void TraceSeriesMonitor::load_index(store::Decoder& dec) {
+void TraceSeriesMonitor::sort_series() {
   // A monitor may store its series in key order; lookups need id order.
   std::sort(series_.begin(), series_.end(),
             [](const Series* a, const Series* b) { return a->id < b->id; });
@@ -219,34 +173,6 @@ void TraceSeriesMonitor::load_index(store::Decoder& dec) {
     throw store::StoreError(store::StoreError::Kind::kCorrupt,
                             "two trace series share a potential id");
   }
-  auto get_ids = [this, &dec]() {
-    std::vector<Series*> list;
-    std::uint64_t n = dec.count(8);
-    list.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      PotentialId id = dec.u64();
-      Series* series = find(id);
-      if (series == nullptr) {
-        throw store::StoreError(store::StoreError::Kind::kCorrupt,
-                                "trace series index names unknown potential " +
-                                    std::to_string(id));
-      }
-      list.push_back(series);
-    }
-    return list;
-  };
-  std::uint64_t pair_count = dec.u64();
-  for (std::uint64_t i = 0; i < pair_count; ++i) {
-    tr::PairKey pair = get_pair(dec);
-    by_pair_[pair] = get_ids();
-  }
-  touched_ = get_ids();
-}
-
-void TraceSeriesMonitor::clear() {
-  series_.clear();
-  by_pair_.clear();
-  touched_.clear();
 }
 
 }  // namespace rrr::signals
