@@ -557,7 +557,10 @@ void World::load_checkpoint(const store::SnapshotReader& reader) {
     processing_->patcher().load_state(dec);
     dec.expect_done();
   }
-  if (metrics_ && reader.has_section("metrics")) {
+  // Telemetry on restores the semantic counters; a snapshot written with
+  // telemetry off has none, so the resume cannot be exact and section()
+  // refuses it, naming the section.
+  if (metrics_) {
     metrics_->restore(decode_semantic_metrics(reader.section("metrics")));
   }
 }
@@ -608,14 +611,13 @@ void World::resume_from_checkpoint() {
     // replaying them, so a WAL whose head was lost to silent corruption
     // must not pair with this snapshot — that would resume a silently
     // wrong world, not a slightly older one.
-    if (reader->has_section(store::kWalPositionSection)) {
-      const store::WalPosition pos = store::decode_wal_position(
-          reader->section(store::kWalPositionSection));
-      if (!store::wal_position_consistent(pos, ops)) {
-        throw store::StoreError(
-            store::StoreError::Kind::kCorrupt,
-            "snapshot depends on WAL ops the log no longer holds");
-      }
+    // Every snapshot a world writes holds its WAL position.
+    const store::WalPosition pos = store::decode_wal_position(
+        reader->section(store::kWalPositionSection));
+    if (!store::wal_position_consistent(pos, ops)) {
+      throw store::StoreError(
+          store::StoreError::Kind::kCorrupt,
+          "snapshot depends on WAL ops the log no longer holds");
     }
   }
   const std::int64_t r0 = snap.value_or(-1);

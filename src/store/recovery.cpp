@@ -134,7 +134,9 @@ RecoveryReport RecoveryManager::scrub(std::uint64_t expected_fingerprint) {
       SnapshotReader reader(dir_, *it, io_);
       ok = expected_fingerprint == 0 ||
            reader.fingerprint() == expected_fingerprint;
-      if (ok && reader.has_section(kWalPositionSection)) {
+      // A snapshot without its WAL position cannot be paired with any
+      // log: section() throws, and the snapshot is quarantined.
+      if (ok) {
         WalPosition pos =
             decode_wal_position(reader.section(kWalPositionSection));
         ok = wal_position_consistent(pos, surviving_ops);

@@ -19,6 +19,23 @@ tr::PairKey pair_of(tr::ProbeId probe, const char* dst) {
   return tr::PairKey{probe, *Ipv4::parse(dst)};
 }
 
+// Whether loading `bytes` into `target` throws StoreError kCorrupt.
+template <class T, class... Args>
+bool load_is_corrupt(T& target, const std::string& bytes, Args... args) {
+  store::Decoder dec(bytes);
+  try {
+    target.load_state(dec, args...);
+  } catch (const store::StoreError& error) {
+    return error.kind() == store::StoreError::Kind::kCorrupt;
+  }
+  return false;
+}
+
+// Overwrites bytes.substr(at, 4) with bytes.substr(from, 4).
+void copy_word(std::string& bytes, std::size_t from, std::size_t at) {
+  bytes.replace(at, 4, bytes.substr(from, 4));
+}
+
 TEST(PotentialIndex, RelatesAndUnrelates) {
   PotentialIndex index;
   PotentialId a = index.create(Technique::kBgpAsPath);
@@ -282,6 +299,27 @@ TEST(CommunityReputation, PairLevelPruneIsLocal) {
   EXPECT_FALSE(reputation.pruned(c));
 }
 
+// Each tally map lists its keys once, ascending: a repeated key used to
+// load, merged into one tally.
+TEST(CommunityReputation, LoadRejectsARepeatedKey) {
+  CommunityReputation reputation;
+  const Community low(Asn(20), 100);
+  const Community high(Asn(20), 200);
+  reputation.record_outcome(low, pair_of(1, "10.0.0.1"), true);
+  reputation.record_outcome(high, pair_of(1, "10.0.0.1"), false);
+  store::Encoder enc;
+  reputation.save_state(enc);
+  const std::string valid = enc.take();
+  CommunityReputation loaded;
+  ASSERT_FALSE(load_is_corrupt(loaded, valid));
+  // The global map opens the section: a count, then per community its
+  // four bytes and two i64 tallies.
+  ASSERT_EQ(store::Decoder(valid).u64(), 2u);
+  std::string repeated = valid;
+  copy_word(repeated, 8, 8 + 4 + 16);
+  EXPECT_TRUE(load_is_corrupt(loaded, repeated));
+}
+
 TEST(AsRelDb, InvertsRelationships) {
   AsRelDb db;
   db.add(Asn(1), Asn(2), AsRel::kCustomer, false);
@@ -327,6 +365,26 @@ class IxpMonitorTest : public ::testing::Test {
   AsRelDb rels_;
   std::map<topo::IxpId, std::set<Asn>> members_;
 };
+
+// A member set lists its ASes once, ascending: two swapped members used to
+// load, sorted back into the set.
+TEST_F(IxpMonitorTest, LoadRejectsMembersOutOfOrder) {
+  members_[0] = {Asn(30), Asn(31)};
+  IxpMonitor monitor(rels_, members_);
+  store::Encoder enc;
+  monitor.save_state(enc);
+  const std::string valid = enc.take();
+  PotentialIndex index;
+  IxpMonitor loaded(rels_, {});
+  ASSERT_FALSE(load_is_corrupt(loaded, valid, &index));
+  // One IXP: the map count, its id, the member count, then the members.
+  const std::size_t first = 8 + 2 + 8;
+  ASSERT_EQ(store::Decoder(valid.substr(first)).u32(), 30u);
+  std::string swapped = valid;
+  swapped.replace(first, 8,
+                  valid.substr(first + 4, 4) + valid.substr(first, 4));
+  EXPECT_TRUE(load_is_corrupt(loaded, swapped, &index));
+}
 
 TEST_F(IxpMonitorTest, ProviderNextHopTriggersSignal) {
   IxpMonitor monitor(rels_, members_);
