@@ -67,7 +67,7 @@ std::string histogram_json(const MetricSnapshot& m) {
 
 }  // namespace
 
-std::string json_escape(const std::string& text) {
+std::string json_escape(std::string_view text) {
   std::string out;
   out.reserve(text.size());
   for (char c : text) {

@@ -8,6 +8,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -15,7 +16,7 @@
 namespace rrr::obs {
 
 // JSON string escaping (quotes, backslashes, control characters).
-std::string json_escape(const std::string& text);
+std::string json_escape(std::string_view text);
 
 // Deterministic number rendering shared by both exporters: integers render
 // without a decimal point, everything else via %g.

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
+#include <string_view>
+
+#include "obs/export.h"
 
 namespace rrr::obs {
 namespace {
@@ -25,26 +27,9 @@ struct TlsCache {
 };
 thread_local TlsCache t_cache;
 
-void append_json_string(std::string& out, const char* s) {
+void append_json_string(std::string& out, std::string_view s) {
   out += '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  out += json_escape(s);
   out += '"';
 }
 
