@@ -61,8 +61,7 @@ void HopPatcher::insert_loaded(std::vector<Slot>& slots, Ipv4 prev,
     throw corrupt("patcher middle hops out of order or repeated");
   }
   // Learning the middles in ascending order rebuilds the pair as the store
-  // held it. learn() stays the table's one inserter, so the compiler keeps
-  // the insert inlined on the ingest path.
+  // held it.
   for (Ipv4 middle : middles) learn(key, middle);
 }
 
