@@ -52,9 +52,10 @@ class AsPathMonitor final : public Monitor {
 
   // Checkpoint support: the entry store's snapshot (BgpEntryIndex), each
   // entry with every dynamic field, then the hot list as ids. The work
-  // lists are saved rather than rebuilt because their order feeds the
-  // close and therefore the canonical signal merge; the cached standing
-  // counts are recomputed from the table on first use.
+  // lists are saved rather than rebuilt because their order sets the order
+  // in which this monitor's close emits its signals (the engine's merge
+  // sorts, so it does not depend on it); the cached standing counts are
+  // recomputed from the table on first use.
   void save_state(store::Encoder& enc) const { io(enc, *this); }
   void load_state(store::Decoder& dec) { io(dec, *this); }
 
@@ -92,7 +93,7 @@ class AsPathMonitor final : public Monitor {
       io.check(entry.tau_index < entry.tau_path.size(),
                "AS-path entry hop lies off its path");
       io(entry.border_index, entry.v0, entry.series, entry.baseline_ratio,
-         entry.touched, entry.hot_windows, entry.window_updates);
+         entry.hot_windows, entry.window_updates);
     }
   };
 

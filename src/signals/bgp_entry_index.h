@@ -10,8 +10,8 @@
 // Entry must be default-constructible and movable, carry `PotentialId id`,
 // `tr::PairKey pair`, `std::size_t border_index` and `bool touched`
 // members, and list its snapshot fields in a static `io` (store/serial.h)
-// that opens with `pair`; `touched` is the core's per-entry work-list flag,
-// which the monitor lists among its fields.
+// that opens with `pair`. `touched` is the core's per-entry work-list flag:
+// the field list leaves it out, and a load sets it from the touched list.
 #pragma once
 
 #include <algorithm>
@@ -52,22 +52,22 @@ class BgpEntryIndex {
     entry.id = index.create(technique);
     index.relate(entry.id, entry.pair, entry.border_index);
     Entry& stored = entries_.emplace(entry.id, std::move(entry)).first->second;
-    by_pair_[stored.pair].push_back(&stored);
-    by_dst_[stored.pair.dst].push_back(&stored);
+    file(stored);
     return stored;
   }
 
-  // Drops every entry of `pair`. A destination whose list this empties
-  // stays indexed (with an empty list) and is saved as such.
+  // Drops every entry of `pair`, and the destination's list when this
+  // empties it.
   void unwatch(const tr::PairKey& pair) {
     auto it = by_pair_.find(pair);
     if (it == by_pair_.end()) return;
-    std::vector<Entry*>& dst_list = by_dst_[pair.dst];
+    auto dst = by_dst_.find(pair.dst);
     for (Entry* entry : it->second) {
-      std::erase(dst_list, entry);
+      std::erase(dst->second, entry);
       std::erase(touched_, entry);
       entries_.erase(entry->id);
     }
+    if (dst->second.empty()) by_dst_.erase(dst);
     by_pair_.erase(it);
   }
 
@@ -104,23 +104,27 @@ class BgpEntryIndex {
     return work;
   }
 
-  // Snapshot: the entries in id order, each as its id and its fields; then
-  // the pair index, the destination index and the touched list as id lists.
-  // Ids and index keys strictly ascend, and an index list naming no entry,
-  // or filing one under another pair or destination, is kCorrupt.
+  // Snapshot: the entries in id order, each as its id and its fields, then
+  // the touched list as ids. Ids strictly ascend, and a touched list naming
+  // no entry, or one entry twice, is kCorrupt. The load rebuilds the pair
+  // and destination indexes in id order, which is watch order (add() takes
+  // fresh, increasing ids), and sets the touched flags from the list.
   template <class Io, class Self>
   static void io(Io& io, Self& self) {
     io.ordered(self.entries_, "BGP entry ids");
+    ids(io, self, self.touched_);
     if constexpr (Io::kLoading) {
-      for (auto& [id, entry] : self.entries_) entry.id = id;
+      self.by_pair_.clear();
+      self.by_dst_.clear();
+      for (auto& [id, entry] : self.entries_) {
+        entry.id = id;
+        self.file(entry);
+      }
+      for (Entry* entry : self.touched_) {
+        io.check(!entry->touched, "BGP touched list names an entry twice");
+        entry->touched = true;
+      }
     }
-    auto ids = [&self](auto& io, auto& list) {
-      BgpEntryIndex::ids(io, self, list);
-    };
-    io.ordered(self.by_pair_, "BGP entry pairs", ids);
-    io.ordered(self.by_dst_, "BGP entry destinations", ids);
-    ids(io, self.touched_);
-    if constexpr (Io::kLoading) self.check_filing();
   }
 
   // A list of `self`'s entries as their ids, for a monitor's own lists.
@@ -133,23 +137,10 @@ class BgpEntryIndex {
   }
 
  private:
-  // unwatch() trusts every entry to be filed under its own pair and
-  // destination.
-  void check_filing() const {
-    for (const auto& [pair, list] : by_pair_) {
-      for (const Entry* entry : list) {
-        if (entry->pair != pair) throw misfiled();
-      }
-    }
-    for (const auto& [dst, list] : by_dst_) {
-      for (const Entry* entry : list) {
-        if (entry->pair.dst != dst) throw misfiled();
-      }
-    }
-  }
-  static store::StoreError misfiled() {
-    return store::StoreError(store::StoreError::Kind::kCorrupt,
-                             "BGP entry index files an entry elsewhere");
+  // Indexes `entry` by pair and by destination, behind those already there.
+  void file(Entry& entry) {
+    by_pair_[entry.pair].push_back(&entry);
+    by_dst_[entry.pair.dst].push_back(&entry);
   }
 
   std::map<PotentialId, Entry> entries_;  // id order, stable addresses

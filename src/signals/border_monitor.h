@@ -30,7 +30,7 @@ class BorderMonitor final : public TraceSeriesMonitor {
 
   // Checkpoint support: city pairs in key order, each followed by its
   // router series in the order they were opened (each as its id, its
-  // router and its series), then the series index. A load accepts only
+  // router and its series), then the touched list. A load accepts only
   // what a save writes: city pairs strictly ascending and each router once
   // per pair, else kCorrupt.
   void save_state(store::Encoder& enc) const { io(enc, *this); }

@@ -106,7 +106,6 @@ class BurstMonitor final : public Monitor {
                    "burst entry names an unknown extra AS");
         }
       }
-      io(entry.touched);
     }
   };
 

@@ -142,8 +142,8 @@ class CommunityMonitor final : public Monitor {
     template <class Io, class Self>
     static void io(Io& io, Self& entry) {
       io(entry.pair, entry.as, entry.tau_path, entry.tau_index,
-         entry.border_index, entry.baseline, entry.touched,
-         entry.pending_community, entry.pending_vp_count);
+         entry.border_index, entry.baseline, entry.pending_community,
+         entry.pending_vp_count);
     }
   };
 

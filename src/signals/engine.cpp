@@ -258,7 +258,6 @@ void Engine::watch_processed(const tr::Probe& probe,
   state.view.probe_city = probe.city;
   state.view.window = clock_.index_of(trace.time);
   state.view.processed = std::move(processed);
-  state.watched_window = state.view.window;
 
   // The AS-path, community and burst watches read the standing routes
   // toward the destination from one memoized row.
@@ -297,7 +296,7 @@ void Engine::on_public_trace(const tr::Traceroute& trace) {
   if (health_ != nullptr) health_->count_trace(trace.probe, window);
   subpath_.on_public_trace(public_trace_, window);
   border_.on_public_trace(public_trace_, window);
-  ixp_.on_public_trace(public_trace_, window);
+  ixp_.on_public_trace(public_trace_, window, index_);
 }
 
 void Engine::close_one_window(std::int64_t window,
@@ -594,7 +593,7 @@ std::vector<PairStateView> Engine::pair_states() const {
   out.reserve(corpus_.size());
   for (const auto& [key, state] : corpus_) {
     out.push_back(PairStateView{
-        key, state.freshness, state.watched_window,
+        key, state.freshness, state.view.window,
         static_cast<std::uint32_t>(state.active.size())});
   }
   return out;
@@ -615,12 +614,7 @@ void Engine::io(Io& io, Self& self) {
     io.check(self.rng_.load_state(rng), "engine RNG state does not parse");
   }
   io(self.table_, self.pending_records_, self.index_, self.calibration_,
-     self.reputation_, self.subpath_, self.border_);
-  if constexpr (Io::kLoading) {
-    self.ixp_.load_state(io, &self.index_);
-  } else {
-    io(self.ixp_);
-  }
+     self.reputation_, self.subpath_, self.border_, self.ixp_);
   bool has_health = self.health_ != nullptr;
   io(has_health);
   io.check(has_health == (self.health_ != nullptr),
@@ -632,36 +626,14 @@ void Engine::io(Io& io, Self& self) {
   io(shards);
   io.check(shards == self.shards_.size(),
            "snapshot shard count does not match engine configuration");
-  // Shard by shard: the shard's pairs in pair order, then its monitors.
-  // One walk files the pairs (a corpus walk misses cache on most nodes).
-  std::vector<std::vector<const decltype(corpus_)::value_type*>> filed(
-      self.shards_.size());
-  if constexpr (Io::kLoading) {
-    self.corpus_.clear();
-    self.firing_.clear();
-  } else {
-    for (const auto& entry : self.corpus_) {
-      filed[self.shard_of(entry.first)].push_back(&entry);
-    }
-  }
-  for (std::size_t s = 0; s < self.shards_.size(); ++s) {
-    if constexpr (Io::kLoading) {
-      decltype(corpus_) part;
-      io.ordered(part, "corpus pairs");
-      for (auto& [key, state] : part) {
-        io.check(self.shard_of(key) == s,
-                 "corpus pair filed under another shard");
-        state.view.key = key;
-      }
-      self.corpus_.merge(part);
-    } else {
-      io(filed[s]);
-    }
-    io(self.shards_[s]->aspath, self.shards_[s]->community,
-       self.shards_[s]->burst);
+  if constexpr (Io::kLoading) self.firing_.clear();
+  io.ordered(self.corpus_, "corpus pairs");
+  for (const auto& shard : self.shards_) {
+    io(shard->aspath, shard->community, shard->burst);
   }
   if constexpr (Io::kLoading) {
     for (auto& [key, state] : self.corpus_) {
+      state.view.key = key;
       if (!state.active.empty()) self.firing_.try_emplace(key, &state);
     }
   }

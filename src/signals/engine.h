@@ -181,23 +181,21 @@ class Engine {
   CommunityMonitor::Stats community_stats() const;
 
   // --- checkpoint support ---
-  // Serializes the engine's single cross-pair instances, then, shard by
-  // shard, the shard's corpus pairs in pair order followed by its three BGP
-  // monitors. The shard count is stored and verified on load: a snapshot
-  // written at N shards restores only into an engine built with N shards,
-  // and a pair filed under another shard than shard_of() names, or out of
-  // order within its shard, is kCorrupt (the merged signal stream is
+  // Serializes the engine's single cross-pair instances, the corpus in pair
+  // order, then shard by shard its three BGP monitors. The shard count is
+  // stored and verified on load: a snapshot written at N shards restores
+  // only into an engine built with N shards (the merged signal stream is
   // partition-invariant, so the determinism grid may still compare runs
-  // across shard counts by their outputs).
+  // across shard counts by their outputs). A corpus pair repeated or out
+  // of order is kCorrupt.
   void save_state(store::Encoder& enc) const;
   void load_state(store::Decoder& dec);
 
  private:
   // One corpus pair: what the monitors watch, and its verdict state.
   struct PairState {
-    CorpusView view;
+    CorpusView view;  // view.window is the window the pair was watched in
     tr::Freshness freshness = tr::Freshness::kFresh;
-    std::int64_t watched_window = 0;
     // Fired-and-unrevoked signals, keyed by potential.
     std::map<PotentialId, ActiveSignal> active;
 
@@ -205,7 +203,7 @@ class Engine {
     template <class Io, class Self>
     static void io(Io& io, Self& state) {
       io(state.view.probe_as, state.view.probe_city, state.view.window,
-         state.view.processed, state.freshness, state.watched_window);
+         state.view.processed, state.freshness);
       io.ordered(state.active, "active signals");
     }
   };

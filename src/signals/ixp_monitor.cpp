@@ -4,8 +4,7 @@
 
 namespace rrr::signals {
 
-void IxpMonitor::watch(const CorpusView& view, PotentialIndex& index) {
-  index_ = &index;
+void IxpMonitor::watch(const CorpusView& view, PotentialIndex& /*index*/) {
   const tracemap::ProcessedTrace& pt = view.processed;
   if (pt.as_path.empty()) return;
   WatchedPair watched;
@@ -18,8 +17,8 @@ void IxpMonitor::watch(const CorpusView& view, PotentialIndex& index) {
         break;
       }
     }
-    by_as_[pt.as_path[p]].insert(view.key);
   }
+  index_watched(view.key, pt.as_path);
   // Seed membership from the corpus trace itself (no signals for members
   // that were present when monitoring started): the near-end neighbor of
   // an IXP interface is a member.
@@ -32,6 +31,10 @@ void IxpMonitor::watch(const CorpusView& view, PotentialIndex& index) {
     }
   }
   watched_[view.key] = std::move(watched);
+}
+
+void IxpMonitor::index_watched(const tr::PairKey& pair, const AsPath& path) {
+  for (Asn asn : path) by_as_[asn].insert(pair);
 }
 
 void IxpMonitor::unwatch(const tr::PairKey& pair) {
@@ -47,11 +50,11 @@ void IxpMonitor::unwatch(const tr::PairKey& pair) {
   watched_.erase(it);
 }
 
-void IxpMonitor::handle_new_member(topo::IxpId ixp, Asn joiner) {
+void IxpMonitor::handle_new_member(topo::IxpId ixp, Asn joiner,
+                                   PotentialIndex& index) {
   std::set<Asn>& members = members_[ixp];
   if (!members.insert(joiner).second) return;
   ++detected_joins_;
-  if (index_ == nullptr) return;
 
   auto pit = by_as_.find(joiner);
   if (pit == by_as_.end()) return;
@@ -96,21 +99,21 @@ void IxpMonitor::handle_new_member(topo::IxpId ixp, Asn joiner) {
 
     StalenessSignal s;
     s.technique = Technique::kColocation;
-    s.potential = index_->create(Technique::kColocation);
+    s.potential = index.create(Technique::kColocation);
     // Membership is discovered from whichever public traceroute first
     // crosses the new peering; the underlying change may be much older.
     s.span_seconds = 3 * kSecondsPerDay;
     s.pair = key;
     std::size_t border = watched.ingress_border[p + 1];
     s.border_index = border;
-    index_->relate(s.potential, key, border);
+    index.relate(s.potential, key, border);
     s.meta.as_overlap = 1;
     pending_.push_back(std::move(s));
   }
 }
 
 void IxpMonitor::on_public_trace(const tracemap::ProcessedTrace& trace,
-                                 std::int64_t window) {
+                                 std::int64_t window, PotentialIndex& index) {
   (void)window;
   for (std::size_t i = 1; i < trace.hops.size(); ++i) {
     const tracemap::ProcessedHop& hop = trace.hops[i];
@@ -120,7 +123,7 @@ void IxpMonitor::on_public_trace(const tracemap::ProcessedTrace& trace,
     if (!near.responded() || !near.asn.is_valid() || near.is_ixp) continue;
     // The near-end (left-adjacent) neighbor of an IXP interface is a
     // member; far-end neighbors are ignored (§4.2.3).
-    handle_new_member(hop.ixp, near.asn);
+    handle_new_member(hop.ixp, near.asn, index);
   }
 }
 

@@ -28,23 +28,22 @@ class IxpMonitor final : public Monitor {
              std::map<topo::IxpId, std::set<Asn>> initial_members)
       : rels_(rels), members_(std::move(initial_members)) {}
 
+  // Opens no potential: a join opens one when it signals.
   void watch(const CorpusView& view, PotentialIndex& index);
   void unwatch(const tr::PairKey& pair);
+  // A join signal opens its potential in `index`.
   void on_public_trace(const tracemap::ProcessedTrace& trace,
-                       std::int64_t window);
+                       std::int64_t window, PotentialIndex& index);
   std::vector<StalenessSignal> close_window(std::int64_t window,
                                             TimePoint window_end);
 
   std::size_t detected_joins() const { return detected_joins_; }
 
-  // Checkpoint support. The potential index is re-bound explicitly on load
-  // (it is normally captured at first watch, which a restored monitor may
-  // never see again).
+  // Checkpoint support: the members, the watched pairs, the pending
+  // signals and the join count. The load rebuilds the per-AS index from
+  // the watched pairs.
   void save_state(store::Encoder& enc) const { io(enc, *this); }
-  void load_state(store::Decoder& dec, PotentialIndex* index) {
-    io(dec, *this);
-    index_ = index;
-  }
+  void load_state(store::Decoder& dec) { io(dec, *this); }
 
  private:
   struct WatchedPair {
@@ -58,13 +57,14 @@ class IxpMonitor final : public Monitor {
     }
   };
 
-  void handle_new_member(topo::IxpId ixp, Asn joiner);
+  void handle_new_member(topo::IxpId ixp, Asn joiner, PotentialIndex& index);
+  // Files `pair` under every AS on its path.
+  void index_watched(const tr::PairKey& pair, const AsPath& path);
 
   const AsRelDb& rels_;
   std::map<topo::IxpId, std::set<Asn>> members_;
   std::map<tr::PairKey, WatchedPair> watched_;
   std::map<Asn, std::set<tr::PairKey>> by_as_;
-  PotentialIndex* index_ = nullptr;  // bound at first watch
   std::vector<StalenessSignal> pending_;
   std::size_t detected_joins_ = 0;
 
@@ -74,10 +74,13 @@ class IxpMonitor final : public Monitor {
       io.ordered(members, "IXP members");
     });
     io.ordered(self.watched_, "IXP watched pairs");
-    io.ordered(self.by_as_, "IXP ASes", [](auto& io, auto& pairs) {
-      io.ordered(pairs, "IXP AS pairs");
-    });
     io(self.pending_, self.detected_joins_);
+    if constexpr (Io::kLoading) {
+      self.by_as_.clear();
+      for (const auto& [pair, watched] : self.watched_) {
+        self.index_watched(pair, watched.path);
+      }
+    }
   }
 };
 

@@ -1,7 +1,6 @@
 #include "signals/monitor.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace rrr::signals {
 
@@ -38,16 +37,8 @@ std::string StalenessSignal::to_string() const {
 }
 
 PotentialId PotentialIndex::create(Technique technique) {
-  techniques_.push_back(technique);
   obs::inc(opened_[technique_index(technique)]);
-  return static_cast<PotentialId>(techniques_.size());
-}
-
-Technique PotentialIndex::technique_of(PotentialId id) const {
-  if (id == kNoPotential || id > techniques_.size()) {
-    throw std::out_of_range("unknown potential id");
-  }
-  return techniques_[id - 1];
+  return ++created_;
 }
 
 void PotentialIndex::relate(PotentialId id, const tr::PairKey& pair,
@@ -70,7 +61,7 @@ void PotentialIndex::check_relations() const {
   };
   for (const auto& [pair, relations] : by_pair_) {
     for (auto it = relations.begin(); it != relations.end(); ++it) {
-      if (it->id == kNoPotential || it->id > techniques_.size()) {
+      if (it->id == kNoPotential || it->id > created_) {
         throw corrupt("potential-index relation names no potential");
       }
       if (std::find(relations.begin(), it, *it) != it) {

@@ -38,8 +38,6 @@ class PotentialIndex {
  public:
   PotentialId create(Technique technique);
 
-  Technique technique_of(PotentialId id) const;
-
   // Declares that potential `id` monitors `border_index` of `pair`.
   void relate(PotentialId id, const tr::PairKey& pair,
               std::size_t border_index);
@@ -66,22 +64,22 @@ class PotentialIndex {
     opened_ = opened;
   }
 
-  // Checkpoint support: round-trips the id->technique table and every
-  // pair relation (pairs in order), so restored ids keep their meanings
-  // and calibration grading sees the same silent/firing partition. A pair
+  // Checkpoint support: round-trips the count of created ids and every
+  // pair relation (pairs in order), so restored ids stay unique and
+  // calibration grading sees the same silent/firing partition. A pair
   // repeated or out of order, a relation repeated within its pair, or one
   // naming no created potential is kCorrupt.
   void save_state(store::Encoder& enc) const { io(enc, *this); }
   void load_state(store::Decoder& dec) { io(dec, *this); }
 
  private:
-  std::vector<Technique> techniques_;  // indexed by (id - 1)
+  PotentialId created_ = 0;  // ids 1..created_ are taken
   std::map<tr::PairKey, std::vector<Relation>> by_pair_;
   std::array<obs::Counter*, kTechniqueCount> opened_{};
 
   template <class Io, class Self>
   static void io(Io& io, Self& self) {
-    io(self.techniques_);
+    io(self.created_);
     io.ordered(self.by_pair_, "potential-index pairs");
     if constexpr (Io::kLoading) self.check_relations();
   }

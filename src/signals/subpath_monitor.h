@@ -53,7 +53,7 @@ class SubpathMonitor final : public TraceSeriesMonitor {
   std::vector<SegmentInfo> segments_for(const tr::PairKey& pair) const;
 
   // Checkpoint support. Segments serialize in id order, each as its id,
-  // its IPs and its series, followed by the series index and the
+  // its IPs and its series, followed by the touched list and the
   // observation count. The first-IP lists are rebuilt in id order, which
   // equals their original insertion order (ensure_segment registers a
   // segment the moment its id is created, and ids are handed out

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <tuple>
 
 #include "runtime/parallel.h"
 #include "signals/feed_health.h"
@@ -159,6 +160,36 @@ TraceSeriesMonitor::Series* TraceSeriesMonitor::find(PotentialId id) const {
       series_.begin(), series_.end(), id,
       [](const Series* series, PotentialId key) { return series->id < key; });
   return it != series_.end() && (*it)->id == id ? *it : nullptr;
+}
+
+void TraceSeriesMonitor::rebuild_indexes() {
+  // A watched pair's live subscriptions are the ones its last watch made,
+  // one per border, so ordering them by border rebuilds its list.
+  struct Filed {
+    tr::PairKey pair;
+    std::size_t border;
+    Series* series;
+  };
+  std::vector<Filed> filed;
+  for (Series* series : series_) {
+    for (const Subscriber& sub : series->subscribers) {
+      if (!sub.zombie) filed.push_back({sub.pair, sub.border, series});
+    }
+  }
+  std::stable_sort(filed.begin(), filed.end(),
+                   [](const Filed& a, const Filed& b) {
+                     return std::tie(a.pair, a.border) <
+                            std::tie(b.pair, b.border);
+                   });
+  by_pair_.clear();
+  for (const Filed& f : filed) by_pair_[f.pair].push_back(f.series);
+  for (Series* series : touched_) {
+    if (series->touched) {
+      throw store::StoreError(store::StoreError::Kind::kCorrupt,
+                              "trace touched list names a series twice");
+    }
+    series->touched = true;
+  }
 }
 
 void TraceSeriesMonitor::sort_series() {

@@ -71,11 +71,12 @@ class TraceSeriesMonitor : public Monitor {
     bool pending_drop = false;     // previous closed window was a drop
     int ip_overlap = 0;            // stamped on signals (Table 1)
 
-    // The series' snapshot fields; its id and key are the monitor's.
+    // The series' snapshot fields; its id and key are the monitor's, and
+    // `touched` follows from the monitor's touched list.
     template <class Io, class Self>
     static void io(Io& io, Self& series) {
       io(series.ratio, series.subscribers, series.baseline_ratio,
-         series.touched, series.pending_drop);
+         series.pending_drop);
     }
   };
 
@@ -103,19 +104,18 @@ class TraceSeriesMonitor : public Monitor {
 
   // Checkpoint halves. A monitor lists each series as its id, its key and
   // Series::io; on load it then clears and re-registers its series, in any
-  // order, and index_io() follows with the pair lists and the touched list
-  // as id lists. Two series under one id are kCorrupt.
+  // order, and index_io() follows with the touched list as ids. Two series
+  // under one id, or a touched list naming one series twice, are kCorrupt.
+  // The load rebuilds the pair lists from the live subscriptions and sets
+  // the touched flags from the list.
   void register_series(Series& series) { series_.push_back(&series); }
   void clear_series() { series_.clear(); }
   template <class Io, class Self>
   static void index_io(Io& io, Self& self) {
     if constexpr (Io::kLoading) self.sort_series();
-    auto ids = [&self](auto& io, auto& list) {
-      potential_ids(io, list,
-                    [&self](PotentialId id) { return self.find(id); });
-    };
-    io.ordered(self.by_pair_, "trace series pairs", ids);
-    ids(io, self.touched_);
+    potential_ids(io, self.touched_,
+                  [&self](PotentialId id) { return self.find(id); });
+    if constexpr (Io::kLoading) self.rebuild_indexes();
   }
 
  private:
@@ -127,11 +127,16 @@ class TraceSeriesMonitor : public Monitor {
   Series* find(PotentialId id) const;
   // Puts the registered series in id order for find().
   void sort_series();
+  // Files every live subscription's series under its pair, and sets the
+  // touched flags from the touched list.
+  void rebuild_indexes();
 
   Technique technique_;
   detect::ZScoreParams zscore_;
   runtime::ThreadPool* pool_ = nullptr;
   std::vector<Series*> series_;  // every series, in id (= creation) order
+  // A watched pair's series in border order, the order watch() subscribes
+  // in; a series twice when two of the pair's borders subscribe to it.
   std::map<tr::PairKey, std::vector<Series*>> by_pair_;
   std::vector<Series*> touched_;
 };

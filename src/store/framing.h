@@ -35,6 +35,9 @@
 //      shards' RNG state, record backlog, cooldown map and window cursor
 //   4  the ixp section drops the equal-preference set, which nothing could
 //      fill
+//   5  the engine section writes each fact once: the corpus in pair order
+//      (not filed by shard), and no index, flag or table a load rebuilds
+//      from the fields beside it
 #pragma once
 
 #include <cstdint>
@@ -48,7 +51,7 @@ namespace rrr::store {
 
 class IoContext;
 
-inline constexpr std::uint32_t kFormatVersion = 4;
+inline constexpr std::uint32_t kFormatVersion = 5;
 inline constexpr char kMagic[4] = {'R', 'R', 'R', 'S'};
 
 // FNV-1a 64-bit over `data`, seedable for the two-part kind+payload sweep.

@@ -1,7 +1,8 @@
 // The final state of a finished World for the byte-identity checks of the
 // determinism and resume grids: the corpus as bytes (one fresh traceroute
 // per corpus pair at world.end(), every field encoded with the store
-// codec) and the engine's per-pair verdict state.
+// codec), the engine's per-pair verdict state and each pair's subpath
+// segments.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +48,27 @@ inline std::vector<PairStateRow> pair_state_rows(World& world) {
     rows.emplace_back(view.pair.probe, view.pair.dst.value(),
                       static_cast<int>(view.freshness), view.watched_window,
                       view.active_signals);
+  }
+  return rows;
+}
+
+// Each corpus pair's subpath segments as SubpathMonitor::segments_for
+// lists them, in the order of the pair's series list (which a load
+// rebuilds): (probe, destination, border index, length, armed, dormant,
+// multiplier).
+using SegmentRow = std::tuple<tr::ProbeId, std::uint32_t, std::size_t,
+                              std::size_t, bool, bool, std::int64_t>;
+
+inline std::vector<SegmentRow> segment_rows(World& world) {
+  const signals::Engine& engine = world.engine();
+  std::vector<SegmentRow> rows;
+  for (const signals::PairStateView& view : engine.pair_states()) {
+    for (const signals::SubpathMonitor::SegmentInfo& info :
+         engine.subpath_monitor().segments_for(view.pair)) {
+      rows.emplace_back(view.pair.probe, view.pair.dst.value(),
+                        info.border_index, info.length, info.armed,
+                        info.dormant, info.multiplier);
+    }
   }
   return rows;
 }

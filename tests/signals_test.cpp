@@ -20,11 +20,11 @@ tr::PairKey pair_of(tr::ProbeId probe, const char* dst) {
 }
 
 // Whether loading `bytes` into `target` throws StoreError kCorrupt.
-template <class T, class... Args>
-bool load_is_corrupt(T& target, const std::string& bytes, Args... args) {
+template <class T>
+bool load_is_corrupt(T& target, const std::string& bytes) {
   store::Decoder dec(bytes);
   try {
-    target.load_state(dec, args...);
+    target.load_state(dec);
   } catch (const store::StoreError& error) {
     return error.kind() == store::StoreError::Kind::kCorrupt;
   }
@@ -41,8 +41,6 @@ TEST(PotentialIndex, RelatesAndUnrelates) {
   PotentialId a = index.create(Technique::kBgpAsPath);
   PotentialId b = index.create(Technique::kTraceSubpath);
   EXPECT_NE(a, b);
-  EXPECT_EQ(index.technique_of(a), Technique::kBgpAsPath);
-  EXPECT_THROW(index.technique_of(999), std::out_of_range);
 
   tr::PairKey key = pair_of(1, "10.0.0.1");
   index.relate(a, key, 0);
@@ -374,16 +372,32 @@ TEST_F(IxpMonitorTest, LoadRejectsMembersOutOfOrder) {
   store::Encoder enc;
   monitor.save_state(enc);
   const std::string valid = enc.take();
-  PotentialIndex index;
   IxpMonitor loaded(rels_, {});
-  ASSERT_FALSE(load_is_corrupt(loaded, valid, &index));
+  ASSERT_FALSE(load_is_corrupt(loaded, valid));
   // One IXP: the map count, its id, the member count, then the members.
   const std::size_t first = 8 + 2 + 8;
   ASSERT_EQ(store::Decoder(valid.substr(first)).u32(), 30u);
   std::string swapped = valid;
   swapped.replace(first, 8,
                   valid.substr(first + 4, 4) + valid.substr(first, 4));
-  EXPECT_TRUE(load_is_corrupt(loaded, swapped, &index));
+  EXPECT_TRUE(load_is_corrupt(loaded, swapped));
+}
+
+// The snapshot holds the watched pairs but not the per-AS index a join
+// walks: the load rebuilds it, so a loaded monitor signals the same join.
+TEST_F(IxpMonitorTest, LoadRebuildsTheAsIndex) {
+  IxpMonitor monitor(rels_, members_);
+  PotentialIndex index;
+  monitor.watch(corpus_view(1, {Asn(10), Asn(20), Asn(30)}), index);
+  store::Encoder enc;
+  monitor.save_state(enc);
+  IxpMonitor loaded(rels_, {});
+  store::Decoder dec(enc.buffer());
+  loaded.load_state(dec);
+  loaded.on_public_trace(ixp_sighting(Asn(10)), 5, index);
+  auto signals = loaded.close_window(5, TimePoint(5 * 900));
+  ASSERT_EQ(signals.size(), 1u);
+  EXPECT_EQ(signals[0].pair.probe, 1u);
 }
 
 TEST_F(IxpMonitorTest, ProviderNextHopTriggersSignal) {
@@ -391,7 +405,7 @@ TEST_F(IxpMonitorTest, ProviderNextHopTriggersSignal) {
   PotentialIndex index;
   // Corpus path: 10 -> 20 (provider) -> 30 (established member).
   monitor.watch(corpus_view(1, {Asn(10), Asn(20), Asn(30)}), index);
-  monitor.on_public_trace(ixp_sighting(Asn(10)), 5);
+  monitor.on_public_trace(ixp_sighting(Asn(10)), 5, index);
   auto signals = monitor.close_window(5, TimePoint(5 * 900));
   ASSERT_EQ(signals.size(), 1u);
   EXPECT_EQ(signals[0].technique, Technique::kColocation);
@@ -403,7 +417,7 @@ TEST_F(IxpMonitorTest, PublicPeerNextHopTriggersSignal) {
   PotentialIndex index;
   // Corpus path: 11 -> 21 (public peer over an IXP) -> 30 (member).
   monitor.watch(corpus_view(5, {Asn(11), Asn(21), Asn(30)}), index);
-  monitor.on_public_trace(ixp_sighting(Asn(11)), 5);
+  monitor.on_public_trace(ixp_sighting(Asn(11)), 5, index);
   auto signals = monitor.close_window(5, TimePoint(5 * 900));
   ASSERT_EQ(signals.size(), 1u);
   EXPECT_EQ(signals[0].technique, Technique::kColocation);
@@ -416,7 +430,7 @@ TEST_F(IxpMonitorTest, PrivatePeerNeverSignals) {
   // Corpus path: 12 -> 22 (private peer) -> 30 (member). The join is
   // learned, but a private peer keeps its higher local preference.
   monitor.watch(corpus_view(2, {Asn(12), Asn(22), Asn(30)}), index);
-  monitor.on_public_trace(ixp_sighting(Asn(12)), 5);
+  monitor.on_public_trace(ixp_sighting(Asn(12)), 5, index);
   EXPECT_EQ(monitor.detected_joins(), 1u);
   EXPECT_TRUE(monitor.close_window(5, TimePoint(5 * 900)).empty());
 }
@@ -426,7 +440,7 @@ TEST_F(IxpMonitorTest, NoSignalWithoutDownstreamMember) {
   PotentialIndex index;
   // No established member after the joiner on the path.
   monitor.watch(corpus_view(3, {Asn(10), Asn(20), Asn(40)}), index);
-  monitor.on_public_trace(ixp_sighting(Asn(10)), 5);
+  monitor.on_public_trace(ixp_sighting(Asn(10)), 5, index);
   EXPECT_TRUE(monitor.close_window(5, TimePoint(5 * 900)).empty());
 }
 
@@ -435,7 +449,7 @@ TEST_F(IxpMonitorTest, ExistingMembersDoNotRetrigger) {
   PotentialIndex index;
   monitor.watch(corpus_view(4, {Asn(10), Asn(20), Asn(30)}), index);
   // AS 30 is already a member: its sightings are not joins.
-  monitor.on_public_trace(ixp_sighting(Asn(30)), 5);
+  monitor.on_public_trace(ixp_sighting(Asn(30)), 5, index);
   EXPECT_TRUE(monitor.close_window(5, TimePoint(5 * 900)).empty());
   EXPECT_EQ(monitor.detected_joins(), 0u);
 }
