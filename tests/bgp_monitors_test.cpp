@@ -800,6 +800,29 @@ TEST_F(BgpMonitorFixture, EntryIndexRejectsEntryIdsOutOfOrder) {
   EXPECT_TRUE(load_is_corrupt(loaded, swapped));
 }
 
+// The touched list sets each entry's work-list flag on load, so it names an
+// entry at most once: a repeat would close the entry twice in one window.
+TEST_F(BgpMonitorFixture, EntryIndexRejectsAnEntryTouchedTwice) {
+  BurstMonitor monitor(context_);
+  monitor.watch(view_, index_, row_of(view_));
+  ASSERT_GE(monitor.entry_count(), 1u);
+  std::string bytes = state_of(monitor);
+  // The snapshot ends with the touched list, empty between windows.
+  ASSERT_EQ(bytes.substr(bytes.size() - 8), std::string(8, '\0'));
+  bytes.resize(bytes.size() - 8);
+  store::Encoder once, twice;
+  for (store::Encoder* list : {&once, &twice}) {
+    const std::uint64_t n = list == &once ? 1 : 2;
+    list->u64(n);
+    for (std::uint64_t i = 0; i < n; ++i) list->u64(1);
+  }
+  BurstMonitor loaded(context_);
+  EXPECT_FALSE(load_is_corrupt(loaded, bytes + once.buffer()));
+  EXPECT_EQ(state_of(loaded), bytes + once.buffer());
+  BurstMonitor again(context_);
+  EXPECT_TRUE(load_is_corrupt(again, bytes + twice.buffer()));
+}
+
 // An entry's VP-to-extras map lists each VP once, ascending: a repeated VP
 // used to load, its index lists appended into one.
 TEST_F(BgpMonitorFixture, BurstRejectsARepeatedExtraVp) {
